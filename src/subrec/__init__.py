@@ -39,6 +39,7 @@ from .errors import (
     FactorMismatch,
     LengthMismatch,
     NotAnAlgebra,
+    NotFinite,
     NotHermitian,
     NotPartialIsometry,
     NotTracePreserving,

@@ -6,15 +6,19 @@ dagger-closed algebra, hence unitarily equivalent to a direct sum
 its unit).  This module computes that block decomposition by random
 Hermitian probing:
 
+* two random Hermitian elements y, g generate the algebra A, so its
+  commutant A' is the commutant of {y, g}; the center A ∩ A' is the
+  commutant of y, g and two random Hermitian elements of A';
 * a random Hermitian element of the center splits the space into the
   central summands (its eigenvalue clusters);
-* inside each summand, the eigenvalue multiplicities of a random
-  Hermitian algebra element reveal the multiplicity n_k, and a second
-  random element supplies the intertwiners that align the multiplicity
-  spaces into an explicit tensor basis.
+* inside each summand, the eigenvalue multiplicities of y reveal the
+  multiplicity n_k, and g supplies the intertwiners that align the
+  multiplicity spaces into an explicit tensor basis.
 
-Every output is certified against the block pattern; degenerate draws
-are retried on derived seeds before surfacing UnluckySeed.  Noiseless
+Every output is certified: the basis must fit the block pattern, and
+its span must have dimension Σ m_k^2, which makes it the whole block
+algebra and so certifies product closure.  Degenerate draws are
+retried on derived seeds before surfacing UnluckySeed.  Noiseless
 subsystems of the channel are read off the blocks with m_k > 1.
 """
 
@@ -27,7 +31,8 @@ import numpy as np
 from .channel import KrausChannel, fixed_point_basis, to_superoperator
 from .correctability import check_noiseless
 from .errors import NotAnAlgebra, NotUnital, UnluckySeed
-from .linalg import DEFAULT_TOL, dagger, frobenius, partial_trace_b, vec
+from .linalg import (DEFAULT_TOL, dagger, frobenius, orthonormal_complement,
+                     partial_trace_b, vec)
 from .subsystem import SubsystemDecomposition
 
 __all__ = ["AlgebraStructure", "NoiselessSubsystems", "commutant",
@@ -78,8 +83,9 @@ def commutant(ops, dim: int | None = None, tol: float = DEFAULT_TOL) -> list[np.
     """Orthonormal HS basis of {X : XA = AX and XA^dag = A^dag X for all A}.
 
     Solved as the null space of the stacked commutation system in
-    vectorized form.  With an empty op list the commutant is the full
-    matrix algebra.
+    vectorized form; a Hermitian A contributes only its ``XA = AX``
+    rows.  With an empty op list the commutant is the full matrix
+    algebra.
     """
     ops = [np.asarray(a, dtype=complex) for a in ops]
     if dim is None:
@@ -90,7 +96,8 @@ def commutant(ops, dim: int | None = None, tol: float = DEFAULT_TOL) -> list[np.
     rows = []
     for a in ops:
         rows.append(np.kron(a.T, eye) - np.kron(eye, a))
-        rows.append(np.kron(a.conj(), eye) - np.kron(eye, dagger(a)))
+        if not np.array_equal(a, dagger(a)):
+            rows.append(np.kron(a.conj(), eye) - np.kron(eye, dagger(a)))
     if not rows:
         rows = [np.zeros((1, dim * dim))]
     system = np.vstack(rows)
@@ -104,42 +111,33 @@ def commutant(ops, dim: int | None = None, tol: float = DEFAULT_TOL) -> list[np.
     return [vh[i].conj().reshape(dim, dim, order="F") for i in range(rank, dim * dim)]
 
 
-def _span_projector(mats, tol):
-    stack = np.column_stack([vec(x) for x in mats])
+def _orthonormal_range(stack, tol):
     u, s, _ = np.linalg.svd(stack, full_matrices=False)
     rank = int(np.sum(s > tol * max(1.0, float(s[0]) if s.size else 0.0)))
-    basis = u[:, :rank]
-    return basis @ dagger(basis)
+    return u[:, :rank]
 
 
-def _in_span(proj, x, tol):
+def _in_span(span, x, tol):
     v = vec(x)
-    return np.linalg.norm(v - proj @ v) <= tol * max(1.0, np.linalg.norm(v))
+    return np.linalg.norm(v - span @ (dagger(span) @ v)) <= tol * max(1.0, np.linalg.norm(v))
 
 
-def _check_algebra(basis, dim, tol):
-    """Verify dagger/product closure and find the unit projector's support."""
-    proj = _span_projector(basis, tol)
+def _check_algebra(basis, tol):
+    """Check adjoint and unit closure; return the orthonormal span basis
+    (vectorized, d^2 x n) and an orthonormal basis of the unit's support."""
+    span = _orthonormal_range(np.column_stack([vec(x) for x in basis]), tol)
     ok_tol = max(100 * tol, 1e-7)
-    for x in basis:
-        if not _in_span(proj, dagger(x), ok_tol):
-            raise NotAnAlgebra("basis span is not closed under adjoints")
-    for x in basis:
-        for y in basis:
-            if not _in_span(proj, x @ y, ok_tol):
-                raise NotAnAlgebra("basis span is not closed under products")
-    stack = np.hstack(basis)
-    u, s, _ = np.linalg.svd(stack, full_matrices=False)
-    rank = int(np.sum(s > tol * max(1.0, float(s[0]) if s.size else 0.0)))
-    support = u[:, :rank]
+    if not all(_in_span(span, dagger(x), ok_tol) for x in basis):
+        raise NotAnAlgebra("basis span is not closed under adjoints")
+    support = _orthonormal_range(np.hstack(basis), tol)
     unit = support @ dagger(support)
-    if not _in_span(proj, unit, ok_tol):
+    if not _in_span(span, unit, ok_tol):
         raise NotAnAlgebra("support projector does not act as a unit inside the span")
     for x in basis:
         if frobenius(unit @ x - x) > ok_tol * max(1.0, frobenius(x)) or \
                 frobenius(x @ unit - x) > ok_tol * max(1.0, frobenius(x)):
             raise NotAnAlgebra("support projector does not act as a unit on the basis")
-    return support
+    return span, support
 
 
 class _RetryProbe(Exception):
@@ -166,16 +164,17 @@ def _structure_attempt(basis, support, dim, rng, tol):
     sdim = support.shape[1]
     cbasis = [dagger(support) @ x @ support for x in basis]
 
-    # center = A' ∩ A'' computed as the commutant of A ∪ A' (A unital here)
-    cprime = commutant(cbasis, sdim, tol=tol)
-    center = commutant(cbasis + cprime, sdim, tol=tol)
+    # generic y, g generate A, so {y, g}' = A'; likewise the center
+    # A ∩ A' = (A ∪ A')' from y, g and two generic elements of A'
+    y = _random_hermitian_combo(cbasis, rng)
+    g = _random_hermitian_combo(cbasis, rng)
+    cprime = commutant([y, g], sdim, tol=tol)
+    center = commutant([y, g, _random_hermitian_combo(cprime, rng),
+                        _random_hermitian_combo(cprime, rng)], sdim, tol=tol)
     z = _random_hermitian_combo(center, rng)
     wz, vz = np.linalg.eigh(z)
     gap = _CLUSTER_GAP * max(1.0, float(np.abs(wz).max()))
     summands = _cluster(wz, gap)
-
-    y = _random_hermitian_combo(cbasis, rng)
-    g = _random_hermitian_combo(cbasis, rng)
 
     blocks = []
     qcols = []
@@ -207,28 +206,15 @@ def _structure_attempt(basis, support, dim, rng, tol):
         qcols.append(support @ (r_k @ np.hstack(cols)))
 
     q_main = np.hstack(qcols)
-    pad = _complement_columns(q_main, dim)
-    q = np.hstack([q_main, pad]) if pad.size else q_main
+    q = np.column_stack([q_main, *orthonormal_complement(q_main @ dagger(q_main))])
     if frobenius(dagger(q) @ q - np.eye(dim)) > 1e-7 * dim:
         raise _RetryProbe("assembled basis change lost orthonormality")
 
     offsets = list(np.cumsum([0] + [m * n for m, n in blocks]))[:-1]
     residual = _pattern_residual(basis, q, blocks, offsets)
+    if not residual <= max(100 * tol, 1e-7):
+        raise _RetryProbe(f"pattern residual {residual:.3e}")
     return blocks, q, offsets, residual
-
-
-def _complement_columns(cols, dim):
-    proj = cols @ dagger(cols)
-    comp = np.eye(dim) - proj
-    out = []
-    for j in range(dim):
-        v = comp[:, j].copy()
-        for u in out:
-            v -= u * np.vdot(u, v)
-        norm = np.linalg.norm(v)
-        if norm > 1e-6:
-            out.append(v / norm)
-    return np.column_stack(out) if out else np.zeros((dim, 0), dtype=complex)
 
 
 def _pattern_residual(basis, q, blocks, offsets):
@@ -251,7 +237,8 @@ def algebra_structure(basis, seed: int = 0, tol: float = DEFAULT_TOL) -> Algebra
     ----------
     basis : sequence of ndarray
         Matrices spanning a dagger-closed, product-closed algebra that
-        contains a projector acting as its unit (verified).
+        contains a projector acting as its unit (verified), not
+        necessarily orthonormal.
     seed : int
         Seed of the random Hermitian probing; retried on ``seed + 1``,
         ..., ``seed + 4`` if a draw is degenerate.
@@ -259,7 +246,9 @@ def algebra_structure(basis, seed: int = 0, tol: float = DEFAULT_TOL) -> Algebra
     Raises
     ------
     NotAnAlgebra
-        If the closure or unit checks fail.
+        If the adjoint or unit checks fail, or the span is not product
+        closed: smaller than the block algebra that contains it, or, when
+        no probe fits, missing the product of two random elements.
     UnluckySeed
         If probing stayed degenerate for five consecutive seeds.
     """
@@ -267,23 +256,31 @@ def algebra_structure(basis, seed: int = 0, tol: float = DEFAULT_TOL) -> Algebra
     if not basis:
         raise NotAnAlgebra("empty basis")
     dim = basis[0].shape[0]
-    support = _check_algebra(basis, dim, tol)
+    span, support = _check_algebra(basis, tol)
 
-    last = None
+    reasons = []
     for attempt in range(5):
         rng = np.random.default_rng(seed + attempt)
         try:
             blocks, q, offsets, residual = _structure_attempt(
                 basis, support, dim, rng, tol)
         except _RetryProbe as exc:
-            last = exc
+            reasons.append(f"seed {seed + attempt}: {exc}")
             continue
-        if residual > max(100 * tol, 1e-7):
-            last = _RetryProbe(f"pattern residual {residual:.3e}")
-            continue
+        # the basis lies in ⊕ M_{m_k} (x) I_{n_k}; spanning all of it
+        # means the span is that algebra, hence product closed
+        if span.shape[1] != sum(m * m for m, _ in blocks):
+            raise NotAnAlgebra(f"basis spans dimension {span.shape[1]} inside the block "
+                               f"algebra of {blocks}: not closed under products")
         return AlgebraStructure(blocks=blocks, q=q, offsets=offsets,
                                 residual=residual, seed_used=seed + attempt)
-    raise UnluckySeed(f"algebra probing failed after 5 seeds: {last}")
+    # a span that no probe could fit is usually not product closed; the
+    # product of two random elements then leaves it with probability 1
+    rng = np.random.default_rng(seed)
+    x, y = _random_hermitian_combo(basis, rng), _random_hermitian_combo(basis, rng)
+    if not _in_span(span, x @ y, max(100 * tol, 1e-7)):
+        raise NotAnAlgebra("basis span is not closed under products")
+    raise UnluckySeed(f"algebra probing failed after 5 seeds: {'; '.join(reasons)}")
 
 
 def enumerate_noiseless(ch: KrausChannel, seed: int = 0,

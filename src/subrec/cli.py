@@ -9,13 +9,15 @@ demos pipe straight into the analysis commands::
 Exit codes: 0 success / positive verdict, 2 clean negative result
 (check failed, nothing found), 1 runtime error, 64 usage error.  The
 environment variable ``SUBREC_TOLERANCE`` overrides the default
-tolerance.
+tolerance; a tolerance from either source that is not a finite positive
+number is a usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -50,9 +52,16 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _default_tolerance() -> float:
-    env = os.environ.get("SUBREC_TOLERANCE")
-    return float(env) if env else DEFAULT_TOL
+def _tolerance(text: str) -> float:
+    """Parse a tolerance; anything but a finite positive number is a usage error."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"tolerance must be a finite positive number, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -66,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--channel", help="channel JSON file (default: stdin)")
         if subsystem:
             p.add_argument("--subsystem", required=True, help="subsystem JSON file")
-        p.add_argument("--tolerance", type=float, default=None,
+        p.add_argument("--tolerance", type=_tolerance, default=None,
                        help="structural tolerance (default 1e-9 or SUBREC_TOLERANCE)")
         p.add_argument("--seed", type=int, default=0, help="probing seed")
         p.add_argument("--out", help="write the JSON report to this file")
@@ -126,7 +135,7 @@ def _fmt(x: float) -> str:
 
 
 def _run_check(args) -> int:
-    tol = args.tolerance if args.tolerance is not None else _default_tolerance()
+    tol = args.tolerance
     ch = _load_channel(args, tol)
     with open(args.subsystem) as fh:
         dec = subsystem_from_json(json.load(fh), tol=tol)
@@ -150,7 +159,7 @@ def _run_check(args) -> int:
 
 
 def _run_recover(args) -> int:
-    tol = args.tolerance if args.tolerance is not None else _default_tolerance()
+    tol = args.tolerance
     ch = _load_channel(args, tol)
     with open(args.subsystem) as fh:
         dec = subsystem_from_json(json.load(fh), tol=tol)
@@ -184,7 +193,7 @@ def _run_recover(args) -> int:
 
 
 def _run_ns(args) -> int:
-    tol = args.tolerance if args.tolerance is not None else _default_tolerance()
+    tol = args.tolerance
     ch = _load_channel(args, tol)
     found = enumerate_noiseless(ch, seed=args.seed, tol=tol)
     st = found.structure
@@ -210,7 +219,7 @@ def _run_ns(args) -> int:
 
 
 def _run_ucc(args) -> int:
-    tol = args.tolerance if args.tolerance is not None else _default_tolerance()
+    tol = args.tolerance
     ch = _load_channel(args, tol)
     report_obj = find_ucc(ch, seed=args.seed, tol=tol)
     report = {
@@ -274,6 +283,13 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
+    if "tolerance" in vars(args) and args.tolerance is None:
+        env = os.environ.get("SUBREC_TOLERANCE")
+        try:
+            args.tolerance = _tolerance(env) if env else DEFAULT_TOL
+        except argparse.ArgumentTypeError as exc:
+            print(f"subrec: error: SUBREC_TOLERANCE: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     try:
         return _RUNNERS[args.command](args)
     except SubrecError as exc:

@@ -19,6 +19,10 @@ class LengthMismatch(SubrecError, ValueError):
     """Spectra of different lengths were compared."""
 
 
+class NotFinite(SubrecError, ValueError):
+    """An input matrix has a NaN or infinite entry."""
+
+
 class NotHermitian(SubrecError, ValueError):
     """A matrix required to be Hermitian fails the symmetry check."""
 

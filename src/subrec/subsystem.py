@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, NotFinite
 from .linalg import DEFAULT_TOL, dagger, frobenius, partial_trace_b
 
 __all__ = ["SubsystemDecomposition", "FactorResult", "embed_product", "factor_on_range"]
@@ -29,8 +29,10 @@ class SubsystemDecomposition:
         if w.shape != (dim, d_a * d_b):
             raise DimensionMismatch(
                 f"W must be {dim} x {d_a * d_b}, got {w.shape}")
+        if not np.isfinite(w).all():
+            raise NotFinite("W has a NaN or infinite entry")
         defect = frobenius(dagger(w) @ w - np.eye(d_a * d_b))
-        if defect > tol * max(1.0, np.sqrt(d_a * d_b)):
+        if not defect <= tol * max(1.0, np.sqrt(d_a * d_b)):
             raise DimensionMismatch(f"W is not an isometry (defect {defect:.3e})")
         self.dim = dim
         self.d_a = d_a

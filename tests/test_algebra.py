@@ -6,6 +6,7 @@ from subrec import (
     KrausChannel,
     NotAnAlgebra,
     NotUnital,
+    UnluckySeed,
     algebra_structure,
     check_noiseless,
     commutant,
@@ -167,3 +168,72 @@ def test_fixed_point_set_is_dagger_and_product_closed(seed):
         for y in (dagger(basis[i]), basis[i] @ basis[j]):
             v = y.flatten()
             assert np.linalg.norm(v - proj @ v) < 1e-7
+
+
+UNITAL_PATTERNS = [([(2, 2)], 4), ([(2, 1), (2, 1)], 4), ([(3, 2), (1, 4), (2, 1)], 12)]
+
+
+def random_hermitian(mats, rng):
+    z = sum((rng.normal() + 1j * rng.normal()) * m for m in mats)
+    return (z + dagger(z)) / 2
+
+
+@pytest.mark.parametrize("pattern,dim", UNITAL_PATTERNS)
+def test_two_generators_give_commutant_and_center(pattern, dim):
+    basis = planted_algebra(pattern, dim, seed=dim)
+    rng = np.random.default_rng(dim)
+    y, g = random_hermitian(basis, rng), random_hermitian(basis, rng)
+    cprime = commutant([y, g])
+    assert len(cprime) == sum(n * n for _, n in pattern)
+    assert len(cprime) == commutant_dimension(basis, dim)  # brute-force oracle
+    c1, c2 = random_hermitian(cprime, rng), random_hermitian(cprime, rng)
+    assert len(commutant([y, g, c1, c2])) == len(pattern)
+
+
+@pytest.mark.parametrize("pattern,dim", UNITAL_PATTERNS)
+def test_structure_of_non_orthonormal_spanning_set(pattern, dim):
+    basis = planted_algebra(pattern, dim, seed=dim)
+    stack = np.column_stack([x.flatten() for x in basis])
+    u, _, _ = np.linalg.svd(stack, full_matrices=False)
+    orthonormal = [u[:, i].reshape(dim, dim) for i in range(u.shape[1])]
+    rng = np.random.default_rng(dim)
+    mix = rng.normal(size=(len(basis), len(basis) + 2)) \
+        + 1j * rng.normal(size=(len(basis), len(basis) + 2))
+    # two more elements than the dimension, none orthogonal to another
+    spanning = [sum(c * x for c, x in zip(col, basis)) for col in mix.T]
+    blocks = sorted(algebra_structure(orthonormal, seed=3).blocks)
+    st = algebra_structure(spanning, seed=3)
+    assert sorted(st.blocks) == blocks == sorted(pattern)
+    assert st.residual < 1e-9
+
+
+PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
+PAULI_Z = np.diag([1.0, -1.0]).astype(complex)
+
+
+@pytest.mark.parametrize("basis,message", [
+    ([np.eye(2), PAULI_X, PAULI_Z], "inside the block algebra"),
+    ([np.eye(4), np.kron(PAULI_X, np.eye(2)), np.kron(PAULI_Z, np.eye(2)),
+      np.kron(np.eye(2), PAULI_Z)], "inside the block algebra"),
+    # probing fits no block structure here; a random product exposes it
+    ([np.eye(4), np.kron(PAULI_X, np.eye(2)), np.kron(PAULI_Z, np.eye(2)),
+      np.kron(np.eye(2), PAULI_X), np.kron(np.eye(2), PAULI_Z)], "span is not closed"),
+])
+def test_span_with_unit_and_adjoints_but_not_products(basis, message):
+    # XZ = -iY lies outside each span, so none is an algebra
+    with pytest.raises(NotAnAlgebra, match=message):
+        algebra_structure(basis, seed=0)
+
+
+def test_unlucky_seed_lists_every_retry(monkeypatch):
+    import subrec.algebra as algebra
+
+    def always_retry(basis, support, dim, rng, tol):
+        raise algebra._RetryProbe(f"draw {rng.integers(1000)}")
+
+    monkeypatch.setattr(algebra, "_structure_attempt", always_retry)
+    with pytest.raises(UnluckySeed) as info:
+        algebra_structure(planted_algebra([(2, 1)], 2, seed=0), seed=7)
+    for seed in range(7, 12):
+        reason = f"draw {np.random.default_rng(seed).integers(1000)}"
+        assert f"seed {seed}: {reason}" in str(info.value)

@@ -214,3 +214,35 @@ def test_text_report_scientific_notation(tmp_path, capsys):
                      "--subsystem", str(dec_file)], capsys=capsys)
     assert code == 0
     assert "e-" in out.out or "e+" in out.out
+
+
+def test_non_finite_w_exit_1(tmp_path, capsys):
+    ch_file, dec_file = write_demo(tmp_path, "phase-flip", p=0.3)
+    for bad in (float("nan"), float("inf")):
+        obj = json.loads(dec_file.read_text())
+        obj["W"][0][0][0] = bad
+        bad_file = tmp_path / "bad-dec.json"
+        bad_file.write_text(json.dumps(obj))  # written as a NaN / Infinity token
+        code, out = run(["check", "--channel", str(ch_file),
+                         "--subsystem", str(bad_file)], capsys=capsys)
+        assert code == 1
+        assert "NotFinite" in out.err and "W" in out.err
+
+
+def test_bad_tolerance_flag_exit_64(tmp_path, capsys):
+    ch_file, dec_file = write_demo(tmp_path, "phase-flip", p=0.3)
+    for value in ("nan", "-1", "0", "inf"):
+        code, out = run(["check", "--channel", str(ch_file), "--subsystem",
+                         str(dec_file), "--tolerance", value], capsys=capsys)
+        assert code == 64
+        assert "--tolerance" in out.err and value in out.err
+
+
+def test_bad_tolerance_env_exit_64(tmp_path, capsys, monkeypatch):
+    ch_file, dec_file = write_demo(tmp_path, "phase-flip", p=0.3)
+    for value in ("nan", "-1", "abc"):
+        monkeypatch.setenv("SUBREC_TOLERANCE", value)
+        code, out = run(["check", "--channel", str(ch_file),
+                         "--subsystem", str(dec_file)], capsys=capsys)
+        assert code == 64
+        assert "SUBREC_TOLERANCE" in out.err and value in out.err
