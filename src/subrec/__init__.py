@@ -38,6 +38,7 @@ from .errors import (
     DimensionMismatch,
     FactorMismatch,
     LengthMismatch,
+    MalformedInput,
     NotAnAlgebra,
     NotFinite,
     NotHermitian,
@@ -70,8 +71,10 @@ from .recovery import (
     verify_correction,
 )
 from .subsystem import (
+    CodeMapCertificate,
     FactorResult,
     SubsystemDecomposition,
+    certify_code_map,
     embed_product,
     factor_on_range,
 )

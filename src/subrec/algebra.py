@@ -117,9 +117,11 @@ def _orthonormal_range(stack, tol):
     return u[:, :rank]
 
 
-def _in_span(span, x, tol):
-    v = vec(x)
-    return np.linalg.norm(v - span @ (dagger(span) @ v)) <= tol * max(1.0, np.linalg.norm(v))
+def _in_span(span, mats, tol):
+    """Whether every matrix lies in the span, each column judged alone."""
+    v = np.column_stack([vec(x) for x in mats])
+    off = np.linalg.norm(v - span @ (dagger(span) @ v), axis=0)
+    return bool(np.all(off <= tol * np.maximum(1.0, np.linalg.norm(v, axis=0))))
 
 
 def _check_algebra(basis, tol):
@@ -127,11 +129,11 @@ def _check_algebra(basis, tol):
     (vectorized, d^2 x n) and an orthonormal basis of the unit's support."""
     span = _orthonormal_range(np.column_stack([vec(x) for x in basis]), tol)
     ok_tol = max(100 * tol, 1e-7)
-    if not all(_in_span(span, dagger(x), ok_tol) for x in basis):
+    if not _in_span(span, [dagger(x) for x in basis], ok_tol):
         raise NotAnAlgebra("basis span is not closed under adjoints")
     support = _orthonormal_range(np.hstack(basis), tol)
     unit = support @ dagger(support)
-    if not _in_span(span, unit, ok_tol):
+    if not _in_span(span, [unit], ok_tol):
         raise NotAnAlgebra("support projector does not act as a unit inside the span")
     for x in basis:
         if frobenius(unit @ x - x) > ok_tol * max(1.0, frobenius(x)) or \
@@ -278,7 +280,7 @@ def algebra_structure(basis, seed: int = 0, tol: float = DEFAULT_TOL) -> Algebra
     # product of two random elements then leaves it with probability 1
     rng = np.random.default_rng(seed)
     x, y = _random_hermitian_combo(basis, rng), _random_hermitian_combo(basis, rng)
-    if not _in_span(span, x @ y, max(100 * tol, 1e-7)):
+    if not _in_span(span, [x @ y], max(100 * tol, 1e-7)):
         raise NotAnAlgebra("basis span is not closed under products")
     raise UnluckySeed(f"algebra probing failed after 5 seeds: {'; '.join(reasons)}")
 

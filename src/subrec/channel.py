@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotTracePreserving
+from .errors import DimensionMismatch, NotFinite, NotTracePreserving
 from .linalg import DEFAULT_TOL, dagger, frobenius, unvec
 
 __all__ = [
@@ -51,7 +51,7 @@ class KrausChannel:
             if k.shape != (d, d):
                 raise DimensionMismatch("Kraus operators must share one square shape")
             if not np.all(np.isfinite(k)):
-                raise ValueError("Kraus operators must have finite entries")
+                raise NotFinite("Kraus operators must have finite entries")
         self.kraus = tuple(ops)
         self.dim = d
         self.tol = tol

@@ -17,10 +17,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import KrausChannel, compose, dual
+from .channel import KrausChannel
 from .errors import DimensionMismatch
-from .linalg import DEFAULT_TOL, dagger, frobenius, operator_basis, vec
-from .subsystem import SubsystemDecomposition, embed_product, factor_on_range
+from .linalg import DEFAULT_TOL, dagger, frobenius
+from .subsystem import SubsystemDecomposition, certify_code_map, factor_on_range
 
 __all__ = ["CorrectabilityCertificate", "NoiselessResult",
            "check_correctable", "check_noiseless"]
@@ -52,11 +52,7 @@ class CorrectabilityCertificate:
     def f_matrix(self) -> np.ndarray:
         """The (m d_A) x (m d_A) block matrix F assembled from f_blocks."""
         m, _, d_a, _ = self.f_blocks.shape
-        f = np.zeros((m * d_a, m * d_a), dtype=complex)
-        for a in range(m):
-            for b in range(m):
-                f[a * d_a:(a + 1) * d_a, b * d_a:(b + 1) * d_a] = self.f_blocks[a, b]
-        return f
+        return self.f_blocks.transpose(0, 2, 1, 3).reshape(m * d_a, m * d_a)
 
     def matches(self, ch: KrausChannel, dec: SubsystemDecomposition,
                 tol: float = DEFAULT_TOL) -> bool:
@@ -98,25 +94,26 @@ def check_correctable(ch: KrausChannel, dec: SubsystemDecomposition,
     m = ch.m
     d_a = dec.d_a
     f_blocks = np.zeros((m, m, d_a, d_a), dtype=complex)
-    residual = 0.0
+    residuals = np.zeros((m, m))
     all_ok = True
     for a in range(m):
         for b in range(m):
             res = factor_on_range(dec, dagger(ch.kraus[a]) @ ch.kraus[b], tol=tol)
             f_blocks[a, b] = res.factor
-            residual = max(residual, res.residual)
+            residuals[a, b] = res.residual
             all_ok = all_ok and res.ok
 
     cert = CorrectabilityCertificate(
-        passed=all_ok, f_blocks=f_blocks, residual=residual,
+        passed=all_ok, f_blocks=f_blocks, residual=float(np.max(residuals)),
         channel=ch, decomposition=dec)
 
     # F must be PSD: recheck on the assembled block matrix.
     f = cert.f_matrix
-    eigs = np.linalg.eigvalsh((f + dagger(f)) / 2.0)
+    eigs = np.linalg.eigvalsh((f + dagger(f)) / 2.0) if np.isfinite(f).all() \
+        else np.full(1, np.nan)
     cert.f_min_eigenvalue = float(eigs[0]) if eigs.size else 0.0
     scale = max(1.0, float(eigs[-1])) if eigs.size else 1.0
-    if cert.f_min_eigenvalue < -tol * scale:
+    if not cert.f_min_eigenvalue >= -tol * scale:
         cert.passed = False
 
     if not cert.passed:
@@ -125,21 +122,16 @@ def check_correctable(ch: KrausChannel, dec: SubsystemDecomposition,
     # G_A from Kraus {F_ab}: these are exactly the Kraus operators of the
     # compressed map, so the verification below tests the tensor-factor
     # structure of P_AB ∘ E^dag ∘ E ∘ P_AB rather than G_A's arithmetic.
-    g_a = np.zeros((d_a * d_a, d_a * d_a), dtype=complex)
-    for a in range(m):
-        for b in range(m):
-            g_a += np.kron(f_blocks[a, b].conj(), f_blocks[a, b])
+    g_a = sum(np.kron(f.conj(), f) for f in f_blocks.reshape(m * m, d_a, d_a))
     cert.g_a = g_a
 
-    comp = compose(dual(ch), ch)
-    worst = 0.0
-    for sig_a in operator_basis(d_a):
-        g_sig = (g_a @ vec(sig_a)).reshape(d_a, d_a, order="F")
-        for sig_b in operator_basis(dec.d_b):
-            lhs = dec.compress(comp.apply(embed_product(dec, sig_a, sig_b)))
-            worst = max(worst, frobenius(lhs - np.kron(g_sig, sig_b)))
+    # the compressed map has Kraus operators W^dag E_a^dag E_b W
+    kw = np.asarray(ch.kraus) @ dec.w
+    n = kw.shape[2]
+    pairs = (kw.conj().transpose(0, 2, 1)[:, None] @ kw[None, :]).reshape(m * m, n, n)
+    worst = certify_code_map(pairs, d_a, dec.d_b, superop=g_a).residual
     cert.g_a_residual = worst
-    if worst > tol * max(1.0, d_a * dec.d_b):
+    if not worst <= tol * max(1.0, d_a * dec.d_b):
         cert.passed = False
     return cert
 
@@ -154,26 +146,6 @@ def check_noiseless(ch: KrausChannel, dec: SubsystemDecomposition,
     """
     if ch.dim != dec.dim:
         raise DimensionMismatch(f"channel dim {ch.dim} != decomposition dim {dec.dim}")
-    d_a, d_b = dec.d_a, dec.d_b
-    basis_a = operator_basis(d_a)
-    eye_b = np.eye(d_b) / d_b
-    g_of = []
-    for sig_a in basis_a:
-        out = ch.apply(embed_product(dec, sig_a, eye_b))
-        g_sig = factor_on_range(dec, out, tol=tol).factor * d_b
-        g_of.append(g_sig)
-    # superoperator matrix of G_A: basis_a[i*d_a + j] = E_ij and
-    # vec(E_ij) hits column i + d_a*j in the column-stacking convention
-    g_a = np.zeros((d_a * d_a, d_a * d_a), dtype=complex)
-    for i in range(d_a):
-        for j in range(d_a):
-            g_a[:, i + d_a * j] = vec(g_of[i * d_a + j])
-
-    worst = 0.0
-    for idx, sig_a in enumerate(basis_a):
-        for sig_b in operator_basis(d_b):
-            lhs = ch.apply(embed_product(dec, sig_a, sig_b))
-            rhs = dec.w @ np.kron(g_of[idx], sig_b) @ dagger(dec.w)
-            worst = max(worst, frobenius(lhs - rhs))
-    ok = worst <= tol * max(1.0, d_a * d_b)
-    return NoiselessResult(ok=ok, residual=worst, g_a=g_a)
+    cm = certify_code_map(np.asarray(ch.kraus) @ dec.w, dec.d_a, dec.d_b, frame=dec.w)
+    ok = cm.residual <= tol * max(1.0, dec.d_a * dec.d_b)
+    return NoiselessResult(ok=ok, residual=cm.residual, g_a=cm.superop)

@@ -19,6 +19,10 @@ class LengthMismatch(SubrecError, ValueError):
     """Spectra of different lengths were compared."""
 
 
+class MalformedInput(SubrecError, ValueError):
+    """Wire input has the wrong type, nesting or [re, im] pair length."""
+
+
 class NotFinite(SubrecError, ValueError):
     """An input matrix has a NaN or infinite entry."""
 

@@ -9,6 +9,8 @@ Wire formats (language neutral, lossless at double precision):
 * subsystem: ``{"dim": d, "dA": dA, "dB": dB, "W": [col1, col2, ...]}``
   with W stored column-major, each column a d-list of pairs.
 
+Parsing checks types, nesting and pair lengths before it builds an
+array and raises :class:`~subrec.errors.MalformedInput` otherwise.
 Canonical serialization is deterministic, so serialize -> parse ->
 serialize round-trips byte for byte.
 """
@@ -20,7 +22,7 @@ import json
 import numpy as np
 
 from .channel import KrausChannel
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, MalformedInput
 from .linalg import DEFAULT_TOL
 from .subsystem import SubsystemDecomposition
 
@@ -41,9 +43,35 @@ def matrix_to_json(m: np.ndarray) -> list:
     return [[[float(x.real), float(x.imag)] for x in row] for row in m]
 
 
+def _pairs(obj, what: str, depth: int) -> np.ndarray:
+    """Complex array from ``depth`` levels of nested lists of [re, im] pairs."""
+    try:
+        arr = np.asarray(obj)
+    except ValueError:  # ragged nesting, e.g. a truncated [re] pair
+        raise MalformedInput(f"{what}: nested lists of unequal lengths") from None
+    if arr.dtype.kind not in "iuf" or arr.ndim != depth + 1 or arr.shape[-1] != 2:
+        raise MalformedInput(
+            f"{what} must be {depth} levels of lists of [re, im] number pairs")
+    return np.ascontiguousarray(arr, dtype=float).view(complex)[..., 0]
+
+
+def _positive_int(obj: dict, key: str) -> int:
+    value = obj[key]
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise MalformedInput(f"{key!r} must be a positive integer, got {value!r}")
+    return value
+
+
+def _require_fields(obj, what: str, keys) -> None:
+    if not isinstance(obj, dict):
+        raise MalformedInput(f"{what} must be a JSON object, got {type(obj).__name__}")
+    missing = [k for k in keys if k not in obj]
+    if missing:
+        raise MalformedInput(f"{what} lacks the field(s) {missing}")
+
+
 def matrix_from_json(obj) -> np.ndarray:
-    rows = [[complex(entry[0], entry[1]) for entry in row] for row in obj]
-    return np.asarray(rows, dtype=complex)
+    return _pairs(obj, "matrix", 2)
 
 
 def channel_to_json(ch: KrausChannel) -> dict:
@@ -52,11 +80,12 @@ def channel_to_json(ch: KrausChannel) -> dict:
 
 def channel_from_json(obj, require_tp: bool = True,
                       tol: float = DEFAULT_TOL) -> KrausChannel:
-    kraus = [matrix_from_json(k) for k in obj["kraus"]]
-    ch = KrausChannel(kraus, require_tp=require_tp, tol=tol)
-    if ch.dim != int(obj["dim"]):
+    _require_fields(obj, "channel", ("dim", "kraus"))
+    dim = _positive_int(obj, "dim")
+    ch = KrausChannel(list(_pairs(obj["kraus"], "kraus", 3)), require_tp=require_tp, tol=tol)
+    if ch.dim != dim:
         raise DimensionMismatch(
-            f"declared dim {obj['dim']} does not match Kraus shape {ch.dim}")
+            f"declared dim {dim} does not match Kraus shape {ch.dim}")
     return ch
 
 
@@ -67,14 +96,10 @@ def subsystem_to_json(dec: SubsystemDecomposition) -> dict:
 
 
 def subsystem_from_json(obj, tol: float = DEFAULT_TOL) -> SubsystemDecomposition:
-    dim = int(obj["dim"])
-    d_a = int(obj["dA"])
-    d_b = int(obj["dB"])
-    w = np.zeros((dim, d_a * d_b), dtype=complex)
-    for j, col in enumerate(obj["W"]):
-        for i, entry in enumerate(col):
-            w[i, j] = complex(entry[0], entry[1])
-    return SubsystemDecomposition(dim, d_a, d_b, w, tol=tol)
+    _require_fields(obj, "subsystem", ("dim", "dA", "dB", "W"))
+    dim, d_a, d_b = (_positive_int(obj, key) for key in ("dim", "dA", "dB"))
+    columns = _pairs(obj["W"], "W", 2)
+    return SubsystemDecomposition(dim, d_a, d_b, columns.T, tol=tol)
 
 
 def canonical_dumps(obj) -> str:

@@ -43,12 +43,10 @@ from .linalg import (
     dagger,
     frobenius,
     hermitian_eig,
-    operator_basis,
     orthonormal_complement,
     polar_isometry_on_support,
-    vec,
 )
-from .subsystem import SubsystemDecomposition, embed_product, factor_on_range
+from .subsystem import SubsystemDecomposition, certify_code_map
 
 __all__ = ["RecoveryResult", "construct_recovery", "recovery_to_correction",
            "verify_correction"]
@@ -120,36 +118,39 @@ def construct_recovery(ch: KrausChannel, dec: SubsystemDecomposition,
     def u_block(a, b):
         return u_mix[a * d_a:(a + 1) * d_a, b * d_a:(b + 1) * d_a]
 
-    # 2. modified Kraus family with mutually orthogonal ranges on the code
-    p_perp = np.eye(d) - dec.p_ab
+    # 2. modified Kraus family with mutually orthogonal ranges on the code:
+    # G_a = E_a P_AB^perp + sum_b E_b W (U_ab^dag (x) I_B) W^dag
+    kw = np.asarray(ch.kraus) @ w
     g_ops = []
     for a in range(m):
-        g = ch.kraus[a] @ p_perp
-        for b in range(m):
-            g += ch.kraus[b] @ w @ np.kron(dagger(u_block(a, b)), np.eye(d_b)) @ dagger(w)
-        g_ops.append(g)
+        on_code = sum(kw[b] @ np.kron(dagger(u_block(a, b)), np.eye(d_b)) for b in range(m))
+        g_ops.append(ch.kraus[a] + (on_code - kw[a]) @ dagger(w))
+    gw = np.asarray(g_ops) @ w
 
-    ortho_resid = 0.0
+    ortho = np.zeros((m, m))
     cutoff = tol * scale
     for a in range(m):
         for b in range(m):
-            gram = dec.compress(dagger(g_ops[a]) @ g_ops[b])
+            gram = dagger(gw[a]) @ gw[b]
             if a == b:
-                d_aa = np.diag(lam[a * d_a:(a + 1) * d_a])
-                ortho_resid = max(ortho_resid, frobenius(gram - np.kron(d_aa, np.eye(d_b))))
-            else:
-                ortho_resid = max(ortho_resid, frobenius(gram))
-    if ortho_resid > 100 * tol * max(1.0, scale):
+                gram = gram - np.kron(np.diag(lam[a * d_a:(a + 1) * d_a]), np.eye(d_b))
+            ortho[a, b] = frobenius(gram)
+    ortho_resid = float(np.max(ortho))
+    if not ortho_resid <= 100 * tol * max(1.0, scale):
         raise NumericalDegeneracy(
             f"G_a ranges not orthogonal (residual {ortho_resid:.3e}); "
             "certificate tolerance too loose")
 
-    # 3. the modified family reproduces the channel on the I_A slice
-    g_action_resid = 0.0
-    for sig_b in operator_basis(d_b):
-        emb = embed_product(dec, np.eye(d_a), sig_b)
-        lhs = sum(g @ emb @ dagger(g) for g in g_ops)
-        g_action_resid = max(g_action_resid, frobenius(lhs - ch.apply(emb)))
+    # 3. the modified family reproduces the channel on the I_A slice:
+    # sum_a G_a W (I_A (x) |k><l|) W^dag G_a^dag against the same for E_a
+    gw_ab = gw.reshape(m, d, d_a, d_b)
+    ew = kw.reshape(m, d, d_a, d_b)
+    g_action = np.empty(d_b)
+    for k in range(d_b):
+        diff = np.tensordot(gw_ab[..., k], gw_ab.conj(), axes=([0, 2], [0, 2])) \
+            - np.tensordot(ew[..., k], ew.conj(), axes=([0, 2], [0, 2]))
+        g_action[k] = np.sqrt(np.max((diff.real ** 2 + diff.imag ** 2).sum(axis=(0, 1))))
+    g_action_resid = float(np.max(g_action))
 
     # 4. polar step per block, then assemble the partial isometry V
     d_blocks = []
@@ -167,17 +168,13 @@ def construct_recovery(ch: KrausChannel, dec: SubsystemDecomposition,
         # certificate that passed cannot trip the polar precondition
         v_a = polar_isometry_on_support(g_ops[a] @ dec.p_ab, sqrt_emb,
                                         tol=max(100 * tol, 1e-7))
-        for l in live:
-            for k in range(d_b):
-                col = np.zeros(d_a * d_b, dtype=complex)
-                col[l * d_b + k] = 1.0
-                images.append(v_a @ w @ col)
+        # V_a W (|phi_l> (x) |psi_k>), l live, k over B, in (l, k) order
+        images.extend((v_a @ w).reshape(d, d_a, d_b)[:, live].reshape(d, -1).T)
 
     n_cb = len(images)
     rank_c = n_cb // d_b
     v_part = np.zeros((d, d), dtype=complex)
-    for t, img in enumerate(images):
-        v_part[:, t] = img
+    v_part[:, :n_cb] = np.reshape(images, (n_cb, d)).T
     v_full = complete_to_unitary(v_part, d, tol=max(100 * tol, 1e-7))
     u_recovery = dagger(v_full)
 
@@ -199,26 +196,11 @@ def construct_recovery(ch: KrausChannel, dec: SubsystemDecomposition,
 
     # 5. certify U ∘ E ∘ P_AB = F_{C|A} (x) id_B with F_{C|A} extracted
     # from the identity-B slice of the actual action.
-    basis_a = operator_basis(d_a)
-    extracted = []
-    for sig_a in basis_a:
-        out = u_recovery @ ch.apply(embed_product(dec, sig_a, np.eye(d_b) / d_b)) @ v_full
-        extracted.append(factor_on_range(c_dec, out, tol=tol).factor * d_b)
-    f_ca_superop = np.zeros((rank_c * rank_c, d_a * d_a), dtype=complex)
-    for i in range(d_a):
-        for j in range(d_a):
-            f_ca_superop[:, i + d_a * j] = vec(extracted[i * d_a + j])
-
-    residual = 0.0
-    for idx, sig_a in enumerate(basis_a):
-        for sig_b in operator_basis(d_b):
-            lhs = u_recovery @ ch.apply(embed_product(dec, sig_a, sig_b)) @ v_full
-            rhs = w_c @ np.kron(extracted[idx], sig_b) @ dagger(w_c)
-            residual = max(residual, frobenius(lhs - rhs))
+    cm = certify_code_map(u_recovery @ kw, d_a, d_b, frame=w_c)
 
     return RecoveryResult(
         u_recovery=u_recovery, c_subsystem=c_dec, f_ca_kraus=f_ca_kraus,
-        f_ca_superop=f_ca_superop, d_blocks=d_blocks, residual=residual,
+        f_ca_superop=cm.superop, d_blocks=d_blocks, residual=cm.residual,
         g_action_residual=g_action_resid, orthogonality_residual=ortho_resid,
         channel=ch, decomposition=dec)
 
@@ -275,20 +257,6 @@ def verify_correction(ch: KrausChannel, dec: SubsystemDecomposition,
     Returns ``(residual, f_a_superop)`` where the map F_A is extracted
     from the identity-B slice, mirroring the recovery certificate.
     """
-    d_a, d_b = dec.d_a, dec.d_b
-    basis_a = operator_basis(d_a)
-    extracted = []
-    for sig_a in basis_a:
-        out = correction.apply(ch.apply(embed_product(dec, sig_a, np.eye(d_b) / d_b)))
-        extracted.append(factor_on_range(dec, out, tol=tol).factor * d_b)
-    residual = 0.0
-    for idx, sig_a in enumerate(basis_a):
-        for sig_b in operator_basis(d_b):
-            lhs = correction.apply(ch.apply(embed_product(dec, sig_a, sig_b)))
-            rhs = embed_product(dec, extracted[idx], sig_b)
-            residual = max(residual, frobenius(lhs - rhs))
-    f_a = np.zeros((d_a * d_a, d_a * d_a), dtype=complex)
-    for i in range(d_a):
-        for j in range(d_a):
-            f_a[:, i + d_a * j] = vec(extracted[i * d_a + j])
-    return residual, f_a
+    ops = (np.asarray(correction.kraus)[:, None] @ (np.asarray(ch.kraus) @ dec.w)[None])
+    cm = certify_code_map(ops.reshape(-1, *ops.shape[2:]), dec.d_a, dec.d_b, frame=dec.w)
+    return cm.residual, cm.superop

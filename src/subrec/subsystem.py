@@ -15,7 +15,8 @@ import numpy as np
 from .errors import DimensionMismatch, NotFinite
 from .linalg import DEFAULT_TOL, dagger, frobenius, partial_trace_b
 
-__all__ = ["SubsystemDecomposition", "FactorResult", "embed_product", "factor_on_range"]
+__all__ = ["SubsystemDecomposition", "FactorResult", "CodeMapCertificate",
+           "certify_code_map", "embed_product", "factor_on_range"]
 
 
 class SubsystemDecomposition:
@@ -77,6 +78,65 @@ class FactorResult:
     factor: np.ndarray
     residual: float
     ok: bool
+
+
+@dataclass
+class CodeMapCertificate:
+    """A map restricted to the code, read as F (x) id_B, with its certificate.
+
+    ``superop`` is the d_C^2 x d_A^2 matrix of F (column-stacking
+    convention), ``factors[i, j]`` the d_C x d_C operator F(|i><j|), and
+    ``residual`` the worst Frobenius mismatch over the matrix units
+    |i><j| (x) |k><l| of the code; it is NaN when an input is.
+    """
+
+    superop: np.ndarray
+    factors: np.ndarray
+    residual: float
+
+
+def certify_code_map(ops, d_a: int, d_b: int, frame: np.ndarray | None = None,
+                     superop: np.ndarray | None = None) -> CodeMapCertificate:
+    """Certify X -> sum_a N_a X N_a^dag = V (F(.) (x) id_B) V^dag on the code.
+
+    ``ops`` are the code-projected Kraus operators N_a (d_out x d_A d_B),
+    e.g. E_a W; ``frame`` is the output isometry V (d_out x d_C d_B), the
+    identity when omitted.  F is read from the I_B slice,
+    F(X) = Tr_B(V^dag N(X (x) I_B) V) / d_B, unless ``superop`` supplies
+    it.  The residual loops over the d_A d_B rows of the matrix-unit
+    basis, each row one product of d_out^2 d_A d_B entries, so nothing
+    of size (d_A d_B)^2 d_out^2 is formed.
+    """
+    ops = np.asarray(ops, dtype=complex)
+    n = d_a * d_b
+    if ops.ndim != 3 or ops.shape[2] != n:
+        raise DimensionMismatch(f"operators must be m x d_out x {n}, got {ops.shape}")
+    d_out = ops.shape[1]
+    if frame is None:
+        frame = np.eye(d_out, dtype=complex)
+    if frame.shape[0] != d_out or frame.shape[1] % d_b:
+        raise DimensionMismatch(
+            f"frame must be {d_out} x (d_C * {d_b}), got {frame.shape}")
+    d_c = frame.shape[1] // d_b
+    if superop is None:
+        coded = (dagger(frame) @ ops).reshape(-1, d_c, d_b, d_a, d_b)
+        factors = np.einsum("acbik,adbjk->ijcd", coded, coded.conj()) / d_b
+        superop = factors.transpose(2, 3, 0, 1).reshape(d_c * d_c, d_a * d_a, order="F")
+    else:
+        factors = superop.reshape(d_c, d_c, d_a, d_a, order="F").transpose(2, 3, 0, 1)
+
+    # row p = (i, k) against every column q = (j, l) at once:
+    # N(|p><q|) = sum_a N_a[:, p] N_a[:, q]^dag, model V_k F(|i><j|) V_l^dag
+    frame_cb = frame.reshape(d_out, d_c, d_b)
+    ops_conj = ops.conj()
+    worst = np.empty(n)
+    for p in range(n):
+        i, k = divmod(p, d_b)
+        lhs = np.tensordot(ops[:, :, p], ops_conj, axes=(0, 0))
+        rhs = np.tensordot(frame_cb[:, :, k] @ factors[i], frame_cb.conj(), axes=(2, 1))
+        diff = lhs.reshape(d_out, d_out, d_a, d_b) - rhs.transpose(1, 2, 0, 3)
+        worst[p] = np.sqrt(np.max((diff.real ** 2 + diff.imag ** 2).sum(axis=(0, 1))))
+    return CodeMapCertificate(superop, factors, float(np.max(worst)))
 
 
 def embed_product(dec: SubsystemDecomposition, sigma_a: np.ndarray,

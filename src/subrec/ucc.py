@@ -19,17 +19,9 @@ from .algebra import AlgebraStructure, enumerate_noiseless
 from .channel import KrausChannel, compose, dual
 from .correctability import check_correctable
 from .errors import NotUnital, PreconditionViolated
-from .linalg import (
-    DEFAULT_TOL,
-    complete_to_unitary,
-    dagger,
-    frobenius,
-    numeric_rank,
-    operator_basis,
-    vec,
-)
-from .recovery import construct_recovery
-from .subsystem import SubsystemDecomposition, embed_product, factor_on_range
+from .linalg import DEFAULT_TOL, frobenius, numeric_rank
+from .recovery import construct_recovery, recovery_to_correction, verify_correction
+from .subsystem import SubsystemDecomposition
 
 __all__ = ["UccSubsystem", "InternalContradiction", "UccReport",
            "find_ucc", "rank_support_equivalence"]
@@ -72,15 +64,6 @@ class UccReport:
     seed: int = 0
 
 
-def _pair_frames_unitary(w_from: np.ndarray, w_to: np.ndarray, dim: int,
-                         tol: float) -> np.ndarray:
-    """Unitary sending the columns of w_from to the columns of w_to, in order."""
-    v = np.zeros((dim, dim), dtype=complex)
-    for j in range(w_from.shape[1]):
-        v += np.outer(w_to[:, j], w_from[:, j].conj())
-    return complete_to_unitary(v, dim, tol=max(100 * tol, 1e-7))
-
-
 def find_ucc(ch: KrausChannel, seed: int = 0, tol: float = DEFAULT_TOL) -> UccReport:
     """Discover the unitarily correctable subsystems of a unital channel.
 
@@ -121,36 +104,15 @@ def find_ucc(ch: KrausChannel, seed: int = 0, tol: float = DEFAULT_TOL) -> UccRe
                 f"dim C = {rank_c} differs from d_A = {dec.d_a}", float(rank_c)))
             continue
 
-        v = _pair_frames_unitary(res.c_subsystem.w, dec.w, ch.dim, tol)
-        u_corr = v @ res.u_recovery
-        residual, f_a = _verify_unitary_correction(ch, dec, u_corr, tol)
-        if residual > max(100 * tol, 1e-7):
+        correction = recovery_to_correction(res, dec, tol=tol)
+        u_corr = correction.kraus[0]
+        residual, f_a = verify_correction(ch, dec, correction, tol=tol)
+        if not residual <= max(100 * tol, 1e-7):
             report.contradictions.append(InternalContradiction(
                 dec, "verify", "correction residual above tolerance", residual))
             continue
         report.subsystems.append(UccSubsystem(dec, u_corr, residual, f_a))
     return report
-
-
-def _verify_unitary_correction(ch, dec, u_corr, tol):
-    """Residual of U ∘ E ∘ P_AB = F_A (x) id_B for the unitary correction."""
-    d_a, d_b = dec.d_a, dec.d_b
-    basis_a = operator_basis(d_a)
-    extracted = []
-    for sig_a in basis_a:
-        out = u_corr @ ch.apply(embed_product(dec, sig_a, np.eye(d_b) / d_b)) @ dagger(u_corr)
-        extracted.append(factor_on_range(dec, out, tol=tol).factor * d_b)
-    residual = 0.0
-    for idx, sig_a in enumerate(basis_a):
-        for sig_b in operator_basis(d_b):
-            lhs = u_corr @ ch.apply(embed_product(dec, sig_a, sig_b)) @ dagger(u_corr)
-            rhs = embed_product(dec, extracted[idx], sig_b)
-            residual = max(residual, frobenius(lhs - rhs))
-    f_a = np.zeros((d_a * d_a, d_a * d_a), dtype=complex)
-    for i in range(d_a):
-        for j in range(d_a):
-            f_a[:, i + d_a * j] = vec(extracted[i * d_a + j])
-    return residual, f_a
 
 
 def rank_support_equivalence(ch: KrausChannel, dec: SubsystemDecomposition,

@@ -246,3 +246,21 @@ def test_bad_tolerance_env_exit_64(tmp_path, capsys, monkeypatch):
                          "--subsystem", str(dec_file)], capsys=capsys)
         assert code == 64
         assert "SUBREC_TOLERANCE" in out.err and value in out.err
+
+
+def test_truncated_pair_exit_1(tmp_path, capsys):
+    ch_file, _ = write_demo(tmp_path, "phase-flip", p=0.3)
+    obj = json.loads(ch_file.read_text())
+    obj["kraus"][0][0][0] = obj["kraus"][0][0][0][:1]  # [re] instead of [re, im]
+    ch_file.write_text(json.dumps(obj))
+    code, out = run(["ucc", "--channel", str(ch_file)], capsys=capsys)
+    assert code == 1
+    assert "MalformedInput" in out.err and "Traceback" not in out.err
+
+
+def test_top_level_list_exit_1(tmp_path, capsys):
+    ch_file = tmp_path / "list.json"
+    ch_file.write_text("[1, 2]")
+    code, out = run(["ucc", "--channel", str(ch_file)], capsys=capsys)
+    assert code == 1
+    assert "MalformedInput" in out.err and "JSON object" in out.err
