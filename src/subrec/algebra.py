@@ -31,8 +31,8 @@ import numpy as np
 from .channel import KrausChannel, fixed_point_basis, to_superoperator
 from .correctability import check_noiseless
 from .errors import NotAnAlgebra, NotUnital, UnluckySeed
-from .linalg import (DEFAULT_TOL, dagger, frobenius, orthonormal_complement,
-                     partial_trace_b, vec)
+from .linalg import (DEFAULT_TOL, acceptance_tol, dagger, frobenius,
+                     orthonormal_complement, partial_trace_b, vec)
 from .subsystem import SubsystemDecomposition
 
 __all__ = ["AlgebraStructure", "NoiselessSubsystems", "commutant",
@@ -128,7 +128,7 @@ def _check_algebra(basis, tol):
     """Check adjoint and unit closure; return the orthonormal span basis
     (vectorized, d^2 x n) and an orthonormal basis of the unit's support."""
     span = _orthonormal_range(np.column_stack([vec(x) for x in basis]), tol)
-    ok_tol = max(100 * tol, 1e-7)
+    ok_tol = acceptance_tol(tol)
     if not _in_span(span, [dagger(x) for x in basis], ok_tol):
         raise NotAnAlgebra("basis span is not closed under adjoints")
     support = _orthonormal_range(np.hstack(basis), tol)
@@ -214,7 +214,7 @@ def _structure_attempt(basis, support, dim, rng, tol):
 
     offsets = list(np.cumsum([0] + [m * n for m, n in blocks]))[:-1]
     residual = _pattern_residual(basis, q, blocks, offsets)
-    if not residual <= max(100 * tol, 1e-7):
+    if not residual <= acceptance_tol(tol):
         raise _RetryProbe(f"pattern residual {residual:.3e}")
     return blocks, q, offsets, residual
 
@@ -280,7 +280,7 @@ def algebra_structure(basis, seed: int = 0, tol: float = DEFAULT_TOL) -> Algebra
     # product of two random elements then leaves it with probability 1
     rng = np.random.default_rng(seed)
     x, y = _random_hermitian_combo(basis, rng), _random_hermitian_combo(basis, rng)
-    if not _in_span(span, [x @ y], max(100 * tol, 1e-7)):
+    if not _in_span(span, [x @ y], acceptance_tol(tol)):
         raise NotAnAlgebra("basis span is not closed under products")
     raise UnluckySeed(f"algebra probing failed after 5 seeds: {'; '.join(reasons)}")
 

@@ -20,7 +20,7 @@ import numpy as np
 from .channel import KrausChannel
 from .errors import DimensionMismatch
 from .linalg import DEFAULT_TOL, dagger, frobenius
-from .subsystem import SubsystemDecomposition, certify_code_map, factor_on_range
+from .subsystem import SubsystemDecomposition, certify_code_map
 
 __all__ = ["CorrectabilityCertificate", "NoiselessResult",
            "check_correctable", "check_noiseless"]
@@ -84,24 +84,26 @@ def check_correctable(ch: KrausChannel, dec: SubsystemDecomposition,
                       tol: float = DEFAULT_TOL) -> CorrectabilityCertificate:
     """Test the correctability condition for subsystem B under the channel.
 
-    Runs the tensor factorization on every Kraus pair E_a^dag E_b,
-    assembles the block matrix F and, when all pairs factor, builds the
+    Runs the tensor factorization on every compressed Kraus pair
+    W^dag E_a^dag E_b W, assembles the block matrix F and, when all pairs
+    factor (each within ``tol * max(1, ||E_a^dag E_b||_F)``), builds the
     positive superoperator G_A with Kraus operators {F_ab} and verifies
     P_AB ∘ E^dag ∘ E ∘ P_AB = G_A (x) id_B on a complete operator basis.
     """
     if ch.dim != dec.dim:
         raise DimensionMismatch(f"channel dim {ch.dim} != decomposition dim {dec.dim}")
-    m = ch.m
-    d_a = dec.d_a
-    f_blocks = np.zeros((m, m, d_a, d_a), dtype=complex)
-    residuals = np.zeros((m, m))
-    all_ok = True
-    for a in range(m):
-        for b in range(m):
-            res = factor_on_range(dec, dagger(ch.kraus[a]) @ ch.kraus[b], tol=tol)
-            f_blocks[a, b] = res.factor
-            residuals[a, b] = res.residual
-            all_ok = all_ok and res.ok
+    m, d_a, d_b = ch.m, dec.d_a, dec.d_b
+    # compressed pairs (E_a W)^dag (E_b W) = W^dag E_a^dag E_b W, built once
+    kw = np.asarray(ch.kraus) @ dec.w
+    pairs = kw.conj().transpose(0, 2, 1)[:, None] @ kw[None, :]
+    blocks = pairs.reshape(m, m, d_a, d_b, d_a, d_b)
+    f_blocks = np.einsum("abikjk->abij", blocks) / d_b
+    diff = blocks - f_blocks[:, :, :, None, :, None] * np.eye(d_b)[:, None, :]
+    residuals = np.sqrt((diff.real ** 2 + diff.imag ** 2).sum(axis=(2, 3, 4, 5)))
+    # ||E_a^dag E_b||_F^2 = <E_a E_a^dag, E_b E_b^dag>: m Gram products at d
+    grams = np.asarray([k @ dagger(k) for k in ch.kraus]).reshape(m, -1)
+    norms = np.sqrt(np.abs(grams.conj() @ grams.T))
+    all_ok = bool(np.all(residuals <= tol * np.maximum(1.0, norms)))
 
     cert = CorrectabilityCertificate(
         passed=all_ok, f_blocks=f_blocks, residual=float(np.max(residuals)),
@@ -126,12 +128,10 @@ def check_correctable(ch: KrausChannel, dec: SubsystemDecomposition,
     cert.g_a = g_a
 
     # the compressed map has Kraus operators W^dag E_a^dag E_b W
-    kw = np.asarray(ch.kraus) @ dec.w
-    n = kw.shape[2]
-    pairs = (kw.conj().transpose(0, 2, 1)[:, None] @ kw[None, :]).reshape(m * m, n, n)
-    worst = certify_code_map(pairs, d_a, dec.d_b, superop=g_a).residual
+    n = d_a * d_b
+    worst = certify_code_map(pairs.reshape(m * m, n, n), d_a, d_b, superop=g_a).residual
     cert.g_a_residual = worst
-    if not worst <= tol * max(1.0, d_a * dec.d_b):
+    if not worst <= tol * max(1.0, d_a * d_b):
         cert.passed = False
     return cert
 

@@ -6,7 +6,8 @@ Conventions fixed here and used everywhere:
   (A-major, the order produced by ``numpy.kron``);
 * ``vec`` is column-stacking, so ``vec(A X B) = (B^T kron A) vec(X)``;
 * the global default tolerance is ``DEFAULT_TOL = 1e-9`` (relative,
-  Frobenius) for all structural checks.
+  Frobenius) for all structural checks; results assembled from
+  certified pieces are accepted at the looser ``acceptance_tol(tol)``.
 """
 
 from __future__ import annotations
@@ -38,6 +39,11 @@ __all__ = [
     "numeric_rank",
     "orthonormal_complement",
 ]
+
+
+def acceptance_tol(tol: float) -> float:
+    """Acceptance threshold for assembled results: ``max(100 tol, 1e-7)``."""
+    return max(100 * tol, 1e-7)
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
@@ -131,21 +137,10 @@ def _canonicalize_eigenvectors(w: np.ndarray, q: np.ndarray) -> np.ndarray:
         stop = start + 1
         while stop < d and w[stop - 1] - w[stop] <= gap:
             stop += 1
-        size = stop - start
-        if size > 1:
+        if stop - start > 1:
             block = q[:, start:stop]
-            proj = block @ block.conj().T
-            fresh = []
-            for j in range(d):
-                v = proj[:, j].copy()
-                for u in fresh:
-                    v -= u * np.vdot(u, v)
-                norm = np.linalg.norm(v)
-                if norm > 1e-6:
-                    fresh.append(v / norm)
-                if len(fresh) == size:
-                    break
-            if len(fresh) == size:
+            fresh = orthonormal_complement(np.eye(d) - block @ dagger(block))
+            if len(fresh) == stop - start:
                 q[:, start:stop] = np.column_stack(fresh)
         start = stop
     for j in range(d):
@@ -187,21 +182,28 @@ def orthonormal_complement(p: np.ndarray, tol: float = DEFAULT_TOL) -> list[np.n
     """Orthonormal basis of range(I - p), built deterministically.
 
     Projects the standard basis vectors in index order onto the
-    complement of the projector ``p`` and keeps (Gram-Schmidt) the ones
-    with non-negligible residual.  Deterministic by construction.
+    complement of the projector ``p`` and keeps (Gram-Schmidt, one
+    re-orthogonalization pass) the ones with non-negligible residual,
+    stopping once it has round(Tr(I - p)) vectors.
     """
     p = _as_square(p, "p")
     d = p.shape[0]
     comp = np.eye(d) - p
-    out: list[np.ndarray] = []
+    target = int(np.clip(np.nan_to_num(np.round(np.trace(comp).real)), 0, d))
+    basis = np.zeros((d, target), dtype=complex, order="F")
+    k = 0
     for j in range(d):
-        v = comp[:, j].copy()
-        for u in out:
-            v -= u * np.vdot(u, v)
+        if k == target:
+            break
+        v = comp[:, j]
+        for _ in range(2):
+            # v -= Q (Q^dag v), conjugating vectors rather than Q
+            v = v - basis[:, :k] @ (v.conj() @ basis[:, :k]).conj()
         norm = np.linalg.norm(v)
         if norm > 1e-6:
-            out.append(v / norm)
-    return out
+            basis[:, k] = v / norm
+            k += 1
+    return list(basis[:, :k].T)
 
 
 def complete_to_unitary(v: np.ndarray, dim: int, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -231,9 +233,7 @@ def complete_to_unitary(v: np.ndarray, dim: int, tol: float = DEFAULT_TOL) -> np
     if len(dom) != len(ran):
         raise NotPartialIsometry(
             f"complement dimensions differ ({len(dom)} vs {len(ran)})")
-    u = v.copy()
-    for src, dst in zip(dom, ran):
-        u += np.outer(dst, src.conj())
+    u = v + np.reshape(ran, (-1, dim)).T @ np.reshape(dom, (-1, dim)).conj()
     if frobenius(dagger(u) @ u - np.eye(dim)) > 10 * tol * max(1.0, dim):
         raise NotPartialIsometry("completion failed to produce a unitary")
     return u

@@ -10,16 +10,17 @@ complementary factor moved to C.  The construction:
 
 1. assemble the positive block matrix F = (F_ab) from the
    correctability certificate and diagonalize it, U F U^dag = D;
-2. remix the Kraus operators into
-   G_a = sum_b E_b (U_ab^dag (x) I_B) P_AB + E_a P_AB^perp, whose
-   restrictions to the code have mutually orthogonal ranges with
-   P_AB G_a^dag G_b P_AB = delta_ab D_aa (x) I_B;
-3. take the polar factor of each G_a P_AB against sqrt(D_aa) (x) I_B,
-   giving partial isometries V_a;
-4. send an explicit orthonormal family indexed by (a, l, k) -- block,
-   eigenvector of D_aa, B basis vector -- to V_a(|phi_l^(a)> (x) |psi_k>)
-   and complete that partial isometry to a unitary V; the recovery is
-   U = V^dag.
+2. remix the code-projected Kraus operators into
+   G_a W = sum_b E_b W (U_ab^dag (x) I_B), whose ranges are mutually
+   orthogonal, (G_a W)^dag (G_b W) = delta_ab D_aa (x) I_B; this identity
+   is checked, and G_a off the code is never formed;
+3. check that the remixed family reproduces the channel on the I_A slice;
+4. with D_aa diagonal, the polar factor V_a of G_a P_AB against
+   sqrt(D_aa) (x) I_B is the closed form
+   V_a W(|l> (x) |k>) = G_a W(|l> (x) |k>) / sqrt(lambda_l) for each live
+   eigenvalue lambda_l of block a and each B basis vector k; these images,
+   indexed by (a, l, k), form a partial isometry that is completed to a
+   unitary V; the recovery is U = V^dag.
 
 The certificate's residual is computed against the factor map extracted
 from the actual action of U ∘ E ∘ P_AB (existence of such a map is what
@@ -39,12 +40,11 @@ from .correctability import CorrectabilityCertificate
 from .errors import CertificateMismatch, NumericalDegeneracy
 from .linalg import (
     DEFAULT_TOL,
+    acceptance_tol,
     complete_to_unitary,
     dagger,
-    frobenius,
     hermitian_eig,
     orthonormal_complement,
-    polar_isometry_on_support,
 )
 from .subsystem import SubsystemDecomposition, certify_code_map
 
@@ -56,14 +56,18 @@ __all__ = ["RecoveryResult", "construct_recovery", "recovery_to_correction",
 class RecoveryResult:
     """Recovery unitary with its output subsystem and certificates.
 
-    ``u_recovery`` is the d x d unitary U; ``c_subsystem`` describes
-    where B sits after the noise (the C (x) B embedding); ``f_ca_kraus``
-    is the closed-form Kraus list {sqrt(D_aa) (x) |w_a>} for
-    F_{C|A}; ``f_ca_superop`` is the d_C^2 x d_A^2 matrix of the factor
-    map extracted from the verified action (these agree when d_A = 1 and
-    always agree on I_A); ``d_blocks`` records (a, D_aa, r_a) for blocks
-    with nonzero rank; ``residual`` certifies the defining equation on a
-    complete operator basis.
+    ``u_recovery`` is the d x d unitary U, whose first dim_C * d_B rows
+    are the conjugated closed-form images G_a W(|l> (x) |k>) / sqrt(lambda_l);
+    ``c_subsystem`` describes where B sits after the noise (the C (x) B
+    embedding); ``f_ca_kraus`` is the closed-form Kraus list
+    {sqrt(D_aa) (x) |w_a>} for F_{C|A}; ``f_ca_superop`` is the
+    d_C^2 x d_A^2 matrix of the factor map extracted from the verified
+    action (these agree when d_A = 1 and always agree on I_A);
+    ``d_blocks`` records (a, D_aa, r_a) for blocks with nonzero rank;
+    ``residual`` certifies the defining equation on a complete operator
+    basis; ``orthogonality_residual`` is the step 2 check, which also
+    certifies the closed-form polar factor of step 4, and
+    ``g_action_residual`` the step 3 check.
     """
 
     u_recovery: np.ndarray
@@ -113,38 +117,27 @@ def construct_recovery(ch: KrausChannel, dec: SubsystemDecomposition,
         raise CertificateMismatch(
             f"block matrix F has eigenvalue {lam[-1]:.3e}; not positive semidefinite")
     lam = np.maximum(lam, 0.0)
-    u_mix = dagger(q)  # u_mix @ F @ u_mix^dag = diag(lam)
+    # U = q^dag gives U F U^dag = diag(lam); u4[a, i, b, j] = (U_ab)_ij
+    u4 = dagger(q).reshape(m, d_a, m, d_a)
 
-    def u_block(a, b):
-        return u_mix[a * d_a:(a + 1) * d_a, b * d_a:(b + 1) * d_a]
-
-    # 2. modified Kraus family with mutually orthogonal ranges on the code:
-    # G_a = E_a P_AB^perp + sum_b E_b W (U_ab^dag (x) I_B) W^dag
+    # 2. the modified Kraus family on the code, G_a W = sum_b E_b W (U_ab^dag (x) I_B),
+    # has mutually orthogonal ranges; G_a off the code is never needed
     kw = np.asarray(ch.kraus) @ w
-    g_ops = []
-    for a in range(m):
-        on_code = sum(kw[b] @ np.kron(dagger(u_block(a, b)), np.eye(d_b)) for b in range(m))
-        g_ops.append(ch.kraus[a] + (on_code - kw[a]) @ dagger(w))
-    gw = np.asarray(g_ops) @ w
+    ew = kw.reshape(m, d, d_a, d_b)
+    gw_ab = np.tensordot(u4.conj(), ew, axes=([2, 3], [0, 2])).transpose(0, 2, 1, 3)
+    gw = gw_ab.reshape(m, d, d_a * d_b)
 
-    ortho = np.zeros((m, m))
-    cutoff = tol * scale
+    grams = gw.conj().transpose(0, 2, 1)[:, None] @ gw[None, :]
     for a in range(m):
-        for b in range(m):
-            gram = dagger(gw[a]) @ gw[b]
-            if a == b:
-                gram = gram - np.kron(np.diag(lam[a * d_a:(a + 1) * d_a]), np.eye(d_b))
-            ortho[a, b] = frobenius(gram)
-    ortho_resid = float(np.max(ortho))
-    if not ortho_resid <= 100 * tol * max(1.0, scale):
+        grams[a, a] -= np.kron(np.diag(lam[a * d_a:(a + 1) * d_a]), np.eye(d_b))
+    ortho_resid = float(np.max(np.linalg.norm(grams, axis=(2, 3))))
+    if not ortho_resid <= 100 * tol * scale:
         raise NumericalDegeneracy(
             f"G_a ranges not orthogonal (residual {ortho_resid:.3e}); "
             "certificate tolerance too loose")
 
     # 3. the modified family reproduces the channel on the I_A slice:
     # sum_a G_a W (I_A (x) |k><l|) W^dag G_a^dag against the same for E_a
-    gw_ab = gw.reshape(m, d, d_a, d_b)
-    ew = kw.reshape(m, d, d_a, d_b)
     g_action = np.empty(d_b)
     for k in range(d_b):
         diff = np.tensordot(gw_ab[..., k], gw_ab.conj(), axes=([0, 2], [0, 2])) \
@@ -152,30 +145,27 @@ def construct_recovery(ch: KrausChannel, dec: SubsystemDecomposition,
         g_action[k] = np.sqrt(np.max((diff.real ** 2 + diff.imag ** 2).sum(axis=(0, 1))))
     g_action_resid = float(np.max(g_action))
 
-    # 4. polar step per block, then assemble the partial isometry V
+    # 4. the diagonal blocks of step 2 certify (G_a W)^dag (G_a W) = D_aa (x) I_B
+    # with D_aa diagonal, so the polar factor of G_a P_AB sends
+    # W(|l> (x) |k>) to G_a W(|l> (x) |k>) / sqrt(lambda_l) for live l
+    cutoff = tol * scale
     d_blocks = []
     images = []
     for a in range(m):
         block = lam[a * d_a:(a + 1) * d_a]
         live = np.flatnonzero(block > cutoff)
-        r_a = int(live.size)
-        if r_a == 0:
+        if live.size == 0:
             continue
-        d_aa = np.diag(block)
-        d_blocks.append((a, d_aa, r_a))
-        sqrt_emb = w @ np.kron(np.sqrt(d_aa), np.eye(d_b)) @ dagger(w)
-        # tolerance aligned with the orthogonality gate above, so a
-        # certificate that passed cannot trip the polar precondition
-        v_a = polar_isometry_on_support(g_ops[a] @ dec.p_ab, sqrt_emb,
-                                        tol=max(100 * tol, 1e-7))
-        # V_a W (|phi_l> (x) |psi_k>), l live, k over B, in (l, k) order
-        images.extend((v_a @ w).reshape(d, d_a, d_b)[:, live].reshape(d, -1).T)
+        d_blocks.append((a, np.diag(block), int(live.size)))
+        # columns in (l, k) order, l live, k over B
+        images.append((gw_ab[a][:, live] / np.sqrt(block[live])[:, None]).reshape(d, -1))
 
-    n_cb = len(images)
+    v_cb = np.hstack([np.zeros((d, 0))] + images)
+    n_cb = v_cb.shape[1]
     rank_c = n_cb // d_b
     v_part = np.zeros((d, d), dtype=complex)
-    v_part[:, :n_cb] = np.reshape(images, (n_cb, d)).T
-    v_full = complete_to_unitary(v_part, d, tol=max(100 * tol, 1e-7))
+    v_part[:, :n_cb] = v_cb
+    v_full = complete_to_unitary(v_part, d, tol=acceptance_tol(tol))
     u_recovery = dagger(v_full)
 
     # C (x) B embedding: the injection uses the first rank_c * d_B
@@ -224,10 +214,7 @@ def recovery_to_correction(res: RecoveryResult, dec: SubsystemDecomposition,
     w_c = res.c_subsystem.w
 
     if rank_c == d_a:
-        pairing = np.zeros((d, d), dtype=complex)
-        for j in range(d_a * d_b):
-            pairing += np.outer(w[:, j], w_c[:, j].conj())
-        r_prime = complete_to_unitary(pairing, d, tol=max(100 * tol, 1e-7))
+        r_prime = complete_to_unitary(w @ dagger(w_c), d, tol=acceptance_tol(tol))
         return KrausChannel([r_prime @ res.u_recovery], tol=tol)
 
     kraus = []

@@ -19,7 +19,7 @@ from .algebra import AlgebraStructure, enumerate_noiseless
 from .channel import KrausChannel, compose, dual
 from .correctability import check_correctable
 from .errors import NotUnital, PreconditionViolated
-from .linalg import DEFAULT_TOL, frobenius, numeric_rank
+from .linalg import DEFAULT_TOL, acceptance_tol, frobenius, numeric_rank
 from .recovery import construct_recovery, recovery_to_correction, verify_correction
 from .subsystem import SubsystemDecomposition
 
@@ -107,7 +107,7 @@ def find_ucc(ch: KrausChannel, seed: int = 0, tol: float = DEFAULT_TOL) -> UccRe
         correction = recovery_to_correction(res, dec, tol=tol)
         u_corr = correction.kraus[0]
         residual, f_a = verify_correction(ch, dec, correction, tol=tol)
-        if not residual <= max(100 * tol, 1e-7):
+        if not residual <= acceptance_tol(tol):
             report.contradictions.append(InternalContradiction(
                 dec, "verify", "correction residual above tolerance", residual))
             continue

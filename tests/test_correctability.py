@@ -10,6 +10,7 @@ from subrec import (
     compose,
     demo_build,
     dual,
+    factor_on_range,
     planted_channel,
 )
 from subrec.demos import intersect_chords
@@ -125,3 +126,59 @@ def test_certificate_matches_origin():
     assert cert.matches(ch, dec)
     assert not cert.matches(other_ch, dec)
     assert not cert.matches(ch, other_dec)
+
+
+def _pairwise_factorization(ch, dec, tol=1e-9):
+    # per-pair reference: factor_on_range on the ambient E_a^dag E_b
+    m = ch.m
+    f_blocks = np.zeros((m, m, dec.d_a, dec.d_a), dtype=complex)
+    residuals = np.zeros((m, m))
+    ok = True
+    for a in range(m):
+        for b in range(m):
+            res = factor_on_range(dec, dagger(ch.kraus[a]) @ ch.kraus[b], tol=tol)
+            f_blocks[a, b], residuals[a, b] = res.factor, res.residual
+            ok = ok and res.ok
+    return f_blocks, float(np.max(residuals)), ok
+
+
+def _assert_matches_pairwise(ch, dec):
+    cert = check_correctable(ch, dec)
+    f_blocks, residual, ok = _pairwise_factorization(ch, dec)
+    assert np.max(np.abs(cert.f_blocks - f_blocks)) < 1e-12
+    assert abs(cert.residual - residual) < 1e-12
+    assert cert.passed == ok
+    return cert
+
+
+@pytest.mark.parametrize("dims", [(1, 2, 4, 2), (2, 2, 8, 3), (3, 2, 9, 3), (1, 4, 8, 3)])
+def test_compressed_pairs_match_pairwise_factorization(dims):
+    d_a, d_b, dim, m = dims
+    ch, dec = planted_channel(d_a, d_b, dim, m, seed=40 + dim)
+    assert _assert_matches_pairwise(ch, dec).passed
+    wrong = SubsystemDecomposition(dim, d_a, d_b, haar_isometry(dim, d_a * d_b, seed=50 + dim))
+    assert not _assert_matches_pairwise(ch, wrong).passed
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_verdicts_near_threshold_match_pairwise_factorization(seed):
+    ch, dec = planted_channel(2, 2, 8, 3, seed=60 + seed)
+    rng = np.random.default_rng(70 + seed)
+    kicks = [rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)) for _ in ch.kraus]
+    verdicts = []
+    # 1.5e-10 and 2e-10 land at about 0.8 and 1.1 times the threshold
+    for eps in (1e-10, 1.5e-10, 2e-10, 1e-9, 3e-9, 1e-6):
+        noisy = KrausChannel([k + eps * r for k, r in zip(ch.kraus, kicks)],
+                             require_tp=False)
+        verdicts.append(_assert_matches_pairwise(noisy, dec).passed)
+    assert verdicts == [True, True, False, False, False, False]
+
+
+def test_threshold_scales_with_pair_norm():
+    # ||E_a^dag E_b||_F reaches 2.6 here, so a residual above tol can pass
+    ch, dec = planted_channel(2, 2, 16, 2, seed=60)
+    rng = np.random.default_rng(70)
+    kicks = [rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16)) for _ in ch.kraus]
+    noisy = KrausChannel([k + 2e-10 * r for k, r in zip(ch.kraus, kicks)], require_tp=False)
+    cert = _assert_matches_pairwise(noisy, dec)
+    assert cert.passed and cert.residual > 1e-9

@@ -15,7 +15,8 @@ from subrec import (
     partial_trace_b,
     polar_isometry_on_support,
 )
-from subrec.random_ops import haar_isometry, haar_unitary, random_hermitian
+from subrec.linalg import orthonormal_complement
+from subrec.random_ops import haar_isometry, haar_unitary, random_hermitian, random_projector
 
 from oracles import birkhoff_bistochastic, prefix_majorizes
 
@@ -183,3 +184,67 @@ def test_numeric_rank_embedded_projector():
     p = w @ dagger(w)
     assert abs(np.trace(p).real - 4.0) < 1e-10  # projector trace oracle
     assert numeric_rank(p, 1e-9) == 4
+
+
+def _mgs_complement(p):
+    # plain index-ordered modified Gram-Schmidt over (I - p) e_j
+    comp = np.eye(p.shape[0]) - p
+    out = []
+    for j in range(p.shape[0]):
+        v = comp[:, j].astype(complex)
+        for u in out:
+            v = v - u * np.vdot(u, v)
+        if np.linalg.norm(v) > 1e-6:
+            out.append(v / np.linalg.norm(v))
+    return out
+
+
+@pytest.mark.parametrize("seed,dim,rank", [(20, 5, 1), (21, 8, 3), (22, 16, 7),
+                                           (23, 33, 30), (24, 6, 0), (25, 6, 6)])
+def test_orthonormal_complement_matches_mgs_loop(seed, dim, rank):
+    if rank == 0:
+        p = np.zeros((dim, dim))
+    elif rank == dim:
+        p = np.eye(dim)
+    else:
+        p = random_projector(dim, rank, seed=seed)
+    got = orthonormal_complement(p)
+    expected = _mgs_complement(p)
+    assert len(got) == len(expected) == dim - rank
+    for u, v in zip(got, expected):
+        assert np.max(np.abs(u - v)) < 1e-12
+
+
+def _canonical_loop(w, q):
+    # the index-ordered canonicalization, written out: Gram-Schmidt of the
+    # standard basis projected onto each eigenvalue cluster, then phases
+    d = w.size
+    gap = 1e-10 * max(1.0, float(np.abs(w).max()))
+    q = q.copy()
+    start = 0
+    while start < d:
+        stop = start + 1
+        while stop < d and w[stop - 1] - w[stop] <= gap:
+            stop += 1
+        proj = q[:, start:stop] @ dagger(q[:, start:stop])
+        fresh = _mgs_complement(np.eye(d) - proj)[:stop - start]
+        q[:, start:stop] = np.column_stack(fresh)
+        start = stop
+    for j in range(d):
+        pivot = int(np.argmax(np.abs(q[:, j])))
+        q[:, j] = q[:, j] * abs(q[pivot, j]) / q[pivot, j]
+    return q
+
+
+@pytest.mark.parametrize("seed,spectrum", [(26, [2, 2, 2, 1, 1, 0, 0, 0]),
+                                           (27, [1, 1, 1, 1, 1, 1, -3]),
+                                           (28, [0.5] * 4 + [0.0] * 12)])
+def test_hermitian_eig_degenerate_clusters_match_loop(seed, spectrum):
+    u = haar_unitary(len(spectrum), seed=seed)
+    m = u @ np.diag(spectrum).astype(complex) @ dagger(u)
+    w, q = hermitian_eig(m)
+    raw_w, raw_q = np.linalg.eigh((m + dagger(m)) / 2.0)
+    order = np.argsort(-raw_w, kind="stable")
+    expected = _canonical_loop(raw_w[order], raw_q[:, order])
+    assert np.max(np.abs(q - expected)) < 1e-12
+    assert np.linalg.norm(q @ np.diag(w) @ dagger(q) - m) < 1e-12

@@ -14,7 +14,7 @@ from subrec import (
     recovery_to_correction,
     verify_correction,
 )
-from subrec.linalg import dagger, operator_basis
+from subrec.linalg import dagger, hermitian_eig, operator_basis, polar_isometry_on_support
 from subrec.random_ops import haar_unitary
 
 from oracles import extract_common_factor
@@ -198,3 +198,48 @@ def test_recovery_alone_is_not_repeatable():
     b_marg = np.trace(compressed.reshape(d_c, 2, d_c, 2), axis1=0, axis2=2)
     norm = np.trace(b_marg).real
     assert np.linalg.norm(b_marg / norm - sigma_b) > 1e-3
+
+
+def _polar_columns(ch, dec, cert, tol=1e-9):
+    # reference for step 4: ambient G_a and its polar factor against
+    # W (sqrt(D_aa) (x) I_B) W^dag, then V_a W (|l> (x) |k>) for live l
+    d, d_a, d_b, w = dec.dim, dec.d_a, dec.d_b, dec.w
+    lam, q = hermitian_eig(cert.f_matrix, tol=tol)
+    lam = np.maximum(lam, 0.0)
+    u_mix = dagger(q)
+    cols = []
+    for a in range(ch.m):
+        g_a = ch.kraus[a] @ (np.eye(d) - dec.p_ab)
+        for b in range(ch.m):
+            u_ab = u_mix[a * d_a:(a + 1) * d_a, b * d_a:(b + 1) * d_a]
+            g_a = g_a + ch.kraus[b] @ w @ np.kron(dagger(u_ab), np.eye(d_b)) @ dagger(w)
+        block = lam[a * d_a:(a + 1) * d_a]
+        live = block > tol * max(1.0, lam[0])
+        if not live.any():
+            continue
+        s = w @ np.kron(np.diag(np.sqrt(block)), np.eye(d_b)) @ dagger(w)
+        v_a = polar_isometry_on_support(g_a @ dec.p_ab, s, tol=1e-7)
+        cols.append((v_a @ w).reshape(d, d_a, d_b)[:, live].reshape(d, -1))
+    return np.hstack(cols)
+
+
+@pytest.mark.parametrize("dims", [(1, 2, 6, 3), (2, 2, 8, 3), (3, 2, 9, 3), (3, 3, 12, 2)])
+def test_closed_form_images_match_polar_factor(dims):
+    d_a, d_b, dim, m = dims
+    ch, dec = planted_channel(d_a, d_b, dim, m, seed=80 + dim)
+    cert = check_correctable(ch, dec)
+    res = construct_recovery(ch, dec, cert)
+    expected = _polar_columns(ch, dec, cert)
+    got = dagger(res.u_recovery)[:, :expected.shape[1]]
+    assert expected.shape[1] == res.dim_c * d_b
+    assert np.max(np.abs(got - expected)) < 1e-10
+
+
+def test_closed_form_images_match_polar_factor_cooling():
+    ch, dec = demo_build(DemoSpec(name="binary-unitary", p=0.4,
+                                  thetas=(0.5, 1.4, 2.9, 4.2), seed=2))
+    cert = check_correctable(ch, dec)
+    res = construct_recovery(ch, dec, cert)
+    expected = _polar_columns(ch, dec, cert)
+    assert res.dim_c == 2 and expected.shape[1] == 2 * dec.d_b
+    assert np.max(np.abs(dagger(res.u_recovery)[:, :expected.shape[1]] - expected)) < 1e-10
