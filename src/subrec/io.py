@@ -39,8 +39,8 @@ __all__ = [
 
 def matrix_to_json(m: np.ndarray) -> list:
     """Row-major nested lists of [re, im] pairs."""
-    m = np.asarray(m, dtype=complex)
-    return [[[float(x.real), float(x.imag)] for x in row] for row in m]
+    m = np.ascontiguousarray(m, dtype=complex)
+    return m.view(float).reshape(*m.shape, 2).tolist()
 
 
 def _pairs(obj, what: str, depth: int) -> np.ndarray:
@@ -90,9 +90,7 @@ def channel_from_json(obj, require_tp: bool = True,
 
 
 def subsystem_to_json(dec: SubsystemDecomposition) -> dict:
-    columns = [[[float(dec.w[i, j].real), float(dec.w[i, j].imag)]
-                for i in range(dec.dim)] for j in range(dec.w.shape[1])]
-    return {"dim": dec.dim, "dA": dec.d_a, "dB": dec.d_b, "W": columns}
+    return {"dim": dec.dim, "dA": dec.d_a, "dB": dec.d_b, "W": matrix_to_json(dec.w.T)}
 
 
 def subsystem_from_json(obj, tol: float = DEFAULT_TOL) -> SubsystemDecomposition:

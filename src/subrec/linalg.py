@@ -109,7 +109,7 @@ def hermitian_eig(m: np.ndarray, tol: float = DEFAULT_TOL):
     """
     m = _as_square(m)
     defect = frobenius(m - dagger(m))
-    if defect > tol * max(1.0, frobenius(m)):
+    if not defect <= tol * max(1.0, frobenius(m)):
         raise NotHermitian(f"symmetry residual {defect:.3e} exceeds tolerance")
     w, q = np.linalg.eigh((m + dagger(m)) / 2.0)
     # stable descending order: exact ties keep the solver's ordering, so
@@ -170,7 +170,7 @@ def polar_isometry_on_support(g: np.ndarray, s: np.ndarray,
         raise DimensionMismatch("g and s must have equal shapes")
     s2 = s @ s
     defect = frobenius(dagger(g) @ g - s2)
-    if defect > tol * max(1.0, frobenius(s2)):
+    if not defect <= tol * max(1.0, frobenius(s2)):
         raise FactorMismatch(f"||g^dag g - s^2|| = {defect:.3e} exceeds tolerance")
     w, q = hermitian_eig(s, tol=tol)
     cutoff = tol * max(1.0, float(w[0]) if w.size else 0.0)
@@ -224,9 +224,9 @@ def complete_to_unitary(v: np.ndarray, dim: int, tol: float = DEFAULT_TOL) -> np
     p_init = dagger(v) @ v
     p_fin = v @ dagger(v)
     scale = max(1.0, frobenius(p_init))
-    if frobenius(p_init @ p_init - p_init) > tol * scale or \
-            frobenius(p_fin @ p_fin - p_fin) > tol * scale or \
-            frobenius(p_init - dagger(p_init)) > tol * scale:
+    if not (frobenius(p_init @ p_init - p_init) <= tol * scale and
+            frobenius(p_fin @ p_fin - p_fin) <= tol * scale and
+            frobenius(p_init - dagger(p_init)) <= tol * scale):
         raise NotPartialIsometry("v^dag v / v v^dag are not projectors")
     dom = orthonormal_complement(p_init, tol=tol)
     ran = orthonormal_complement(p_fin, tol=tol)
@@ -234,7 +234,7 @@ def complete_to_unitary(v: np.ndarray, dim: int, tol: float = DEFAULT_TOL) -> np
         raise NotPartialIsometry(
             f"complement dimensions differ ({len(dom)} vs {len(ran)})")
     u = v + np.reshape(ran, (-1, dim)).T @ np.reshape(dom, (-1, dim)).conj()
-    if frobenius(dagger(u) @ u - np.eye(dim)) > 10 * tol * max(1.0, dim):
+    if not frobenius(dagger(u) @ u - np.eye(dim)) <= 10 * tol * max(1.0, dim):
         raise NotPartialIsometry("completion failed to produce a unitary")
     return u
 

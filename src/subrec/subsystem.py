@@ -103,9 +103,18 @@ def certify_code_map(ops, d_a: int, d_b: int, frame: np.ndarray | None = None,
     e.g. E_a W; ``frame`` is the output isometry V (d_out x d_C d_B), the
     identity when omitted.  F is read from the I_B slice,
     F(X) = Tr_B(V^dag N(X (x) I_B) V) / d_B, unless ``superop`` supplies
-    it.  The residual loops over the d_A d_B rows of the matrix-unit
-    basis, each row one product of d_out^2 d_A d_B entries, so nothing
-    of size (d_A d_B)^2 d_out^2 is formed.
+    it.
+
+    The residual is exact, without a Gram expansion.  For the matrix-unit
+    row p = (i, k) and column q = (j, l) the mismatch
+    N(|p><q|) - V_k F(|i><j|) V_l^dag is X_p Y_pq^dag, with
+    X_p = [N_1[:, p] .. N_m[:, p] | V_k] and
+    Y_pq = [N_1[:, q] .. N_m[:, q] | -V_l F(|i><j|)^dag].  One batched
+    thin QR X_p = Q_p R_p gives its Frobenius norm as that of R_p Y_pq^dag,
+    one product of K = min(d_out, m + d_C) rows by n d_out columns per row
+    (n = d_A d_B).  Cost: n d_out (m + d_C)^2 for the QR and
+    n^2 d_out K (m + d_C) for the products; the peak per row is about
+    (m + d_C + K) n d_out entries, and nothing of size d_out^2 is formed.
     """
     ops = np.asarray(ops, dtype=complex)
     n = d_a * d_b
@@ -120,22 +129,30 @@ def certify_code_map(ops, d_a: int, d_b: int, frame: np.ndarray | None = None,
     d_c = frame.shape[1] // d_b
     if superop is None:
         coded = (dagger(frame) @ ops).reshape(-1, d_c, d_b, d_a, d_b)
-        factors = np.einsum("acbik,adbjk->ijcd", coded, coded.conj()) / d_b
+        factors = np.einsum("acbik,adbjk->ijcd", coded, coded.conj(), optimize=True) / d_b
         superop = factors.transpose(2, 3, 0, 1).reshape(d_c * d_c, d_a * d_a, order="F")
     else:
         factors = superop.reshape(d_c, d_c, d_a, d_a, order="F").transpose(2, 3, 0, 1)
 
-    # row p = (i, k) against every column q = (j, l) at once:
-    # N(|p><q|) = sum_a N_a[:, p] N_a[:, q]^dag, model V_k F(|i><j|) V_l^dag
+    # row p = (i, k) against every column q = (j, l) at once, through R_p
+    m = ops.shape[0]
     frame_cb = frame.reshape(d_out, d_c, d_b)
-    ops_conj = ops.conj()
+    x = np.concatenate([ops.transpose(2, 1, 0),
+                        np.tile(frame_cb.transpose(2, 0, 1), (d_a, 1, 1))], axis=2)
+    r = np.linalg.qr(x, mode="r")
+    # y[:, q, :] = Y_pq^dag; the N rows are shared, the V F rows depend on i
+    y = np.empty((m + d_c, n, d_out), dtype=complex)
+    y[:m] = ops.conj().transpose(0, 2, 1)
+    y_flat = y.reshape(m + d_c, n * d_out)
+    frame_conj = frame_cb.conj()
     worst = np.empty(n)
-    for p in range(n):
-        i, k = divmod(p, d_b)
-        lhs = np.tensordot(ops[:, :, p], ops_conj, axes=(0, 0))
-        rhs = np.tensordot(frame_cb[:, :, k] @ factors[i], frame_cb.conj(), axes=(2, 1))
-        diff = lhs.reshape(d_out, d_out, d_a, d_b) - rhs.transpose(1, 2, 0, 3)
-        worst[p] = np.sqrt(np.max((diff.real ** 2 + diff.imag ** 2).sum(axis=(0, 1))))
+    for i in range(d_a):
+        y[m:] = np.einsum("jce,oel->cjlo", -factors[i], frame_conj,
+                          optimize=True).reshape(d_c, n, d_out)
+        for k in range(d_b):
+            p = i * d_b + k
+            diff = (r[p] @ y_flat).view(float).reshape(-1, n, 2 * d_out)
+            worst[p] = np.sqrt(np.max(np.einsum("aqb,aqb->q", diff, diff)))
     return CodeMapCertificate(superop, factors, float(np.max(worst)))
 
 

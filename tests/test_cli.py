@@ -2,13 +2,15 @@ import io
 import json
 
 import numpy as np
+import pytest
 
-from subrec import DemoSpec, compose, demo_build, dual
+from subrec import DemoSpec, SubsystemDecomposition, compose, demo_build, dual
 from subrec.cli import main
 from subrec.io import (
     canonical_dumps,
     channel_from_json,
     channel_to_json,
+    matrix_to_json,
     subsystem_from_json,
     subsystem_to_json,
 )
@@ -45,6 +47,25 @@ def test_subsystem_json_roundtrip_bytes():
     text = canonical_dumps(subsystem_to_json(dec))
     again = canonical_dumps(subsystem_to_json(subsystem_from_json(json.loads(text))))
     assert text == again
+
+
+def test_encoders_match_per_element_pairs():
+    def pairs(rows):
+        return [[[float(x.real), float(x.imag)] for x in row] for row in rows]
+
+    m = np.array([[-0.0, 5e-324 - 1e-5j, 1e16 + 3.0j],
+                  [complex(2.0, -0.0), 1 / 3 + 1e-300j, -7.25e-17 + 1e16j]])
+    assert canonical_dumps(matrix_to_json(m)) == canonical_dumps(pairs(m))
+    assert canonical_dumps(matrix_to_json(m.T)) == canonical_dumps(pairs(m.T))
+    w = np.zeros((3, 2), dtype=complex)
+    w[0, 0] = -1.0
+    w[2, 1] = 1j
+    dec = SubsystemDecomposition(3, 1, 2, w)
+    expected = {"dim": 3, "dA": 1, "dB": 2, "W": pairs(w.T)}
+    assert canonical_dumps(subsystem_to_json(dec)) == canonical_dumps(expected)
+    for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+        with pytest.raises(ValueError):
+            canonical_dumps(matrix_to_json(np.array([[1.0, bad]])))
 
 
 def test_check_positive(tmp_path, capsys):

@@ -110,6 +110,30 @@ def test_residual_grows_with_perturbation():
     assert residuals[0] < THRESHOLD < residuals[-1]
 
 
+def test_more_columns_than_output_rows():
+    # compressed pairs of an m = 4 channel: m^2 + d_C = 17 columns against d_out = 2 rows
+    ch, dec = planted_channel(1, 2, 6, 4, seed=41)
+    pairs = compressed_pairs(ch, dec)
+    assert len(pairs) + 1 > pairs[0].shape[0]
+    cm = assert_matches_loop(pairs, 1, 2)
+    assert cm.residual < 1e-12
+    ch, _ = planted_channel(1, 2, 6, 4, seed=42)
+    dec = SubsystemDecomposition.from_subspace(6, list(haar_isometry(6, 2, seed=43).T))
+    cm = assert_matches_loop(compressed_pairs(ch, dec), 1, 2)
+    assert not cm.residual <= THRESHOLD
+
+
+@pytest.mark.parametrize("eps", [1e-10, 1e-9, 1e-6])
+def test_near_threshold_perturbation_agrees_with_loop(eps):
+    ch, dec = planted_channel(2, 4, 16, 3, seed=44)
+    rng = np.random.default_rng(45)
+    noisy = KrausChannel([k + eps * (rng.normal(size=k.shape) + 1j * rng.normal(size=k.shape))
+                          for k in ch.kraus], require_tp=False)
+    cm = assert_matches_loop(compressed_pairs(noisy, dec), 2, 4)
+    assert 0.1 * eps < cm.residual < 100 * eps
+    assert_matches_loop([k @ dec.w for k in noisy.kraus], 2, 4, frame=dec.w)
+
+
 def test_one_dimensional_code():
     u = haar_unitary(6, seed=37)
     dec = SubsystemDecomposition.from_subspace(6, list(haar_isometry(6, 3, seed=38).T))
@@ -150,6 +174,24 @@ def test_nan_operator_gives_nan_residual_and_failing_verdicts():
     assert np.isnan(cert.residual) and not cert.passed
 
 
+def test_nan_superop_gives_nan_residual():
+    ch, dec = planted_channel(2, 2, 8, 3, seed=48)
+    pairs = compressed_pairs(ch, dec)
+    g_a = certify_code_map(pairs, 2, 2).superop.copy()
+    g_a[1, 2] = np.nan
+    assert np.isnan(certify_code_map(pairs, 2, 2, superop=g_a).residual)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_inf_operator_gives_non_finite_residual():
+    ch, dec = planted_channel(2, 2, 8, 3, seed=46)
+    ops = [k @ dec.w for k in ch.kraus]
+    ops[2][5, 1] = np.inf
+    cm = certify_code_map(ops, 2, 2, frame=dec.w)
+    assert not np.isfinite(cm.residual)
+    assert not cm.residual <= THRESHOLD
+
+
 def test_peak_memory_linear_in_code_dimension():
     d, d_a, d_b = 128, 4, 4
     n = d_a * d_b
@@ -163,3 +205,21 @@ def test_peak_memory_linear_in_code_dimension():
         tracemalloc.stop()
     # a d^2 (d_A d_B)^2 intermediate alone would be 16 times the bound
     assert peak < 8 * d * d * n * 16
+
+
+def test_peak_memory_with_many_operators():
+    d, d_a, d_b, m = 64, 4, 4, 12
+    n = d_a * d_b
+    ch, dec = planted_channel(d_a, d_b, d, m, seed=47)
+    ops = np.asarray(ch.kraus) @ dec.w
+    assert ops.shape == (m, d, n)
+    tracemalloc.start()
+    try:
+        cm = certify_code_map(ops, d_a, d_b, frame=dec.w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * d * d * n * 16
+    superop, worst = loop_certificate(list(ops), d_a, d_b, dec.w)
+    assert np.linalg.norm(cm.superop - superop) < 1e-12
+    assert abs(cm.residual - worst) < 1e-12

@@ -47,6 +47,13 @@ def test_hermitian_eig_rejects_nonhermitian():
         hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_hermitian_eig_rejects_nan():
+    m = np.eye(3)
+    m[1, 2] = np.nan
+    with pytest.raises(NotHermitian):
+        hermitian_eig(m)
+
+
 def test_polar_identity():
     v = polar_isometry_on_support(np.eye(3), np.eye(3))
     assert np.linalg.norm(v - np.eye(3)) < 1e-12
@@ -85,6 +92,13 @@ def test_polar_factor_mismatch():
         polar_isometry_on_support(np.eye(2), 2 * np.eye(2))
 
 
+def test_polar_rejects_nan():
+    g = np.eye(3, dtype=complex)
+    g[0, 1] = np.nan
+    with pytest.raises(FactorMismatch):
+        polar_isometry_on_support(g, np.eye(3))
+
+
 def test_complete_identity():
     assert np.linalg.norm(complete_to_unitary(np.eye(3), 3) - np.eye(3)) < 1e-12
 
@@ -111,6 +125,13 @@ def test_complete_random_partial_isometry(seed, dim, rank):
 def test_complete_rejects_non_isometry():
     with pytest.raises(NotPartialIsometry):
         complete_to_unitary(2 * np.eye(2), 2)
+
+
+def test_complete_rejects_nan():
+    v = np.eye(3, dtype=complex)
+    v[2, 0] = np.nan
+    with pytest.raises(NotPartialIsometry):
+        complete_to_unitary(v, 3)
 
 
 def test_partial_trace_of_identity_factor():
