@@ -1,36 +1,61 @@
 """Structure theory for the fixed-point dagger-algebra of a unital channel.
 
-The fixed-point set of a unital trace-preserving channel is a
+The fixed-point set of a unital trace-preserving channel E is a
 dagger-closed algebra, hence unitarily equivalent to a direct sum
 ``⊕_k M_{m_k} (x) I_{n_k}`` (plus a zero summand on the complement of
-its unit).  This module computes that block decomposition by random
-Hermitian probing:
+its unit).  This module computes that block decomposition from two
+generic Hermitian elements y, g of the algebra and one more element to
+check the result against.  Neither a basis of the fixed-point set nor
+any d^2 x d^2 matrix is formed:
 
-* two random Hermitian elements y, g generate the algebra A, so its
-  commutant A' is the commutant of {y, g}; the center A ∩ A' is the
-  commutant of y, g and two random Hermitian elements of A';
-* a random Hermitian element of the center splits the space into the
-  central summands (its eigenvalue clusters);
-* inside each summand, the eigenvalue multiplicities of y reveal the
-  multiplicity n_k, and g supplies the intertwiners that align the
+* a random fixed point is the limit of conjugate gradients on the
+  positive semidefinite map I - Ψ, Ψ = (E + E^dag) / 2, applied through
+  the Kraus operators.  Started at a random Hermitian X, the iteration
+  converges to the projection of X onto Fix(E): for unital
+  trace-preserving E, Re<X, E(X)> = ||X||^2 holds exactly when
+  E(X) = X, so Fix(Ψ) = Fix(E).  It stops once
+  ||Ψ(y) - y|| / ||y|| is below ``1e-3 * min(tol, _CLUSTER_GAP)`` (but
+  not below d eps, where rounding sits), three orders under the relative
+  eigenvalue-cluster gap, and takes at most d^2 steps, the dimension of
+  the operator space;
+* the eigenvalues of y fall into clusters, one per eigenvalue of the
+  matrix factor of its summand and each as large as the summand's
+  multiplicity n_k.  Two clusters lie in one central summand exactly
+  when a path of nonzero blocks of g, written in the eigenbasis of y,
+  links them (eigenspace connectivity; Murota, Kanno, Kojima & Kojima,
+  Japan J. Indust. Appl. Math. 27 (2010)), so the summands are the
+  connected components of that graph;
+* inside each summand, g supplies the intertwiners that align the
   multiplicity spaces into an explicit tensor basis.
 
-Every output is certified: the basis must fit the block pattern, and
-its span must have dimension Σ m_k^2, which makes it the whole block
-algebra and so certifies product closure.  Degenerate draws are
-retried on derived seeds before surfacing UnluckySeed.  Noiseless
-subsystems of the channel are read off the blocks with m_k > 1.
+Every output is certified.  For a spanning set (``algebra_structure``)
+each input element must fit the block pattern, and the span must have
+dimension Σ m_k^2, which makes it the whole block algebra and so
+certifies product closure.  For a channel (``enumerate_noiseless``) a
+third random fixed point must fit the block pattern (a larger Fix(E)
+would leave it with probability 1), and every summand projector P_k
+must satisfy Ψ(P_k) = P_k and every emitted block must pass
+``check_noiseless`` (so the block algebra lies in Fix(E)).  Degenerate
+draws are retried on derived seeds before surfacing UnluckySeed.
+Noiseless subsystems of the channel are read off the blocks with
+m_k > 1.
+
+``commutant`` here, and ``fixed_point_basis`` and ``to_superoperator``
+in :mod:`subrec.channel`, are dense (d^2-sized) references: no discovery
+path calls them, and they stay public for tests, the benchmark tracer
+and the demos, which look them up by name.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import KrausChannel, fixed_point_basis, to_superoperator
+from .channel import KrausChannel
 from .correctability import check_noiseless
-from .errors import NotAnAlgebra, NotUnital, UnluckySeed
+from .errors import NotAnAlgebra, NotFinite, NotTracePreserving, NotUnital, UnluckySeed
 from .linalg import (DEFAULT_TOL, acceptance_tol, dagger, frobenius,
                      orthonormal_complement, partial_trace_b, vec)
 from .subsystem import SubsystemDecomposition
@@ -39,6 +64,7 @@ __all__ = ["AlgebraStructure", "NoiselessSubsystems", "commutant",
            "algebra_structure", "noiseless_subsystems", "enumerate_noiseless"]
 
 _CLUSTER_GAP = 1e-6
+_ATTEMPTS = 5
 
 
 @dataclass
@@ -49,8 +75,13 @@ class AlgebraStructure:
     element is block diagonal with k-th block of the form
     ``X_k (x) I_{n_k}`` at ``offsets[k]`` (and zero on the complement of
     the algebra's unit).  ``residual`` is the worst pattern mismatch
-    over the input basis; ``seed_used`` is the probing seed that
-    produced the certified output.
+    over the check elements (the input basis, or one random fixed
+    point); ``seed_used`` is the probing seed that produced the
+    certified output.  For a fixed-point algebra,
+    ``fixed_point_residual`` is the worst convergence residual
+    ||Ψ(y) - y|| / ||y|| of the three random fixed points and
+    ``fixed_point_steps`` their conjugate-gradient step counts; both are
+    empty for an algebra given by a spanning set.
     """
 
     blocks: list[tuple[int, int]]
@@ -58,6 +89,8 @@ class AlgebraStructure:
     offsets: list[int]
     residual: float
     seed_used: int
+    fixed_point_residual: float | None = None
+    fixed_point_steps: list[int] = field(default_factory=list)
 
     @property
     def quantum_blocks(self) -> list[tuple[int, int]]:
@@ -85,7 +118,8 @@ def commutant(ops, dim: int | None = None, tol: float = DEFAULT_TOL) -> list[np.
     Solved as the null space of the stacked commutation system in
     vectorized form; a Hermitian A contributes only its ``XA = AX``
     rows.  With an empty op list the commutant is the full matrix
-    algebra.
+    algebra.  Dense (a d^2-column system); a test reference, not used
+    by the structure probe.
     """
     ops = [np.asarray(a, dtype=complex) for a in ops]
     if dim is None:
@@ -146,90 +180,197 @@ class _RetryProbe(Exception):
     """Internal: the random draw was degenerate, try the next seed."""
 
 
-def _cluster(values, gap):
-    order = np.argsort(values)
-    groups = [[order[0]]]
-    for idx in order[1:]:
-        if values[idx] - values[groups[-1][-1]] < gap:
-            groups[-1].append(idx)
-        else:
-            groups.append([idx])
-    return groups
-
-
 def _random_hermitian_combo(mats, rng):
     z = sum((rng.normal() + 1j * rng.normal()) * m for m in mats)
     return (z + dagger(z)) / 2.0
 
 
-def _structure_attempt(basis, support, dim, rng, tol):
-    sdim = support.shape[1]
-    cbasis = [dagger(support) @ x @ support for x in basis]
+def _draw_from_span(cbasis, basis, rng):
+    """y, g from the support-compressed basis; the check elements are the basis."""
+    y, g = _random_hermitian_combo(cbasis, rng), _random_hermitian_combo(cbasis, rng)
+    return y, g, basis, (None, [])
 
-    # generic y, g generate A, so {y, g}' = A'; likewise the center
-    # A ∩ A' = (A ∪ A')' from y, g and two generic elements of A'
-    y = _random_hermitian_combo(cbasis, rng)
-    g = _random_hermitian_combo(cbasis, rng)
-    cprime = commutant([y, g], sdim, tol=tol)
-    center = commutant([y, g, _random_hermitian_combo(cprime, rng),
-                        _random_hermitian_combo(cprime, rng)], sdim, tol=tol)
-    z = _random_hermitian_combo(center, rng)
-    wz, vz = np.linalg.eigh(z)
-    gap = _CLUSTER_GAP * max(1.0, float(np.abs(wz).max()))
-    summands = _cluster(wz, gap)
+
+def _psi_kraus(ch: KrausChannel) -> np.ndarray:
+    """Kraus operators of Ψ = (E + E^dag) / 2, stacked: E_a / √2, then E_a^dag / √2."""
+    ops = np.asarray(ch.kraus)
+    return np.concatenate([ops, ops.conj().transpose(0, 2, 1)]) / np.sqrt(2.0)
+
+
+def _step_cap(dim: int) -> int:
+    """Conjugate gradients ends in at most as many steps as the real
+    dimension of the Hermitian operators, d^2."""
+    return dim * dim
+
+
+def _fixed_point(ops, x, target):
+    """Projection of the Hermitian x onto Fix(Ψ), Ψ(X) = Σ L X L^dag over ``ops``.
+
+    Conjugate gradients on I - Ψ with right-hand side 0 started at x:
+    every update lies in the range of I - Ψ, so the iterates converge to
+    x minus its range component.  Stops when the recurrence and then the
+    recomputed residual ||Ψ(y) - y|| / ||y|| are at most ``target``;
+    returns ``(y, residual, steps)``.
+    """
+    ops_dag = ops.conj().transpose(0, 2, 1)
+
+    def minus_gradient(v):  # Ψ(v) - v = -(I - Ψ)(v)
+        return (ops @ v @ ops_dag).sum(axis=0) - v
+
+    r = minus_gradient(x)
+    p = r
+    rr = np.vdot(r, r).real
+    steps = 0
+    while True:
+        norm = frobenius(x)
+        if np.sqrt(rr) <= target * norm:
+            r = minus_gradient(x)  # the recurrence drifts; judge the true residual
+            residual = frobenius(r) / norm
+            if residual <= target:
+                return (x + dagger(x)) / 2.0, residual, steps
+            p = r
+            rr = np.vdot(r, r).real
+        if not np.isfinite(rr):
+            raise NotFinite(f"fixed-point iteration produced a non-finite residual after "
+                            f"{steps} steps")
+        if steps >= _step_cap(x.shape[0]):
+            raise _RetryProbe(f"fixed point did not converge: residual "
+                              f"{np.sqrt(rr) / norm:.3e} after {steps} steps")
+        ap = -minus_gradient(p)
+        curvature = np.vdot(p, ap).real
+        if not np.isfinite(curvature):
+            raise NotFinite(f"fixed-point iteration produced a non-finite curvature after "
+                            f"{steps} steps")
+        # <X, (I - Ψ) X> >= 0 for every trace-preserving unital channel; for
+        # a direction in Fix(Ψ) the computed value is rounding, at most about
+        # (number of Kraus terms) d eps ||p||^2
+        rounding = ops.shape[0] * x.shape[0] * np.finfo(float).eps * np.vdot(p, p).real
+        if not curvature >= -rounding:
+            raise NotTracePreserving(
+                f"I - (E + E^dag)/2 has curvature {curvature:.3e} < 0 at step {steps}; "
+                "fixed points by iteration need a trace-preserving channel")
+        if not curvature > rounding:
+            raise _RetryProbe(f"fixed point stagnated: residual {np.sqrt(rr) / norm:.3e} "
+                              f"after {steps} steps")
+        alpha = rr / curvature
+        x = x + alpha * p
+        r = r - alpha * ap
+        rr_next = np.vdot(r, r).real
+        p = r + (rr_next / rr) * p
+        rr = rr_next
+        steps += 1
+
+
+def _draw_fixed_points(ops, target, rng):
+    """y, g and the check element: three independent random fixed points,
+    with their worst convergence residual and their step counts."""
+    dim = ops.shape[1]
+    points, residuals, steps = [], [], []
+    for _ in range(3):
+        z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        point, residual, n_steps = _fixed_point(ops, (z + dagger(z)) / 2.0, target)
+        points.append(point)
+        residuals.append(residual)
+        steps.append(n_steps)
+    return points[0], points[1], points[2:], (float(np.max(residuals)), steps)
+
+
+def _eigenspace_blocks(y, g):
+    """Blocks (m_k, n_k) and tensor-basis columns of the algebra that the
+    generic Hermitian y, g generate.
+
+    Clusters of eigenvalues of y closer than ``_CLUSTER_GAP`` (relative)
+    are one eigenvalue of a matrix factor; the summands are the connected
+    components of the clusters linked by a nonzero block of g in the
+    eigenbasis of y.  Cost: one ``eigh`` and one d x d congruence.
+    """
+    wy, vy = np.linalg.eigh(y)
+    gap = _CLUSTER_GAP * max(1.0, float(np.abs(wy).max()))
+    starts = np.concatenate([[0], np.flatnonzero(np.diff(wy) >= gap) + 1])
+    bounds = np.append(starts, wy.size)
+    gy = dagger(vy) @ g @ vy
+    weights = np.add.reduceat(np.add.reduceat(gy.real ** 2 + gy.imag ** 2, starts, axis=0),
+                              starts, axis=1)
+    labels = _components(weights > (_CLUSTER_GAP * frobenius(g)) ** 2)
 
     blocks = []
-    qcols = []
-    for cl in summands:
-        r_k = vz[:, cl]
-        dim_k = r_k.shape[1]
-        y_k = dagger(r_k) @ y @ r_k
-        wy, vy = np.linalg.eigh(y_k)
-        ygap = _CLUSTER_GAP * max(1.0, float(np.abs(wy).max()))
-        groups = _cluster(wy, ygap)
-        n_k = len(groups[0])
-        if any(len(grp) != n_k for grp in groups):
+    cols = []
+    for label in np.flatnonzero(labels == np.arange(labels.size)):  # component roots
+        members = np.flatnonzero(labels == label)
+        sizes = bounds[members + 1] - bounds[members]
+        n_k = int(sizes[0])
+        if np.any(sizes != n_k):
             raise _RetryProbe("unequal eigenvalue multiplicities")
-        m_k = len(groups)
-        if m_k * n_k != dim_k:
-            raise _RetryProbe("cluster sizes do not tile the summand")
-        g_k = dagger(r_k) @ g @ r_k
-        s_1 = vy[:, groups[0]]
-        cols = []
-        for grp in groups:
-            s_i = vy[:, grp]
-            t_i = dagger(s_i) @ g_k @ s_1
-            gram = dagger(t_i) @ t_i
+        first = slice(bounds[members[0]], bounds[members[0] + 1])
+        for c in members:
+            rows = slice(bounds[c], bounds[c + 1])
+            t_c = gy[rows, first]
+            gram = dagger(t_c) @ t_c
             cval = float(np.trace(gram).real) / n_k
-            if cval < 1e-10 or frobenius(gram - cval * np.eye(n_k)) > 1e-6 * max(cval, 1.0):
+            if not (cval >= 1e-10 and
+                    frobenius(gram - cval * np.eye(n_k)) <= 1e-6 * max(cval, 1.0)):
                 raise _RetryProbe("intertwiner is not a scaled unitary")
-            cols.append(s_i @ (t_i / np.sqrt(cval)))
-        blocks.append((m_k, n_k))
-        qcols.append(support @ (r_k @ np.hstack(cols)))
+            cols.append(vy[:, rows] @ (t_c / np.sqrt(cval)))
+        blocks.append((len(members), n_k))
+    return blocks, np.hstack(cols)
 
-    q_main = np.hstack(qcols)
+
+def _components(linked):
+    """Connected-component labels of a symmetric adjacency matrix; each
+    label is the smallest index in its component."""
+    labels = np.arange(len(linked))
+    while True:
+        merged = np.minimum(labels, np.where(linked, labels, labels.size).min(axis=1))
+        if np.array_equal(merged, labels):
+            return labels
+        labels = merged
+
+
+def _structure_attempt(draw, support, dim, rng, tol):
+    """One probe: draw y, g and the check elements, read the blocks off
+    y and g, assemble the basis change and fit every check element."""
+    y, g, checks, convergence = draw(rng)
+    blocks, cols = _eigenspace_blocks(y, g)
+    q_main = cols if support is None else support @ cols
     q = np.column_stack([q_main, *orthonormal_complement(q_main @ dagger(q_main))])
-    if frobenius(dagger(q) @ q - np.eye(dim)) > 1e-7 * dim:
+    if not frobenius(dagger(q) @ q - np.eye(dim)) <= 1e-7 * dim:
         raise _RetryProbe("assembled basis change lost orthonormality")
 
-    offsets = list(np.cumsum([0] + [m * n for m, n in blocks]))[:-1]
-    residual = _pattern_residual(basis, q, blocks, offsets)
+    offsets = np.cumsum([0] + [m * n for m, n in blocks])[:-1].tolist()
+    residual = _pattern_residual(checks, q, blocks, offsets)
     if not residual <= acceptance_tol(tol):
         raise _RetryProbe(f"pattern residual {residual:.3e}")
-    return blocks, q, offsets, residual
+    return blocks, q, offsets, residual, convergence
 
 
-def _pattern_residual(basis, q, blocks, offsets):
-    worst = 0.0
-    for x in basis:
+def _pattern_residual(checks, q, blocks, offsets):
+    worst = []
+    for x in checks:
         t = dagger(q) @ x @ q
         model = np.zeros_like(t)
         for (m_k, n_k), off in zip(blocks, offsets):
             blk = t[off:off + m_k * n_k, off:off + m_k * n_k]
             x_k = partial_trace_b(blk, m_k, n_k) / n_k
             model[off:off + m_k * n_k, off:off + m_k * n_k] = np.kron(x_k, np.eye(n_k))
-        worst = max(worst, frobenius(t - model) / max(1.0, frobenius(x)))
-    return worst
+        worst.append(frobenius(t - model) / max(1.0, frobenius(x)))
+    return float(np.max(worst))  # a NaN stays NaN
+
+
+def _probe(draw, support, dim, seed, tol):
+    """The retry loop of both callers: ``(structure, reasons)``, with
+    ``structure`` None when every seed was degenerate."""
+    reasons = []
+    for attempt in range(_ATTEMPTS):
+        rng = np.random.default_rng(seed + attempt)
+        try:
+            blocks, q, offsets, residual, (fp_residual, fp_steps) = _structure_attempt(
+                draw, support, dim, rng, tol)
+        except _RetryProbe as exc:
+            reasons.append(f"seed {seed + attempt}: {exc}")
+            continue
+        return AlgebraStructure(blocks, q, offsets, residual, seed + attempt,
+                                fp_residual, fp_steps), reasons
+    return None, reasons
 
 
 def algebra_structure(basis, seed: int = 0, tol: float = DEFAULT_TOL) -> AlgebraStructure:
@@ -259,50 +400,72 @@ def algebra_structure(basis, seed: int = 0, tol: float = DEFAULT_TOL) -> Algebra
         raise NotAnAlgebra("empty basis")
     dim = basis[0].shape[0]
     span, support = _check_algebra(basis, tol)
+    cbasis = [dagger(support) @ x @ support for x in basis]
 
-    reasons = []
-    for attempt in range(5):
-        rng = np.random.default_rng(seed + attempt)
-        try:
-            blocks, q, offsets, residual = _structure_attempt(
-                basis, support, dim, rng, tol)
-        except _RetryProbe as exc:
-            reasons.append(f"seed {seed + attempt}: {exc}")
-            continue
+    structure, reasons = _probe(functools.partial(_draw_from_span, cbasis, basis),
+                                support, dim, seed, tol)
+    if structure is not None:
         # the basis lies in ⊕ M_{m_k} (x) I_{n_k}; spanning all of it
         # means the span is that algebra, hence product closed
-        if span.shape[1] != sum(m * m for m, _ in blocks):
+        if span.shape[1] != sum(m * m for m, _ in structure.blocks):
             raise NotAnAlgebra(f"basis spans dimension {span.shape[1]} inside the block "
-                               f"algebra of {blocks}: not closed under products")
-        return AlgebraStructure(blocks=blocks, q=q, offsets=offsets,
-                                residual=residual, seed_used=seed + attempt)
+                               f"algebra of {structure.blocks}: not closed under products")
+        return structure
     # a span that no probe could fit is usually not product closed; the
     # product of two random elements then leaves it with probability 1
     rng = np.random.default_rng(seed)
     x, y = _random_hermitian_combo(basis, rng), _random_hermitian_combo(basis, rng)
     if not _in_span(span, [x @ y], acceptance_tol(tol)):
         raise NotAnAlgebra("basis span is not closed under products")
-    raise UnluckySeed(f"algebra probing failed after 5 seeds: {'; '.join(reasons)}")
+    raise UnluckySeed(f"algebra probing failed after {_ATTEMPTS} seeds: {'; '.join(reasons)}")
 
 
 def enumerate_noiseless(ch: KrausChannel, seed: int = 0,
                         tol: float = DEFAULT_TOL) -> NoiselessSubsystems:
     """Noiseless subsystems of a unital channel from its fixed-point algebra.
 
-    Computes the fixed-point basis, its block structure, and for each
-    block with m_k > 1 the maximal subsystem decomposition with
-    d_B = m_k and d_A = n_k, read off the columns of the basis-change
-    unitary.  Every emitted decomposition is certified by
+    Draws three random fixed points by conjugate gradients, reads the
+    block structure off two of them and checks it against the third,
+    and for each block with m_k > 1 emits the maximal subsystem
+    decomposition with d_B = m_k and d_A = n_k, read off the columns of
+    the basis-change unitary.  Every summand projector must be fixed and
+    every emitted decomposition must pass
     :func:`~subrec.correctability.check_noiseless`.
+
+    Raises
+    ------
+    NotUnital
+        If the channel is not unital.
+    UnluckySeed
+        If probing stayed degenerate for five consecutive seeds (each
+        seed listed with its reason: a fixed point that did not converge
+        in d^2 steps, or stalled at rounding, gives its residual and step
+        count), or a certificate failed.
+    NotFinite, NotTracePreserving
+        If the fixed-point iteration meets a non-finite value, or a
+        direction of negative curvature beyond rounding, which a
+        trace-preserving unital channel cannot have.
     """
     if not ch.is_unital:
         raise NotUnital("noiseless-subsystem enumeration requires a unital channel")
-    basis = fixed_point_basis(to_superoperator(ch), tol=tol)
-    structure = algebra_structure(basis, seed=seed, tol=tol)
+    ops = _psi_kraus(ch)
+    target = max(1e-3 * min(tol, _CLUSTER_GAP), ch.dim * np.finfo(float).eps)
+    structure, reasons = _probe(functools.partial(_draw_fixed_points, ops, target),
+                                None, ch.dim, seed, tol)
+    if structure is None:
+        raise UnluckySeed(f"fixed-point probing failed after {_ATTEMPTS} seeds: "
+                          f"{'; '.join(reasons)}")
 
     subsystems = []
     residuals = []
     for (m_k, n_k), off in zip(structure.blocks, structure.offsets):
+        # Ψ(P_k) = P_k through P_k = Q_k Q_k^dag: Ψ(P_k) = N N^dag, N = [L Q_k]_L
+        q_k = structure.q[:, off:off + m_k * n_k]
+        n = (ops @ q_k).transpose(1, 0, 2).reshape(ch.dim, -1)
+        drift = frobenius(n @ dagger(n) - q_k @ dagger(q_k))
+        if not drift <= acceptance_tol(tol) * max(1.0, np.sqrt(m_k * n_k)):
+            raise UnluckySeed(f"summand projector of block (m={m_k}, n={n_k}) is not "
+                              f"fixed (residual {drift:.3e})")
         if m_k <= 1:
             continue
         w = np.zeros((ch.dim, n_k * m_k), dtype=complex)

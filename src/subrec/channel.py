@@ -132,7 +132,11 @@ def compose(f: KrausChannel, g: KrausChannel) -> KrausChannel:
 
 
 def to_superoperator(ch: KrausChannel) -> Superoperator:
-    """Superoperator matrix of the channel (column-stacking convention)."""
+    """Superoperator matrix of the channel (column-stacking convention).
+
+    A d^2 x d^2 array: no discovery path builds it; it stays public as a
+    dense test reference (the benchmark tracer looks it up by name).
+    """
     d = ch.dim
     mat = np.zeros((d * d, d * d), dtype=complex)
     for k in ch.kraus:
@@ -144,7 +148,8 @@ def fixed_point_basis(s: Superoperator, tol: float = DEFAULT_TOL) -> list[np.nda
     """Orthonormal (Hilbert-Schmidt) basis of the fixed-point set {X : E(X) = X}.
 
     Computed as the null space of (S - I); singular values below
-    ``tol * max(1, s_max)`` are treated as zero.
+    ``tol * max(1, s_max)`` are treated as zero.  A dense test reference
+    for the fixed points that discovery draws by iteration.
     """
     d = s.dim
     delta = s.matrix - np.eye(d * d)

@@ -14,7 +14,8 @@ complementary factor moved to C.  The construction:
    G_a W = sum_b E_b W (U_ab^dag (x) I_B), whose ranges are mutually
    orthogonal, (G_a W)^dag (G_b W) = delta_ab D_aa (x) I_B; this identity
    is checked, and G_a off the code is never formed;
-3. check that the remixed family reproduces the channel on the I_A slice;
+3. check that the remixed family reproduces the channel on the I_A slice,
+   from one batched thin QR (no d x d product per B index);
 4. with D_aa diagonal, the polar factor V_a of G_a P_AB against
    sqrt(D_aa) (x) I_B is the closed form
    V_a W(|l> (x) |k>) = G_a W(|l> (x) |k>) / sqrt(lambda_l) for each live
@@ -24,9 +25,10 @@ complementary factor moved to C.  The construction:
 
 The certificate's residual is computed against the factor map extracted
 from the actual action of U ∘ E ∘ P_AB (existence of such a map is what
-the defining equation asserts; the closed Kraus form
-{sqrt(D_aa) (x) |w_a>} reported alongside coincides with it whenever
-d_A = 1).
+the defining equation asserts).  The closed Kraus form of F_{C|A}
+reported alongside follows from E_b W = sum_a G_a W (U_ab (x) I_B): one
+operator K_b = Λ_live^{1/2} U[live rows, b-th column block] per original
+Kraus index b, which reproduces the extracted map.
 """
 
 from __future__ import annotations
@@ -59,10 +61,11 @@ class RecoveryResult:
     ``u_recovery`` is the d x d unitary U, whose first dim_C * d_B rows
     are the conjugated closed-form images G_a W(|l> (x) |k>) / sqrt(lambda_l);
     ``c_subsystem`` describes where B sits after the noise (the C (x) B
-    embedding); ``f_ca_kraus`` is the closed-form Kraus list
-    {sqrt(D_aa) (x) |w_a>} for F_{C|A}; ``f_ca_superop`` is the
-    d_C^2 x d_A^2 matrix of the factor map extracted from the verified
-    action (these agree when d_A = 1 and always agree on I_A);
+    embedding); ``f_ca_kraus`` is the closed-form Kraus list of F_{C|A},
+    one d_C x d_A operator Λ_live^{1/2} U[live rows, b-th column block]
+    per original Kraus index b; ``f_ca_superop`` is the d_C^2 x d_A^2
+    matrix of the factor map extracted from the verified action, which
+    the closed form reproduces;
     ``d_blocks`` records (a, D_aa, r_a) for blocks with nonzero rank;
     ``residual`` certifies the defining equation on a complete operator
     basis; ``orthogonality_residual`` is the step 2 check, which also
@@ -118,7 +121,8 @@ def construct_recovery(ch: KrausChannel, dec: SubsystemDecomposition,
             f"block matrix F has eigenvalue {lam[-1]:.3e}; not positive semidefinite")
     lam = np.maximum(lam, 0.0)
     # U = q^dag gives U F U^dag = diag(lam); u4[a, i, b, j] = (U_ab)_ij
-    u4 = dagger(q).reshape(m, d_a, m, d_a)
+    u = dagger(q)
+    u4 = u.reshape(m, d_a, m, d_a)
 
     # 2. the modified Kraus family on the code, G_a W = sum_b E_b W (U_ab^dag (x) I_B),
     # has mutually orthogonal ranges; G_a off the code is never needed
@@ -137,12 +141,20 @@ def construct_recovery(ch: KrausChannel, dec: SubsystemDecomposition,
             "certificate tolerance too loose")
 
     # 3. the modified family reproduces the channel on the I_A slice:
-    # sum_a G_a W (I_A (x) |k><l|) W^dag G_a^dag against the same for E_a
+    # sum_a G_a W (I_A (x) |k><l|) W^dag G_a^dag = G(k) G(l)^dag against
+    # E(k) E(l)^dag, with G(k) the d x m d_A columns G_a W(|i> (x) |k>).
+    # The mismatch is X_k Y_l^dag for X_k = [G(k) | E(k)] and
+    # Y_l = [G(l) | -E(l)]; one batched thin QR X_k = Q_k R_k makes its
+    # norm that of R_k Y_l^dag, one small product per k for every l.
+    g_k = gw_ab.transpose(3, 1, 0, 2).reshape(d_b, d, m * d_a)
+    e_k = ew.transpose(3, 1, 0, 2).reshape(d_b, d, m * d_a)
+    r_k = np.linalg.qr(np.concatenate([g_k, e_k], axis=2), mode="r")
+    y_all = np.concatenate([g_k, -e_k], axis=2).conj().transpose(2, 0, 1).reshape(
+        2 * m * d_a, d_b * d)
     g_action = np.empty(d_b)
     for k in range(d_b):
-        diff = np.tensordot(gw_ab[..., k], gw_ab.conj(), axes=([0, 2], [0, 2])) \
-            - np.tensordot(ew[..., k], ew.conj(), axes=([0, 2], [0, 2]))
-        g_action[k] = np.sqrt(np.max((diff.real ** 2 + diff.imag ** 2).sum(axis=(0, 1))))
+        diff = (r_k[k] @ y_all).view(float).reshape(-1, d_b, 2 * d)
+        g_action[k] = np.sqrt(np.max(np.einsum("alb,alb->l", diff, diff)))
     g_action_resid = float(np.max(g_action))
 
     # 4. the diagonal blocks of step 2 certify (G_a W)^dag (G_a W) = D_aa (x) I_B
@@ -173,16 +185,12 @@ def construct_recovery(ch: KrausChannel, dec: SubsystemDecomposition,
     w_c = np.eye(d, dtype=complex)[:, :n_cb]
     c_dec = SubsystemDecomposition(d, rank_c, d_b, w_c, tol=tol)
 
-    # closed-form F_{C|A} Kraus list {sqrt(D_aa) (x) |w_a>}
-    f_ca_kraus = []
-    c_index = 0
-    for a, d_aa, r_a in d_blocks:
-        k_a = np.zeros((rank_c, d_a), dtype=complex)
-        live = np.flatnonzero(np.diagonal(d_aa) > cutoff)
-        for l in live:
-            k_a[c_index, l] = np.sqrt(d_aa[l, l].real)
-            c_index += 1
-        f_ca_kraus.append(k_a)
+    # closed-form F_{C|A}: E_b W = sum_a G_a W (U_ab (x) I_B), so its Kraus
+    # operator for the original index b is K_b = Λ_live^{1/2} U[live, b-th
+    # column block], the live rows in the (a, l) order of the C embedding
+    live = np.flatnonzero(lam > cutoff)
+    k_live = np.sqrt(lam[live])[:, None] * u[live]
+    f_ca_kraus = list(k_live.reshape(live.size, m, d_a).transpose(1, 0, 2))
 
     # 5. certify U ∘ E ∘ P_AB = F_{C|A} (x) id_B with F_{C|A} extracted
     # from the identity-B slice of the actual action.

@@ -33,8 +33,9 @@ def unit(d, r, c):
     return e
 
 
-def loop_certificate(ops, d_a, d_b, frame=None):
-    """F from the I_B slice, then the worst mismatch, one matrix unit at a time."""
+def loop_certificate(ops, d_a, d_b, frame=None, fold=max):
+    """F from the I_B slice, then the worst mismatch, one matrix unit at a time,
+    folded into one value by ``fold``."""
     d_out = ops[0].shape[0]
     frame = np.eye(d_out) if frame is None else frame
     d_c = frame.shape[1] // d_b
@@ -53,8 +54,14 @@ def loop_certificate(ops, d_a, d_b, frame=None):
                 for l in range(d_b):
                     lhs = act(np.kron(unit(d_a, i, j), unit(d_b, k, l)))
                     rhs = frame @ np.kron(f_ij, unit(d_b, k, l)) @ dagger(frame)
-                    worst = max(worst, float(np.linalg.norm(lhs - rhs)))
+                    worst = fold(worst, float(np.linalg.norm(lhs - rhs)))
     return superop, worst
+
+
+def loop_certificate_keeping_nan(ops, d_a, d_b, frame=None):
+    """loop_certificate folded by ``np.maximum``, which keeps a NaN where
+    Python's ``max(worst, nan)`` returns ``worst``."""
+    return loop_certificate(ops, d_a, d_b, frame, fold=np.maximum)
 
 
 def compressed_pairs(ch, dec):
@@ -190,6 +197,18 @@ def test_inf_operator_gives_non_finite_residual():
     cm = certify_code_map(ops, 2, 2, frame=dec.w)
     assert not np.isfinite(cm.residual)
     assert not cm.residual <= THRESHOLD
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_nan_keeping_oracle_and_kernel_agree_on_inf_operator():
+    ch, dec = planted_channel(2, 2, 8, 3, seed=46)
+    ops = [k @ dec.w for k in ch.kraus]
+    ops[2][5, 1] = np.inf
+    _, worst = loop_certificate_keeping_nan(ops, 2, 2, dec.w)
+    assert not np.isfinite(worst)
+    assert not np.isfinite(certify_code_map(ops, 2, 2, frame=dec.w).residual)
+    # the running max of loop_certificate drops the NaN here
+    assert np.isfinite(loop_certificate(ops, 2, 2, dec.w)[1])
 
 
 def test_peak_memory_linear_in_code_dimension():

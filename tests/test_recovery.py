@@ -243,3 +243,66 @@ def test_closed_form_images_match_polar_factor_cooling():
     expected = _polar_columns(ch, dec, cert)
     assert res.dim_c == 2 and expected.shape[1] == 2 * dec.d_b
     assert np.max(np.abs(dagger(res.u_recovery)[:, :expected.shape[1]] - expected)) < 1e-10
+
+
+@pytest.mark.parametrize("dims", [(1, 2, 6, 3), (2, 2, 8, 3), (3, 2, 12, 3), (2, 4, 20, 4)])
+def test_f_ca_kraus_reproduces_extracted_map(dims):
+    d_a, d_b, dim, m = dims
+    ch, dec = planted_channel(d_a, d_b, dim, m, seed=90 + dim)
+    res = build(ch, dec)
+    assert len(res.f_ca_kraus) == m
+    assert all(k.shape == (res.dim_c, d_a) for k in res.f_ca_kraus)
+    closed = sum(np.kron(k.conj(), k) for k in res.f_ca_kraus)
+    assert np.linalg.norm(closed - res.f_ca_superop) < 1e-12
+    # and on every matrix unit of A, as a Kraus map
+    for x in operator_basis(d_a):
+        extracted = (res.f_ca_superop @ x.flatten(order="F")).reshape(
+            res.dim_c, res.dim_c, order="F")
+        assert np.linalg.norm(sum(k @ x @ dagger(k) for k in res.f_ca_kraus)
+                              - extracted) < 1e-12
+
+
+def _g_action_loop(ch, dec, cert, scale=1.0):
+    # the step 3 definition written out: G_a W = sum_b E_b W (U_ab^dag (x) I_B),
+    # then max over (k, l) of ||sum_a G_a W (I_A (x) |k><l|) (G_a W)^dag - same for E_a||
+    d_a, d_b, w = dec.d_a, dec.d_b, dec.w
+    _, q = hermitian_eig(cert.f_matrix)
+    u_mix = scale * dagger(q)
+    gw = [sum(ch.kraus[b] @ w @ np.kron(dagger(u_mix[a * d_a:(a + 1) * d_a,
+                                                       b * d_a:(b + 1) * d_a]), np.eye(d_b))
+              for b in range(ch.m)) for a in range(ch.m)]
+    ew = [k @ w for k in ch.kraus]
+    worst = []
+    for k in range(d_b):
+        for l in range(d_b):
+            unit_b = np.zeros((d_b, d_b))
+            unit_b[k, l] = 1.0
+            x = np.kron(np.eye(d_a), unit_b)
+            diff = sum(g @ x @ dagger(g) for g in gw) - sum(e @ x @ dagger(e) for e in ew)
+            worst.append(np.linalg.norm(diff))
+    return float(np.max(worst))
+
+
+@pytest.mark.parametrize("dims", [(1, 2, 6, 3), (2, 2, 8, 3), (3, 2, 12, 3), (1, 5, 12, 3),
+                                  (2, 3, 9, 2)])
+@pytest.mark.parametrize("scale", [1.0, 1.0 + 1e-9])
+def test_g_action_residual_matches_written_out_loop(dims, scale, monkeypatch):
+    # with a unitary remix U the step 3 mismatch is rounding; scaling U by
+    # 1 + 1e-9 (inside every gate) makes it about 2e-9 ||sum_a E_a E_a^dag||
+    import subrec.recovery as recovery
+
+    def scaled_eig(m, tol):
+        w, q = hermitian_eig(m, tol=tol)
+        return w, scale * q
+
+    monkeypatch.setattr(recovery, "hermitian_eig", scaled_eig)
+    d_a, d_b, dim, m = dims
+    ch, dec = planted_channel(d_a, d_b, dim, m, seed=70 + dim)
+    cert = check_correctable(ch, dec)
+    res = construct_recovery(ch, dec, cert)
+    expected = _g_action_loop(ch, dec, cert, scale)
+    if scale == 1.0:
+        assert res.g_action_residual < 1e-13 and expected < 1e-13
+    else:
+        assert expected > 1e-10
+    assert abs(res.g_action_residual - expected) <= 1e-6 * expected + 1e-14
