@@ -14,10 +14,10 @@ any d^2 x d^2 matrix is formed:
   converges to the projection of X onto Fix(E): for unital
   trace-preserving E, Re<X, E(X)> = ||X||^2 holds exactly when
   E(X) = X, so Fix(Ψ) = Fix(E).  It stops once
-  ||Ψ(y) - y|| / ||y|| is below ``1e-3 * min(tol, _CLUSTER_GAP)`` (but
-  not below d eps, where rounding sits), three orders under the relative
-  eigenvalue-cluster gap, and takes at most d^2 steps, the dimension of
-  the operator space;
+  ||Ψ(y) - y|| / ||y|| is below ``fixed_point_target(tol, d)``, at least
+  three orders under the relative eigenvalue-cluster gap
+  ``cluster_gap(tol)`` (both in :mod:`subrec.linalg`), and takes at most
+  d^2 steps, the dimension of the operator space;
 * the eigenvalues of y fall into clusters, one per eigenvalue of the
   matrix factor of its summand and each as large as the summand's
   multiplicity n_k.  Two clusters lie in one central summand exactly
@@ -55,15 +55,16 @@ import numpy as np
 
 from .channel import KrausChannel
 from .correctability import check_noiseless
-from .errors import NotAnAlgebra, NotFinite, NotTracePreserving, NotUnital, UnluckySeed
-from .linalg import (DEFAULT_TOL, acceptance_tol, dagger, frobenius,
-                     orthonormal_complement, partial_trace_b, vec)
+from .errors import (NotAnAlgebra, NotFinite, NotPartialIsometry, NotTracePreserving,
+                     NotUnital, UnluckySeed)
+from .linalg import (DEFAULT_TOL, acceptance_tol, cluster_gap, complete_isometry, dagger,
+                     eigenvalue_clusters, fixed_point_target, frobenius, partial_trace_b,
+                     strict_tol, vec)
 from .subsystem import SubsystemDecomposition
 
 __all__ = ["AlgebraStructure", "NoiselessSubsystems", "commutant",
            "algebra_structure", "noiseless_subsystems", "enumerate_noiseless"]
 
-_CLUSTER_GAP = 1e-6
 _ATTEMPTS = 5
 
 
@@ -141,13 +142,13 @@ def commutant(ops, dim: int | None = None, tol: float = DEFAULT_TOL) -> list[np.
         system = np.vstack([system, pad])
     _, sv, vh = np.linalg.svd(system, full_matrices=False)
     smax = float(sv[0]) if sv.size else 0.0
-    rank = int(np.sum(sv > tol * max(1.0, smax)))
+    rank = int(np.sum(sv > strict_tol(tol, smax)))
     return [vh[i].conj().reshape(dim, dim, order="F") for i in range(rank, dim * dim)]
 
 
 def _orthonormal_range(stack, tol):
     u, s, _ = np.linalg.svd(stack, full_matrices=False)
-    rank = int(np.sum(s > tol * max(1.0, float(s[0]) if s.size else 0.0)))
+    rank = int(np.sum(s > strict_tol(tol, s[0] if s.size else 0.0)))
     return u[:, :rank]
 
 
@@ -155,7 +156,7 @@ def _in_span(span, mats, tol):
     """Whether every matrix lies in the span, each column judged alone."""
     v = np.column_stack([vec(x) for x in mats])
     off = np.linalg.norm(v - span @ (dagger(span) @ v), axis=0)
-    return bool(np.all(off <= tol * np.maximum(1.0, np.linalg.norm(v, axis=0))))
+    return bool(np.all(off <= strict_tol(tol, np.linalg.norm(v, axis=0))))
 
 
 def _check_algebra(basis, tol):
@@ -170,8 +171,8 @@ def _check_algebra(basis, tol):
     if not _in_span(span, [unit], ok_tol):
         raise NotAnAlgebra("support projector does not act as a unit inside the span")
     for x in basis:
-        if frobenius(unit @ x - x) > ok_tol * max(1.0, frobenius(x)) or \
-                frobenius(x @ unit - x) > ok_tol * max(1.0, frobenius(x)):
+        cut = strict_tol(ok_tol, frobenius(x))
+        if not (frobenius(unit @ x - x) <= cut and frobenius(x @ unit - x) <= cut):
             raise NotAnAlgebra("support projector does not act as a unit on the basis")
     return span, support
 
@@ -275,23 +276,27 @@ def _draw_fixed_points(ops, target, rng):
     return points[0], points[1], points[2:], (float(np.max(residuals)), steps)
 
 
-def _eigenspace_blocks(y, g):
+def _eigenspace_blocks(y, g, tol):
     """Blocks (m_k, n_k) and tensor-basis columns of the algebra that the
     generic Hermitian y, g generate.
 
-    Clusters of eigenvalues of y closer than ``_CLUSTER_GAP`` (relative)
-    are one eigenvalue of a matrix factor; the summands are the connected
-    components of the clusters linked by a nonzero block of g in the
-    eigenbasis of y.  Cost: one ``eigh`` and one d x d congruence.
+    Clusters of eigenvalues of y closer than ``cluster_gap(tol)``
+    (relative) are one eigenvalue of a matrix factor; the summands are the
+    connected components of the clusters linked by a block of g, in the
+    eigenbasis of y, of norm above ``cluster_gap(tol) ||g||``.  Each
+    member's link to the first cluster of its summand must be a scaled
+    unitary within ``cluster_gap(tol)``.  Cost: one ``eigh`` and one
+    d x d congruence.
     """
+    gap = cluster_gap(tol)
     wy, vy = np.linalg.eigh(y)
-    gap = _CLUSTER_GAP * max(1.0, float(np.abs(wy).max()))
-    starts = np.concatenate([[0], np.flatnonzero(np.diff(wy) >= gap) + 1])
+    starts = eigenvalue_clusters(wy, gap)
     bounds = np.append(starts, wy.size)
     gy = dagger(vy) @ g @ vy
     weights = np.add.reduceat(np.add.reduceat(gy.real ** 2 + gy.imag ** 2, starts, axis=0),
                               starts, axis=1)
-    labels = _components(weights > (_CLUSTER_GAP * frobenius(g)) ** 2)
+    linked = weights > (gap * frobenius(g)) ** 2
+    labels = _components(linked)
 
     blocks = []
     cols = []
@@ -307,8 +312,8 @@ def _eigenspace_blocks(y, g):
             t_c = gy[rows, first]
             gram = dagger(t_c) @ t_c
             cval = float(np.trace(gram).real) / n_k
-            if not (cval >= 1e-10 and
-                    frobenius(gram - cval * np.eye(n_k)) <= 1e-6 * max(cval, 1.0)):
+            if not (linked[c, members[0]] and
+                    frobenius(gram - cval * np.eye(n_k)) <= strict_tol(gap, cval)):
                 raise _RetryProbe("intertwiner is not a scaled unitary")
             cols.append(vy[:, rows] @ (t_c / np.sqrt(cval)))
         blocks.append((len(members), n_k))
@@ -330,11 +335,11 @@ def _structure_attempt(draw, support, dim, rng, tol):
     """One probe: draw y, g and the check elements, read the blocks off
     y and g, assemble the basis change and fit every check element."""
     y, g, checks, convergence = draw(rng)
-    blocks, cols = _eigenspace_blocks(y, g)
-    q_main = cols if support is None else support @ cols
-    q = np.column_stack([q_main, *orthonormal_complement(q_main @ dagger(q_main))])
-    if not frobenius(dagger(q) @ q - np.eye(dim)) <= 1e-7 * dim:
-        raise _RetryProbe("assembled basis change lost orthonormality")
+    blocks, cols = _eigenspace_blocks(y, g, tol)
+    try:
+        q = complete_isometry(cols if support is None else support @ cols, tol)
+    except NotPartialIsometry:
+        raise _RetryProbe("assembled basis change lost orthonormality") from None
 
     offsets = np.cumsum([0] + [m * n for m, n in blocks])[:-1].tolist()
     residual = _pattern_residual(checks, q, blocks, offsets)
@@ -449,7 +454,7 @@ def enumerate_noiseless(ch: KrausChannel, seed: int = 0,
     if not ch.is_unital:
         raise NotUnital("noiseless-subsystem enumeration requires a unital channel")
     ops = _psi_kraus(ch)
-    target = max(1e-3 * min(tol, _CLUSTER_GAP), ch.dim * np.finfo(float).eps)
+    target = fixed_point_target(tol, ch.dim)
     structure, reasons = _probe(functools.partial(_draw_fixed_points, ops, target),
                                 None, ch.dim, seed, tol)
     if structure is None:
@@ -463,7 +468,7 @@ def enumerate_noiseless(ch: KrausChannel, seed: int = 0,
         q_k = structure.q[:, off:off + m_k * n_k]
         n = (ops @ q_k).transpose(1, 0, 2).reshape(ch.dim, -1)
         drift = frobenius(n @ dagger(n) - q_k @ dagger(q_k))
-        if not drift <= acceptance_tol(tol) * max(1.0, np.sqrt(m_k * n_k)):
+        if not drift <= acceptance_tol(tol, np.sqrt(m_k * n_k)):
             raise UnluckySeed(f"summand projector of block (m={m_k}, n={n_k}) is not "
                               f"fixed (residual {drift:.3e})")
         if m_k <= 1:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatch, NotFinite, NotTracePreserving
-from .linalg import DEFAULT_TOL, dagger, frobenius, unvec
+from .linalg import DEFAULT_TOL, dagger, frobenius, strict_tol, unvec
 
 __all__ = [
     "KrausChannel",
@@ -69,12 +69,12 @@ class KrausChannel:
 
     @property
     def is_trace_preserving(self) -> bool:
-        return self.tp_defect <= self.tol * max(1.0, np.sqrt(self.dim))
+        return self.tp_defect <= strict_tol(self.tol, np.sqrt(self.dim))
 
     @property
     def is_unital(self) -> bool:
         """True when E(I) = I within tolerance."""
-        return self.unital_defect <= self.tol * max(1.0, np.sqrt(self.dim))
+        return self.unital_defect <= strict_tol(self.tol, np.sqrt(self.dim))
 
     def apply(self, sigma: np.ndarray) -> np.ndarray:
         """E(sigma) = sum_a E_a sigma E_a^dag."""
@@ -148,21 +148,29 @@ def fixed_point_basis(s: Superoperator, tol: float = DEFAULT_TOL) -> list[np.nda
     """Orthonormal (Hilbert-Schmidt) basis of the fixed-point set {X : E(X) = X}.
 
     Computed as the null space of (S - I); singular values below
-    ``tol * max(1, s_max)`` are treated as zero.  A dense test reference
+    ``strict_tol(tol, s_max)`` are treated as zero.  A dense test reference
     for the fixed points that discovery draws by iteration.
     """
     d = s.dim
     delta = s.matrix - np.eye(d * d)
     _, sv, vh = np.linalg.svd(delta)
     smax = float(sv[0]) if sv.size else 0.0
-    rank = int(np.sum(sv > tol * max(1.0, smax)))
+    rank = int(np.sum(sv > strict_tol(tol, smax)))
     return [unvec(vh[i].conj(), d) for i in range(rank, d * d)]
 
 
 def channels_equal(f: KrausChannel, g: KrausChannel, tol: float = DEFAULT_TOL) -> bool:
-    """Equality of channel actions on a complete operator basis."""
+    """Equality of channel actions on a complete operator basis.
+
+    The superoperator is a reshuffle of X X^dag, where the columns of X
+    are the vectorized Kraus operators, so ||S_f - S_g||_F is the norm
+    of [X_f | X_g] diag(I, -I) [X_f | X_g]^dag, and with one thin QR
+    [X_f | X_g] = Q R that of R diag(I, -I) R^dag: no d^2 x d^2 array is
+    formed.  Judged at ``strict_tol(tol, ||S_f||_F)``, ||S_f||_F = ||X_f^dag X_f||_F.
+    """
     if f.dim != g.dim:
         return False
-    sf = to_superoperator(f).matrix
-    sg = to_superoperator(g).matrix
-    return frobenius(sf - sg) <= tol * max(1.0, frobenius(sf))
+    x_f = np.asarray(f.kraus).reshape(f.m, -1).T
+    r = np.linalg.qr(np.hstack([x_f, np.asarray(g.kraus).reshape(g.m, -1).T]), mode="r")
+    signs = np.concatenate([np.ones(f.m), -np.ones(g.m)])
+    return frobenius((r * signs) @ dagger(r)) <= strict_tol(tol, frobenius(dagger(x_f) @ x_f))

@@ -19,7 +19,7 @@ import numpy as np
 
 from .channel import KrausChannel
 from .errors import DimensionMismatch
-from .linalg import DEFAULT_TOL, dagger, frobenius
+from .linalg import DEFAULT_TOL, dagger, frobenius, strict_tol
 from .subsystem import SubsystemDecomposition, certify_code_map
 
 __all__ = ["CorrectabilityCertificate", "NoiselessResult",
@@ -61,13 +61,13 @@ class CorrectabilityCertificate:
             return False
         same_ch = self.channel is ch or (
             self.channel.dim == ch.dim and self.channel.m == ch.m and all(
-                frobenius(x - y) <= tol * max(1.0, frobenius(x))
+                frobenius(x - y) <= strict_tol(tol, frobenius(x))
                 for x, y in zip(self.channel.kraus, ch.kraus)))
         same_dec = self.decomposition is dec or (
             self.decomposition.dim == dec.dim
             and self.decomposition.d_a == dec.d_a
             and self.decomposition.d_b == dec.d_b
-            and frobenius(self.decomposition.w - dec.w) <= tol * max(1.0, dec.dim))
+            and frobenius(self.decomposition.w - dec.w) <= strict_tol(tol, dec.dim))
         return same_ch and same_dec
 
 
@@ -86,7 +86,7 @@ def check_correctable(ch: KrausChannel, dec: SubsystemDecomposition,
 
     Runs the tensor factorization on every compressed Kraus pair
     W^dag E_a^dag E_b W, assembles the block matrix F and, when all pairs
-    factor (each within ``tol * max(1, ||E_a^dag E_b||_F)``), builds the
+    factor (each within ``strict_tol(tol, ||E_a^dag E_b||_F)``), builds the
     positive superoperator G_A with Kraus operators {F_ab} and verifies
     P_AB ∘ E^dag ∘ E ∘ P_AB = G_A (x) id_B on a complete operator basis.
     """
@@ -103,7 +103,7 @@ def check_correctable(ch: KrausChannel, dec: SubsystemDecomposition,
     # ||E_a^dag E_b||_F^2 = <E_a E_a^dag, E_b E_b^dag>: m Gram products at d
     grams = np.asarray([k @ dagger(k) for k in ch.kraus]).reshape(m, -1)
     norms = np.sqrt(np.abs(grams.conj() @ grams.T))
-    all_ok = bool(np.all(residuals <= tol * np.maximum(1.0, norms)))
+    all_ok = bool(np.all(residuals <= strict_tol(tol, norms)))
 
     cert = CorrectabilityCertificate(
         passed=all_ok, f_blocks=f_blocks, residual=float(np.max(residuals)),
@@ -114,8 +114,7 @@ def check_correctable(ch: KrausChannel, dec: SubsystemDecomposition,
     eigs = np.linalg.eigvalsh((f + dagger(f)) / 2.0) if np.isfinite(f).all() \
         else np.full(1, np.nan)
     cert.f_min_eigenvalue = float(eigs[0]) if eigs.size else 0.0
-    scale = max(1.0, float(eigs[-1])) if eigs.size else 1.0
-    if not cert.f_min_eigenvalue >= -tol * scale:
+    if not cert.f_min_eigenvalue >= -strict_tol(tol, eigs[-1] if eigs.size else 1.0):
         cert.passed = False
 
     if not cert.passed:
@@ -131,7 +130,7 @@ def check_correctable(ch: KrausChannel, dec: SubsystemDecomposition,
     n = d_a * d_b
     worst = certify_code_map(pairs.reshape(m * m, n, n), d_a, d_b, superop=g_a).residual
     cert.g_a_residual = worst
-    if not worst <= tol * max(1.0, d_a * d_b):
+    if not worst <= strict_tol(tol, d_a * d_b):
         cert.passed = False
     return cert
 
@@ -147,5 +146,5 @@ def check_noiseless(ch: KrausChannel, dec: SubsystemDecomposition,
     if ch.dim != dec.dim:
         raise DimensionMismatch(f"channel dim {ch.dim} != decomposition dim {dec.dim}")
     cm = certify_code_map(np.asarray(ch.kraus) @ dec.w, dec.d_a, dec.d_b, frame=dec.w)
-    ok = cm.residual <= tol * max(1.0, dec.d_a * dec.d_b)
+    ok = cm.residual <= strict_tol(tol, dec.d_a * dec.d_b)
     return NoiselessResult(ok=ok, residual=cm.residual, g_a=cm.superop)

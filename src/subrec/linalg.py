@@ -1,13 +1,31 @@
-"""Dense complex linear algebra primitives used by every other module.
+"""Dense complex linear algebra primitives and the tolerance policy.
 
 Conventions fixed here and used everywhere:
 
 * composite index on a tensor product H_A (x) H_B is ``a * d_B + b``
   (A-major, the order produced by ``numpy.kron``);
 * ``vec`` is column-stacking, so ``vec(A X B) = (B^T kron A) vec(X)``;
-* the global default tolerance is ``DEFAULT_TOL = 1e-9`` (relative,
-  Frobenius) for all structural checks; results assembled from
-  certified pieces are accepted at the looser ``acceptance_tol(tol)``.
+* ``tol`` (default ``DEFAULT_TOL = 1e-9``, relative, Frobenius) is the
+  only knob: every threshold in the package is one of these functions:
+
+===========================  ===============================  =================  =============
+threshold                    formula                          at DEFAULT_TOL     call sites
+===========================  ===============================  =================  =============
+strict_tol(tol, s)           tol max(1, s)                    1e-9 max(1, s)     [1]
+acceptance_tol(tol, s)       max(100 tol, 1e-7) max(1, s)     1e-7 max(1, s)     [2]
+cluster_gap(tol)             min(1e-6, max(1e3 tol, 1e-9))    1e-6               [3]
+fixed_point_target(tol, d)   max(min(tol, gap) / 1e3, d eps)  1e-12 (d < 4500)   algebra CG
+gram_schmidt_cutoff(tol, δ)  max(gap, sqrt δ)                 1e-6 (δ <= 1e-12)  [4]
+eigen-degeneracy             strict_tol(tol / 10, |w|_inf)    1e-10 max(1, |w|)  hermitian_eig
+===========================  ===============================  =================  =============
+
+[1] inputs (Hermitian, projector, polar factor, TP, unital, W) and
+certificates (factorization, F >= 0, G_A identity, noiseless, spans,
+``channels_equal``); [2] assembled results: the G_a orthogonality gate,
+the unitarity of every completion (s = d), algebra closure and pattern,
+Ψ(P_k) = P_k, the UCC correction; [3] ``algebra``: eigenvalue clusters,
+links gap ||g||, intertwiner defect gap max(1, c); [4] Gram-Schmidt on a
+projector or isometry of defect δ.  Why these values: README, "Tolerance".
 """
 
 from __future__ import annotations
@@ -41,9 +59,37 @@ __all__ = [
 ]
 
 
-def acceptance_tol(tol: float) -> float:
-    """Acceptance threshold for assembled results: ``max(100 tol, 1e-7)``."""
-    return max(100 * tol, 1e-7)
+def strict_tol(tol: float, scale=1.0):
+    """Threshold for inputs and certificates: ``tol max(1, scale)`` (a NaN scale stays NaN)."""
+    cut = tol * np.maximum(1.0, scale)
+    return float(cut) if np.ndim(cut) == 0 else cut
+
+
+def acceptance_tol(tol: float, scale=1.0):
+    """Threshold for assembled results: ``max(100 tol, 1e-7) max(1, scale)``."""
+    return strict_tol(max(100 * tol, 1e-7), scale)
+
+
+def cluster_gap(tol: float) -> float:
+    """Relative gap between eigenvalue clusters: ``1e3 tol`` clipped to [1e-9, 1e-6]."""
+    return min(1e-6, max(1e3 * tol, 1e-9))
+
+
+def fixed_point_target(tol: float, dim: int) -> float:
+    """Relative residual a random fixed point must reach: ``max(min(tol, gap) / 1e3, d eps)``."""
+    return max(min(tol, cluster_gap(tol)) / 1e3, dim * np.finfo(float).eps)
+
+
+def gram_schmidt_cutoff(tol: float, defect: float) -> float:
+    """Smallest norm Gram-Schmidt keeps on input of defect δ: ``max(gap, sqrt δ)``."""
+    return max(cluster_gap(tol), float(np.sqrt(defect)))
+
+
+def eigenvalue_clusters(w: np.ndarray, gap: float) -> np.ndarray:
+    """Start indices of the runs of sorted eigenvalues whose neighbours
+    differ by at most ``strict_tol(gap, ||w||_inf)``."""
+    cut = strict_tol(gap, np.abs(w).max(initial=0.0))
+    return np.concatenate([[0], np.flatnonzero(np.abs(np.diff(w)) > cut) + 1])
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
@@ -90,9 +136,9 @@ def hermitian_eig(m: np.ndarray, tol: float = DEFAULT_TOL):
     Parameters
     ----------
     m : ndarray
-        Hermitian matrix (within ``tol * ||m||_F``).
+        Hermitian matrix (within ``strict_tol(tol, ||m||_F)``).
     tol : float
-        Relative tolerance of the symmetry check.
+        Relative tolerance of the symmetry check; clusters merge below tol / 10.
 
     Returns
     -------
@@ -109,7 +155,7 @@ def hermitian_eig(m: np.ndarray, tol: float = DEFAULT_TOL):
     """
     m = _as_square(m)
     defect = frobenius(m - dagger(m))
-    if not defect <= tol * max(1.0, frobenius(m)):
+    if not defect <= strict_tol(tol, frobenius(m)):
         raise NotHermitian(f"symmetry residual {defect:.3e} exceeds tolerance")
     w, q = np.linalg.eigh((m + dagger(m)) / 2.0)
     # stable descending order: exact ties keep the solver's ordering, so
@@ -117,32 +163,29 @@ def hermitian_eig(m: np.ndarray, tol: float = DEFAULT_TOL):
     order = np.argsort(-w, kind="stable")
     w = w[order]
     q = q[:, order]
-    return w, _canonicalize_eigenvectors(w, q)
+    return w, _canonicalize_eigenvectors(w, q, tol)
 
 
-def _canonicalize_eigenvectors(w: np.ndarray, q: np.ndarray) -> np.ndarray:
+def _canonicalize_eigenvectors(w: np.ndarray, q: np.ndarray, tol: float) -> np.ndarray:
     """Deterministic eigenbasis: canonical vectors inside degenerate clusters.
 
-    Within each cluster of eigenvalues closer than 1e-10 (relative) the
-    solver's basis is arbitrary; replace it by the index-ordered
+    Within each cluster of eigenvalues closer than ``tol / 10`` (relative)
+    the solver's basis is arbitrary; replace it by the index-ordered
     Gram-Schmidt of the standard basis projected onto the eigenspace.
     Every column's phase is then fixed so its largest entry is real
     positive.  Reconstruction error stays below the cluster width.
     """
     d = w.size
-    gap = 1e-10 * max(1.0, float(np.abs(w).max()) if d else 1.0)
     q = q.copy()
-    start = 0
-    while start < d:
-        stop = start + 1
-        while stop < d and w[stop - 1] - w[stop] <= gap:
-            stop += 1
+    bounds = np.append(eigenvalue_clusters(w, tol / 10), d)
+    for start, stop in zip(bounds[:-1], bounds[1:]):
         if stop - start > 1:
             block = q[:, start:stop]
-            fresh = orthonormal_complement(np.eye(d) - block @ dagger(block))
-            if len(fresh) == stop - start:
-                q[:, start:stop] = np.column_stack(fresh)
-        start = stop
+            defect = frobenius(dagger(block) @ block - np.eye(stop - start))
+            fresh = _index_ordered_basis(block @ dagger(block), stop - start,
+                                         gram_schmidt_cutoff(tol, defect))
+            if fresh.shape[1] == stop - start:
+                q[:, start:stop] = fresh
     for j in range(d):
         pivot = int(np.argmax(np.abs(q[:, j])))
         phase = q[pivot, j] / abs(q[pivot, j])
@@ -162,7 +205,7 @@ def polar_isometry_on_support(g: np.ndarray, s: np.ndarray,
     Raises
     ------
     FactorMismatch
-        If ``||g^dag g - s^2||_F`` exceeds ``tol * max(1, ||s^2||_F)``.
+        If ``||g^dag g - s^2||_F`` exceeds ``strict_tol(tol, ||s^2||_F)``.
     """
     g = _as_square(g, "g")
     s = _as_square(s, "s")
@@ -170,26 +213,19 @@ def polar_isometry_on_support(g: np.ndarray, s: np.ndarray,
         raise DimensionMismatch("g and s must have equal shapes")
     s2 = s @ s
     defect = frobenius(dagger(g) @ g - s2)
-    if not defect <= tol * max(1.0, frobenius(s2)):
+    if not defect <= strict_tol(tol, frobenius(s2)):
         raise FactorMismatch(f"||g^dag g - s^2|| = {defect:.3e} exceeds tolerance")
     w, q = hermitian_eig(s, tol=tol)
-    cutoff = tol * max(1.0, float(w[0]) if w.size else 0.0)
+    cutoff = strict_tol(tol, w[0] if w.size else 0.0)
     inv = np.where(w > cutoff, 1.0 / np.where(w > cutoff, w, 1.0), 0.0)
     return g @ (q * inv) @ dagger(q)
 
 
-def orthonormal_complement(p: np.ndarray, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
-    """Orthonormal basis of range(I - p), built deterministically.
-
-    Projects the standard basis vectors in index order onto the
-    complement of the projector ``p`` and keeps (Gram-Schmidt, one
-    re-orthogonalization pass) the ones with non-negligible residual,
-    stopping once it has round(Tr(I - p)) vectors.
-    """
-    p = _as_square(p, "p")
-    d = p.shape[0]
-    comp = np.eye(d) - p
-    target = int(np.clip(np.nan_to_num(np.round(np.trace(comp).real)), 0, d))
+def _index_ordered_basis(comp: np.ndarray, target: int, cutoff: float) -> np.ndarray:
+    """Gram-Schmidt (one re-orthogonalization pass) over the columns of
+    ``comp`` in index order, keeping those whose residual norm exceeds
+    ``cutoff`` until ``target`` are found; returns them as columns."""
+    d = comp.shape[0]
     basis = np.zeros((d, target), dtype=complex, order="F")
     k = 0
     for j in range(d):
@@ -200,10 +236,44 @@ def orthonormal_complement(p: np.ndarray, tol: float = DEFAULT_TOL) -> list[np.n
             # v -= Q (Q^dag v), conjugating vectors rather than Q
             v = v - basis[:, :k] @ (v.conj() @ basis[:, :k]).conj()
         norm = np.linalg.norm(v)
-        if norm > 1e-6:
+        if norm > cutoff:
             basis[:, k] = v / norm
             k += 1
-    return list(basis[:, :k].T)
+    return basis[:, :k]
+
+
+def orthonormal_complement(p: np.ndarray, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
+    """Orthonormal basis of range(I - p), built deterministically.
+
+    Projects the standard basis vectors in index order onto the
+    complement of the projector ``p`` and keeps (Gram-Schmidt, one
+    re-orthogonalization pass) those whose residual exceeds
+    ``gram_schmidt_cutoff(tol, ||p^2 - p||_F)``, stopping once it has
+    round(Tr(I - p)) vectors.
+    """
+    p = _as_square(p, "p")
+    return list(_complement_basis(p, frobenius(p @ p - p), tol).T)
+
+
+def _complement_basis(p, defect, tol):
+    """Index-ordered orthonormal columns spanning range(I - p), p of defect ``defect``."""
+    d = p.shape[0]
+    comp = np.eye(d) - p
+    target = int(np.clip(np.nan_to_num(np.round(np.trace(comp).real)), 0, d))
+    return _index_ordered_basis(comp, target, gram_schmidt_cutoff(tol, defect))
+
+
+def complete_isometry(v: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """The unitary ``[v | index-ordered orthonormal basis of range(v)^perp]``
+    for a d x k isometry v, with the Gram-Schmidt cut-off taken from the
+    defect ||v^dag v - I||_F; raises NotPartialIsometry unless
+    ||u^dag u - I||_F <= ``acceptance_tol(tol, d)``."""
+    d, k = v.shape
+    cutoff = gram_schmidt_cutoff(tol, frobenius(dagger(v) @ v - np.eye(k)))
+    u = np.hstack([v, _index_ordered_basis(np.eye(d) - v @ dagger(v), d - k, cutoff)])
+    if not (u.shape[1] == d and frobenius(dagger(u) @ u - np.eye(d)) <= acceptance_tol(tol, d)):
+        raise NotPartialIsometry("completion failed to produce a unitary")
+    return u
 
 
 def complete_to_unitary(v: np.ndarray, dim: int, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -211,7 +281,8 @@ def complete_to_unitary(v: np.ndarray, dim: int, tol: float = DEFAULT_TOL) -> np
 
     The completion orthonormalizes the complements of the initial and
     final spaces (standard basis, index order) and pairs them in order,
-    so the result is deterministic.
+    so the result is deterministic.  The package itself completes
+    isometries with :func:`complete_isometry`.
 
     Raises
     ------
@@ -223,18 +294,16 @@ def complete_to_unitary(v: np.ndarray, dim: int, tol: float = DEFAULT_TOL) -> np
         raise DimensionMismatch(f"v must be {dim} x {dim}")
     p_init = dagger(v) @ v
     p_fin = v @ dagger(v)
-    scale = max(1.0, frobenius(p_init))
-    if not (frobenius(p_init @ p_init - p_init) <= tol * scale and
-            frobenius(p_fin @ p_fin - p_fin) <= tol * scale and
-            frobenius(p_init - dagger(p_init)) <= tol * scale):
+    defects = [frobenius(p @ p - p) for p in (p_init, p_fin)]
+    cut = strict_tol(tol, frobenius(p_init))
+    if not all(x <= cut for x in (*defects, frobenius(p_init - dagger(p_init)))):
         raise NotPartialIsometry("v^dag v / v v^dag are not projectors")
-    dom = orthonormal_complement(p_init, tol=tol)
-    ran = orthonormal_complement(p_fin, tol=tol)
-    if len(dom) != len(ran):
+    dom, ran = (_complement_basis(p, e, tol) for p, e in zip((p_init, p_fin), defects))
+    if dom.shape != ran.shape:
         raise NotPartialIsometry(
-            f"complement dimensions differ ({len(dom)} vs {len(ran)})")
-    u = v + np.reshape(ran, (-1, dim)).T @ np.reshape(dom, (-1, dim)).conj()
-    if not frobenius(dagger(u) @ u - np.eye(dim)) <= 10 * tol * max(1.0, dim):
+            f"complement dimensions differ ({dom.shape[1]} vs {ran.shape[1]})")
+    u = v + ran @ dagger(dom)
+    if not frobenius(dagger(u) @ u - np.eye(dim)) <= acceptance_tol(tol, dim):
         raise NotPartialIsometry("completion failed to produce a unitary")
     return u
 
@@ -263,7 +332,7 @@ def majorizes(q: np.ndarray, p: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
         return True
     cq = np.cumsum(q)
     cp = np.cumsum(p)
-    atol = tol * max(1.0, float(np.abs(cq[-1])))
+    atol = strict_tol(tol, abs(cq[-1]))
     if abs(cp[-1] - cq[-1]) > atol:
         return False
     return bool(np.all(cp <= cq + atol))

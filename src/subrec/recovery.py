@@ -20,8 +20,8 @@ complementary factor moved to C.  The construction:
    sqrt(D_aa) (x) I_B is the closed form
    V_a W(|l> (x) |k>) = G_a W(|l> (x) |k>) / sqrt(lambda_l) for each live
    eigenvalue lambda_l of block a and each B basis vector k; these images,
-   indexed by (a, l, k), form a partial isometry that is completed to a
-   unitary V; the recovery is U = V^dag.
+   indexed by (a, l, k), are the first columns of a unitary V completed by
+   the index-ordered complement of their range; the recovery is U = V^dag.
 
 The certificate's residual is computed against the factor map extracted
 from the actual action of U ∘ E ∘ P_AB (existence of such a map is what
@@ -40,14 +40,8 @@ import numpy as np
 from .channel import KrausChannel
 from .correctability import CorrectabilityCertificate
 from .errors import CertificateMismatch, NumericalDegeneracy
-from .linalg import (
-    DEFAULT_TOL,
-    acceptance_tol,
-    complete_to_unitary,
-    dagger,
-    hermitian_eig,
-    orthonormal_complement,
-)
+from .linalg import (DEFAULT_TOL, acceptance_tol, complete_isometry, dagger, hermitian_eig,
+                     strict_tol)
 from .subsystem import SubsystemDecomposition, certify_code_map
 
 __all__ = ["RecoveryResult", "construct_recovery", "recovery_to_correction",
@@ -101,8 +95,8 @@ def construct_recovery(ch: KrausChannel, dec: SubsystemDecomposition,
         its block matrix has an eigenvalue below -tol.
     NumericalDegeneracy
         If the ranges of the modified Kraus operators fail to be
-        orthogonal beyond tolerance, indicating a certificate accepted
-        at too loose a tolerance.
+        orthogonal beyond ``acceptance_tol(tol, lambda_max)``, indicating
+        a certificate accepted at too loose a tolerance.
     """
     if not cert.matches(ch, dec, tol=tol):
         raise CertificateMismatch("certificate was not produced from this channel/decomposition")
@@ -115,8 +109,9 @@ def construct_recovery(ch: KrausChannel, dec: SubsystemDecomposition,
     # 1. diagonalize F; eigenvalues in [-tol, 0) are numerical noise and
     # get clamped, anything lower invalidates the certificate.
     lam, q = hermitian_eig(cert.f_matrix, tol=tol)
-    scale = max(1.0, float(lam[0]) if lam.size else 1.0)
-    if lam.size and lam[-1] < -tol * scale:
+    scale = lam[0] if lam.size else 1.0
+    cutoff = strict_tol(tol, scale)
+    if lam.size and lam[-1] < -cutoff:
         raise CertificateMismatch(
             f"block matrix F has eigenvalue {lam[-1]:.3e}; not positive semidefinite")
     lam = np.maximum(lam, 0.0)
@@ -135,7 +130,7 @@ def construct_recovery(ch: KrausChannel, dec: SubsystemDecomposition,
     for a in range(m):
         grams[a, a] -= np.kron(np.diag(lam[a * d_a:(a + 1) * d_a]), np.eye(d_b))
     ortho_resid = float(np.max(np.linalg.norm(grams, axis=(2, 3))))
-    if not ortho_resid <= 100 * tol * scale:
+    if not ortho_resid <= acceptance_tol(tol, scale):
         raise NumericalDegeneracy(
             f"G_a ranges not orthogonal (residual {ortho_resid:.3e}); "
             "certificate tolerance too loose")
@@ -160,7 +155,6 @@ def construct_recovery(ch: KrausChannel, dec: SubsystemDecomposition,
     # 4. the diagonal blocks of step 2 certify (G_a W)^dag (G_a W) = D_aa (x) I_B
     # with D_aa diagonal, so the polar factor of G_a P_AB sends
     # W(|l> (x) |k>) to G_a W(|l> (x) |k>) / sqrt(lambda_l) for live l
-    cutoff = tol * scale
     d_blocks = []
     images = []
     for a in range(m):
@@ -175,10 +169,7 @@ def construct_recovery(ch: KrausChannel, dec: SubsystemDecomposition,
     v_cb = np.hstack([np.zeros((d, 0))] + images)
     n_cb = v_cb.shape[1]
     rank_c = n_cb // d_b
-    v_part = np.zeros((d, d), dtype=complex)
-    v_part[:, :n_cb] = v_cb
-    v_full = complete_to_unitary(v_part, d, tol=acceptance_tol(tol))
-    u_recovery = dagger(v_full)
+    u_recovery = dagger(complete_isometry(v_cb, tol))
 
     # C (x) B embedding: the injection uses the first rank_c * d_B
     # standard basis vectors in (a, l, k) lexicographic order.
@@ -215,33 +206,17 @@ def recovery_to_correction(res: RecoveryResult, dec: SubsystemDecomposition,
     When dim C = d_A the pairing completes to a unitary, so the whole
     correction is a unitary channel.
     """
-    d = res.u_recovery.shape[0]
-    d_a, d_b = dec.d_a, dec.d_b
-    rank_c = res.c_subsystem.d_a
-    w = dec.w
-    w_c = res.c_subsystem.w
+    w, w_c = dec.w, res.c_subsystem.w
+    u_c = complete_isometry(w_c, tol)
+    if res.c_subsystem.d_a == dec.d_a:
+        return KrausChannel([complete_isometry(w, tol) @ dagger(u_c) @ res.u_recovery], tol=tol)
 
-    if rank_c == d_a:
-        r_prime = complete_to_unitary(w @ dagger(w_c), d, tol=acceptance_tol(tol))
-        return KrausChannel([r_prime @ res.u_recovery], tol=tol)
-
-    kraus = []
-    n_groups = -(-rank_c // d_a)  # ceil
-    for g in range(n_groups):
-        op = np.zeros((d, d), dtype=complex)
-        for i in range(d_a):
-            c = g * d_a + i
-            if c >= rank_c:
-                break
-            for k in range(d_b):
-                op += np.outer(w[:, i * d_b + k], w_c[:, c * d_b + k].conj())
-        kraus.append(op)
-
-    p_cb = w_c @ dagger(w_c)
-    anchor = w[:, 0]
-    for q in orthonormal_complement(p_cb, tol=tol):
-        kraus.append(np.outer(anchor, q.conj()))
-
+    # group g sends C indices g d_A, ..., g d_A + d_A - 1 (their d_B columns
+    # each) onto the first columns of W; the complement of C (x) B goes to w_0
+    n = dec.d_a * dec.d_b
+    kraus = [w[:, :block.shape[1]] @ dagger(block)
+             for block in (w_c[:, s:s + n] for s in range(0, w_c.shape[1], n))]
+    kraus += [np.outer(w[:, 0], q) for q in u_c[:, w_c.shape[1]:].T.conj()]
     return KrausChannel([k @ res.u_recovery for k in kraus], tol=tol)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NotFinite
-from .linalg import DEFAULT_TOL, dagger, frobenius, partial_trace_b
+from .linalg import DEFAULT_TOL, dagger, frobenius, partial_trace_b, strict_tol
 
 __all__ = ["SubsystemDecomposition", "FactorResult", "CodeMapCertificate",
            "certify_code_map", "embed_product", "factor_on_range"]
@@ -33,7 +33,7 @@ class SubsystemDecomposition:
         if not np.isfinite(w).all():
             raise NotFinite("W has a NaN or infinite entry")
         defect = frobenius(dagger(w) @ w - np.eye(d_a * d_b))
-        if not defect <= tol * max(1.0, np.sqrt(d_a * d_b)):
+        if not defect <= strict_tol(tol, np.sqrt(d_a * d_b)):
             raise DimensionMismatch(f"W is not an isometry (defect {defect:.3e})")
         self.dim = dim
         self.d_a = d_a
@@ -182,4 +182,4 @@ def factor_on_range(dec: SubsystemDecomposition, m: np.ndarray,
     compressed = dec.compress(m)
     x = partial_trace_b(compressed, dec.d_a, dec.d_b) / dec.d_b
     residual = frobenius(compressed - np.kron(x, np.eye(dec.d_b)))
-    return FactorResult(x, residual, residual <= tol * max(1.0, frobenius(m)))
+    return FactorResult(x, residual, residual <= strict_tol(tol, frobenius(m)))

@@ -19,7 +19,7 @@ from .algebra import AlgebraStructure, enumerate_noiseless
 from .channel import KrausChannel, compose, dual
 from .correctability import check_correctable
 from .errors import NotUnital, PreconditionViolated
-from .linalg import DEFAULT_TOL, acceptance_tol, frobenius, numeric_rank
+from .linalg import DEFAULT_TOL, acceptance_tol, frobenius, numeric_rank, strict_tol
 from .recovery import construct_recovery, recovery_to_correction, verify_correction
 from .subsystem import SubsystemDecomposition
 
@@ -146,8 +146,8 @@ def rank_support_equivalence(ch: KrausChannel, dec: SubsystemDecomposition,
     p_perp = np.eye(ch.dim) - p
     # numerically stable support-containment test for positive x
     leak = frobenius(p_perp @ x @ p_perp) + frobenius(p_perp @ x @ p)
-    support_ok = leak <= tol * max(1.0, frobenius(x))
+    support_ok = leak <= strict_tol(tol, frobenius(x))
 
     rank_ok = numeric_rank(ch.apply(p), tol) == numeric_rank(p, tol)
-    fixed_ok = frobenius(x - p) <= tol * max(1.0, frobenius(p))
+    fixed_ok = frobenius(x - p) <= strict_tol(tol, frobenius(p))
     return support_ok, rank_ok, fixed_ok

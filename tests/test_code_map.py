@@ -19,7 +19,7 @@ from subrec import (
     recovery_to_correction,
     verify_correction,
 )
-from subrec.linalg import dagger
+from subrec.linalg import dagger, orthonormal_complement
 from subrec.random_ops import haar_isometry, haar_unitary
 
 from oracles import superop_tensor_factorizes
@@ -242,3 +242,35 @@ def test_peak_memory_with_many_operators():
     superop, worst = loop_certificate(list(ops), d_a, d_b, dec.w)
     assert np.linalg.norm(cm.superop - superop) < 1e-12
     assert abs(cm.residual - worst) < 1e-12
+
+
+def _cooling_loop(res, dec):
+    # the cooling correction written out: C index c = g d_A + i pairs with
+    # A index i in group g, column by column, and every vector of the
+    # complement of the C (x) B frame goes to the first code vector
+    d = res.u_recovery.shape[0]
+    d_a, d_b, rank_c = dec.d_a, dec.d_b, res.c_subsystem.d_a
+    w, w_c = dec.w, res.c_subsystem.w
+    kraus = []
+    for g in range(-(-rank_c // d_a)):
+        op = np.zeros((d, d), dtype=complex)
+        for i in range(d_a):
+            c = g * d_a + i
+            if c < rank_c:
+                for k in range(d_b):
+                    op += np.outer(w[:, i * d_b + k], w_c[:, c * d_b + k].conj())
+        kraus.append(op)
+    for q in orthonormal_complement(w_c @ dagger(w_c)):
+        kraus.append(np.outer(w[:, 0], q.conj()))
+    return kraus
+
+
+def test_cooling_correction_matches_written_out_loop():
+    ch, dec = demo_build(DemoSpec(name="binary-unitary", p=0.4,
+                                  thetas=(0.5, 1.4, 2.9, 4.2), seed=2))
+    res = construct_recovery(ch, dec, check_correctable(ch, dec))
+    correction = recovery_to_correction(res, dec)
+    expected = _cooling_loop(res, dec)
+    assert res.dim_c > dec.d_a and correction.m == len(expected)
+    for op, loop_op in zip(correction.kraus, expected):
+        assert np.max(np.abs(op - loop_op @ res.u_recovery)) < 1e-12

@@ -5,6 +5,7 @@ from subrec import (
     CertificateMismatch,
     DemoSpec,
     KrausChannel,
+    RecoveryResult,
     SubsystemDecomposition,
     check_correctable,
     construct_recovery,
@@ -14,8 +15,9 @@ from subrec import (
     recovery_to_correction,
     verify_correction,
 )
-from subrec.linalg import dagger, hermitian_eig, operator_basis, polar_isometry_on_support
-from subrec.random_ops import haar_unitary
+from subrec.linalg import (dagger, hermitian_eig, operator_basis, orthonormal_complement,
+                          polar_isometry_on_support)
+from subrec.random_ops import haar_isometry, haar_unitary
 
 from oracles import extract_common_factor
 
@@ -306,3 +308,44 @@ def test_g_action_residual_matches_written_out_loop(dims, scale, monkeypatch):
     else:
         assert expected > 1e-10
     assert abs(res.g_action_residual - expected) <= 1e-6 * expected + 1e-14
+
+
+def _frame_result(dim, rank_c, d_b, seed):
+    # a recovery whose C (x) B frame is a Haar isometry, not the coordinate
+    # frame construct_recovery uses: recovery_to_correction must pair any frame
+    w_c = haar_isometry(dim, rank_c * d_b, seed=seed)
+    return RecoveryResult(u_recovery=haar_unitary(dim, seed=seed + 1),
+                          c_subsystem=SubsystemDecomposition(dim, rank_c, d_b, w_c),
+                          f_ca_kraus=[], f_ca_superop=np.zeros((0, 0)), d_blocks=[],
+                          residual=0.0, g_action_residual=0.0, orthogonality_residual=0.0)
+
+
+def test_unitary_correction_maps_a_general_c_frame_onto_w():
+    dec = SubsystemDecomposition(12, 2, 3, haar_isometry(12, 6, seed=31))
+    res = _frame_result(12, 2, 3, seed=32)
+    correction = recovery_to_correction(res, dec)
+    assert correction.m == 1
+    r_prime = correction.kraus[0] @ dagger(res.u_recovery)
+    assert np.linalg.norm(r_prime @ res.c_subsystem.w - dec.w) < 1e-12
+    assert np.linalg.norm(dagger(r_prime) @ r_prime - np.eye(12)) < 1e-12
+
+
+def test_cooling_correction_of_a_general_c_frame_matches_written_out_loop():
+    d, d_a, d_b, rank_c = 12, 2, 2, 3
+    dec = SubsystemDecomposition(d, d_a, d_b, haar_isometry(d, d_a * d_b, seed=33))
+    res = _frame_result(d, rank_c, d_b, seed=34)
+    w, w_c = dec.w, res.c_subsystem.w
+    expected = []
+    for g in range(2):  # C indices {0, 1} and {2}
+        op = np.zeros((d, d), dtype=complex)
+        for i in range(d_a):
+            c = g * d_a + i
+            if c < rank_c:
+                for k in range(d_b):
+                    op += np.outer(w[:, i * d_b + k], w_c[:, c * d_b + k].conj())
+        expected.append(op)
+    expected += [np.outer(w[:, 0], q.conj()) for q in orthonormal_complement(w_c @ dagger(w_c))]
+    correction = recovery_to_correction(res, dec)
+    assert correction.m == len(expected) == 2 + d - rank_c * d_b
+    for op, loop_op in zip(correction.kraus, expected):
+        assert np.max(np.abs(op - loop_op @ res.u_recovery)) < 1e-12
