@@ -55,8 +55,8 @@ import numpy as np
 
 from .channel import KrausChannel
 from .correctability import check_noiseless
-from .errors import (NotAnAlgebra, NotFinite, NotPartialIsometry, NotTracePreserving,
-                     NotUnital, UnluckySeed)
+from .errors import (DimensionMismatch, NotAnAlgebra, NotFinite, NotPartialIsometry,
+                     NotTracePreserving, NotUnital, UnluckySeed)
 from .linalg import (DEFAULT_TOL, acceptance_tol, cluster_gap, complete_isometry, dagger,
                      eigenvalue_clusters, fixed_point_target, frobenius, partial_trace_b,
                      strict_tol, vec)
@@ -445,7 +445,8 @@ def enumerate_noiseless(ch: KrausChannel, seed: int = 0,
         If probing stayed degenerate for five consecutive seeds (each
         seed listed with its reason: a fixed point that did not converge
         in d^2 steps, or stalled at rounding, gives its residual and step
-        count), or a certificate failed.
+        count), an emitted W is not an isometry at ``strict_tol``, or a
+        certificate failed.
     NotFinite, NotTracePreserving
         If the fixed-point iteration meets a non-finite value, or a
         direction of negative curvature beyond rounding, which a
@@ -480,7 +481,11 @@ def enumerate_noiseless(ch: KrausChannel, seed: int = 0,
         for a in range(n_k):
             for b in range(m_k):
                 w[:, a * m_k + b] = structure.q[:, off + b * n_k + a]
-        dec = SubsystemDecomposition(ch.dim, n_k, m_k, w, tol=tol)
+        try:
+            dec = SubsystemDecomposition(ch.dim, n_k, m_k, w, tol=tol)
+        except DimensionMismatch as exc:
+            # Q passed at acceptance_tol; W is judged at strict_tol
+            raise UnluckySeed(f"emitted block (m={m_k}, n={n_k}): {exc}") from exc
         verdict = check_noiseless(ch, dec, tol=tol)
         if not verdict.ok:
             raise UnluckySeed(

@@ -123,7 +123,9 @@ def check_correctable(ch: KrausChannel, dec: SubsystemDecomposition,
     # G_A from Kraus {F_ab}: these are exactly the Kraus operators of the
     # compressed map, so the verification below tests the tensor-factor
     # structure of P_AB ∘ E^dag ∘ E ∘ P_AB rather than G_A's arithmetic.
-    g_a = sum(np.kron(f.conj(), f) for f in f_blocks.reshape(m * m, d_a, d_a))
+    # sum_ab conj(F_ab) (x) F_ab in one contraction
+    f_ab = f_blocks.reshape(m * m, d_a, d_a)
+    g_a = np.einsum("xij,xkl->ikjl", f_ab.conj(), f_ab).reshape(d_a * d_a, d_a * d_a)
     cert.g_a = g_a
 
     # the compressed map has Kraus operators W^dag E_a^dag E_b W

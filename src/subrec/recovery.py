@@ -15,7 +15,9 @@ complementary factor moved to C.  The construction:
    orthogonal, (G_a W)^dag (G_b W) = delta_ab D_aa (x) I_B; this identity
    is checked, and G_a off the code is never formed;
 3. check that the remixed family reproduces the channel on the I_A slice,
-   from one batched thin QR (no d x d product per B index);
+   from the R factors of one batched thin QR: the mismatch for the B
+   indices (k, l) has the norm of R_k diag(I, -I) R_l^dag, K x K with
+   K = min(d, 2 m d_A), so no product has d columns;
 4. with D_aa diagonal, the polar factor V_a of G_a P_AB against
    sqrt(D_aa) (x) I_B is the closed form
    V_a W(|l> (x) |k>) = G_a W(|l> (x) |k>) / sqrt(lambda_l) for each live
@@ -138,19 +140,21 @@ def construct_recovery(ch: KrausChannel, dec: SubsystemDecomposition,
     # 3. the modified family reproduces the channel on the I_A slice:
     # sum_a G_a W (I_A (x) |k><l|) W^dag G_a^dag = G(k) G(l)^dag against
     # E(k) E(l)^dag, with G(k) the d x m d_A columns G_a W(|i> (x) |k>).
-    # The mismatch is X_k Y_l^dag for X_k = [G(k) | E(k)] and
-    # Y_l = [G(l) | -E(l)]; one batched thin QR X_k = Q_k R_k makes its
-    # norm that of R_k Y_l^dag, one small product per k for every l.
+    # The mismatch is X_k diag(I, -I) X_l^dag for X_k = [G(k) | E(k)]; one
+    # batched thin QR X_k = Q_k R_k makes its norm that of
+    # R_k diag(I, -I) R_l^dag, K x K for every (k, l), taken for
+    # max(1, d // K) rows k at a time (no block beyond K d_B d entries).
     g_k = gw_ab.transpose(3, 1, 0, 2).reshape(d_b, d, m * d_a)
     e_k = ew.transpose(3, 1, 0, 2).reshape(d_b, d, m * d_a)
     r_k = np.linalg.qr(np.concatenate([g_k, e_k], axis=2), mode="r")
-    y_all = np.concatenate([g_k, -e_k], axis=2).conj().transpose(2, 0, 1).reshape(
-        2 * m * d_a, d_b * d)
-    g_action = np.empty(d_b)
-    for k in range(d_b):
-        diff = (r_k[k] @ y_all).view(float).reshape(-1, d_b, 2 * d)
-        g_action[k] = np.sqrt(np.max(np.einsum("alb,alb->l", diff, diff)))
-    g_action_resid = float(np.max(g_action))
+    r_signed = np.concatenate([r_k[..., :m * d_a], -r_k[..., m * d_a:]], axis=2)
+    r_dag = r_k.conj().transpose(0, 2, 1)
+    chunk = max(1, d // r_k.shape[1])
+    g_action_sq = np.empty(d_b)
+    for k in range(0, d_b, chunk):
+        diff = (r_signed[k:k + chunk, None] @ r_dag).view(float)
+        g_action_sq[k:k + chunk] = np.max(np.einsum("klab,klab->kl", diff, diff), axis=1)
+    g_action_resid = float(np.sqrt(np.max(g_action_sq)))
 
     # 4. the diagonal blocks of step 2 certify (G_a W)^dag (G_a W) = D_aa (x) I_B
     # with D_aa diagonal, so the polar factor of G_a P_AB sends

@@ -107,14 +107,16 @@ def certify_code_map(ops, d_a: int, d_b: int, frame: np.ndarray | None = None,
 
     The residual is exact, without a Gram expansion.  For the matrix-unit
     row p = (i, k) and column q = (j, l) the mismatch
-    N(|p><q|) - V_k F(|i><j|) V_l^dag is X_p Y_pq^dag, with
-    X_p = [N_1[:, p] .. N_m[:, p] | V_k] and
-    Y_pq = [N_1[:, q] .. N_m[:, q] | -V_l F(|i><j|)^dag].  One batched
-    thin QR X_p = Q_p R_p gives its Frobenius norm as that of R_p Y_pq^dag,
-    one product of K = min(d_out, m + d_C) rows by n d_out columns per row
-    (n = d_A d_B).  Cost: n d_out (m + d_C)^2 for the QR and
-    n^2 d_out K (m + d_C) for the products; the peak per row is about
-    (m + d_C + K) n d_out entries, and nothing of size d_out^2 is formed.
+    N(|p><q|) - V_k F(|i><j|) V_l^dag is X_p diag(I_m, -F(|i><j|)) X_q^dag,
+    with X_p = [N_1[:, p] .. N_m[:, p] | V_k].  One batched thin QR
+    X_p = Q_p R_p, R_p of K = min(d_out, m + d_C) rows, gives its
+    Frobenius norm as that of the K x K product
+    R_p diag(I_m, -F(|i><j|)) R_q^dag, taken for a chunk of rows against
+    every column at once.  Cost: n d_out (m + d_C)^2 for the QR and
+    n^2 K^2 (m + d_C) for the products (n = d_A d_B); a chunk has
+    max(1, d_out // K) rows, so no product block exceeds K n d_out
+    entries, the peak is about 2 (m + d_C) n d_out entries (the QR and its
+    input), and nothing of size d_out^2 is formed.
     """
     ops = np.asarray(ops, dtype=complex)
     n = d_a * d_b
@@ -134,25 +136,29 @@ def certify_code_map(ops, d_a: int, d_b: int, frame: np.ndarray | None = None,
     else:
         factors = superop.reshape(d_c, d_c, d_a, d_a, order="F").transpose(2, 3, 0, 1)
 
-    # row p = (i, k) against every column q = (j, l) at once, through R_p
+    # X_p = [N_1[:, p] .. N_m[:, p] | V_k] = Q_p R_p for every row p = (i, k)
     m = ops.shape[0]
     frame_cb = frame.reshape(d_out, d_c, d_b)
     x = np.concatenate([ops.transpose(2, 1, 0),
                         np.tile(frame_cb.transpose(2, 0, 1), (d_a, 1, 1))], axis=2)
     r = np.linalg.qr(x, mode="r")
-    # y[:, q, :] = Y_pq^dag; the N rows are shared, the V F rows depend on i
-    y = np.empty((m + d_c, n, d_out), dtype=complex)
-    y[:m] = ops.conj().transpose(0, 2, 1)
-    y_flat = y.reshape(m + d_c, n * d_out)
-    frame_conj = frame_cb.conj()
-    worst = np.empty(n)
+    del x  # the products need only R: free the QR input before them
+    k_rows, cols = r.shape[1:]
+    r = r.reshape(d_a, d_b, k_rows, cols)
+    # r_dag[j] = [R_(j,0)^dag .. R_(j,d_B-1)^dag], the columns q = (j, l)
+    r_dag = r.conj().transpose(0, 3, 1, 2).reshape(d_a, cols, d_b * k_rows)
+    chunk = max(1, d_out // k_rows)
+    worst = np.empty((d_a, d_b))
     for i in range(d_a):
-        y[m:] = np.einsum("jce,oel->cjlo", -factors[i], frame_conj,
-                          optimize=True).reshape(d_c, n, d_out)
-        for k in range(d_b):
-            p = i * d_b + k
-            diff = (r[p] @ y_flat).view(float).reshape(-1, n, 2 * d_out)
-            worst[p] = np.sqrt(np.max(np.einsum("aqb,aqb->q", diff, diff)))
+        for k in range(0, d_b, chunk):
+            rows = r[i, k:k + chunk].reshape(-1, cols)
+            # left[j] = R_p diag(I_m, -F(|i><j|)), stacked over the rows p
+            left = np.empty((d_a, *rows.shape), dtype=complex)
+            left[..., :m] = rows[:, :m]
+            np.matmul(-rows[:, m:], factors[i], out=left[..., m:])
+            diff = (left @ r_dag).view(float).reshape(d_a, -1, k_rows, d_b, 2 * k_rows)
+            worst[i, k:k + chunk] = np.sqrt(np.max(
+                np.einsum("jpalb,jpalb->pjl", diff, diff).reshape(-1, n), axis=1))
     return CodeMapCertificate(superop, factors, float(np.max(worst)))
 
 

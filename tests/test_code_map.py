@@ -19,7 +19,7 @@ from subrec import (
     recovery_to_correction,
     verify_correction,
 )
-from subrec.linalg import dagger, orthonormal_complement
+from subrec.linalg import complete_isometry, dagger, orthonormal_complement
 from subrec.random_ops import haar_isometry, haar_unitary
 
 from oracles import superop_tensor_factorizes
@@ -33,12 +33,13 @@ def unit(d, r, c):
     return e
 
 
-def loop_certificate(ops, d_a, d_b, frame=None, fold=max):
-    """F from the I_B slice, then the worst mismatch, one matrix unit at a time,
-    folded into one value by ``fold``."""
+def loop_certificate(ops, d_a, d_b, frame=None, fold=max, superop=None):
+    """F from the I_B slice (or from ``superop`` when given), then the worst
+    mismatch, one matrix unit at a time, folded into one value by ``fold``."""
     d_out = ops[0].shape[0]
     frame = np.eye(d_out) if frame is None else frame
     d_c = frame.shape[1] // d_b
+    given = superop
 
     def act(x):
         return sum(k @ x @ dagger(k) for k in ops)
@@ -49,6 +50,8 @@ def loop_certificate(ops, d_a, d_b, frame=None, fold=max):
         for j in range(d_a):
             out = dagger(frame) @ act(np.kron(unit(d_a, i, j), np.eye(d_b))) @ frame
             f_ij = np.trace(out.reshape(d_c, d_b, d_c, d_b), axis1=1, axis2=3) / d_b
+            if given is not None:
+                f_ij = given[:, i + d_a * j].reshape(d_c, d_c, order="F")
             superop[:, i + d_a * j] = f_ij.flatten(order="F")
             for k in range(d_b):
                 for l in range(d_b):
@@ -69,9 +72,9 @@ def compressed_pairs(ch, dec):
     return [dec.compress(dagger(a) @ b) for a in ch.kraus for b in ch.kraus]
 
 
-def assert_matches_loop(ops, d_a, d_b, frame=None):
-    cm = certify_code_map(ops, d_a, d_b, frame=frame)
-    superop, worst = loop_certificate(list(ops), d_a, d_b, frame)
+def assert_matches_loop(ops, d_a, d_b, frame=None, superop=None):
+    cm = certify_code_map(ops, d_a, d_b, frame=frame, superop=superop)
+    superop, worst = loop_certificate(list(ops), d_a, d_b, frame, superop=superop)
     assert np.linalg.norm(cm.superop - superop) < 1e-12
     assert abs(cm.residual - worst) < 1e-12
     for i in range(d_a):
@@ -242,6 +245,57 @@ def test_peak_memory_with_many_operators():
     superop, worst = loop_certificate(list(ops), d_a, d_b, dec.w)
     assert np.linalg.norm(cm.superop - superop) < 1e-12
     assert abs(cm.residual - worst) < 1e-12
+
+
+def _factoring_instance(d_out, m, d_c, d_a=2, d_b=2, seed=49):
+    # N_a = V (K_a (x) I_B) factors exactly with F(X) = sum_a K_a X K_a^dag
+    rng = np.random.default_rng(seed)
+    frame = haar_isometry(d_out, d_c * d_b, seed=seed + 1)
+    kraus = rng.normal(size=(m, d_c, d_a)) + 1j * rng.normal(size=(m, d_c, d_a))
+    ops = frame @ np.kron(kraus, np.eye(d_b))
+    return ops, frame, certify_code_map(ops, d_a, d_b, frame=frame).superop
+
+
+# K = min(d_out, m + d_C) is d_out < m + d_C in the first case, m + d_C in the second
+@pytest.mark.parametrize("d_out, m, d_c", [(4, 3, 2), (12, 3, 3)])
+def test_given_non_hermitian_factor_map_agrees_with_loop(d_out, m, d_c):
+    d_a = d_b = 2
+    ops, frame, exact = _factoring_instance(d_out, m, d_c)
+    rng = np.random.default_rng(52)
+    kick = 0.3 * (rng.normal(size=(d_c, d_c)) + 1j * rng.normal(size=(d_c, d_c)))
+    # a map that does not preserve Hermiticity: F(|1><0|) != F(|0><1|)^dag
+    kicked = exact.copy()
+    kicked[:, 1] += kick.flatten(order="F")
+    f_10 = kicked[:, 1].reshape(d_c, d_c, order="F")
+    f_01 = kicked[:, d_a].reshape(d_c, d_c, order="F")
+    assert np.linalg.norm(f_10 - dagger(f_01)) > 0.1
+    cm = assert_matches_loop(ops, d_a, d_b, frame=frame, superop=kicked)
+    # the mismatch sits only in the rows p = (1, k) against the columns
+    # q = (0, l) < p, where it is V_k kick V_l^dag
+    assert abs(cm.residual - np.linalg.norm(kick)) < 1e-12
+    assert certify_code_map(ops, d_a, d_b, frame=frame, superop=exact).residual < 1e-12
+    rand = rng.normal(size=exact.shape) + 1j * rng.normal(size=exact.shape)
+    assert_matches_loop(ops, d_a, d_b, frame=frame, superop=rand)
+
+
+def test_peak_memory_at_the_ucc_complement_block():
+    # the complement of a planted (2, 4) code at d = 256 is a d_A = 1
+    # noiseless block of E^dag ∘ E: its 9 Kraus operators on a 248-wide frame
+    d, d_b = 256, 248
+    ch, dec = planted_channel(2, 4, d, 3, seed=51, unital=True)
+    w = complete_isometry(dec.w, 1e-9)[:, dec.w.shape[1]:]
+    kraus = np.asarray(ch.kraus)
+    ops = (kraus.conj().transpose(0, 2, 1)[:, None] @ (kraus @ w)[None]).reshape(-1, d, d_b)
+    cols = len(ops) + 1
+    k_rows = min(d, cols)
+    tracemalloc.start()
+    try:
+        cm = certify_code_map(ops, 1, d_b, frame=w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cm.residual < 1e-10
+    assert peak < 3 * (cols + k_rows) * d_b * d * 16
 
 
 def _cooling_loop(res, dec):

@@ -205,6 +205,18 @@ def test_summand_projector_certificate_rejects_a_wrong_structure(monkeypatch):
         enumerate_noiseless(comp, seed=0)
 
 
+def test_emitted_frame_beyond_strict_isometry_defect_is_unlucky_seed():
+    # Q passes at acceptance_tol, the W read off it fails strict_tol: a
+    # typed UnluckySeed naming the block, not a DimensionMismatch
+    ch, _ = planted_channel(2, 2, 8, 3, seed=0, unital=True)
+    eps = 1e-9
+    mixed = KrausChannel([np.sqrt(1 - eps) * k for k in ch.kraus]
+                         + [np.sqrt(eps) * haar_unitary(8, seed=1)])
+    with pytest.raises(UnluckySeed, match=r"emitted block \(m=2, n=2\): "
+                                          r"W is not an isometry \(defect [0-9.e-]+\)"):
+        find_ucc(mixed, tol=1e-9)
+
+
 def test_third_fixed_point_rejects_degenerate_generators(monkeypatch):
     # y, g multiples of I are fixed points that generate only C I; they fit
     # one block (1, d), which the third, generic fixed point leaves

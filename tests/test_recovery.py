@@ -310,6 +310,35 @@ def test_g_action_residual_matches_written_out_loop(dims, scale, monkeypatch):
     assert abs(res.g_action_residual - expected) <= 1e-6 * expected + 1e-14
 
 
+@pytest.mark.parametrize("dims", [(1, 5, 12, 3), (1, 4, 16, 2)])
+def test_g_action_residual_matches_loop_off_correctability(dims, monkeypatch):
+    # for a correctable code E(k)^dag E(k) is the same for every k, so the
+    # step 3 mismatch of a scaled remix is the same in every row; a channel
+    # kicked off correctability and accepted at a loose tol makes it vary
+    # with k (on this draw the worst row is not the first of its chunk), so
+    # every row of a chunk of rows must count
+    import subrec.recovery as recovery
+
+    scale = 1.0 + 1e-6
+
+    def scaled_eig(m, tol):
+        w, q = hermitian_eig(m, tol=tol)
+        return w, scale * q
+
+    monkeypatch.setattr(recovery, "hermitian_eig", scaled_eig)
+    d_a, d_b, dim, m = dims
+    ch, dec = planted_channel(d_a, d_b, dim, m, seed=90 + dim)
+    rng = np.random.default_rng(92)
+    kicked = KrausChannel([k + 1e-2 * (rng.normal(size=k.shape) + 1j * rng.normal(size=k.shape))
+                           for k in ch.kraus], require_tp=False, tol=0.1)
+    cert = check_correctable(kicked, dec, tol=0.1)
+    assert cert.passed
+    res = construct_recovery(kicked, dec, cert, tol=0.1)
+    expected = _g_action_loop(kicked, dec, cert, scale)
+    assert expected > 1e-8
+    assert abs(res.g_action_residual - expected) <= 1e-6 * expected
+
+
 def _frame_result(dim, rank_c, d_b, seed):
     # a recovery whose C (x) B frame is a Haar isometry, not the coordinate
     # frame construct_recovery uses: recovery_to_correction must pair any frame
