@@ -474,13 +474,10 @@ def enumerate_noiseless(ch: KrausChannel, seed: int = 0,
                               f"fixed (residual {drift:.3e})")
         if m_k <= 1:
             continue
-        w = np.zeros((ch.dim, n_k * m_k), dtype=complex)
         # fixed-point elements act as X (x) I_{n_k}; the protected factor
         # is the matrix factor, so d_B = m_k and the A-major column of W
         # for |a>(x)|b> is the Q column with inner index b * n_k + a.
-        for a in range(n_k):
-            for b in range(m_k):
-                w[:, a * m_k + b] = structure.q[:, off + b * n_k + a]
+        w = q_k.reshape(ch.dim, m_k, n_k).transpose(0, 2, 1).reshape(ch.dim, -1)
         try:
             dec = SubsystemDecomposition(ch.dim, n_k, m_k, w, tol=tol)
         except DimensionMismatch as exc:

@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotFinite, NotTracePreserving
 from .linalg import DEFAULT_TOL, dagger, frobenius, strict_tol, unvec
+from .subsystem import certify_code_map
 
 __all__ = [
     "KrausChannel",
@@ -162,15 +163,17 @@ def fixed_point_basis(s: Superoperator, tol: float = DEFAULT_TOL) -> list[np.nda
 def channels_equal(f: KrausChannel, g: KrausChannel, tol: float = DEFAULT_TOL) -> bool:
     """Equality of channel actions on a complete operator basis.
 
-    The superoperator is a reshuffle of X X^dag, where the columns of X
-    are the vectorized Kraus operators, so ||S_f - S_g||_F is the norm
-    of [X_f | X_g] diag(I, -I) [X_f | X_g]^dag, and with one thin QR
-    [X_f | X_g] = Q R that of R diag(I, -I) R^dag: no d^2 x d^2 array is
-    formed.  Judged at ``strict_tol(tol, ||S_f||_F)``, ||S_f||_F = ||X_f^dag X_f||_F.
+    The superoperator is a reshuffle of the Choi matrix X X^dag, where the
+    columns of X are the vectorized Kraus operators, so ||S_f - S_g||_F is
+    the norm of X_f X_f^dag - X_g X_g^dag: the code-map identity with
+    d_A = d_B = 1, f's columns as operators, g's as frame and F = I, whose
+    R factors keep any d^2 x d^2 array unformed.  Judged at
+    ``strict_tol(tol, ||S_f||_F)``, ||S_f||_F = ||X_f^dag X_f||_F.
     """
     if f.dim != g.dim:
         return False
     x_f = np.asarray(f.kraus).reshape(f.m, -1).T
-    r = np.linalg.qr(np.hstack([x_f, np.asarray(g.kraus).reshape(g.m, -1).T]), mode="r")
-    signs = np.concatenate([np.ones(f.m), -np.ones(g.m)])
-    return frobenius((r * signs) @ dagger(r)) <= strict_tol(tol, frobenius(dagger(x_f) @ x_f))
+    x_g = np.asarray(g.kraus).reshape(g.m, -1).T
+    residual = certify_code_map(x_f.T[..., None], 1, 1, frame=x_g,
+                                superop=np.eye(g.m).reshape(-1, 1)).residual
+    return residual <= strict_tol(tol, frobenius(dagger(x_f) @ x_f))

@@ -23,9 +23,10 @@ eigen-degeneracy             strict_tol(tol / 10, |w|_inf)    1e-10 max(1, |w|) 
 certificates (factorization, F >= 0, G_A identity, noiseless, spans,
 ``channels_equal``); [2] assembled results: the G_a orthogonality gate,
 the unitarity of every completion (s = d), algebra closure and pattern,
-Ψ(P_k) = P_k, the UCC correction; [3] ``algebra``: eigenvalue clusters,
-links gap ||g||, intertwiner defect gap max(1, c); [4] Gram-Schmidt on a
-projector or isometry of defect δ.  Why these values: README, "Tolerance".
+Ψ(P_k) = P_k, the correction's TP defect (s = √d), the UCC correction;
+[3] ``algebra``: eigenvalue clusters, links gap ||g||, intertwiner defect
+gap max(1, c); [4] Gram-Schmidt on a projector or isometry of defect δ.
+Why these values: README, "Tolerance".
 """
 
 from __future__ import annotations

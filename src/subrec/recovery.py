@@ -15,15 +15,17 @@ complementary factor moved to C.  The construction:
    orthogonal, (G_a W)^dag (G_b W) = delta_ab D_aa (x) I_B; this identity
    is checked, and G_a off the code is never formed;
 3. check that the remixed family reproduces the channel on the I_A slice,
-   from the R factors of one batched thin QR: the mismatch for the B
-   indices (k, l) has the norm of R_k diag(I, -I) R_l^dag, K x K with
-   K = min(d, 2 m d_A), so no product has d columns;
+   G(k) G(l)^dag = E(k) E(l)^dag for the column blocks G(k), E(k) of the
+   B index k: the code-map identity with d_A = 1, the operators
+   G_a W(|i> (x) .) in (a, i) order, the columns E_b W(|j> (x) .) as frame
+   and F = I, certified by ``certify_code_map``;
 4. with D_aa diagonal, the polar factor V_a of G_a P_AB against
    sqrt(D_aa) (x) I_B is the closed form
    V_a W(|l> (x) |k>) = G_a W(|l> (x) |k>) / sqrt(lambda_l) for each live
    eigenvalue lambda_l of block a and each B basis vector k; these images,
-   indexed by (a, l, k), are the first columns of a unitary V completed by
-   the index-ordered complement of their range; the recovery is U = V^dag.
+   gathered in (a, l, k) order from the operators of step 3, are the
+   first columns of a unitary V completed by the index-ordered complement
+   of their range; the recovery is U = V^dag.
 
 The certificate's residual is computed against the factor map extracted
 from the actual action of U ∘ E ∘ P_AB (existence of such a map is what
@@ -41,7 +43,7 @@ import numpy as np
 
 from .channel import KrausChannel
 from .correctability import CorrectabilityCertificate
-from .errors import CertificateMismatch, NumericalDegeneracy
+from .errors import CertificateMismatch, NotTracePreserving, NumericalDegeneracy
 from .linalg import (DEFAULT_TOL, acceptance_tol, complete_isometry, dagger, hermitian_eig,
                      strict_tol)
 from .subsystem import SubsystemDecomposition, certify_code_map
@@ -137,40 +139,21 @@ def construct_recovery(ch: KrausChannel, dec: SubsystemDecomposition,
             f"G_a ranges not orthogonal (residual {ortho_resid:.3e}); "
             "certificate tolerance too loose")
 
-    # 3. the modified family reproduces the channel on the I_A slice:
-    # sum_a G_a W (I_A (x) |k><l|) W^dag G_a^dag = G(k) G(l)^dag against
-    # E(k) E(l)^dag, with G(k) the d x m d_A columns G_a W(|i> (x) |k>).
-    # The mismatch is X_k diag(I, -I) X_l^dag for X_k = [G(k) | E(k)]; one
-    # batched thin QR X_k = Q_k R_k makes its norm that of
-    # R_k diag(I, -I) R_l^dag, K x K for every (k, l), taken for
-    # max(1, d // K) rows k at a time (no block beyond K d_B d entries).
-    g_k = gw_ab.transpose(3, 1, 0, 2).reshape(d_b, d, m * d_a)
-    e_k = ew.transpose(3, 1, 0, 2).reshape(d_b, d, m * d_a)
-    r_k = np.linalg.qr(np.concatenate([g_k, e_k], axis=2), mode="r")
-    r_signed = np.concatenate([r_k[..., :m * d_a], -r_k[..., m * d_a:]], axis=2)
-    r_dag = r_k.conj().transpose(0, 2, 1)
-    chunk = max(1, d // r_k.shape[1])
-    g_action_sq = np.empty(d_b)
-    for k in range(0, d_b, chunk):
-        diff = (r_signed[k:k + chunk, None] @ r_dag).view(float)
-        g_action_sq[k:k + chunk] = np.max(np.einsum("klab,klab->kl", diff, diff), axis=1)
-    g_action_resid = float(np.sqrt(np.max(g_action_sq)))
+    # 3. the modified family reproduces the channel on the I_A slice,
+    # G(k) G(l)^dag = E(k) E(l)^dag: the code-map identity with d_A = 1, F = I
+    g_cols = gw_ab.transpose(0, 2, 1, 3).reshape(m * d_a, d, d_b)
+    g_action_resid = certify_code_map(
+        g_cols, 1, d_b, frame=ew.transpose(1, 0, 2, 3).reshape(d, m * d_a * d_b),
+        superop=np.eye(m * d_a).reshape(-1, 1)).residual
 
     # 4. the diagonal blocks of step 2 certify (G_a W)^dag (G_a W) = D_aa (x) I_B
     # with D_aa diagonal, so the polar factor of G_a P_AB sends
-    # W(|l> (x) |k>) to G_a W(|l> (x) |k>) / sqrt(lambda_l) for live l
-    d_blocks = []
-    images = []
-    for a in range(m):
-        block = lam[a * d_a:(a + 1) * d_a]
-        live = np.flatnonzero(block > cutoff)
-        if live.size == 0:
-            continue
-        d_blocks.append((a, np.diag(block), int(live.size)))
-        # columns in (l, k) order, l live, k over B
-        images.append((gw_ab[a][:, live] / np.sqrt(block[live])[:, None]).reshape(d, -1))
-
-    v_cb = np.hstack([np.zeros((d, 0))] + images)
+    # W(|l> (x) |k>) to G_a W(|l> (x) |k>) / sqrt(lambda_l) for live (a, l),
+    # the columns in (a, l, k) order
+    live = np.flatnonzero(lam > cutoff)
+    d_blocks = [(a, np.diag(lam[a * d_a:(a + 1) * d_a]), int(r))
+                for a, r in enumerate(np.bincount(live // d_a, minlength=m)) if r]
+    v_cb = (g_cols[live] / np.sqrt(lam[live])[:, None, None]).transpose(1, 0, 2).reshape(d, -1)
     n_cb = v_cb.shape[1]
     rank_c = n_cb // d_b
     u_recovery = dagger(complete_isometry(v_cb, tol))
@@ -183,7 +166,6 @@ def construct_recovery(ch: KrausChannel, dec: SubsystemDecomposition,
     # closed-form F_{C|A}: E_b W = sum_a G_a W (U_ab (x) I_B), so its Kraus
     # operator for the original index b is K_b = Λ_live^{1/2} U[live, b-th
     # column block], the live rows in the (a, l) order of the C embedding
-    live = np.flatnonzero(lam > cutoff)
     k_live = np.sqrt(lam[live])[:, None] * u[live]
     f_ca_kraus = list(k_live.reshape(live.size, m, d_a).transpose(1, 0, 2))
 
@@ -208,20 +190,27 @@ def recovery_to_correction(res: RecoveryResult, dec: SubsystemDecomposition,
     d_A ("cooling"), and the ambient complement of the C (x) B subspace
     is sent to a fixed code state so the result is trace preserving.
     When dim C = d_A the pairing completes to a unitary, so the whole
-    correction is a unitary channel.
+    correction is a unitary channel.  The assembled correction is
+    trace preserving within ``acceptance_tol(tol, sqrt(d))``, or
+    :class:`~subrec.errors.NotTracePreserving` is raised.
     """
     w, w_c = dec.w, res.c_subsystem.w
     u_c = complete_isometry(w_c, tol)
     if res.c_subsystem.d_a == dec.d_a:
-        return KrausChannel([complete_isometry(w, tol) @ dagger(u_c) @ res.u_recovery], tol=tol)
-
-    # group g sends C indices g d_A, ..., g d_A + d_A - 1 (their d_B columns
-    # each) onto the first columns of W; the complement of C (x) B goes to w_0
-    n = dec.d_a * dec.d_b
-    kraus = [w[:, :block.shape[1]] @ dagger(block)
-             for block in (w_c[:, s:s + n] for s in range(0, w_c.shape[1], n))]
-    kraus += [np.outer(w[:, 0], q) for q in u_c[:, w_c.shape[1]:].T.conj()]
-    return KrausChannel([k @ res.u_recovery for k in kraus], tol=tol)
+        kraus = [complete_isometry(w, tol) @ dagger(u_c)]
+    else:
+        # group g sends C indices g d_A, ..., g d_A + d_A - 1 (their d_B columns
+        # each) onto the first columns of W; the complement of C (x) B goes to w_0
+        n = dec.d_a * dec.d_b
+        kraus = [w[:, :block.shape[1]] @ dagger(block)
+                 for block in (w_c[:, s:s + n] for s in range(0, w_c.shape[1], n))]
+        kraus += [np.outer(w[:, 0], q) for q in u_c[:, w_c.shape[1]:].T.conj()]
+    correction = KrausChannel([k @ res.u_recovery for k in kraus], require_tp=False, tol=tol)
+    if not correction.tp_defect <= acceptance_tol(tol, np.sqrt(correction.dim)):
+        raise NotTracePreserving(
+            f"assembled correction: sum R_a^dag R_a differs from identity by "
+            f"{correction.tp_defect:.3e}")
+    return correction
 
 
 def verify_correction(ch: KrausChannel, dec: SubsystemDecomposition,

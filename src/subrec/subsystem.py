@@ -123,17 +123,20 @@ def certify_code_map(ops, d_a: int, d_b: int, frame: np.ndarray | None = None,
     if ops.ndim != 3 or ops.shape[2] != n:
         raise DimensionMismatch(f"operators must be m x d_out x {n}, got {ops.shape}")
     d_out = ops.shape[1]
-    if frame is None:
-        frame = np.eye(d_out, dtype=complex)
-    if frame.shape[0] != d_out or frame.shape[1] % d_b:
+    frame = np.eye(d_out, dtype=complex) if frame is None else np.asarray(frame)
+    if frame.ndim != 2 or frame.shape[0] != d_out or frame.shape[1] % d_b or not frame.shape[1]:
         raise DimensionMismatch(
-            f"frame must be {d_out} x (d_C * {d_b}), got {frame.shape}")
+            f"frame must be {d_out} x (d_C * {d_b}) with d_C >= 1, got {frame.shape}")
     d_c = frame.shape[1] // d_b
     if superop is None:
         coded = (dagger(frame) @ ops).reshape(-1, d_c, d_b, d_a, d_b)
         factors = np.einsum("acbik,adbjk->ijcd", coded, coded.conj(), optimize=True) / d_b
         superop = factors.transpose(2, 3, 0, 1).reshape(d_c * d_c, d_a * d_a, order="F")
     else:
+        superop = np.asarray(superop)
+        if superop.shape != (d_c * d_c, d_a * d_a):
+            raise DimensionMismatch(
+                f"superop must be {d_c * d_c} x {d_a * d_a}, got {superop.shape}")
         factors = superop.reshape(d_c, d_c, d_a, d_a, order="F").transpose(2, 3, 0, 1)
 
     # X_p = [N_1[:, p] .. N_m[:, p] | V_k] = Q_p R_p for every row p = (i, k)

@@ -268,6 +268,24 @@ def test_channels_equal_judges_the_dense_superoperator_distance(seed):
 
 
 @pytest.mark.parametrize("seed", range(5))
+def test_channels_equal_with_fewer_r_rows_than_kraus_operators(seed):
+    # d = 2 with three Kraus operators a side: the R factor has
+    # K = d^2 = 4 < 6 rows, and the verdict still flips at the dense distance.
+    # The kick is 1e-5: a 1e-7 kick leaves a distance near 2e-7, where
+    # rounding alone (about 1e-16 on entries of order 1) moves every way of
+    # computing it, the dense one included, by up to 1e-9 relative
+    rng = np.random.default_rng(980 + seed)
+    f = random_channel(2, 3, seed=rng)
+    for g in (random_channel(2, 3, seed=rng),
+              KrausChannel([k + 1e-5 * rng.normal(size=k.shape) for k in f.kraus],
+                           require_tp=False)):
+        diff, scale = _dense_distance(f, g)
+        tol = diff / max(1.0, scale)
+        assert channels_equal(f, g, tol=tol * (1 + 1e-9))
+        assert not channels_equal(f, g, tol=tol * (1 - 1e-9))
+
+
+@pytest.mark.parametrize("seed", range(5))
 def test_channels_equal_under_random_remixing_and_padding(seed):
     f = random_channel(6, 3, seed=950 + seed)
     u = haar_unitary(5, seed=960 + seed)

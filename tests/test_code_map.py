@@ -8,6 +8,7 @@ import pytest
 
 from subrec import (
     DemoSpec,
+    DimensionMismatch,
     KrausChannel,
     SubsystemDecomposition,
     certify_code_map,
@@ -328,3 +329,32 @@ def test_cooling_correction_matches_written_out_loop():
     assert res.dim_c > dec.d_a and correction.m == len(expected)
     for op, loop_op in zip(correction.kraus, expected):
         assert np.max(np.abs(op - loop_op @ res.u_recovery)) < 1e-12
+
+
+def _five_row_ops():
+    rng = np.random.default_rng(53)
+    return rng.normal(size=(3, 5, 4)) + 1j * rng.normal(size=(3, 5, 4))
+
+
+@pytest.mark.parametrize("shape", [(5, 0), (5,), (5, 4, 1), (4, 4), (5, 3)])
+def test_malformed_frame_is_a_dimension_mismatch(shape):
+    # zero width (d_C = 0), 1-D, 3-D, wrong row count, width not d_C * d_B
+    with pytest.raises(DimensionMismatch):
+        certify_code_map(_five_row_ops(), 2, 2, frame=np.zeros(shape))
+
+
+def test_frame_given_as_nested_list_is_converted():
+    ops = _five_row_ops()
+    frame = haar_isometry(5, 4, seed=54)
+    cm = certify_code_map(ops, 2, 2, frame=frame)
+    listed = certify_code_map(ops, 2, 2, frame=frame.tolist())
+    assert np.array_equal(listed.superop, cm.superop)
+    assert listed.residual == cm.residual
+
+
+@pytest.mark.parametrize("shape", [(4, 3), (16, 4), (4,)])
+def test_superop_of_the_wrong_shape_is_a_dimension_mismatch(shape):
+    # the frame makes d_C = 2 and d_A = 2, so F must be 4 x 4
+    frame = haar_isometry(5, 4, seed=55)
+    with pytest.raises(DimensionMismatch):
+        certify_code_map(_five_row_ops(), 2, 2, frame=frame, superop=np.zeros(shape))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from subrec import (
     CertificateMismatch,
     DemoSpec,
     KrausChannel,
+    NotTracePreserving,
     RecoveryResult,
     SubsystemDecomposition,
     check_correctable,
@@ -15,8 +18,8 @@ from subrec import (
     recovery_to_correction,
     verify_correction,
 )
-from subrec.linalg import (dagger, hermitian_eig, operator_basis, orthonormal_complement,
-                          polar_isometry_on_support)
+from subrec.linalg import (acceptance_tol, dagger, hermitian_eig, operator_basis,
+                          orthonormal_complement, polar_isometry_on_support, strict_tol)
 from subrec.random_ops import haar_isometry, haar_unitary
 
 from oracles import extract_common_factor
@@ -378,3 +381,34 @@ def test_cooling_correction_of_a_general_c_frame_matches_written_out_loop():
     assert correction.m == len(expected) == 2 + d - rank_c * d_b
     for op, loop_op in zip(correction.kraus, expected):
         assert np.max(np.abs(op - loop_op @ res.u_recovery)) < 1e-12
+
+
+def test_loosely_accepted_code_gets_a_correction_judged_at_acceptance_tol():
+    # a 1e-6 kick passes check_correctable and construct_recovery at
+    # tol = 1e-4; the completion amplifies it to a TP defect of 1.7e-3 in
+    # the assembled unitary, above strict_tol(1e-4, sqrt(40)) but far
+    # below acceptance_tol(1e-4, sqrt(40))
+    tol = 1e-4
+    ch0, dec = planted_channel(4, 8, 40, 3, seed=4)
+    rng = np.random.default_rng(1004)
+    ch = KrausChannel([k + 1e-6 * (rng.normal(size=k.shape) + 1j * rng.normal(size=k.shape))
+                       for k in ch0.kraus], require_tp=False, tol=tol)
+    res = build(ch, dec, tol=tol)
+    corr = recovery_to_correction(res, dec, tol=tol)
+    assert strict_tol(tol, np.sqrt(40)) < corr.tp_defect <= acceptance_tol(tol, np.sqrt(40))
+    residual, _ = verify_correction(ch, dec, corr, tol=tol)
+    assert residual <= acceptance_tol(tol)
+
+
+@pytest.mark.parametrize("cooling", [False, True])
+def test_correction_from_a_scaled_recovery_is_not_trace_preserving(cooling):
+    if cooling:
+        ch, dec = demo_build(DemoSpec(name="binary-unitary", p=0.4,
+                                      thetas=(0.5, 1.4, 2.9, 4.2), seed=2))
+    else:
+        ch, dec = planted_channel(2, 2, 8, 3, seed=15)
+    res = build(ch, dec)
+    assert (res.dim_c > dec.d_a) == cooling
+    scaled = dataclasses.replace(res, u_recovery=1.01 * res.u_recovery)
+    with pytest.raises(NotTracePreserving):
+        recovery_to_correction(scaled, dec)
