@@ -10,7 +10,9 @@ any d^2 x d^2 matrix is formed:
 
 * a random fixed point is the limit of conjugate gradients on the
   positive semidefinite map I - Ψ, Ψ = (E + E^dag) / 2, applied through
-  the Kraus operators.  Started at a random Hermitian X, the iteration
+  the Kraus operators (for UCC discovery Ψ = E^dag ∘ E, which is
+  self-adjoint, applied as E^dag(E(X)) through the m operators of E).
+  Started at a random Hermitian X, the iteration
   converges to the projection of X onto Fix(E): for unital
   trace-preserving E, Re<X, E(X)> = ||X||^2 holds exactly when
   E(X) = X, so Fix(Ψ) = Fix(E).  It stops once
@@ -33,9 +35,13 @@ each input element must fit the block pattern, and the span must have
 dimension Σ m_k^2, which makes it the whole block algebra and so
 certifies product closure.  For a channel (``enumerate_noiseless``) a
 third random fixed point must fit the block pattern (a larger Fix(E)
-would leave it with probability 1), and every summand projector P_k
-must satisfy Ψ(P_k) = P_k and every emitted block must pass
-``check_noiseless`` (so the block algebra lies in Fix(E)).  Degenerate
+would leave it with probability 1), every summand projector P_k must
+satisfy Ψ(P_k) = P_k, and in ``enumerate_noiseless`` every emitted
+block must pass ``check_noiseless`` (so the block algebra lies in
+Fix(E)).  ``find_ucc`` reaches the same probe and emission through
+``_noiseless_blocks`` with Ψ = E^dag ∘ E and certifies each block by
+correctability and a verified correction for E instead, which by the
+paper's theorem is the same property.  Degenerate
 draws are retried on derived seeds before surfacing UnluckySeed.
 Noiseless subsystems of the channel are read off the blocks with
 m_k > 1.
@@ -198,14 +204,49 @@ def _psi_kraus(ch: KrausChannel) -> np.ndarray:
     return np.concatenate([ops, ops.conj().transpose(0, 2, 1)]) / np.sqrt(2.0)
 
 
+def _dual_composition_layers(ch: KrausChannel):
+    """Ψ = E^dag ∘ E as layers for :func:`_apply_layers`: E, then E^dag.
+
+    Ψ is self-adjoint, so it is its own symmetrization (Ψ + Ψ^dag) / 2;
+    one application costs 4m products of d x d matrices, where the m^2
+    Kraus operators of the composition, stacked with their adjoints,
+    cost 4m^2 and 2 m^2 d^2 entries.
+    """
+    ops = np.asarray(ch.kraus)
+    return ops, ops.conj().transpose(0, 2, 1)
+
+
+def _apply_layers(layers, x, daggers=None):
+    """Ψ(x) for Ψ the composition of the Kraus maps X -> Σ L X L^dag, one
+    per stacked array of ``layers``, the first applied first; ``daggers``
+    holds the adjoint stacks when the caller has them."""
+    daggers = daggers or [ops.conj().transpose(0, 2, 1) for ops in layers]
+    for ops, ops_dag in zip(layers, daggers):
+        x = (ops @ x @ ops_dag).sum(axis=0)
+    return x
+
+
+def _apply_to_projector(layers, q):
+    """Ψ(Q Q^dag), kept as N N^dag with N = [L N]_L per layer while N has
+    at most d columns, then applied to the d x d product."""
+    d = q.shape[0]
+    n = q
+    for i, ops in enumerate(layers):
+        n = (ops @ n).transpose(1, 0, 2).reshape(d, -1)
+        if n.shape[1] > d:
+            return _apply_layers(layers[i + 1:], n @ dagger(n))
+    return n @ dagger(n)
+
+
 def _step_cap(dim: int) -> int:
     """Conjugate gradients ends in at most as many steps as the real
     dimension of the Hermitian operators, d^2."""
     return dim * dim
 
 
-def _fixed_point(ops, x, target):
-    """Projection of the Hermitian x onto Fix(Ψ), Ψ(X) = Σ L X L^dag over ``ops``.
+def _fixed_point(layers, x, target):
+    """Projection of the Hermitian x onto Fix(Ψ), Ψ given by ``layers`` as
+    in :func:`_apply_layers` and self-adjoint.
 
     Conjugate gradients on I - Ψ with right-hand side 0 started at x:
     every update lies in the range of I - Ψ, so the iterates converge to
@@ -213,10 +254,15 @@ def _fixed_point(ops, x, target):
     recomputed residual ||Ψ(y) - y|| / ||y|| are at most ``target``;
     returns ``(y, residual, steps)``.
     """
-    ops_dag = ops.conj().transpose(0, 2, 1)
+    # the rounding of Ψ(p) grows with its Kraus terms written out as
+    # (Φ + Φ^dag) / 2, len(layers) x Π (layer sizes): 2m for the one layer of
+    # E and E^dag, 2m^2 for E^dag ∘ E; and again with the number of layers
+    # applied in sequence: 2m and 4m^2 in all
+    terms = len(layers) ** 2 * int(np.prod([ops.shape[0] for ops in layers]))
+    daggers = [ops.conj().transpose(0, 2, 1) for ops in layers]
 
     def minus_gradient(v):  # Ψ(v) - v = -(I - Ψ)(v)
-        return (ops @ v @ ops_dag).sum(axis=0) - v
+        return _apply_layers(layers, v, daggers) - v
 
     r = minus_gradient(x)
     p = r
@@ -245,7 +291,7 @@ def _fixed_point(ops, x, target):
         # <X, (I - Ψ) X> >= 0 for every trace-preserving unital channel; for
         # a direction in Fix(Ψ) the computed value is rounding, at most about
         # (number of Kraus terms) d eps ||p||^2
-        rounding = ops.shape[0] * x.shape[0] * np.finfo(float).eps * np.vdot(p, p).real
+        rounding = terms * x.shape[0] * np.finfo(float).eps * np.vdot(p, p).real
         if not curvature >= -rounding:
             raise NotTracePreserving(
                 f"I - (E + E^dag)/2 has curvature {curvature:.3e} < 0 at step {steps}; "
@@ -262,14 +308,14 @@ def _fixed_point(ops, x, target):
         steps += 1
 
 
-def _draw_fixed_points(ops, target, rng):
+def _draw_fixed_points(layers, target, rng):
     """y, g and the check element: three independent random fixed points,
     with their worst convergence residual and their step counts."""
-    dim = ops.shape[1]
+    dim = layers[0].shape[1]
     points, residuals, steps = [], [], []
     for _ in range(3):
         z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        point, residual, n_steps = _fixed_point(ops, (z + dagger(z)) / 2.0, target)
+        point, residual, n_steps = _fixed_point(layers, (z + dagger(z)) / 2.0, target)
         points.append(point)
         residuals.append(residual)
         steps.append(n_steps)
@@ -425,6 +471,43 @@ def algebra_structure(basis, seed: int = 0, tol: float = DEFAULT_TOL) -> Algebra
     raise UnluckySeed(f"algebra probing failed after {_ATTEMPTS} seeds: {'; '.join(reasons)}")
 
 
+def _noiseless_blocks(layers, dim: int, seed: int, tol: float):
+    """The probe and emission of :func:`enumerate_noiseless` for the
+    self-adjoint unital Ψ given by ``layers`` (see :func:`_apply_layers`).
+
+    Returns the certified structure (the third fixed point fits the block
+    pattern and Ψ(P_k) = P_k for every summand) and, for each block with
+    m_k > 1, the subsystem decomposition with d_A = n_k and d_B = m_k,
+    whose W passes the ``strict_tol`` isometry check.
+    """
+    target = fixed_point_target(tol, dim)
+    structure, reasons = _probe(functools.partial(_draw_fixed_points, layers, target),
+                                None, dim, seed, tol)
+    if structure is None:
+        raise UnluckySeed(f"fixed-point probing failed after {_ATTEMPTS} seeds: "
+                          f"{'; '.join(reasons)}")
+
+    subsystems = []
+    for (m_k, n_k), off in zip(structure.blocks, structure.offsets):
+        q_k = structure.q[:, off:off + m_k * n_k]
+        drift = frobenius(_apply_to_projector(layers, q_k) - q_k @ dagger(q_k))
+        if not drift <= acceptance_tol(tol, np.sqrt(m_k * n_k)):
+            raise UnluckySeed(f"summand projector of block (m={m_k}, n={n_k}) is not "
+                              f"fixed (residual {drift:.3e})")
+        if m_k <= 1:
+            continue
+        # fixed-point elements act as X (x) I_{n_k}; the protected factor
+        # is the matrix factor, so d_B = m_k and the A-major column of W
+        # for |a>(x)|b> is the Q column with inner index b * n_k + a.
+        w = q_k.reshape(dim, m_k, n_k).transpose(0, 2, 1).reshape(dim, -1)
+        try:
+            subsystems.append(SubsystemDecomposition(dim, n_k, m_k, w, tol=tol))
+        except DimensionMismatch as exc:
+            # Q passed at acceptance_tol; W is judged at strict_tol
+            raise UnluckySeed(f"emitted block (m={m_k}, n={n_k}): {exc}") from exc
+    return structure, subsystems
+
+
 def enumerate_noiseless(ch: KrausChannel, seed: int = 0,
                         tol: float = DEFAULT_TOL) -> NoiselessSubsystems:
     """Noiseless subsystems of a unital channel from its fixed-point algebra.
@@ -454,43 +537,16 @@ def enumerate_noiseless(ch: KrausChannel, seed: int = 0,
     """
     if not ch.is_unital:
         raise NotUnital("noiseless-subsystem enumeration requires a unital channel")
-    ops = _psi_kraus(ch)
-    target = fixed_point_target(tol, ch.dim)
-    structure, reasons = _probe(functools.partial(_draw_fixed_points, ops, target),
-                                None, ch.dim, seed, tol)
-    if structure is None:
-        raise UnluckySeed(f"fixed-point probing failed after {_ATTEMPTS} seeds: "
-                          f"{'; '.join(reasons)}")
-
-    subsystems = []
+    structure, candidates = _noiseless_blocks((_psi_kraus(ch),), ch.dim, seed, tol)
     residuals = []
-    for (m_k, n_k), off in zip(structure.blocks, structure.offsets):
-        # Ψ(P_k) = P_k through P_k = Q_k Q_k^dag: Ψ(P_k) = N N^dag, N = [L Q_k]_L
-        q_k = structure.q[:, off:off + m_k * n_k]
-        n = (ops @ q_k).transpose(1, 0, 2).reshape(ch.dim, -1)
-        drift = frobenius(n @ dagger(n) - q_k @ dagger(q_k))
-        if not drift <= acceptance_tol(tol, np.sqrt(m_k * n_k)):
-            raise UnluckySeed(f"summand projector of block (m={m_k}, n={n_k}) is not "
-                              f"fixed (residual {drift:.3e})")
-        if m_k <= 1:
-            continue
-        # fixed-point elements act as X (x) I_{n_k}; the protected factor
-        # is the matrix factor, so d_B = m_k and the A-major column of W
-        # for |a>(x)|b> is the Q column with inner index b * n_k + a.
-        w = q_k.reshape(ch.dim, m_k, n_k).transpose(0, 2, 1).reshape(ch.dim, -1)
-        try:
-            dec = SubsystemDecomposition(ch.dim, n_k, m_k, w, tol=tol)
-        except DimensionMismatch as exc:
-            # Q passed at acceptance_tol; W is judged at strict_tol
-            raise UnluckySeed(f"emitted block (m={m_k}, n={n_k}): {exc}") from exc
+    for dec in candidates:
         verdict = check_noiseless(ch, dec, tol=tol)
         if not verdict.ok:
             raise UnluckySeed(
-                f"emitted block (m={m_k}, n={n_k}) failed the noiseless check "
+                f"emitted block (m={dec.d_b}, n={dec.d_a}) failed the noiseless check "
                 f"(residual {verdict.residual:.3e})")
-        subsystems.append(dec)
         residuals.append(verdict.residual)
-    return NoiselessSubsystems(structure=structure, subsystems=subsystems,
+    return NoiselessSubsystems(structure=structure, subsystems=candidates,
                                residuals=residuals)
 
 

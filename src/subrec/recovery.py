@@ -96,7 +96,9 @@ def construct_recovery(ch: KrausChannel, dec: SubsystemDecomposition,
     ------
     CertificateMismatch
         If the certificate did not come from (ch, dec), did not pass, or
-        its block matrix has an eigenvalue below -tol.
+        its block matrix has an eigenvalue below -tol, or no eigenvalue
+        above the cut-off (the channel vanishes on the code, so the output
+        subsystem C would be empty).
     NumericalDegeneracy
         If the ranges of the modified Kraus operators fail to be
         orthogonal beyond ``acceptance_tol(tol, lambda_max)``, indicating
@@ -130,10 +132,12 @@ def construct_recovery(ch: KrausChannel, dec: SubsystemDecomposition,
     gw_ab = np.tensordot(u4.conj(), ew, axes=([2, 3], [0, 2])).transpose(0, 2, 1, 3)
     gw = gw_ab.reshape(m, d, d_a * d_b)
 
-    grams = gw.conj().transpose(0, 2, 1)[:, None] @ gw[None, :]
-    for a in range(m):
-        grams[a, a] -= np.kron(np.diag(lam[a * d_a:(a + 1) * d_a]), np.eye(d_b))
-    ortho_resid = float(np.max(np.linalg.norm(grams, axis=(2, 3))))
+    worst_rows = np.empty(m)
+    for a in range(m):  # one row of Gram blocks at a time: m n^2, not m^2 n^2
+        grams = dagger(gw[a]) @ gw
+        grams[a] -= np.kron(np.diag(lam[a * d_a:(a + 1) * d_a]), np.eye(d_b))
+        worst_rows[a] = np.max(np.linalg.norm(grams, axis=(1, 2)))
+    ortho_resid = float(np.max(worst_rows))
     if not ortho_resid <= acceptance_tol(tol, scale):
         raise NumericalDegeneracy(
             f"G_a ranges not orthogonal (residual {ortho_resid:.3e}); "
@@ -151,6 +155,10 @@ def construct_recovery(ch: KrausChannel, dec: SubsystemDecomposition,
     # W(|l> (x) |k>) to G_a W(|l> (x) |k>) / sqrt(lambda_l) for live (a, l),
     # the columns in (a, l, k) order
     live = np.flatnonzero(lam > cutoff)
+    if not live.size:
+        raise CertificateMismatch(
+            f"the channel vanishes on the code: every eigenvalue of F is at most "
+            f"{cutoff:.3e}, so the output subsystem C is empty")
     d_blocks = [(a, np.diag(lam[a * d_a:(a + 1) * d_a]), int(r))
                 for a, r in enumerate(np.bincount(live // d_a, minlength=m)) if r]
     v_cb = (g_cols[live] / np.sqrt(lam[live])[:, None, None]).transpose(1, 0, 2).reshape(d, -1)
@@ -192,7 +200,9 @@ def recovery_to_correction(res: RecoveryResult, dec: SubsystemDecomposition,
     When dim C = d_A the pairing completes to a unitary, so the whole
     correction is a unitary channel.  The assembled correction is
     trace preserving within ``acceptance_tol(tol, sqrt(d))``, or
-    :class:`~subrec.errors.NotTracePreserving` is raised.
+    :class:`~subrec.errors.NotTracePreserving` is raised; it is returned
+    with ``tol = acceptance_tol(tol)``, so its own ``is_trace_preserving``
+    applies that same threshold.
     """
     w, w_c = dec.w, res.c_subsystem.w
     u_c = complete_isometry(w_c, tol)
@@ -205,8 +215,11 @@ def recovery_to_correction(res: RecoveryResult, dec: SubsystemDecomposition,
         kraus = [w[:, :block.shape[1]] @ dagger(block)
                  for block in (w_c[:, s:s + n] for s in range(0, w_c.shape[1], n))]
         kraus += [np.outer(w[:, 0], q) for q in u_c[:, w_c.shape[1]:].T.conj()]
-    correction = KrausChannel([k @ res.u_recovery for k in kraus], require_tp=False, tol=tol)
-    if not correction.tp_defect <= acceptance_tol(tol, np.sqrt(correction.dim)):
+    # judged, and returned, at the acceptance tolerance, so the channel's own
+    # is_trace_preserving agrees with this check
+    correction = KrausChannel([k @ res.u_recovery for k in kraus], require_tp=False,
+                              tol=acceptance_tol(tol))
+    if not correction.is_trace_preserving:
         raise NotTracePreserving(
             f"assembled correction: sum R_a^dag R_a differs from identity by "
             f"{correction.tp_defect:.3e}")

@@ -112,11 +112,15 @@ def certify_code_map(ops, d_a: int, d_b: int, frame: np.ndarray | None = None,
     X_p = Q_p R_p, R_p of K = min(d_out, m + d_C) rows, gives its
     Frobenius norm as that of the K x K product
     R_p diag(I_m, -F(|i><j|)) R_q^dag, taken for a chunk of rows against
-    every column at once.  Cost: n d_out (m + d_C)^2 for the QR and
+    every column at once (with F = I and d_A = 1, the product with F is
+    a sign flip).  Cost: n d_out (m + d_C)^2 for the QR and
     n^2 K^2 (m + d_C) for the products (n = d_A d_B); a chunk has
     max(1, d_out // K) rows, so no product block exceeds K n d_out
     entries, the peak is about 2 (m + d_C) n d_out entries (the QR and its
-    input), and nothing of size d_out^2 is formed.
+    input), and nothing of size d_out^2 is formed.  Where that is one row
+    (K > d_out / 2), all d_B rows of an A index go in one product
+    instead, when it holds at most (m + d_C) d_out^2 entries: small
+    shapes then pay one call per A index, not one per row.
     """
     ops = np.asarray(ops, dtype=complex)
     n = d_a * d_b
@@ -150,15 +154,24 @@ def certify_code_map(ops, d_a: int, d_b: int, frame: np.ndarray | None = None,
     r = r.reshape(d_a, d_b, k_rows, cols)
     # r_dag[j] = [R_(j,0)^dag .. R_(j,d_B-1)^dag], the columns q = (j, l)
     r_dag = r.conj().transpose(0, 3, 1, 2).reshape(d_a, cols, d_b * k_rows)
+    identity = d_a == 1 and np.array_equal(factors[0, 0], np.eye(d_c))
+    if identity:
+        # F = I: R_p diag(I_m, -I) is R_p with its last d_C columns negated
+        r[..., m:] *= -1
     chunk = max(1, d_out // k_rows)
+    if chunk == 1 and d_b * k_rows * k_rows * n <= cols * d_out * d_out:
+        chunk = d_b  # every B row of an A index in one product
     worst = np.empty((d_a, d_b))
     for i in range(d_a):
         for k in range(0, d_b, chunk):
             rows = r[i, k:k + chunk].reshape(-1, cols)
-            # left[j] = R_p diag(I_m, -F(|i><j|)), stacked over the rows p
-            left = np.empty((d_a, *rows.shape), dtype=complex)
-            left[..., :m] = rows[:, :m]
-            np.matmul(-rows[:, m:], factors[i], out=left[..., m:])
+            if identity:
+                left = rows[None]
+            else:
+                # left[j] = R_p diag(I_m, -F(|i><j|)), stacked over the rows p
+                left = np.empty((d_a, *rows.shape), dtype=complex)
+                left[..., :m] = rows[:, :m]
+                np.matmul(-rows[:, m:], factors[i], out=left[..., m:])
             diff = (left @ r_dag).view(float).reshape(d_a, -1, k_rows, d_b, 2 * k_rows)
             worst[i, k:k + chunk] = np.sqrt(np.max(
                 np.einsum("jpalb,jpalb->pjl", diff, diff).reshape(-1, n), axis=1))

@@ -2,11 +2,15 @@
 
 For unital noise the unitarily correctable subsystems are exactly the
 noiseless subsystems of the composition of the channel with its dual.
-The pipeline: compose E^dag ∘ E, enumerate its noiseless subsystems
-from the fixed-point algebra, check each candidate's correctability for
-E itself, build the recovery unitary, and upgrade it to a correction by
-pairing the output C (x) B frame back onto A (x) B (possible exactly
-because rank F_{C|A}(I_A) = rank I_A here).
+The pipeline: read the block structure of the fixed-point algebra of
+Ψ = E^dag ∘ E, applied as X -> E^dag(E(X)) through the m Kraus operators
+of E (Ψ is self-adjoint, so it is its own symmetrization, and the m^2
+operators of the composition are never formed); check each candidate's
+correctability for E itself, build the recovery unitary, and upgrade it
+to a correction by pairing the output C (x) B frame back onto A (x) B
+(possible exactly because rank F_{C|A}(I_A) = rank I_A here), verified
+on E's own operators.  By the theorem, that certificate is the noiseless
+property for E^dag ∘ E, so it is not checked a second time.
 """
 
 from __future__ import annotations
@@ -15,8 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import AlgebraStructure, enumerate_noiseless
-from .channel import KrausChannel, compose, dual
+from .algebra import (AlgebraStructure, _apply_layers, _dual_composition_layers,
+                      _noiseless_blocks)
+from .channel import KrausChannel, dual
 from .correctability import check_correctable
 from .errors import NotUnital, PreconditionViolated
 from .linalg import DEFAULT_TOL, acceptance_tol, frobenius, numeric_rank, strict_tol
@@ -71,18 +76,28 @@ def find_ucc(ch: KrausChannel, seed: int = 0, tol: float = DEFAULT_TOL) -> UccRe
     ------
     NotUnital
         If the channel is not unital (the characterization of unitary
-        correctability via the dual composition needs unital noise).
+        correctability via the dual composition needs unital noise), or
+        E^dag ∘ E is not, which for unital E means E is not trace
+        preserving.
+    UnluckySeed, NotFinite, NotTracePreserving
+        As :func:`~subrec.algebra.enumerate_noiseless` raises them for
+        E^dag ∘ E.
     """
     if not ch.is_unital:
         raise NotUnital("UCC discovery requires a unital channel")
-    composed = compose(dual(ch), ch)
-    enumeration = enumerate_noiseless(composed, seed=seed, tol=tol)
+    layers = _dual_composition_layers(ch)
+    # E^dag∘E(I) = E^dag(I) = Σ E_a^dag E_a for unital E: judged as the
+    # composed channel would judge its own unitality, at the channel's tol
+    eye = np.eye(ch.dim)
+    if not frobenius(_apply_layers(layers, eye) - eye) <= strict_tol(ch.tol, np.sqrt(ch.dim)):
+        raise NotUnital("noiseless-subsystem enumeration requires E^dag∘E to be unital")
+    structure, candidates = _noiseless_blocks(layers, ch.dim, seed, tol)
 
     report = UccReport(
-        subsystems=[], classical_sectors=list(enumeration.structure.classical_sectors),
-        rank_diagnostics=[], structure=enumeration.structure, seed=seed)
+        subsystems=[], classical_sectors=list(structure.classical_sectors),
+        rank_diagnostics=[], structure=structure, seed=seed)
 
-    for dec in enumeration.subsystems:
+    for dec in candidates:
         p_ab = dec.p_ab
         report.rank_diagnostics.append(
             (numeric_rank(ch.apply(p_ab), tol), numeric_rank(p_ab, tol)))
@@ -141,8 +156,7 @@ def rank_support_equivalence(ch: KrausChannel, dec: SubsystemDecomposition,
             f"subsystem is not correctable (residual {cert.residual:.3e})")
 
     p = dec.p_ab
-    composed = compose(dual(ch), ch)
-    x = composed.apply(p)
+    x = dual(ch).apply(ch.apply(p))
     p_perp = np.eye(ch.dim) - p
     # numerically stable support-containment test for positive x
     leak = frobenius(p_perp @ x @ p_perp) + frobenius(p_perp @ x @ p)

@@ -358,3 +358,36 @@ def test_superop_of_the_wrong_shape_is_a_dimension_mismatch(shape):
     frame = haar_isometry(5, 4, seed=55)
     with pytest.raises(DimensionMismatch):
         certify_code_map(_five_row_ops(), 2, 2, frame=frame, superop=np.zeros(shape))
+
+
+# (d_out, number of operators, d_B): K = min(d_out, m + d_C) > d_out / 2 in
+# every case, so a chunk would be one row; the d_B rows of an A index go in
+# one product in the first two cases and one at a time in the last
+@pytest.mark.parametrize("d_out, m, d_b", [(10, 4, 2), (40, 12, 8), (10, 4, 5)])
+def test_identity_factor_map_with_one_row_chunks_agrees_with_loop(d_out, m, d_b):
+    # the shape of construct_recovery step 3 and channels_equal: d_A = 1,
+    # F = I, the operators a unitary remix of the frame's column blocks, so
+    # the map equals the frame's; a kick moves the residual off zero
+    rng = np.random.default_rng(61)
+    frame_ops = rng.normal(size=(m, d_out, d_b)) + 1j * rng.normal(size=(m, d_out, d_b))
+    frame = frame_ops.transpose(1, 0, 2).reshape(d_out, m * d_b)
+    ops = np.tensordot(haar_unitary(m, seed=62), frame_ops, axes=1)
+    identity = np.eye(m).reshape(-1, 1)
+    cm = assert_matches_loop(ops, 1, d_b, frame=frame, superop=identity)
+    assert cm.residual < 1e-12 * np.linalg.norm(frame) ** 2
+    kick = 1e-3 * (rng.normal(size=ops.shape) + 1j * rng.normal(size=ops.shape))
+    cm = assert_matches_loop(ops + kick, 1, d_b, frame=frame, superop=identity)
+    assert cm.residual > 1e-4
+
+
+@pytest.mark.parametrize("d_out, m, d_c", [(7, 4, 2), (6, 4, 2)])
+def test_general_factor_map_with_one_row_chunks_agrees_with_loop(d_out, m, d_c):
+    # K = 6 > d_out / 2 with d_A = d_B = 2: all rows of an A index in one
+    # product when d_out = 7, one row at a time when d_out = 6
+    d_a = d_b = 2
+    ops, frame, exact = _factoring_instance(d_out, m, d_c)
+    assert certify_code_map(ops, d_a, d_b, frame=frame).residual < 1e-12
+    rng = np.random.default_rng(63)
+    rand = rng.normal(size=exact.shape) + 1j * rng.normal(size=exact.shape)
+    assert_matches_loop(ops, d_a, d_b, frame=frame, superop=rand)
+    assert_matches_loop(ops + 1e-3 * rng.normal(size=ops.shape), d_a, d_b, frame=frame)

@@ -18,6 +18,7 @@ from subrec import (
     NotPartialIsometry,
     SubrecError,
     UccReport,
+    certify_code_map,
     check_correctable,
     check_noiseless,
     complete_to_unitary,
@@ -287,3 +288,65 @@ def test_find_ucc_on_kicked_channels_reports_or_raises_typed(seed, log_tol, log_
     assert isinstance(report, UccReport)
     assert all(isinstance(c, InternalContradiction) for c in report.contradictions)
     assert all(entry.residual <= acceptance_tol(tol) for entry in report.subsystems)
+
+
+def exact_g_a_residual(ch, dec, g_a):
+    """The exact worst mismatch of P_AB ∘ E^dag ∘ E ∘ P_AB against G_A (x) id_B
+    over the matrix units, from the code-map kernel on the m^2 pairs."""
+    n = dec.d_a * dec.d_b
+    kw = np.asarray(ch.kraus) @ dec.w
+    pairs = (kw.conj().transpose(0, 2, 1)[:, None] @ kw[None]).reshape(-1, n, n)
+    return certify_code_map(pairs, dec.d_a, dec.d_b, superop=g_a).residual
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 16), log_tol=st.integers(-11, -6),
+       log_ratio=st.floats(-2, 2), shape=st.sampled_from([(2, 2, 8, 3), (1, 3, 6, 2),
+                                                          (3, 2, 12, 3)]))
+def test_reported_g_a_residual_bounds_the_exact_one_and_keeps_its_verdict(seed, log_tol,
+                                                                          log_ratio, shape):
+    tol = 10.0 ** log_tol
+    ch, dec = planted_channel(*shape, seed=seed)
+    direction = ginibre_like(ch.kraus, np.random.default_rng(seed + 1))
+    noisy = kicked(ch.kraus, direction, tol * 10.0 ** log_ratio, tol)
+    cert = check_correctable(noisy, dec, tol=tol)
+    if cert.g_a is None:  # a pair or F >= 0 failed first; no G_A identity to judge
+        assert not cert.passed
+        return
+    exact = exact_g_a_residual(noisy, dec, cert.g_a)
+    assert cert.g_a_residual >= exact
+    assert cert.passed == (exact <= strict_tol(tol, dec.d_a * dec.d_b))
+
+
+def test_g_a_identity_is_judged_by_the_bound_or_else_exactly(monkeypatch):
+    # across a kick sweep through the threshold both paths occur: the bound
+    # passes (no kernel call, the bound reported), or it fails and the exact
+    # kernel decides and is reported
+    import subrec.correctability as correctability
+
+    exact_calls = []
+    kernel = correctability.certify_code_map
+
+    def spy(*args, **kwargs):
+        exact_calls.append(None)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(correctability, "certify_code_map", spy)
+    tol = 1e-9
+    ch, dec = planted_channel(2, 2, 8, 3, seed=0)
+    direction = ginibre_like(ch.kraus, np.random.default_rng(1))
+    paths = set()
+    for eps in tol * np.logspace(-2, 2, 17):
+        exact_calls.clear()
+        noisy = kicked(ch.kraus, direction, eps, tol)
+        cert = check_correctable(noisy, dec, tol=tol)
+        if cert.g_a is None:
+            continue
+        exact = exact_g_a_residual(noisy, dec, cert.g_a)
+        if exact_calls:
+            paths.add("exact")
+            assert cert.g_a_residual == exact
+        else:
+            paths.add("bound")
+            assert exact <= cert.g_a_residual <= strict_tol(tol, 4)
+    assert paths == {"bound", "exact"}

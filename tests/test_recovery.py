@@ -412,3 +412,35 @@ def test_correction_from_a_scaled_recovery_is_not_trace_preserving(cooling):
     scaled = dataclasses.replace(res, u_recovery=1.01 * res.u_recovery)
     with pytest.raises(NotTracePreserving):
         recovery_to_correction(scaled, dec)
+
+
+def test_map_vanishing_on_the_code_names_the_empty_c_subsystem():
+    # every pair factors (as zero), so the code passes check_correctable, but
+    # F = 0 leaves no output subsystem C to recover into
+    ch = KrausChannel([np.zeros((4, 4))] * 2, require_tp=False)
+    dec = SubsystemDecomposition.trivial(2, 2)
+    cert = check_correctable(ch, dec)
+    assert cert.passed
+    with pytest.raises(CertificateMismatch, match="output subsystem C is empty"):
+        construct_recovery(ch, dec, cert)
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-4])
+def test_correction_judges_itself_trace_preserving_at_its_acceptance(tol):
+    # the returned channel carries the tolerance it was accepted at, so its
+    # own is_trace_preserving agrees with recovery_to_correction
+    cases = [planted_channel(2, 2, 8, 3, seed=15), planted_channel(4, 8, 40, 3, seed=4),
+             demo_build(DemoSpec(name="binary-unitary", p=0.4,
+                                 thetas=(0.5, 1.4, 2.9, 4.2), seed=2))]
+    rng = np.random.default_rng(1004)
+    ch0, dec = cases[1]
+    cases.append((KrausChannel([k + 1e-6 * (rng.normal(size=k.shape)
+                                            + 1j * rng.normal(size=k.shape))
+                                for k in ch0.kraus], require_tp=False, tol=tol), dec))
+    for ch, dec in cases:
+        if not check_correctable(ch, dec, tol=tol).passed:
+            continue
+        corr = recovery_to_correction(build(ch, dec, tol=tol), dec, tol=tol)
+        assert corr.is_trace_preserving
+        assert corr.tol == acceptance_tol(tol)
+        assert corr.tp_defect <= acceptance_tol(tol, np.sqrt(corr.dim))
