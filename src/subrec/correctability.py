@@ -105,15 +105,18 @@ def check_correctable(ch: KrausChannel, dec: SubsystemDecomposition,
     if ch.dim != dec.dim:
         raise DimensionMismatch(f"channel dim {ch.dim} != decomposition dim {dec.dim}")
     m, d_a, d_b = ch.m, dec.d_a, dec.d_b
-    # compressed pairs (E_a W)^dag (E_b W) = W^dag E_a^dag E_b W, built once
     kw = np.asarray(ch.kraus) @ dec.w
-    pairs = kw.conj().transpose(0, 2, 1)[:, None] @ kw[None, :]
-    blocks = pairs.reshape(m, m, d_a, d_b, d_a, d_b)
-    f_blocks = np.einsum("abikjk->abij", blocks) / d_b
+    kw_dag = kw.conj().transpose(0, 2, 1)
+    f_blocks = np.empty((m, m, d_a, d_a), dtype=complex)
     residuals = np.empty((m, m))
-    for a in range(m):  # one row of pairs at a time: temporaries of m n^2, not m^2 n^2
-        diff = blocks[a] - f_blocks[a, :, :, None, :, None] * np.eye(d_b)[:, None, :]
-        residuals[a] = np.sqrt((diff.real ** 2 + diff.imag ** 2).sum(axis=(1, 2, 3, 4)))
+    diagonal = np.arange(d_b)
+    for a in range(m):  # one row of pairs at a time: m n^2 entries, not m^2 n^2
+        # compressed pairs (E_a W)^dag (E_b W) = W^dag E_a^dag E_b W, less F_ab (x) I_B
+        delta = (kw_dag[a] @ kw).reshape(m, d_a, d_b, d_a, d_b)
+        f_blocks[a] = np.einsum("bikjk->bij", delta) / d_b
+        delta[:, :, diagonal, :, diagonal] -= f_blocks[a]
+        flat = delta.reshape(m, -1).view(float)
+        residuals[a] = np.sqrt(np.einsum("bx,bx->b", flat, flat))
     # ||E_a^dag E_b||_F^2 = <E_a E_a^dag, E_b E_b^dag>: m Gram products at d
     grams = np.asarray([k @ dagger(k) for k in ch.kraus]).reshape(m, -1)
     norms = np.sqrt(np.abs(grams.conj() @ grams.T))
@@ -155,7 +158,8 @@ def check_correctable(ch: KrausChannel, dec: SubsystemDecomposition,
         cert.g_a_residual = bound
         return cert
     n = d_a * d_b
-    worst = certify_code_map(pairs.reshape(m * m, n, n), d_a, d_b, superop=g_a).residual
+    pairs = (kw_dag[:, None] @ kw[None]).reshape(m * m, n, n)
+    worst = certify_code_map(pairs, d_a, d_b, superop=g_a).residual
     cert.g_a_residual = worst
     if not worst <= threshold:
         cert.passed = False

@@ -177,6 +177,8 @@ def _canonicalize_eigenvectors(w: np.ndarray, q: np.ndarray, tol: float) -> np.n
     positive.  Reconstruction error stays below the cluster width.
     """
     d = w.size
+    if not d:
+        return q  # nothing to rephase; argmax has no empty reduction
     q = q.copy()
     bounds = np.append(eigenvalue_clusters(w, tol / 10), d)
     for start, stop in zip(bounds[:-1], bounds[1:]):
@@ -187,11 +189,8 @@ def _canonicalize_eigenvectors(w: np.ndarray, q: np.ndarray, tol: float) -> np.n
                                          gram_schmidt_cutoff(tol, defect))
             if fresh.shape[1] == stop - start:
                 q[:, start:stop] = fresh
-    for j in range(d):
-        pivot = int(np.argmax(np.abs(q[:, j])))
-        phase = q[pivot, j] / abs(q[pivot, j])
-        q[:, j] = q[:, j] / phase
-    return q
+    pivots = q[np.argmax(np.abs(q), axis=0), np.arange(d)]
+    return q / (pivots / np.abs(pivots))
 
 
 def polar_isometry_on_support(g: np.ndarray, s: np.ndarray,
@@ -223,23 +222,38 @@ def polar_isometry_on_support(g: np.ndarray, s: np.ndarray,
 
 
 def _index_ordered_basis(comp: np.ndarray, target: int, cutoff: float) -> np.ndarray:
-    """Gram-Schmidt (one re-orthogonalization pass) over the columns of
-    ``comp`` in index order, keeping those whose residual norm exceeds
-    ``cutoff`` until ``target`` are found; returns them as columns."""
+    """Index-ordered Gram-Schmidt over the columns of ``comp``: each column,
+    projected off the vectors kept so far, is kept when its residual norm
+    exceeds ``cutoff``, until ``target`` are kept; returns them as columns.
+
+    Blocked form of that column loop.  A column of norm within the cut-off
+    is dropped up front: projection only shrinks it.  The other columns go
+    in blocks of at most the number still wanted.  A block is projected off
+    the basis twice (re-orthogonalized block Gram-Schmidt), then one
+    Householder QR with R's diagonal made real positive gives the
+    Gram-Schmidt vectors of its columns in order, |R_tt| being the residual
+    norm of column t.  The block is kept up to its first column with
+    |R_tt| <= cutoff; that column is skipped, and the next block starts
+    after it, at most twice as wide as the part kept, so dense skips cost
+    about what one column at a time did.
+    """
     d = comp.shape[0]
+    cand = np.flatnonzero(np.linalg.norm(comp, axis=0) > cutoff)
     basis = np.zeros((d, target), dtype=complex, order="F")
-    k = 0
-    for j in range(d):
-        if k == target:
-            break
-        v = comp[:, j]
+    k = pos = 0
+    width = target
+    while k < target and pos < cand.size:
+        block = comp[:, cand[pos:pos + min(width, target - k)]].astype(complex, copy=False)
         for _ in range(2):
-            # v -= Q (Q^dag v), conjugating vectors rather than Q
-            v = v - basis[:, :k] @ (v.conj() @ basis[:, :k]).conj()
-        norm = np.linalg.norm(v)
-        if norm > cutoff:
-            basis[:, k] = v / norm
-            k += 1
+            block -= basis[:, :k] @ (dagger(basis[:, :k]) @ block)
+        q, r = np.linalg.qr(block)
+        diag = np.diagonal(r)
+        small = np.flatnonzero(~(np.abs(diag) > cutoff))
+        t = int(small[0]) if small.size else diag.size
+        basis[:, k:k + t] = q[:, :t] * (diag[:t] / np.abs(diag[:t]))
+        k += t
+        pos += min(t + 1, diag.size)
+        width = max(1, 2 * t)
     return basis[:, :k]
 
 
@@ -247,10 +261,10 @@ def orthonormal_complement(p: np.ndarray, tol: float = DEFAULT_TOL) -> list[np.n
     """Orthonormal basis of range(I - p), built deterministically.
 
     Projects the standard basis vectors in index order onto the
-    complement of the projector ``p`` and keeps (Gram-Schmidt, one
-    re-orthogonalization pass) those whose residual exceeds
-    ``gram_schmidt_cutoff(tol, ||p^2 - p||_F)``, stopping once it has
-    round(Tr(I - p)) vectors.
+    complement of the projector ``p`` and keeps (Gram-Schmidt with one
+    re-orthogonalization pass, blocked as in :func:`_index_ordered_basis`)
+    those whose residual exceeds ``gram_schmidt_cutoff(tol, ||p^2 - p||_F)``,
+    stopping once it has round(Tr(I - p)) vectors.
     """
     p = _as_square(p, "p")
     return list(_complement_basis(p, frobenius(p @ p - p), tol).T)
@@ -266,9 +280,15 @@ def _complement_basis(p, defect, tol):
 
 def complete_isometry(v: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """The unitary ``[v | index-ordered orthonormal basis of range(v)^perp]``
-    for a d x k isometry v, with the Gram-Schmidt cut-off taken from the
-    defect ||v^dag v - I||_F; raises NotPartialIsometry unless
-    ||u^dag u - I||_F <= ``acceptance_tol(tol, d)``."""
+    for a d x k isometry v; raises NotPartialIsometry unless
+    ||u^dag u - I||_F <= ``acceptance_tol(tol, d)``.
+
+    The complement is the index-ordered Gram-Schmidt of the columns of
+    I - v v^dag, with the cut-off taken from the defect ||v^dag v - I||_F,
+    in the blocked form of :func:`_index_ordered_basis`: the zero columns
+    of a coordinate frame are dropped up front, and a run of columns
+    without a skip costs one block QR, so generic input takes one.
+    """
     d, k = v.shape
     cutoff = gram_schmidt_cutoff(tol, frobenius(dagger(v) @ v - np.eye(k)))
     u = np.hstack([v, _index_ordered_basis(np.eye(d) - v @ dagger(v), d - k, cutoff)])

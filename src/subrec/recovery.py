@@ -25,7 +25,9 @@ complementary factor moved to C.  The construction:
    eigenvalue lambda_l of block a and each B basis vector k; these images,
    gathered in (a, l, k) order from the operators of step 3, are the
    first columns of a unitary V completed by the index-ordered complement
-   of their range; the recovery is U = V^dag.
+   of their range (``complete_isometry``: Gram-Schmidt of the columns of
+   I - V_live V_live^dag, blocked, one Householder QR per run of columns
+   without a skip); the recovery is U = V^dag.
 
 The certificate's residual is computed against the factor map extracted
 from the actual action of U ∘ E ∘ P_AB (existence of such a map is what

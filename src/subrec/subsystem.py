@@ -102,8 +102,8 @@ def certify_code_map(ops, d_a: int, d_b: int, frame: np.ndarray | None = None,
     ``ops`` are the code-projected Kraus operators N_a (d_out x d_A d_B),
     e.g. E_a W; ``frame`` is the output isometry V (d_out x d_C d_B), the
     identity when omitted.  F is read from the I_B slice,
-    F(X) = Tr_B(V^dag N(X (x) I_B) V) / d_B, unless ``superop`` supplies
-    it.
+    F(X) = Tr_B(V^dag N(X (x) I_B) V) / d_B, one Gram product of the
+    frame-compressed operators, unless ``superop`` supplies it.
 
     The residual is exact, without a Gram expansion.  For the matrix-unit
     row p = (i, k) and column q = (j, l) the mismatch
@@ -111,16 +111,16 @@ def certify_code_map(ops, d_a: int, d_b: int, frame: np.ndarray | None = None,
     with X_p = [N_1[:, p] .. N_m[:, p] | V_k].  One batched thin QR
     X_p = Q_p R_p, R_p of K = min(d_out, m + d_C) rows, gives its
     Frobenius norm as that of the K x K product
-    R_p diag(I_m, -F(|i><j|)) R_q^dag, taken for a chunk of rows against
-    every column at once (with F = I and d_A = 1, the product with F is
-    a sign flip).  Cost: n d_out (m + d_C)^2 for the QR and
-    n^2 K^2 (m + d_C) for the products (n = d_A d_B); a chunk has
-    max(1, d_out // K) rows, so no product block exceeds K n d_out
-    entries, the peak is about 2 (m + d_C) n d_out entries (the QR and its
-    input), and nothing of size d_out^2 is formed.  Where that is one row
-    (K > d_out / 2), all d_B rows of an A index go in one product
-    instead, when it holds at most (m + d_C) d_out^2 entries: small
-    shapes then pay one call per A index, not one per row.
+    R_p diag(I_m, -F(|i><j|)) R_q^dag (with F = I and d_A = 1, the
+    product with F is a sign flip).  Rows p go in groups, which may span A
+    indices, each against every column at once: d_A products, one per
+    column A index j, and one norm reduction per group.  Cost:
+    n d_out (m + d_C)^2 for the QR and n^2 K^2 (m + d_C) for the products
+    (n = d_A d_B).  A group has max(1, max(K n d_out, 2^16) // (K^2 n))
+    rows, so no product block exceeds K n d_out entries or the floor of
+    2^16 (1 MB), and shapes under that floor run as one group; above it
+    the peak is about 2 (m + d_C) n d_out entries (the QR and its input),
+    and nothing of size d_out^2 is formed.
     """
     ops = np.asarray(ops, dtype=complex)
     n = d_a * d_b
@@ -133,8 +133,12 @@ def certify_code_map(ops, d_a: int, d_b: int, frame: np.ndarray | None = None,
             f"frame must be {d_out} x (d_C * {d_b}) with d_C >= 1, got {frame.shape}")
     d_c = frame.shape[1] // d_b
     if superop is None:
+        # V^dag N_a with rows (i, c) and columns (a, b, k): F(|i><j|)_cd is
+        # the Gram entry of rows (i, c) and (j, d), over d_B
         coded = (dagger(frame) @ ops).reshape(-1, d_c, d_b, d_a, d_b)
-        factors = np.einsum("acbik,adbjk->ijcd", coded, coded.conj(), optimize=True) / d_b
+        coded = coded.transpose(3, 1, 0, 2, 4).reshape(d_a * d_c, -1)
+        gram = (coded @ dagger(coded)) / d_b
+        factors = gram.reshape(d_a, d_c, d_a, d_c).transpose(0, 2, 1, 3)
         superop = factors.transpose(2, 3, 0, 1).reshape(d_c * d_c, d_a * d_a, order="F")
     else:
         superop = np.asarray(superop)
@@ -151,31 +155,29 @@ def certify_code_map(ops, d_a: int, d_b: int, frame: np.ndarray | None = None,
     r = np.linalg.qr(x, mode="r")
     del x  # the products need only R: free the QR input before them
     k_rows, cols = r.shape[1:]
-    r = r.reshape(d_a, d_b, k_rows, cols)
     # r_dag[j] = [R_(j,0)^dag .. R_(j,d_B-1)^dag], the columns q = (j, l)
-    r_dag = r.conj().transpose(0, 3, 1, 2).reshape(d_a, cols, d_b * k_rows)
+    r_dag = r.conj().reshape(d_a, d_b, k_rows, cols).transpose(0, 3, 1, 2).reshape(
+        d_a, cols, d_b * k_rows)
     identity = d_a == 1 and np.array_equal(factors[0, 0], np.eye(d_c))
     if identity:
         # F = I: R_p diag(I_m, -I) is R_p with its last d_C columns negated
         r[..., m:] *= -1
-    chunk = max(1, d_out // k_rows)
-    if chunk == 1 and d_b * k_rows * k_rows * n <= cols * d_out * d_out:
-        chunk = d_b  # every B row of an A index in one product
-    worst = np.empty((d_a, d_b))
-    for i in range(d_a):
-        for k in range(0, d_b, chunk):
-            rows = r[i, k:k + chunk].reshape(-1, cols)
-            if identity:
-                left = rows[None]
-            else:
-                # left[j] = R_p diag(I_m, -F(|i><j|)), stacked over the rows p
-                left = np.empty((d_a, *rows.shape), dtype=complex)
-                left[..., :m] = rows[:, :m]
-                np.matmul(-rows[:, m:], factors[i], out=left[..., m:])
-            diff = (left @ r_dag).view(float).reshape(d_a, -1, k_rows, d_b, 2 * k_rows)
-            worst[i, k:k + chunk] = np.sqrt(np.max(
-                np.einsum("jpalb,jpalb->pjl", diff, diff).reshape(-1, n), axis=1))
-    return CodeMapCertificate(superop, factors, float(np.max(worst)))
+    group = max(1, max(k_rows * n * d_out, 1 << 16) // (k_rows * k_rows * n))
+    worst = []
+    for start in range(0, n, group):
+        rows = r[start:start + group]
+        if identity:
+            left = rows[None]
+        else:
+            # left[j, p] = R_p diag(I_m, -F(|i_p><j|)), i_p the A index of row p
+            left = np.empty((d_a, *rows.shape), dtype=complex)
+            left[..., :m] = rows[..., :m]
+            np.matmul(-rows[:, None, :, m:], factors[np.arange(start, start + len(rows)) // d_b],
+                      out=left[..., m:].transpose(1, 0, 2, 3))
+        diff = (left.reshape(len(left), -1, cols) @ r_dag).view(float)
+        diff = diff.reshape(d_a, len(rows), k_rows, d_b, 2 * k_rows)
+        worst.append(np.max(np.einsum("jpalb,jpalb->jpl", diff, diff)))
+    return CodeMapCertificate(superop, factors, float(np.sqrt(np.max(worst))))
 
 
 def embed_product(dec: SubsystemDecomposition, sigma_a: np.ndarray,

@@ -361,8 +361,8 @@ def test_superop_of_the_wrong_shape_is_a_dimension_mismatch(shape):
 
 
 # (d_out, number of operators, d_B): K = min(d_out, m + d_C) > d_out / 2 in
-# every case, so a chunk would be one row; the d_B rows of an A index go in
-# one product in the first two cases and one at a time in the last
+# every case, so groups of K n d_out product entries would be one row each;
+# under the floor of 2^16 entries all n rows go in one group instead
 @pytest.mark.parametrize("d_out, m, d_b", [(10, 4, 2), (40, 12, 8), (10, 4, 5)])
 def test_identity_factor_map_with_one_row_chunks_agrees_with_loop(d_out, m, d_b):
     # the shape of construct_recovery step 3 and channels_equal: d_A = 1,
@@ -382,12 +382,37 @@ def test_identity_factor_map_with_one_row_chunks_agrees_with_loop(d_out, m, d_b)
 
 @pytest.mark.parametrize("d_out, m, d_c", [(7, 4, 2), (6, 4, 2)])
 def test_general_factor_map_with_one_row_chunks_agrees_with_loop(d_out, m, d_c):
-    # K = 6 > d_out / 2 with d_A = d_B = 2: all rows of an A index in one
-    # product when d_out = 7, one row at a time when d_out = 6
+    # K = 6 > d_out / 2 with d_A = d_B = 2: groups of K n d_out product
+    # entries would be one row each; under the 2^16 floor the four rows, both
+    # A indices, go in one group, against d_A = 2 column blocks
     d_a = d_b = 2
     ops, frame, exact = _factoring_instance(d_out, m, d_c)
     assert certify_code_map(ops, d_a, d_b, frame=frame).residual < 1e-12
     rng = np.random.default_rng(63)
+    rand = rng.normal(size=exact.shape) + 1j * rng.normal(size=exact.shape)
+    assert_matches_loop(ops, d_a, d_b, frame=frame, superop=rand)
+    assert_matches_loop(ops + 1e-3 * rng.normal(size=ops.shape), d_a, d_b, frame=frame)
+
+
+def _group_rows(d_out, cols, n):
+    # the row-group rule of certify_code_map, K = min(d_out, m + d_C)
+    k_rows = min(d_out, cols)
+    return max(1, max(k_rows * n * d_out, 1 << 16) // (k_rows * k_rows * n))
+
+
+# (d_out, m, d_C, d_A, d_B): one group over all three A indices; then groups
+# of 22 rows over d_B = 8, the first spanning A indices 0 to 2 and ending
+# inside A index 2, whose last two rows form the second group
+@pytest.mark.parametrize("d_out, m, d_c, d_a, d_b", [(6, 2, 2, 3, 2), (30, 8, 3, 3, 8)])
+def test_row_groups_across_a_indices_agree_with_loop(d_out, m, d_c, d_a, d_b):
+    n = d_a * d_b
+    rows = _group_rows(d_out, m + d_c, n)
+    assert rows > d_b
+    if rows < n:
+        assert rows % d_b and rows // d_b + 1 == d_a
+    ops, frame, exact = _factoring_instance(d_out, m, d_c, d_a=d_a, d_b=d_b, seed=64)
+    assert certify_code_map(ops, d_a, d_b, frame=frame).residual < 1e-12
+    rng = np.random.default_rng(65)
     rand = rng.normal(size=exact.shape) + 1j * rng.normal(size=exact.shape)
     assert_matches_loop(ops, d_a, d_b, frame=frame, superop=rand)
     assert_matches_loop(ops + 1e-3 * rng.normal(size=ops.shape), d_a, d_b, frame=frame)

@@ -15,7 +15,7 @@ from subrec import (
     partial_trace_b,
     polar_isometry_on_support,
 )
-from subrec.linalg import orthonormal_complement
+from subrec.linalg import _index_ordered_basis, complete_isometry, orthonormal_complement
 from subrec.random_ops import haar_isometry, haar_unitary, random_hermitian, random_projector
 
 from oracles import birkhoff_bistochastic, prefix_majorizes
@@ -234,6 +234,60 @@ def test_orthonormal_complement_matches_mgs_loop(seed, dim, rank):
     assert len(got) == len(expected) == dim - rank
     for u, v in zip(got, expected):
         assert np.max(np.abs(u - v)) < 1e-12
+
+
+def test_skip_inside_a_block_matches_mgs_loop():
+    # range(p) holds (e_2 + e_3) / sqrt(2), so (I - p) e_3 = -(I - p) e_2: the
+    # loop skips column 3, inside the first block of d - rank columns, and
+    # the block after it starts at column 4
+    dim, rank = 12, 4
+    lead = np.zeros((dim, 1))
+    lead[2:4] = 1 / np.sqrt(2)
+    w, _ = np.linalg.qr(np.hstack([lead, haar_isometry(dim, rank - 1, seed=29)]))
+    p = w @ dagger(w)
+    comp = np.eye(dim) - p
+    assert np.linalg.norm(comp[:, 3] + comp[:, 2]) < 1e-12
+    got = orthonormal_complement(p)
+    expected = _mgs_complement(p)
+    assert len(got) == len(expected) == dim - rank
+    for u, v in zip(got, expected):
+        assert np.max(np.abs(u - v)) < 1e-12
+
+
+@pytest.mark.parametrize("dim", [4, 10, 40, 64])
+def test_dense_skips_match_mgs_loop(dim):
+    # W = I (x) (e_0 + e_1) / sqrt(2): every odd column of I - W W^dag repeats
+    # the one before it up to sign, so every other column is a skip
+    w = np.kron(np.eye(dim // 2), np.ones((2, 1)) / np.sqrt(2))
+    u = complete_isometry(w)
+    expected = _mgs_complement(w @ dagger(w))
+    assert len(expected) == dim // 2
+    assert np.max(np.abs(u[:, dim // 2:] - np.column_stack(expected))) < 1e-12
+
+
+def test_residuals_either_side_of_the_cutoff_match_mgs_loop():
+    # column 1 leaves 1.01e-6 e_4 off e_0 (kept), column 2 leaves 0.99e-6 e_5
+    # (skipped), column 4 is zero (dropped up front); every other column
+    # meets the kept vectors only in entries 0 or 1, so both loops project
+    # exactly and round alike
+    dim = 8
+    comp = np.zeros((dim, dim))
+    comp[0, 0] = comp[0, 1] = comp[0, 2] = 1.0
+    comp[4, 1], comp[5, 2] = 1.01e-6, 0.99e-6
+    comp[1, 3] = 1.0
+    comp[[1, 5], 5] = 1.0
+    comp[[2, 6], 6] = [1.0, 1e-3]
+    comp[[3, 7], 7] = [0.5, 1.0]
+    got = _index_ordered_basis(comp, dim, 1e-6)
+    expected = _mgs_complement(np.eye(dim) - comp)
+    assert got.shape[1] == len(expected) == 6
+    assert np.max(np.abs(got - np.column_stack(expected))) < 1e-12
+    assert np.max(np.abs(got[:, 1])) == 1.0 and abs(got[4, 1]) == 1.0
+
+
+def test_hermitian_eig_of_an_empty_matrix():
+    w, q = hermitian_eig(np.zeros((0, 0)))
+    assert w.shape == (0,) and q.shape == (0, 0)
 
 
 def _canonical_loop(w, q):

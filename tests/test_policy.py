@@ -149,8 +149,11 @@ def test_complete_isometry_matches_padded_complete_to_unitary(seed, dim, cols):
     assert np.linalg.norm(dagger(u) @ u - np.eye(dim)) < 1e-12
 
 
-def test_complete_isometry_of_coordinate_frame_is_the_identity():
-    assert np.array_equal(complete_isometry(np.eye(7)[:, :3]), np.eye(7))
+# the coordinate C frame of recovery_to_correction: its first columns are
+# zero in I - V V^dag and dropped up front, the others are standard vectors
+@pytest.mark.parametrize("dim,cols", [(7, 3), (40, 32), (64, 8), (9, 9), (6, 0), (33, 1)])
+def test_complete_isometry_of_coordinate_frame_is_the_identity(dim, cols):
+    assert np.array_equal(complete_isometry(np.eye(dim)[:, :cols]), np.eye(dim))
 
 
 @pytest.mark.parametrize("bad", ["scaled", "nan", "dependent"])
