@@ -16,6 +16,7 @@ number is a usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -64,7 +65,30 @@ def _tolerance(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    """Parse a seed; anything but a non-negative integer is a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {text!r}")
+    return value
+
+
+def _thetas(text: str) -> tuple[float, ...]:
+    """Parse comma-separated angles; a part that is not a number is a usage error."""
+    try:
+        return tuple(float(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"angles must be comma-separated numbers, got {text!r}") from None
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args keeps its results in a new
+    # namespace, so repeated calls to main share no state through it
     parser = _Parser(prog="subrec",
                      description="verify, recover and discover correctable subsystems "
                                  "of quantum channels in Kraus form")
@@ -77,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--subsystem", required=True, help="subsystem JSON file")
         p.add_argument("--tolerance", type=_tolerance, default=None,
                        help="structural tolerance (default 1e-9 or SUBREC_TOLERANCE)")
-        p.add_argument("--seed", type=int, default=0, help="probing seed")
+        p.add_argument("--seed", type=_seed, default=0, help="probing seed")
         p.add_argument("--out", help="write the JSON report to this file")
         p.add_argument("--format", choices=("json", "text"), default="text",
                        help="stdout format")
@@ -94,9 +118,9 @@ def build_parser() -> argparse.ArgumentParser:
     demo = sub.add_parser("demo", help="emit a built-in demo channel")
     demo.add_argument("name", choices=DEMO_NAMES)
     demo.add_argument("--p", type=float, default=0.5, help="mixing probability")
-    demo.add_argument("--thetas", default="0.3,1.2,2.5,4.0",
+    demo.add_argument("--thetas", type=_thetas, default="0.3,1.2,2.5,4.0",
                       help="four increasing angles in [0, 2pi), comma separated")
-    demo.add_argument("--seed", type=int, default=0)
+    demo.add_argument("--seed", type=_seed, default=0)
     demo.add_argument("--da", type=int, default=2, help="planted d_A")
     demo.add_argument("--db", type=int, default=2, help="planted d_B")
     demo.add_argument("--dim", type=int, default=8, help="planted ambient dimension")
@@ -259,8 +283,7 @@ def _run_ucc(args) -> int:
 
 
 def _run_demo(args) -> int:
-    thetas = tuple(float(x) for x in str(args.thetas).split(","))
-    spec = DemoSpec(name=args.name, p=args.p, thetas=thetas, seed=args.seed,
+    spec = DemoSpec(name=args.name, p=args.p, thetas=args.thetas, seed=args.seed,
                     d_a=args.da, d_b=args.db, dim=args.dim, n_kraus=args.kraus,
                     unital=args.unital)
     ch, dec = demo_build(spec)

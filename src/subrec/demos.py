@@ -119,6 +119,10 @@ def planted_channel(d_a: int, d_b: int, dim: int, n_kraus: int, seed=None,
     trace preserving (and unital iff F_A is).  Returns the channel and
     the planted decomposition.
     """
+    # checked before the first draw, so valid instances keep their seed stream
+    if min(d_a, d_b, n_kraus) < 1:
+        raise BadParams(f"d_A, d_B and the Kraus count must be at least 1, "
+                        f"got {d_a}, {d_b}, {n_kraus}")
     if d_a * d_b > dim:
         raise BadParams(f"d_A * d_B = {d_a * d_b} exceeds dim = {dim}")
     rng = as_rng(seed)

@@ -16,18 +16,24 @@ complementary factor moved to C.  The construction:
    is checked, and G_a off the code is never formed;
 3. check that the remixed family reproduces the channel on the I_A slice,
    G(k) G(l)^dag = E(k) E(l)^dag for the column blocks G(k), E(k) of the
-   B index k: the code-map identity with d_A = 1, the operators
-   G_a W(|i> (x) .) in (a, i) order, the columns E_b W(|j> (x) .) as frame
-   and F = I, certified by ``certify_code_map``;
+   B index k, the columns G_a W(|i> (x) |k>) and E_b W(|j> (x) |k>) in
+   (a, i) and (b, j) order: the remix is G(k) = E(k) q with q the
+   eigenvectors of F, so the mismatch is E(k) (q q^dag - I) E(l)^dag,
+   whose norm is that of R_k (q q^dag - I) R_l^dag for the thin QR
+   E(k) = Q_k R_k (``remix_residual``);
 4. with D_aa diagonal, the polar factor V_a of G_a P_AB against
    sqrt(D_aa) (x) I_B is the closed form
    V_a W(|l> (x) |k>) = G_a W(|l> (x) |k>) / sqrt(lambda_l) for each live
    eigenvalue lambda_l of block a and each B basis vector k; these images,
-   gathered in (a, l, k) order from the operators of step 3, are the
+   gathered in (a, l, k) order from the operators of step 2, are the
    first columns of a unitary V completed by the index-ordered complement
    of their range (``complete_isometry``: Gram-Schmidt of the columns of
    I - V_live V_live^dag, blocked, one Householder QR per run of columns
    without a skip); the recovery is U = V^dag.
+
+Steps 1, 2 and 4 build the recovery; step 3 and the certificate below
+(step 5 in the code) check it.  ``find_ucc`` runs only the building
+steps, since it certifies the final correction on E itself.
 
 The certificate's residual is computed against the factor map extracted
 from the actual action of U ∘ E ∘ P_AB (existence of such a map is what
@@ -40,6 +46,7 @@ Kraus index b, which reproduces the extracted map.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,7 +55,7 @@ from .correctability import CorrectabilityCertificate
 from .errors import CertificateMismatch, NotTracePreserving, NumericalDegeneracy
 from .linalg import (DEFAULT_TOL, acceptance_tol, complete_isometry, dagger, hermitian_eig,
                      strict_tol)
-from .subsystem import SubsystemDecomposition, certify_code_map
+from .subsystem import SubsystemDecomposition, certify_code_map, remix_residual
 
 __all__ = ["RecoveryResult", "construct_recovery", "recovery_to_correction",
            "verify_correction"]
@@ -89,22 +96,24 @@ class RecoveryResult:
         return self.c_subsystem.d_a
 
 
-def construct_recovery(ch: KrausChannel, dec: SubsystemDecomposition,
-                       cert: CorrectabilityCertificate,
-                       tol: float = DEFAULT_TOL) -> RecoveryResult:
-    """Build the recovery unitary from a passing correctability certificate.
+class _Built(NamedTuple):
+    """Steps 1, 2 and 4 of the construction, with what steps 3 and 5 read."""
 
-    Raises
-    ------
-    CertificateMismatch
-        If the certificate did not come from (ch, dec), did not pass, or
-        its block matrix has an eigenvalue below -tol, or no eigenvalue
-        above the cut-off (the channel vanishes on the code, so the output
-        subsystem C would be empty).
-    NumericalDegeneracy
-        If the ranges of the modified Kraus operators fail to be
-        orthogonal beyond ``acceptance_tol(tol, lambda_max)``, indicating
-        a certificate accepted at too loose a tolerance.
+    u_recovery: np.ndarray
+    c_subsystem: SubsystemDecomposition
+    f_ca_kraus: list[np.ndarray]
+    d_blocks: list[tuple[int, np.ndarray, int]]
+    orthogonality_residual: float
+    q: np.ndarray  # eigenvectors of F: the remix is G(k) = E(k) q
+    kw: np.ndarray  # the code-projected Kraus operators E_b W
+
+
+def _build_recovery(ch: KrausChannel, dec: SubsystemDecomposition,
+                    cert: CorrectabilityCertificate, tol: float) -> _Built:
+    """Steps 1, 2 and 4: the recovery unitary and C frame, without certificates.
+
+    Raises as :func:`construct_recovery` does; the step 2 orthogonality
+    gate still runs, since step 4's closed-form polar factor rests on it.
     """
     if not cert.matches(ch, dec, tol=tol):
         raise CertificateMismatch("certificate was not produced from this channel/decomposition")
@@ -145,13 +154,6 @@ def construct_recovery(ch: KrausChannel, dec: SubsystemDecomposition,
             f"G_a ranges not orthogonal (residual {ortho_resid:.3e}); "
             "certificate tolerance too loose")
 
-    # 3. the modified family reproduces the channel on the I_A slice,
-    # G(k) G(l)^dag = E(k) E(l)^dag: the code-map identity with d_A = 1, F = I
-    g_cols = gw_ab.transpose(0, 2, 1, 3).reshape(m * d_a, d, d_b)
-    g_action_resid = certify_code_map(
-        g_cols, 1, d_b, frame=ew.transpose(1, 0, 2, 3).reshape(d, m * d_a * d_b),
-        superop=np.eye(m * d_a).reshape(-1, 1)).residual
-
     # 4. the diagonal blocks of step 2 certify (G_a W)^dag (G_a W) = D_aa (x) I_B
     # with D_aa diagonal, so the polar factor of G_a P_AB sends
     # W(|l> (x) |k>) to G_a W(|l> (x) |k>) / sqrt(lambda_l) for live (a, l),
@@ -163,6 +165,7 @@ def construct_recovery(ch: KrausChannel, dec: SubsystemDecomposition,
             f"{cutoff:.3e}, so the output subsystem C is empty")
     d_blocks = [(a, np.diag(lam[a * d_a:(a + 1) * d_a]), int(r))
                 for a, r in enumerate(np.bincount(live // d_a, minlength=m)) if r]
+    g_cols = gw_ab.transpose(0, 2, 1, 3).reshape(m * d_a, d, d_b)
     v_cb = (g_cols[live] / np.sqrt(lam[live])[:, None, None]).transpose(1, 0, 2).reshape(d, -1)
     n_cb = v_cb.shape[1]
     rank_c = n_cb // d_b
@@ -178,16 +181,43 @@ def construct_recovery(ch: KrausChannel, dec: SubsystemDecomposition,
     # column block], the live rows in the (a, l) order of the C embedding
     k_live = np.sqrt(lam[live])[:, None] * u[live]
     f_ca_kraus = list(k_live.reshape(live.size, m, d_a).transpose(1, 0, 2))
+    return _Built(u_recovery, c_dec, f_ca_kraus, d_blocks, ortho_resid, q, kw)
+
+
+def construct_recovery(ch: KrausChannel, dec: SubsystemDecomposition,
+                       cert: CorrectabilityCertificate,
+                       tol: float = DEFAULT_TOL) -> RecoveryResult:
+    """Build the recovery unitary from a passing correctability certificate.
+
+    Raises
+    ------
+    CertificateMismatch
+        If the certificate did not come from (ch, dec), did not pass, or
+        its block matrix has an eigenvalue below -tol, or no eigenvalue
+        above the cut-off (the channel vanishes on the code, so the output
+        subsystem C would be empty).
+    NumericalDegeneracy
+        If the ranges of the modified Kraus operators fail to be
+        orthogonal beyond ``acceptance_tol(tol, lambda_max)``, indicating
+        a certificate accepted at too loose a tolerance.
+    """
+    built = _build_recovery(ch, dec, cert, tol)
+    d, d_a, d_b, m = ch.dim, dec.d_a, dec.d_b, ch.m
+
+    # 3. the modified family reproduces the channel on the I_A slice,
+    # G(k) G(l)^dag = E(k) E(l)^dag, from the R factors of the blocks E(k)
+    e_cols = built.kw.reshape(m, d, d_a, d_b).transpose(3, 1, 0, 2).reshape(d_b, d, m * d_a)
+    g_action_resid = remix_residual(e_cols, built.q)
 
     # 5. certify U ∘ E ∘ P_AB = F_{C|A} (x) id_B with F_{C|A} extracted
     # from the identity-B slice of the actual action.
-    cm = certify_code_map(u_recovery @ kw, d_a, d_b, frame=w_c)
+    cm = certify_code_map(built.u_recovery @ built.kw, d_a, d_b, frame=built.c_subsystem.w)
 
     return RecoveryResult(
-        u_recovery=u_recovery, c_subsystem=c_dec, f_ca_kraus=f_ca_kraus,
-        f_ca_superop=cm.superop, d_blocks=d_blocks, residual=cm.residual,
-        g_action_residual=g_action_resid, orthogonality_residual=ortho_resid,
-        channel=ch, decomposition=dec)
+        u_recovery=built.u_recovery, c_subsystem=built.c_subsystem,
+        f_ca_kraus=built.f_ca_kraus, f_ca_superop=cm.superop, d_blocks=built.d_blocks,
+        residual=cm.residual, g_action_residual=g_action_resid,
+        orthogonality_residual=built.orthogonality_residual, channel=ch, decomposition=dec)
 
 
 def recovery_to_correction(res: RecoveryResult, dec: SubsystemDecomposition,
@@ -206,9 +236,15 @@ def recovery_to_correction(res: RecoveryResult, dec: SubsystemDecomposition,
     with ``tol = acceptance_tol(tol)``, so its own ``is_trace_preserving``
     applies that same threshold.
     """
-    w, w_c = dec.w, res.c_subsystem.w
+    return _correction(res.u_recovery, res.c_subsystem, dec, tol)
+
+
+def _correction(u_recovery: np.ndarray, c_dec: SubsystemDecomposition,
+                dec: SubsystemDecomposition, tol: float) -> KrausChannel:
+    # recovery_to_correction on the two fields of the recovery it reads
+    w, w_c = dec.w, c_dec.w
     u_c = complete_isometry(w_c, tol)
-    if res.c_subsystem.d_a == dec.d_a:
+    if c_dec.d_a == dec.d_a:
         kraus = [complete_isometry(w, tol) @ dagger(u_c)]
     else:
         # group g sends C indices g d_A, ..., g d_A + d_A - 1 (their d_B columns
@@ -219,7 +255,7 @@ def recovery_to_correction(res: RecoveryResult, dec: SubsystemDecomposition,
         kraus += [np.outer(w[:, 0], q) for q in u_c[:, w_c.shape[1]:].T.conj()]
     # judged, and returned, at the acceptance tolerance, so the channel's own
     # is_trace_preserving agrees with this check
-    correction = KrausChannel([k @ res.u_recovery for k in kraus], require_tp=False,
+    correction = KrausChannel([k @ u_recovery for k in kraus], require_tp=False,
                               tol=acceptance_tol(tol))
     if not correction.is_trace_preserving:
         raise NotTracePreserving(

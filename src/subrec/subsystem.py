@@ -16,7 +16,7 @@ from .errors import DimensionMismatch, NotFinite
 from .linalg import DEFAULT_TOL, dagger, frobenius, partial_trace_b, strict_tol
 
 __all__ = ["SubsystemDecomposition", "FactorResult", "CodeMapCertificate",
-           "certify_code_map", "embed_product", "factor_on_range"]
+           "certify_code_map", "remix_residual", "embed_product", "factor_on_range"]
 
 
 class SubsystemDecomposition:
@@ -162,7 +162,7 @@ def certify_code_map(ops, d_a: int, d_b: int, frame: np.ndarray | None = None,
     if identity:
         # F = I: R_p diag(I_m, -I) is R_p with its last d_C columns negated
         r[..., m:] *= -1
-    group = max(1, max(k_rows * n * d_out, 1 << 16) // (k_rows * k_rows * n))
+    group = _row_group(k_rows, n, d_out)
     worst = []
     for start in range(0, n, group):
         rows = r[start:start + group]
@@ -178,6 +178,54 @@ def certify_code_map(ops, d_a: int, d_b: int, frame: np.ndarray | None = None,
         diff = diff.reshape(d_a, len(rows), k_rows, d_b, 2 * k_rows)
         worst.append(np.max(np.einsum("jpalb,jpalb->jpl", diff, diff)))
     return CodeMapCertificate(superop, factors, float(np.sqrt(np.max(worst))))
+
+
+def _row_group(k_rows: int, n: int, d_out: int) -> int:
+    # rows p per product block of the R-factor residuals: the block of one
+    # group against all n columns has group * k_rows * n * k_rows entries,
+    # at most k_rows * n * d_out or the floor of 2^16 (1 MB)
+    return max(1, max(k_rows * n * d_out, 1 << 16) // (k_rows * k_rows * n))
+
+
+def remix_residual(cols, mix: np.ndarray) -> float:
+    """Worst mismatch of a remixed column family, max_kl ||G(k) G(l)^dag - E(k) E(l)^dag||_F.
+
+    ``cols`` holds the n blocks E(k) (n x d_out x c) and ``mix`` the c x c
+    matrix q of the remix G(k) = E(k) q.  Then
+
+        G(k) G(l)^dag - E(k) E(l)^dag = E(k) (q q^dag - I) E(l)^dag,
+
+    and with the thin QR E(k) = Q_k R_k, R_k of K = min(d_out, c) rows,
+    the orthonormal columns of Q_k and Q_l drop out of the Frobenius norm:
+    it is that of the K x K product R_k (q q^dag - I) R_l^dag.  This is the
+    R-factor form of ``certify_code_map`` with d_A = 1 and F = I, whose
+    X_k = [G(k) | E(k)] is twice as wide: one batched QR of width c, not
+    2c, and the products go in the same row groups, so no block exceeds
+    max(K n d_out, 2^16) entries.  With q q^dag - I Hermitian, the (l, k)
+    product is the adjoint of the (k, l) one, so each group of rows k
+    meets only the columns l from its first row on.  The value is exact
+    for the given q, rounding aside; G itself is never read.  Cost:
+    n d_out c^2 for the QR, n K c^2 for the left factors and about
+    n^2 K^2 c / 2 for the products.
+    """
+    cols = np.asarray(cols, dtype=complex)
+    n, d_out, c = cols.shape
+    mix = np.asarray(mix)
+    if mix.shape != (c, c):
+        raise DimensionMismatch(f"mix must be {c} x {c}, got {mix.shape}")
+    r = np.linalg.qr(cols, mode="r")
+    k_rows = r.shape[1]
+    left = r @ (mix @ dagger(mix) - np.eye(c))
+    # r_dag = [R_0^dag .. R_(n-1)^dag], the columns l
+    r_dag = r.conj().transpose(2, 0, 1).reshape(c, n * k_rows)
+    group = _row_group(k_rows, n, d_out)
+    worst = []
+    for start in range(0, n, group):
+        # the (l, k) product is the adjoint of the (k, l) one: columns l >= start
+        diff = (left[start:start + group].reshape(-1, c) @ r_dag[:, start * k_rows:]).view(float)
+        diff = diff.reshape(-1, k_rows, n - start, 2 * k_rows)
+        worst.append(np.max(np.einsum("pald,pald->pl", diff, diff)))
+    return float(np.sqrt(np.max(worst)))
 
 
 def embed_product(dec: SubsystemDecomposition, sigma_a: np.ndarray,

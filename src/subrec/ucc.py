@@ -11,6 +11,15 @@ to a correction by pairing the output C (x) B frame back onto A (x) B
 (possible exactly because rank F_{C|A}(I_A) = rank I_A here), verified
 on E's own operators.  By the theorem, that certificate is the noiseless
 property for E^dag ∘ E, so it is not checked a second time.
+
+The certificates each reported subsystem passed are those of
+``check_correctable`` (the factorization and G_A identity residuals), the
+orthogonality gate of the remixed Kraus ranges (step 2 of the recovery
+construction, on which its closed-form polar factor rests) and
+``verify_correction``, whose residual is the one reported.  The recovery
+is built without its own step 3 and step 5 certificates: the correction
+identity R ∘ E ∘ P_AB = F_A (x) id_B is checked directly on E, so the
+intermediate U ∘ E ∘ P_AB = F_{C|A} (x) id_B would only repeat it.
 """
 
 from __future__ import annotations
@@ -25,7 +34,7 @@ from .channel import KrausChannel, dual
 from .correctability import check_correctable
 from .errors import NotUnital, PreconditionViolated
 from .linalg import DEFAULT_TOL, acceptance_tol, frobenius, numeric_rank, strict_tol
-from .recovery import construct_recovery, recovery_to_correction, verify_correction
+from .recovery import _build_recovery, _correction, verify_correction
 from .subsystem import SubsystemDecomposition
 
 __all__ = ["UccSubsystem", "InternalContradiction", "UccReport",
@@ -109,17 +118,17 @@ def find_ucc(ch: KrausChannel, seed: int = 0, tol: float = DEFAULT_TOL) -> UccRe
                 "noiseless subsystem of E^dag∘E is not correctable for E",
                 cert.residual))
             continue
-        res = construct_recovery(ch, dec, cert, tol=tol)
+        built = _build_recovery(ch, dec, cert, tol)
 
         # unitary correctability needs rank F_{C|A}(I_A) = rank I_A
-        rank_c = res.c_subsystem.d_a
+        rank_c = built.c_subsystem.d_a
         if rank_c != dec.d_a:
             report.contradictions.append(InternalContradiction(
                 dec, "rank",
                 f"dim C = {rank_c} differs from d_A = {dec.d_a}", float(rank_c)))
             continue
 
-        correction = recovery_to_correction(res, dec, tol=tol)
+        correction = _correction(built.u_recovery, built.c_subsystem, dec, tol)
         u_corr = correction.kraus[0]
         residual, f_a = verify_correction(ch, dec, correction, tol=tol)
         if not residual <= acceptance_tol(tol):

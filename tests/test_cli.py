@@ -4,7 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from subrec import DemoSpec, SubsystemDecomposition, compose, demo_build, dual
+from subrec import (DemoSpec, SubsystemDecomposition, check_correctable, compose, demo_build,
+                    dual)
 from subrec.cli import main
 from subrec.io import (
     canonical_dumps,
@@ -285,3 +286,65 @@ def test_top_level_list_exit_1(tmp_path, capsys):
     code, out = run(["ucc", "--channel", str(ch_file)], capsys=capsys)
     assert code == 1
     assert "MalformedInput" in out.err and "JSON object" in out.err
+
+
+def test_cached_parser_keeps_no_state_between_calls(tmp_path, capsys, monkeypatch):
+    # the parser is built once per process; a tolerance, a usage error and
+    # --version in earlier calls must not leak into a later default call
+    import subrec.cli as cli
+    from subrec.linalg import DEFAULT_TOL
+
+    ch_file, dec_file = write_demo(tmp_path, "phase-flip", p=0.3)
+    judged = []
+
+    def recording(ch, dec, tol):
+        judged.append(tol)
+        return check_correctable(ch, dec, tol=tol)
+
+    monkeypatch.setattr(cli, "check_correctable", recording)
+    argv = ["check", "--channel", str(ch_file), "--subsystem", str(dec_file)]
+    assert main(argv + ["--tolerance", "1e-6"]) == 0
+    assert main(argv + ["--tolerance", "-1"]) == 64
+    capsys.readouterr()
+    assert main(["--version"]) == 0
+    assert capsys.readouterr().out.startswith("subrec ")
+    assert main(argv) == 0
+    monkeypatch.setenv("SUBREC_TOLERANCE", "1e-4")
+    assert main(argv) == 0
+    assert judged == [1e-6, DEFAULT_TOL, 1e-4]
+    assert cli.build_parser() is cli.build_parser()
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["demo", "binary-unitary", "--thetas", "a,b"],
+    ["demo", "binary-unitary", "--thetas", "0.3,,2.5,4.0"],
+    ["demo", "planted", "--seed", "-1"],
+    ["demo", "planted", "--seed", "1.5"],
+    ["ucc", "--seed", "-3"],
+    ["check", "--subsystem", "dec.json", "--seed", "x"],
+])
+def test_malformed_demo_and_seed_flags_exit_64(argv, capsys):
+    assert main(argv) == 64
+    assert "error: argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [["--da", "0"], ["--db", "-1"], ["--kraus", "0"],
+                                   ["--kraus", "-1"]])
+def test_planted_demo_with_an_empty_factor_exits_1_and_writes_nothing(flags, tmp_path,
+                                                                      capsys):
+    out = tmp_path / "dec.json"
+    code = main(["demo", "planted", "--out-subsystem", str(out), *flags])
+    assert code == 1
+    assert "BadParams" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_demo_thetas_reach_the_demo_as_numbers(tmp_path, capsys):
+    # parsed by argparse, default included; an out-of-order list is bad data
+    assert main(["demo", "binary-unitary", "--out", str(tmp_path / "a.json")]) == 0
+    assert main(["demo", "binary-unitary", "--thetas", "0.3,1.2,2.5,4",
+                 "--out", str(tmp_path / "b.json")]) == 0
+    assert (tmp_path / "a.json").read_text() == (tmp_path / "b.json").read_text()
+    assert main(["demo", "binary-unitary", "--thetas", "1.2,0.3,2.5,4.0"]) == 1
+    capsys.readouterr()

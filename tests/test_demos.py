@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from subrec import BadParams, DemoSpec, demo_build
+from subrec import BadParams, DemoSpec, demo_build, planted_channel
 from subrec.demos import intersect_chords
 from subrec.linalg import dagger
 
@@ -91,3 +91,16 @@ def test_all_demos_are_cptp():
 def test_unknown_demo():
     with pytest.raises(BadParams):
         demo_build(DemoSpec(name="nope"))
+
+
+@pytest.mark.parametrize("d_a, d_b, n_kraus", [(0, 2, 3), (2, 0, 3), (2, 2, 0), (-1, -1, 3),
+                                               (2, 2, -1)])
+def test_planted_rejects_empty_factors_before_drawing(d_a, d_b, n_kraus):
+    rng = np.random.default_rng(7)
+    with pytest.raises(BadParams):
+        planted_channel(d_a, d_b, 8, n_kraus, rng)
+    # no draw was taken: the generator still gives the instance of a fresh one
+    ch, dec = planted_channel(2, 2, 8, 3, rng)
+    fresh, fresh_dec = planted_channel(2, 2, 8, 3, np.random.default_rng(7))
+    assert np.array_equal(dec.w, fresh_dec.w)
+    assert all(np.array_equal(a, b) for a, b in zip(ch.kraus, fresh.kraus))

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from subrec import (
     NotTracePreserving,
     RecoveryResult,
     SubsystemDecomposition,
+    certify_code_map,
     check_correctable,
     construct_recovery,
     demo_build,
@@ -18,9 +20,11 @@ from subrec import (
     recovery_to_correction,
     verify_correction,
 )
-from subrec.linalg import (acceptance_tol, dagger, hermitian_eig, operator_basis,
-                          orthonormal_complement, polar_isometry_on_support, strict_tol)
+from subrec.linalg import (acceptance_tol, complete_isometry, dagger, hermitian_eig,
+                          operator_basis, orthonormal_complement,
+                          polar_isometry_on_support, strict_tol)
 from subrec.random_ops import haar_isometry, haar_unitary
+from subrec.subsystem import remix_residual
 
 from oracles import extract_common_factor
 
@@ -444,3 +448,64 @@ def test_correction_judges_itself_trace_preserving_at_its_acceptance(tol):
         assert corr.is_trace_preserving
         assert corr.tol == acceptance_tol(tol)
         assert corr.tp_defect <= acceptance_tol(tol, np.sqrt(corr.dim))
+
+
+@pytest.mark.parametrize("dims", [(1, 2, 6, 3), (2, 2, 8, 3), (3, 2, 12, 3), (2, 4, 20, 4)])
+def test_public_recovery_is_the_builder_plus_its_two_certificates(dims):
+    # construct_recovery adds steps 3 and 5 to the builder find_ucc runs,
+    # and changes nothing the builder made
+    import subrec.recovery as recovery
+
+    d_a, d_b, dim, m = dims
+    ch, dec = planted_channel(d_a, d_b, dim, m, seed=110 + dim)
+    cert = check_correctable(ch, dec)
+    res = construct_recovery(ch, dec, cert)
+    built = recovery._build_recovery(ch, dec, cert, 1e-9)
+    assert np.array_equal(res.u_recovery, built.u_recovery)
+    assert np.array_equal(res.c_subsystem.w, built.c_subsystem.w)
+    assert (res.dim_c, res.c_subsystem.d_b) == (built.c_subsystem.d_a, d_b)
+    assert all(np.array_equal(a, b) for a, b in zip(res.f_ca_kraus, built.f_ca_kraus))
+    assert res.orthogonality_residual == built.orthogonality_residual
+    cm = certify_code_map(res.u_recovery @ (np.asarray(ch.kraus) @ dec.w), d_a, d_b,
+                          frame=res.c_subsystem.w)
+    assert np.array_equal(res.f_ca_superop, cm.superop) and res.residual == cm.residual
+    assert recovery_to_correction(res, dec).kraus[0].tobytes() == recovery._correction(
+        built.u_recovery, built.c_subsystem, dec, 1e-9).kraus[0].tobytes()
+
+
+def test_step_3_peak_memory_at_the_ucc_complement_block(monkeypatch):
+    # the (1, d - 8) complement of a planted (2, 4) code at d = 128, m = 8:
+    # step 3 copies its QR input once and forms one product block of at
+    # most K n d entries (the row-group bound of certify_code_map), never
+    # the n^2 K^2 products at once (14.7 MB here)
+    import subrec.recovery as recovery
+
+    d, m = 128, 8
+    n = d - 8
+    ch, dec = planted_channel(2, 4, d, m, seed=1, unital=True)
+    block = SubsystemDecomposition(d, 1, n, complete_isometry(dec.w, 1e-9)[:, 8:])
+    cert = check_correctable(ch, block)
+    assert cert.passed
+    step_3 = []
+
+    def measured(cols, mix):
+        entry, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        value = remix_residual(cols, mix)
+        step_3.append(tracemalloc.get_traced_memory()[1] - entry)
+        return value
+
+    monkeypatch.setattr(recovery, "remix_residual", measured)
+    tracemalloc.start()
+    try:
+        res = construct_recovery(ch, block, cert)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.g_action_residual < 1e-12 and res.residual < 1e-10
+    qr_input = n * d * m * 16
+    k_rows = min(d, m)
+    assert step_3[0] < 2 * qr_input + k_rows * n * d * 16
+    # the whole construction stays at the bound of its step 5 kernel call
+    # (m + dim C = 9 columns of length d per row)
+    assert peak < 3 * (m + 1 + min(d, m + 1)) * n * d * 16

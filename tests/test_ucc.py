@@ -10,14 +10,17 @@ from subrec import (
     check_correctable,
     check_noiseless,
     compose,
+    construct_recovery,
     demo_build,
     dual,
     find_ucc,
     planted_channel,
     rank_support_equivalence,
+    recovery_to_correction,
+    verify_correction,
 )
-from subrec.linalg import dagger, operator_basis
-from subrec.random_ops import haar_isometry, haar_unitary, random_channel
+from subrec.linalg import acceptance_tol, dagger, numeric_rank, operator_basis
+from subrec.random_ops import haar_isometry, haar_unitary, random_channel, random_unital_channel
 
 
 def test_unitary_channel_whole_space_ucc():
@@ -199,3 +202,82 @@ def test_triple_agreement(seed):
     ch2, dec2 = demo_build(DemoSpec(name="binary-unitary", p=0.35, seed=seed))
     triple2 = rank_support_equivalence(ch2, dec2)
     assert len(set(triple2)) == 1
+
+
+def _public_chain(ch, seed=0, tol=1e-9):
+    # find_ucc's loop over the noiseless blocks of E^dag ∘ E, on the public
+    # chain check_correctable -> construct_recovery -> recovery_to_correction
+    # -> verify_correction, every recovery certificate computed
+    import subrec.algebra as algebra
+
+    _, candidates = algebra._noiseless_blocks(
+        algebra._dual_composition_layers(ch), ch.dim, seed, tol)
+    found, ranks, contradictions = [], [], []
+    for dec in candidates:
+        ranks.append((numeric_rank(ch.apply(dec.p_ab), tol), numeric_rank(dec.p_ab, tol)))
+        cert = check_correctable(ch, dec, tol=tol)
+        if not cert.passed:
+            contradictions.append(("check_correctable", cert.residual))
+            continue
+        res = construct_recovery(ch, dec, cert, tol=tol)
+        if res.dim_c != dec.d_a:
+            contradictions.append(("rank", float(res.dim_c)))
+            continue
+        correction = recovery_to_correction(res, dec, tol=tol)
+        residual, f_a = verify_correction(ch, dec, correction, tol=tol)
+        if not residual <= acceptance_tol(tol):
+            contradictions.append(("verify", residual))
+            continue
+        found.append((dec.w, correction.kraus[0], residual, f_a))
+    return found, ranks, contradictions
+
+
+def _near_ucc(seed):
+    # a planted unital code mixed with a Haar unitary at weight 1e-10: at
+    # tol = 1e-9 the blocks of E^dag ∘ E fail check_correctable for E
+    ch, _ = planted_channel(2, 2, 8, 2, seed=seed, unital=True)
+    eps = 1e-10
+    return KrausChannel([np.sqrt(1 - eps) * k for k in ch.kraus]
+                        + [np.sqrt(eps) * haar_unitary(8, seed=100 + seed)])
+
+
+def _collective_rotation(n_qubits, thetas=(0.7, 1.1, 0.4)):
+    # exp(-i theta_a J_a) with weights 1/3 for the total spin J_x, J_y, J_z
+    paulis = (np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1, -1]))
+    kraus = []
+    for pauli, theta in zip(paulis, thetas):
+        j = sum(np.kron(np.kron(np.eye(2 ** k), pauli / 2), np.eye(2 ** (n_qubits - k - 1)))
+                for k in range(n_qubits))
+        lam, v = np.linalg.eigh(j)
+        kraus.append(np.sqrt(1 / 3) * (v * np.exp(-1j * theta * lam)) @ dagger(v))
+    return KrausChannel(kraus)
+
+
+@pytest.mark.parametrize("make, blocks, n_contradictions", [
+    (lambda: planted_channel(2, 2, 12, 3, seed=3, unital=True)[0], [(1, 8), (2, 2)], 0),
+    (lambda: planted_channel(2, 3, 30, 2, seed=4, unital=True)[0], [(1, 3), (1, 3), (1, 24)], 0),
+    (lambda: planted_channel(4, 8, 40, 3, seed=5, unital=True)[0], [(1, 8), (4, 8)], 0),
+    (lambda: random_unital_channel(3, 1, seed=1), [(1, 3)], 0),
+    (lambda: random_unital_channel(6, 3, seed=4), [], 0),
+    (lambda: _collective_rotation(4), [(1, 2), (3, 3)], 0),
+    (lambda: _near_ucc(0), [], 3),
+], ids=["planted-12", "planted-30", "planted-40", "unitary-3", "unital-6", "collective-4",
+        "near-ucc-8"])
+def test_find_ucc_matches_the_public_chain_bit_for_bit(make, blocks, n_contradictions):
+    # find_ucc builds each recovery without its step 3 and step 5
+    # certificates and pairs the frames from the unitary alone: nothing it
+    # reports may differ from the chain that computes them
+    ch = make()
+    report = find_ucc(ch, seed=0)
+    assert sorted((s.decomposition.d_a, s.decomposition.d_b) for s in report.subsystems) \
+        == blocks
+    assert len(report.contradictions) == n_contradictions
+    found, ranks, contradictions = _public_chain(ch)
+    assert report.rank_diagnostics == ranks
+    assert [(c.stage, c.residual) for c in report.contradictions] == contradictions
+    assert len(report.subsystems) == len(found)
+    for entry, (w, u_corr, residual, f_a) in zip(report.subsystems, found):
+        assert np.array_equal(entry.decomposition.w, w)
+        assert np.array_equal(entry.u_correction, u_corr)
+        assert entry.residual == residual
+        assert np.array_equal(entry.f_a_superop, f_a)
