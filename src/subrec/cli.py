@@ -31,7 +31,7 @@ from .io import (
     canonical_dumps,
     channel_from_json,
     channel_to_json,
-    matrix_to_json,
+    read_json,
     subsystem_from_json,
     subsystem_to_json,
 )
@@ -132,23 +132,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read(path: str):
+    with open(path) as fh:
+        return read_json(fh)
+
+
 def _load_channel(args, tol):
     require_tp = not getattr(args, "no_tp_check", False)
-    if args.channel:
-        with open(args.channel) as fh:
-            obj = json.load(fh)
-    else:
-        obj = json.load(sys.stdin)
+    obj = _read(args.channel) if args.channel else read_json(sys.stdin)
     return channel_from_json(obj, require_tp=require_tp, tol=tol)
 
 
 def _emit(report: dict, args, text_lines) -> None:
+    text = canonical_dumps(report) if args.out or args.format == "json" else None
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(canonical_dumps(report))
+            fh.write(text)
             fh.write("\n")
     if args.format == "json":
-        print(canonical_dumps(report))
+        print(text)
     else:
         for line in text_lines:
             print(line)
@@ -161,8 +163,7 @@ def _fmt(x: float) -> str:
 def _run_check(args) -> int:
     tol = args.tolerance
     ch = _load_channel(args, tol)
-    with open(args.subsystem) as fh:
-        dec = subsystem_from_json(json.load(fh), tol=tol)
+    dec = subsystem_from_json(_read(args.subsystem), tol=tol)
     cert = check_correctable(ch, dec, tol=tol)
     report = {
         "version": __version__,
@@ -172,8 +173,7 @@ def _run_check(args) -> int:
                       "g_a_identity": cert.g_a_residual if cert.passed else None},
     }
     if cert.passed:
-        report["F_blocks"] = [[matrix_to_json(cert.f_blocks[a, b])
-                               for b in range(ch.m)] for a in range(ch.m)]
+        report["F_blocks"] = cert.f_blocks
     lines = [f"correctable: {'yes' if cert.passed else 'no'}",
              f"factorization residual: {_fmt(cert.residual)}"]
     if cert.passed:
@@ -185,8 +185,7 @@ def _run_check(args) -> int:
 def _run_recover(args) -> int:
     tol = args.tolerance
     ch = _load_channel(args, tol)
-    with open(args.subsystem) as fh:
-        dec = subsystem_from_json(json.load(fh), tol=tol)
+    dec = subsystem_from_json(_read(args.subsystem), tol=tol)
     cert = check_correctable(ch, dec, tol=tol)
     if not cert.passed:
         report = {"version": __version__, "command": "recover", "passed": False,
@@ -201,9 +200,9 @@ def _run_recover(args) -> int:
         "version": __version__,
         "command": "recover",
         "passed": True,
-        "U_recovery": matrix_to_json(res.u_recovery),
+        "U_recovery": res.u_recovery,
         "C_subsystem": subsystem_to_json(res.c_subsystem),
-        "F_CA_kraus": [matrix_to_json(k) for k in res.f_ca_kraus],
+        "F_CA_kraus": res.f_ca_kraus,
         "residuals": {
             "recovery_identity": res.residual,
             "factorization": cert.residual,
@@ -226,7 +225,7 @@ def _run_ns(args) -> int:
         "command": "ns",
         "blocks": [list(b) for b in st.blocks],
         "classical_sectors": [list(b) for b in st.classical_sectors],
-        "Q": matrix_to_json(st.q),
+        "Q": st.q,
         "subsystems": [subsystem_to_json(dec) for dec in found.subsystems],
         "residuals": {"structure": st.residual,
                       "noiseless": found.residuals,
@@ -256,7 +255,7 @@ def _run_ucc(args) -> int:
         "command": "ucc",
         "subsystems": [{
             "subsystem": subsystem_to_json(entry.decomposition),
-            "U_correction": matrix_to_json(entry.u_correction),
+            "U_correction": entry.u_correction,
             "residual": entry.residual,
         } for entry in report_obj.subsystems],
         "classical_sectors": [list(b) for b in report_obj.classical_sectors],

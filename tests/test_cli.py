@@ -348,3 +348,50 @@ def test_demo_thetas_reach_the_demo_as_numbers(tmp_path, capsys):
     assert (tmp_path / "a.json").read_text() == (tmp_path / "b.json").read_text()
     assert main(["demo", "binary-unitary", "--thetas", "1.2,0.3,2.5,4.0"]) == 1
     capsys.readouterr()
+
+
+def test_report_is_encoded_once_for_out_and_format_json(tmp_path, capsys, monkeypatch):
+    import subrec.cli as cli
+
+    calls = []
+
+    def counting(obj):
+        calls.append(obj)
+        return canonical_dumps(obj)
+
+    monkeypatch.setattr(cli, "canonical_dumps", counting)
+    ch_file, dec_file = write_demo(tmp_path, "binary-unitary", p=0.4, seed=8)
+    out_file = tmp_path / "report.json"
+    code, out = run(["recover", "--channel", str(ch_file), "--subsystem", str(dec_file),
+                     "--out", str(out_file), "--format", "json"], capsys=capsys)
+    assert code == 0
+    assert len(calls) == 1
+    assert out_file.read_bytes() == out.out.encode()
+
+
+def test_pretty_printed_stdin_gives_the_canonical_report(tmp_path, capsys, monkeypatch):
+    ch_file, _ = write_demo(tmp_path, "phase-flip", p=0.3)
+    pretty = json.dumps(json.loads(ch_file.read_text()), indent=4)
+    code, canonical = run(["ucc", "--channel", str(ch_file), "--format", "json"],
+                          capsys=capsys)
+    assert code == 0
+    code, piped = run(["ucc", "--format", "json"], stdin_text=pretty,
+                      monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 0
+    assert piped.out == canonical.out
+
+
+def test_boolean_entries_exit_1(tmp_path, capsys):
+    ch_file, dec_file = write_demo(tmp_path, "phase-flip", p=0.3)
+    for path, field in ((ch_file, "kraus"), (dec_file, "W")):
+        good = path.read_text()
+        obj = json.loads(good)
+        entry = obj[field][0][0] if field == "W" else obj[field][0][0][0]
+        entry[0] = True  # numpy would read it as 1.0
+        path.write_text(json.dumps(obj))
+        code, out = run(["check", "--channel", str(ch_file), "--subsystem", str(dec_file)],
+                        capsys=capsys)
+        assert code == 1
+        assert "MalformedInput" in out.err and field in out.err
+        assert "Traceback" not in out.err
+        path.write_text(good)
