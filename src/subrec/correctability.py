@@ -20,7 +20,7 @@ import numpy as np
 from .channel import KrausChannel
 from .errors import DimensionMismatch
 from .linalg import DEFAULT_TOL, dagger, frobenius, strict_tol
-from .subsystem import SubsystemDecomposition, certify_code_map
+from .subsystem import SubsystemDecomposition, _row_group, certify_code_map
 
 __all__ = ["CorrectabilityCertificate", "NoiselessResult",
            "check_correctable", "check_noiseless"]
@@ -101,24 +101,33 @@ def check_correctable(ch: KrausChannel, dec: SubsystemDecomposition,
     the exact residual (``certify_code_map`` on the m^2 pairs) decide.
     The verdict is therefore the exact one, and ``g_a_residual`` is the
     bound when it passes, the exact residual otherwise.
+
+    The pairs are formed in groups of Kraus rows a, as many as fit in
+    max(m n^2, 2^16) entries (n = d_A d_B): all m rows in one product
+    under that floor, one row at a time above it.
     """
     if ch.dim != dec.dim:
         raise DimensionMismatch(f"channel dim {ch.dim} != decomposition dim {dec.dim}")
-    m, d_a, d_b = ch.m, dec.d_a, dec.d_b
-    kw = np.asarray(ch.kraus) @ dec.w
+    m, d_a, d_b, n = ch.m, dec.d_a, dec.d_b, dec.d_a * dec.d_b
+    kraus = np.asarray(ch.kraus)
+    kw = kraus @ dec.w
     kw_dag = kw.conj().transpose(0, 2, 1)
     f_blocks = np.empty((m, m, d_a, d_a), dtype=complex)
     residuals = np.empty((m, m))
     diagonal = np.arange(d_b)
-    for a in range(m):  # one row of pairs at a time: m n^2 entries, not m^2 n^2
+    # rows a of pairs in groups of at most max(m n^2, 2^16) entries, not m^2 n^2:
+    # one group under that floor
+    group = _row_group(m * n * n, m * n * n)
+    for start in range(0, m, group):
+        rows = slice(start, start + group)
         # compressed pairs (E_a W)^dag (E_b W) = W^dag E_a^dag E_b W, less F_ab (x) I_B
-        delta = (kw_dag[a] @ kw).reshape(m, d_a, d_b, d_a, d_b)
-        f_blocks[a] = np.einsum("bikjk->bij", delta) / d_b
-        delta[:, :, diagonal, :, diagonal] -= f_blocks[a]
-        flat = delta.reshape(m, -1).view(float)
-        residuals[a] = np.sqrt(np.einsum("bx,bx->b", flat, flat))
-    # ||E_a^dag E_b||_F^2 = <E_a E_a^dag, E_b E_b^dag>: m Gram products at d
-    grams = np.asarray([k @ dagger(k) for k in ch.kraus]).reshape(m, -1)
+        delta = (kw_dag[rows, None] @ kw).reshape(-1, m, d_a, d_b, d_a, d_b)
+        f_blocks[rows] = np.einsum("abikjk->abij", delta) / d_b
+        delta[:, :, :, diagonal, :, diagonal] -= f_blocks[rows]
+        flat = delta.reshape(-1, n * n).view(float)
+        residuals[rows] = np.sqrt(np.einsum("px,px->p", flat, flat)).reshape(-1, m)
+    # ||E_a^dag E_b||_F^2 = <E_a E_a^dag, E_b E_b^dag>: m Gram products at d, stacked
+    grams = (kraus @ kraus.conj().transpose(0, 2, 1)).reshape(m, -1)
     norms = np.sqrt(np.abs(grams.conj() @ grams.T))
     all_ok = bool(np.all(residuals <= strict_tol(tol, norms)))
 
@@ -157,7 +166,6 @@ def check_correctable(ch: KrausChannel, dec: SubsystemDecomposition,
     if bound <= threshold:
         cert.g_a_residual = bound
         return cert
-    n = d_a * d_b
     pairs = (kw_dag[:, None] @ kw[None]).reshape(m * m, n, n)
     worst = certify_code_map(pairs, d_a, d_b, superop=g_a).residual
     cert.g_a_residual = worst

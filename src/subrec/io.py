@@ -17,6 +17,11 @@ goes, row by row, and hands every subtree without an array to
 (one Kraus operator, one W column) into an ndarray before it reads the
 next, so at most one element's lists are alive at a time; any input
 that is not such an object is parsed, or rejected, by ``json.loads``.
+The parse tree has no reference cycles, so :func:`read_json` pauses
+Python's cyclic garbage collector for the parse (process-global, for
+that one call; it is re-enabled on return or error if it was enabled
+on entry): its passes over a large file's parsed floats would find
+nothing to free.
 
 Parsing checks types, nesting, pair lengths and that every entry is a
 number (JSON ``true`` and ``false`` are not) before it builds a channel
@@ -27,6 +32,7 @@ parse -> serialize round-trips byte for byte.
 
 from __future__ import annotations
 
+import gc
 import json
 import re
 
@@ -221,11 +227,16 @@ def _element(text: str, start: int):
         arr = np.asarray(value)
     except (ValueError, OverflowError):
         return value, end
-    # a numeric element holds no string, so these tokens are booleans
-    if (arr.dtype.kind not in "iuf" or text.find("true", start, end) >= 0
-            or text.find("false", start, end) >= 0):
+    if arr.dtype.kind not in "iuf" or _has_boolean(text, start, end):
         return value, end
     return arr, end
+
+
+def _has_boolean(text: str, start: int, end: int) -> bool:
+    # a numeric element holds no string, so "true" and "false" are booleans;
+    # one-character finds (memchr) rule them out before the exact ones run
+    return any(text.find(word[0], start, end) >= 0 and text.find(word, start, end) >= 0
+               for word in ("true", "false"))
 
 
 def _read_value(text: str, pos: int):
@@ -282,10 +293,18 @@ def read_json(fh):
     :func:`subsystem_from_json` take either form).
 
     Invalid JSON raises ``json.JSONDecodeError``, from ``json.loads``.
+    The cyclic garbage collector is paused while the text is parsed and
+    left as it was found.
     """
     text = fh.read()
+    collecting = gc.isenabled()
+    gc.disable()  # the parse makes no cycles: the collector would only walk it
     try:
-        return _read_object(text)
-    except (_Unexpected, json.JSONDecodeError):
-        pass
-    return json.loads(text)
+        try:
+            return _read_object(text)
+        except (_Unexpected, json.JSONDecodeError):
+            pass
+        return json.loads(text)
+    finally:
+        if collecting:
+            gc.enable()

@@ -229,7 +229,8 @@ def _index_ordered_basis(comp: np.ndarray, target: int, cutoff: float) -> np.nda
     Blocked form of that column loop.  A column of norm within the cut-off
     is dropped up front: projection only shrinks it.  The other columns go
     in blocks of at most the number still wanted.  A block is projected off
-    the basis twice (re-orthogonalized block Gram-Schmidt), then one
+    the basis twice (re-orthogonalized block Gram-Schmidt; the first block
+    meets an empty basis and skips both), then one
     Householder QR with R's diagonal made real positive gives the
     Gram-Schmidt vectors of its columns in order, |R_tt| being the residual
     norm of column t.  The block is kept up to its first column with
@@ -244,7 +245,7 @@ def _index_ordered_basis(comp: np.ndarray, target: int, cutoff: float) -> np.nda
     width = target
     while k < target and pos < cand.size:
         block = comp[:, cand[pos:pos + min(width, target - k)]].astype(complex, copy=False)
-        for _ in range(2):
+        for _ in range(2 if k else 0):  # the first block has no basis to meet
             block -= basis[:, :k] @ (dagger(basis[:, :k]) @ block)
         q, r = np.linalg.qr(block)
         diag = np.diagonal(r)

@@ -33,7 +33,15 @@ complementary factor moved to C.  The construction:
 
 Steps 1, 2 and 4 build the recovery; step 3 and the certificate below
 (step 5 in the code) check it.  ``find_ucc`` runs only the building
-steps, since it certifies the final correction on E itself.
+steps, since it certifies the final correction on E itself.  Step 2's
+Gram blocks go in groups of Kraus rows, as many as fit in
+max(m n^2, 2^16) entries (n = d_A d_B): one product under that floor,
+one row at a time above it.
+
+The C (x) B frame the builder emits is the first n_cb = dim C d_B
+standard basis vectors, in (a, l, k) order, so its index-ordered
+completion is I: ``recovery_to_correction`` pairs it onto W without
+completing it, and completes only a general frame.
 
 The certificate's residual is computed against the factor map extracted
 from the actual action of U ∘ E ∘ P_AB (existence of such a map is what
@@ -55,7 +63,8 @@ from .correctability import CorrectabilityCertificate
 from .errors import CertificateMismatch, NotTracePreserving, NumericalDegeneracy
 from .linalg import (DEFAULT_TOL, acceptance_tol, complete_isometry, dagger, hermitian_eig,
                      strict_tol)
-from .subsystem import SubsystemDecomposition, certify_code_map, remix_residual
+from .subsystem import (SubsystemDecomposition, _row_group, certify_code_map,
+                        remix_residual)
 
 __all__ = ["RecoveryResult", "construct_recovery", "recovery_to_correction",
            "verify_correction"]
@@ -143,12 +152,20 @@ def _build_recovery(ch: KrausChannel, dec: SubsystemDecomposition,
     gw_ab = np.tensordot(u4.conj(), ew, axes=([2, 3], [0, 2])).transpose(0, 2, 1, 3)
     gw = gw_ab.reshape(m, d, d_a * d_b)
 
-    worst_rows = np.empty(m)
-    for a in range(m):  # one row of Gram blocks at a time: m n^2, not m^2 n^2
-        grams = dagger(gw[a]) @ gw
-        grams[a] -= np.kron(np.diag(lam[a * d_a:(a + 1) * d_a]), np.eye(d_b))
-        worst_rows[a] = np.max(np.linalg.norm(grams, axis=(1, 2)))
-    ortho_resid = float(np.max(worst_rows))
+    # rows a of Gram blocks in groups of at most max(m n^2, 2^16) entries, not
+    # m^2 n^2; D_aa (x) I_B, each lambda of block a repeated d_B times, comes
+    # off the diagonal of the (a, a) block in place
+    n = d_a * d_b
+    d_diag = np.repeat(lam, d_b).reshape(m, n)
+    diagonal = np.arange(n)
+    group = _row_group(m * n * n, m * n * n)
+    worst = []
+    for start in range(0, m, group):
+        grams = gw[start:start + group, None].conj().transpose(0, 1, 3, 2) @ gw
+        rows = np.arange(len(grams))[:, None]
+        grams[rows, rows + start, diagonal, diagonal] -= d_diag[start:start + len(grams)]
+        worst.append(np.max(np.linalg.norm(grams, axis=(2, 3))))
+    ortho_resid = float(np.max(worst))
     if not ortho_resid <= acceptance_tol(tol, scale):
         raise NumericalDegeneracy(
             f"G_a ranges not orthogonal (residual {ortho_resid:.3e}); "
@@ -230,7 +247,11 @@ def recovery_to_correction(res: RecoveryResult, dec: SubsystemDecomposition,
     d_A ("cooling"), and the ambient complement of the C (x) B subspace
     is sent to a fixed code state so the result is trace preserving.
     When dim C = d_A the pairing completes to a unitary, so the whole
-    correction is a unitary channel.  The assembled correction is
+    correction is a unitary channel.  The C frame of a
+    :func:`construct_recovery` result is the first dim C d_B standard
+    basis vectors, whose index-ordered completion is I, so that
+    completion is not formed: only W is completed (and, when cooling,
+    nothing).  Any other frame is completed.  The assembled correction is
     trace preserving within ``acceptance_tol(tol, sqrt(d))``, or
     :class:`~subrec.errors.NotTracePreserving` is raised; it is returned
     with ``tol = acceptance_tol(tol)``, so its own ``is_trace_preserving``
@@ -243,16 +264,22 @@ def _correction(u_recovery: np.ndarray, c_dec: SubsystemDecomposition,
                 dec: SubsystemDecomposition, tol: float) -> KrausChannel:
     # recovery_to_correction on the two fields of the recovery it reads
     w, w_c = dec.w, c_dec.w
-    u_c = complete_isometry(w_c, tol)
+    d, n_cb = w_c.shape
+    # the builder's C frame is the first n_cb standard basis vectors, whose
+    # index-ordered completion u_c is I: no Gram-Schmidt and no product with
+    # it; any other frame is completed
+    coordinate = np.array_equal(w_c, np.eye(d, n_cb))
+    u_c_dag = np.eye(d, dtype=complex) if coordinate else dagger(complete_isometry(w_c, tol))
     if c_dec.d_a == dec.d_a:
-        kraus = [complete_isometry(w, tol) @ dagger(u_c)]
+        u_w = complete_isometry(w, tol)
+        kraus = [u_w if coordinate else u_w @ u_c_dag]
     else:
         # group g sends C indices g d_A, ..., g d_A + d_A - 1 (their d_B columns
         # each) onto the first columns of W; the complement of C (x) B goes to w_0
         n = dec.d_a * dec.d_b
         kraus = [w[:, :block.shape[1]] @ dagger(block)
-                 for block in (w_c[:, s:s + n] for s in range(0, w_c.shape[1], n))]
-        kraus += [np.outer(w[:, 0], q) for q in u_c[:, w_c.shape[1]:].T.conj()]
+                 for block in (w_c[:, s:s + n] for s in range(0, n_cb, n))]
+        kraus += [np.outer(w[:, 0], q) for q in u_c_dag[n_cb:]]
     # judged, and returned, at the acceptance tolerance, so the channel's own
     # is_trace_preserving agrees with this check
     correction = KrausChannel([k @ u_recovery for k in kraus], require_tp=False,

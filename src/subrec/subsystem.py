@@ -162,7 +162,7 @@ def certify_code_map(ops, d_a: int, d_b: int, frame: np.ndarray | None = None,
     if identity:
         # F = I: R_p diag(I_m, -I) is R_p with its last d_C columns negated
         r[..., m:] *= -1
-    group = _row_group(k_rows, n, d_out)
+    group = _row_group(k_rows * k_rows * n, k_rows * n * d_out)
     worst = []
     for start in range(0, n, group):
         rows = r[start:start + group]
@@ -180,11 +180,11 @@ def certify_code_map(ops, d_a: int, d_b: int, frame: np.ndarray | None = None,
     return CodeMapCertificate(superop, factors, float(np.sqrt(np.max(worst))))
 
 
-def _row_group(k_rows: int, n: int, d_out: int) -> int:
-    # rows p per product block of the R-factor residuals: the block of one
-    # group against all n columns has group * k_rows * n * k_rows entries,
-    # at most k_rows * n * d_out or the floor of 2^16 (1 MB)
-    return max(1, max(k_rows * n * d_out, 1 << 16) // (k_rows * k_rows * n))
+def _row_group(row_entries: int, cap: int) -> int:
+    # rows per product block, each row making row_entries entries: a group
+    # has at most cap entries or the floor of 2^16 (1 MB), and at least one
+    # row, so shapes under the floor run as one group
+    return max(1, max(cap, 1 << 16) // row_entries)
 
 
 def remix_residual(cols, mix: np.ndarray) -> float:
@@ -218,7 +218,7 @@ def remix_residual(cols, mix: np.ndarray) -> float:
     left = r @ (mix @ dagger(mix) - np.eye(c))
     # r_dag = [R_0^dag .. R_(n-1)^dag], the columns l
     r_dag = r.conj().transpose(2, 0, 1).reshape(c, n * k_rows)
-    group = _row_group(k_rows, n, d_out)
+    group = _row_group(k_rows * k_rows * n, k_rows * n * d_out)
     worst = []
     for start in range(0, n, group):
         # the (l, k) product is the adjoint of the (k, l) one: columns l >= start

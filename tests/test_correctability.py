@@ -14,7 +14,7 @@ from subrec import (
     planted_channel,
 )
 from subrec.demos import intersect_chords
-from subrec.linalg import dagger
+from subrec.linalg import complete_isometry, dagger
 from subrec.random_ops import haar_isometry, haar_unitary, random_channel
 
 from oracles import superop_tensor_factorizes
@@ -182,3 +182,43 @@ def test_threshold_scales_with_pair_norm():
     noisy = KrausChannel([k + 2e-10 * r for k, r in zip(ch.kraus, kicks)], require_tp=False)
     cert = _assert_matches_pairwise(noisy, dec)
     assert cert.passed and cert.residual > 1e-9
+
+
+def _grouping_case(shape):
+    # certify's shape (m = 3, n = 32: one group under the 2^16 floor), m = 8,
+    # n = 64 (groups of two rows) and the (1, 248) complement block of a
+    # planted (2, 4) code at d = 256, m = 8 (one row per group, above the floor)
+    if shape == "complement":
+        ch, dec = planted_channel(2, 4, 256, 8, seed=1, unital=True)
+        return ch, SubsystemDecomposition(256, 1, 248, complete_isometry(dec.w, 1e-9)[:, 8:])
+    return planted_channel(*shape, seed=7)
+
+
+def _pairs_row_by_row(ch, dec):
+    # one Kraus row a of pairs at a time, F_ab (x) I_B subtracted per row
+    m, d_a, d_b = ch.m, dec.d_a, dec.d_b
+    kw = np.asarray(ch.kraus) @ dec.w
+    kw_dag = kw.conj().transpose(0, 2, 1)
+    f_blocks = np.empty((m, m, d_a, d_a), dtype=complex)
+    residuals = np.empty((m, m))
+    diagonal = np.arange(d_b)
+    for a in range(m):
+        delta = (kw_dag[a] @ kw).reshape(m, d_a, d_b, d_a, d_b)
+        f_blocks[a] = np.einsum("bikjk->bij", delta) / d_b
+        delta[:, :, diagonal, :, diagonal] -= f_blocks[a]
+        flat = delta.reshape(m, -1).view(float)
+        residuals[a] = np.sqrt(np.einsum("bx,bx->b", flat, flat))
+    return f_blocks, residuals
+
+
+@pytest.mark.parametrize("shape", [(4, 8, 40, 3), (4, 16, 80, 8), "complement"])
+def test_grouped_pairs_match_row_by_row_loop_bit_for_bit(shape):
+    ch, dec = _grouping_case(shape)
+    cert = check_correctable(ch, dec)
+    assert cert.passed
+    f_blocks, residuals = _pairs_row_by_row(ch, dec)
+    assert cert.f_blocks.tobytes() == f_blocks.tobytes()
+    assert cert.residual == float(np.max(residuals))
+    # on a passing certificate the G_A residual is the bound read off the pairs
+    f_norms = np.linalg.norm(f_blocks, axis=(2, 3))
+    assert cert.g_a_residual == float(np.sum(residuals * (2.0 * f_norms + residuals)))

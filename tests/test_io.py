@@ -7,6 +7,7 @@ must give exactly what ``json.dumps`` of ``matrix_to_json`` lists and
 exception types alike.
 """
 
+import gc
 import io
 import json
 import tracemalloc
@@ -292,3 +293,42 @@ def test_decoding_peak_stays_below_three_documents(wide_document, tmp_path):
     peak, again = _peak(decode)
     assert np.stack(again.kraus).tobytes() == np.stack(ch.kraus).tobytes()
     assert peak < 3 * len(text)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_read_json_pauses_the_collector_and_leaves_it_as_found(enabled, monkeypatch):
+    import subrec.io as wire
+
+    seen = []
+
+    def spied(real):
+        def parse(text):
+            seen.append(gc.isenabled())
+            return real(text)
+        return parse
+
+    monkeypatch.setattr(wire, "_read_object", spied(wire._read_object))
+    monkeypatch.setattr(json, "loads", spied(json.loads))
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        # read element by element, then a document only json.loads reads
+        assert _read_text('{"dim": 1, "kraus": [[[[1.0, 0.0]]]]}')["dim"] == 1
+        assert _read_text("[1, 2]") == [1, 2]
+        assert seen == [False, False, False] and gc.isenabled() == enabled
+        with pytest.raises(json.JSONDecodeError):
+            _read_text('{"dim": 1,')
+        assert gc.isenabled() == enabled
+        with pytest.raises(MalformedInput):
+            channel_from_json(_read_text('{"dim": 1, "kraus": [[[[true, 0.0]]]]}'))
+        assert gc.isenabled() == enabled
+
+        def malformed(text):
+            raise MalformedInput("raised inside the parse")
+
+        monkeypatch.setattr(wire, "_read_object", malformed)
+        with pytest.raises(MalformedInput):
+            _read_text("{}")
+        assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was else gc.disable)()

@@ -30,6 +30,7 @@ from subrec import (
     planted_channel,
 )
 from subrec.linalg import (
+    _index_ordered_basis,
     acceptance_tol,
     cluster_gap,
     complete_isometry,
@@ -149,11 +150,25 @@ def test_complete_isometry_matches_padded_complete_to_unitary(seed, dim, cols):
     assert np.linalg.norm(dagger(u) @ u - np.eye(dim)) < 1e-12
 
 
-# the coordinate C frame of recovery_to_correction: its first columns are
-# zero in I - V V^dag and dropped up front, the others are standard vectors
+# the coordinate C frame of construct_recovery: its first columns are zero in
+# I - V V^dag and dropped up front, the others are standard vectors
 @pytest.mark.parametrize("dim,cols", [(7, 3), (40, 32), (64, 8), (9, 9), (6, 0), (33, 1)])
 def test_complete_isometry_of_coordinate_frame_is_the_identity(dim, cols):
     assert np.array_equal(complete_isometry(np.eye(dim)[:, :cols]), np.eye(dim))
+
+
+def test_coordinate_frame_gram_schmidt_is_the_identity_at_every_width():
+    # recovery_to_correction takes the completion of that frame to be I
+    # without running it: the index-ordered Gram-Schmidt equals I entry for
+    # entry (a zero may carry a sign, which no later product turns into a
+    # nonzero value)
+    for dim in range(1, 49):
+        eye = np.eye(dim)
+        for cols in range(dim + 1):
+            v = eye[:, :cols]
+            rest = _index_ordered_basis(eye - v @ dagger(v), dim - cols,
+                                        gram_schmidt_cutoff(DEFAULT_TOL, 0.0))
+            assert np.array_equal(np.hstack([v, rest]), eye), (dim, cols)
 
 
 @pytest.mark.parametrize("bad", ["scaled", "nan", "dependent"])

@@ -509,3 +509,102 @@ def test_step_3_peak_memory_at_the_ucc_complement_block(monkeypatch):
     # the whole construction stays at the bound of its step 5 kernel call
     # (m + dim C = 9 columns of length d per row)
     assert peak < 3 * (m + 1 + min(d, m + 1)) * n * d * 16
+
+
+def _gate_row_by_row(ch, dec, cert):
+    # steps 1 and 2 as construct_recovery writes them, then the Gram blocks of
+    # the orthogonality gate one Kraus row at a time, less kron(D_aa, I_B)
+    d, d_a, d_b, m = ch.dim, dec.d_a, dec.d_b, ch.m
+    lam, q = hermitian_eig(cert.f_matrix)
+    lam = np.maximum(lam, 0.0)
+    u4 = dagger(q).reshape(m, d_a, m, d_a)
+    ew = (np.asarray(ch.kraus) @ dec.w).reshape(m, d, d_a, d_b)
+    gw = np.tensordot(u4.conj(), ew, axes=([2, 3], [0, 2])).transpose(0, 2, 1, 3)
+    gw = gw.reshape(m, d, d_a * d_b)
+    worst = []
+    for a in range(m):
+        grams = dagger(gw[a]) @ gw
+        grams[a] -= np.kron(np.diag(lam[a * d_a:(a + 1) * d_a]), np.eye(d_b))
+        worst.append(np.max(np.linalg.norm(grams, axis=(1, 2))))
+    return float(np.max(worst))
+
+
+@pytest.mark.parametrize("shape", [(4, 8, 40, 3), (4, 16, 80, 8), "complement", "ranges"])
+def test_grouped_orthogonality_gate_matches_row_by_row_loop_bit_for_bit(shape):
+    # certify's shape (one group under the 2^16 floor), groups of two rows,
+    # and the (1, 248) complement block at d = 256, m = 8 (one row per group);
+    # a planted F has rank d_A, so only D_00 is nonzero: m = 4 orthogonal
+    # ranges with n = 74 (groups of two rows) give every block its own D_aa
+    if shape == "complement":
+        ch, code = planted_channel(2, 4, 256, 8, seed=1, unital=True)
+        dec = SubsystemDecomposition(256, 1, 248, complete_isometry(code.w, 1e-9)[:, 8:])
+    elif shape == "ranges":
+        ch, dec = _orthogonal_ranges_case(296, 74, (0.4, 0.3, 0.2, 0.1), seed=45)
+    else:
+        ch, dec = planted_channel(*shape, seed=7)
+    cert = check_correctable(ch, dec)
+    res = construct_recovery(ch, dec, cert)
+    assert res.orthogonality_residual == _gate_row_by_row(ch, dec, cert)
+
+
+def _count_completions(monkeypatch):
+    import subrec.recovery as recovery
+
+    calls = []
+
+    def counted(v, tol):
+        calls.append(v.shape)
+        return complete_isometry(v, tol)
+
+    monkeypatch.setattr(recovery, "complete_isometry", counted)
+    return calls
+
+
+def _orthogonal_ranges_case(dim, d_b, weights, seed):
+    # Kraus operators sqrt(p_a) V S^a W_0 send a (1, d_B) code, the first d_B
+    # columns of W_0^dag, to the mutually orthogonal ranges V S^a W_0 W (S
+    # shifts by d_B): F = diag(p_a), so dim C = m > d_A = 1, every block a has
+    # a nonzero D_aa, and m d_B < dim leaves complement rows for w_0
+    v, w0 = haar_unitary(dim, seed=seed), haar_unitary(dim, seed=seed + 1)
+    kraus = [np.sqrt(p) * v @ np.roll(np.eye(dim), a * d_b, axis=0) @ w0
+             for a, p in enumerate(weights)]
+    return KrausChannel(kraus), SubsystemDecomposition(dim, 1, d_b, dagger(w0)[:, :d_b])
+
+
+@pytest.mark.parametrize("cooling", [False, True])
+def test_correction_of_the_builders_frame_skips_its_completion(cooling, monkeypatch):
+    # the builder's C frame is the leading coordinate frame, whose completion
+    # is I: only W (when dim C = d_A) is completed; a general frame still is
+    ch, dec = _orthogonal_ranges_case(12, 3, (0.3, 0.7), seed=40) if cooling else planted_channel(
+        4, 8, 40, 3, seed=41)
+    res = build(ch, dec)
+    assert (res.dim_c > dec.d_a) == cooling
+    calls = _count_completions(monkeypatch)
+    recovery_to_correction(res, dec)
+    assert calls == ([] if cooling else [dec.w.shape])
+    calls.clear()
+    general = _frame_result(ch.dim, res.dim_c, dec.d_b, seed=42)
+    recovery_to_correction(general, dec)
+    assert calls == [general.c_subsystem.w.shape] + ([] if cooling else [dec.w.shape])
+
+
+@pytest.mark.parametrize("cooling", [False, True])
+def test_correction_of_the_builders_frame_matches_its_completion_bit_for_bit(cooling):
+    # the pairing written out with the Gram-Schmidt completion u_c of the C
+    # frame, which the correction no longer forms
+    ch, dec = _orthogonal_ranges_case(40, 8, (0.25, 0.75), seed=43) if cooling else planted_channel(
+        4, 8, 40, 3, seed=44)
+    res = build(ch, dec)
+    w, w_c = dec.w, res.c_subsystem.w
+    u_c = complete_isometry(w_c, 1e-9)
+    if cooling:
+        n = dec.d_a * dec.d_b
+        expected = [w[:, :block.shape[1]] @ dagger(block)
+                    for block in (w_c[:, s:s + n] for s in range(0, w_c.shape[1], n))]
+        expected += [np.outer(w[:, 0], q) for q in u_c[:, w_c.shape[1]:].T.conj()]
+        assert len(expected) > 2
+    else:
+        expected = [complete_isometry(w, 1e-9) @ dagger(u_c)]
+    correction = recovery_to_correction(res, dec)
+    assert [k.tobytes() for k in correction.kraus] == [
+        (k @ res.u_recovery).tobytes() for k in expected]
