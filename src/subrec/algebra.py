@@ -3,26 +3,20 @@
 The fixed-point set of a unital trace-preserving channel E is a
 dagger-closed algebra, hence unitarily equivalent to a direct sum
 ``⊕_k M_{m_k} (x) I_{n_k}`` (plus a zero summand on the complement of
-its unit).  This module computes that block decomposition from two
-generic Hermitian elements y, g of the algebra and one more element to
-check the result against.  Neither a basis of the fixed-point set nor
-any d^2 x d^2 matrix is formed:
+its unit).  It is the commutant of the interaction algebra: for Kraus
+operators {K}, Fix = {K, K^dag}' (Kribs, Proc. Edinburgh Math. Soc. 46
+(2003) 421), with K = E_a for ``enumerate_noiseless`` and K = E_b^dag E_a
+for ``find_ucc`` (Fix(E^dag ∘ E); Holbrook, Kribs & Laflamme, Quantum
+Inf. Process. 2 (2003) 381).  This module reads the block decomposition
+of the algebra A that the K generate off two generic Hermitian elements
+y, g of their span, and takes Fix = A' from it.  Neither a basis of the
+fixed-point set nor any d^2 x d^2 matrix is formed:
 
-* a random fixed point is the limit of conjugate gradients on the
-  positive semidefinite map I - Ψ, Ψ = (E + E^dag) / 2, applied through
-  the Kraus operators (for UCC discovery Ψ = E^dag ∘ E, which is
-  self-adjoint, applied as E^dag(E(X)) through the m operators of E).
-  Started at a random Hermitian X, the iteration
-  converges to the projection of X onto Fix(E): for unital
-  trace-preserving E, Re<X, E(X)> = ||X||^2 holds exactly when
-  E(X) = X, so Fix(Ψ) = Fix(E).  It stops once
-  ||Ψ(y) - y|| / ||y|| is below ``fixed_point_target(tol, d)``, at least
-  three orders under the relative eigenvalue-cluster gap
-  ``cluster_gap(tol)`` (both in :mod:`subrec.linalg`), and takes at most
-  d^2 steps, the dimension of the operator space;
+* y and g are the Hermitian parts of random combinations Σ_a c_a E_a
+  (no product) or Σ_b E_b^dag (Σ_a c_ab E_a) (m products of d x d);
 * the eigenvalues of y fall into clusters, one per eigenvalue of the
   matrix factor of its summand and each as large as the summand's
-  multiplicity n_k.  Two clusters lie in one central summand exactly
+  multiplicity.  Two clusters lie in one central summand exactly
   when a path of nonzero blocks of g, written in the eigenbasis of y,
   links them (eigenspace connectivity; Murota, Kanno, Kojima & Kojima,
   Japan J. Indust. Appl. Math. 27 (2010)), so the summands are the
@@ -33,18 +27,18 @@ any d^2 x d^2 matrix is formed:
 Every output is certified.  For a spanning set (``algebra_structure``)
 each input element must fit the block pattern, and the span must have
 dimension Σ m_k^2, which makes it the whole block algebra and so
-certifies product closure.  For a channel (``enumerate_noiseless``) a
-third random fixed point must fit the block pattern (a larger Fix(E)
-would leave it with probability 1), every summand projector P_k must
-satisfy Ψ(P_k) = P_k, and in ``enumerate_noiseless`` every emitted
-block must pass ``check_noiseless`` (so the block algebra lies in
-Fix(E)).  ``find_ucc`` reaches the same probe and emission through
-``_noiseless_blocks`` with Ψ = E^dag ∘ E and certifies each block by
-correctability and a verified correction for E instead, which by the
-paper's theorem is the same property.  Degenerate
-draws are retried on derived seeds before surfacing UnluckySeed.
-Noiseless subsystems of the channel are read off the blocks with
-m_k > 1.
+certifies product closure.  For a channel every generator K must fit the
+pattern P = ⊕ M_μ (x) I_ν of y and g: then A lies in P, which y, g ∈ A
+generate, so A = P and Fix = P' = ⊕ I_μ (x) M_ν, every central projector
+of P included.  The m^2 products E_b^dag E_a are fitted one Kraus row b
+at a time, as (E_b Q)^dag (E_a Q) for a >= b (an adjoint fits with the
+same residual).  ``enumerate_noiseless`` also runs ``check_noiseless`` on
+every emitted block (so the block algebra lies in Fix(E));
+``find_ucc`` certifies each block by correctability and a verified
+correction for E instead, which by the paper's theorem is the same
+property.  Degenerate draws are retried on derived seeds before
+surfacing UnluckySeed.  Noiseless subsystems of the channel are read off
+the blocks of Fix with m_k > 1.
 
 ``commutant`` here, and ``fixed_point_basis`` and ``to_superoperator``
 in :mod:`subrec.channel`, are dense (d^2-sized) references: no discovery
@@ -55,7 +49,7 @@ and the demos, which look them up by name.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,8 +58,7 @@ from .correctability import check_noiseless
 from .errors import (DimensionMismatch, NotAnAlgebra, NotFinite, NotPartialIsometry,
                      NotTracePreserving, NotUnital, UnluckySeed)
 from .linalg import (DEFAULT_TOL, acceptance_tol, cluster_gap, complete_isometry, dagger,
-                     eigenvalue_clusters, fixed_point_target, frobenius, partial_trace_b,
-                     strict_tol, vec)
+                     eigenvalue_clusters, frobenius, strict_tol, vec)
 from .subsystem import SubsystemDecomposition
 
 __all__ = ["AlgebraStructure", "NoiselessSubsystems", "commutant",
@@ -82,13 +75,10 @@ class AlgebraStructure:
     element is block diagonal with k-th block of the form
     ``X_k (x) I_{n_k}`` at ``offsets[k]`` (and zero on the complement of
     the algebra's unit).  ``residual`` is the worst pattern mismatch
-    over the check elements (the input basis, or one random fixed
-    point); ``seed_used`` is the probing seed that produced the
-    certified output.  For a fixed-point algebra,
-    ``fixed_point_residual`` is the worst convergence residual
-    ||Ψ(y) - y|| / ||y|| of the three random fixed points and
-    ``fixed_point_steps`` their conjugate-gradient step counts; both are
-    empty for an algebra given by a spanning set.
+    over the check elements: the input basis, or for a fixed-point
+    algebra every generator of the interaction algebra A, fitted to the
+    pattern of A = Fix'.  ``seed_used`` is the probing seed that produced
+    the certified output.
     """
 
     blocks: list[tuple[int, int]]
@@ -96,8 +86,6 @@ class AlgebraStructure:
     offsets: list[int]
     residual: float
     seed_used: int
-    fixed_point_residual: float | None = None
-    fixed_point_steps: list[int] = field(default_factory=list)
 
     @property
     def quantum_blocks(self) -> list[tuple[int, int]]:
@@ -192,134 +180,37 @@ def _random_hermitian_combo(mats, rng):
     return (z + dagger(z)) / 2.0
 
 
-def _draw_from_span(cbasis, basis, rng):
-    """y, g from the support-compressed basis; the check elements are the basis."""
-    y, g = _random_hermitian_combo(cbasis, rng), _random_hermitian_combo(cbasis, rng)
-    return y, g, basis, (None, [])
+def _draw_from_span(mats, rng):
+    """y, g: Hermitian parts of two random combinations of ``mats``."""
+    return _random_hermitian_combo(mats, rng), _random_hermitian_combo(mats, rng)
 
 
-def _psi_kraus(ch: KrausChannel) -> np.ndarray:
-    """Kraus operators of Ψ = (E + E^dag) / 2, stacked: E_a / √2, then E_a^dag / √2."""
-    ops = np.asarray(ch.kraus)
-    return np.concatenate([ops, ops.conj().transpose(0, 2, 1)]) / np.sqrt(2.0)
+def _draw_from_products(ops, rng):
+    """y, g: Hermitian parts of Σ_b E_b^dag (Σ_a c_ab E_a) for random c,
+    elements of span{E_b^dag E_a} at m products of d x d each."""
+    m, d, _ = ops.shape
+    rows = dagger(ops.reshape(m * d, d))  # [E_1^dag | ... | E_m^dag]
+    pair = []
+    for _ in range(2):
+        c = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+        z = rows @ np.tensordot(c, ops, axes=1).reshape(m * d, d)
+        pair.append((z + dagger(z)) / 2.0)
+    return pair
 
 
-def _dual_composition_layers(ch: KrausChannel):
-    """Ψ = E^dag ∘ E as layers for :func:`_apply_layers`: E, then E^dag.
-
-    Ψ is self-adjoint, so it is its own symmetrization (Ψ + Ψ^dag) / 2;
-    one application costs 4m products of d x d matrices, where the m^2
-    Kraus operators of the composition, stacked with their adjoints,
-    cost 4m^2 and 2 m^2 d^2 entries.
-    """
-    ops = np.asarray(ch.kraus)
-    return ops, ops.conj().transpose(0, 2, 1)
+def _fit_congruence(mats, q, blocks, offsets):
+    """Worst pattern residual of q^dag X q over the stacked ``mats``."""
+    return _pattern_residual(dagger(q) @ mats @ q, blocks, offsets)
 
 
-def _apply_layers(layers, x, daggers=None):
-    """Ψ(x) for Ψ the composition of the Kraus maps X -> Σ L X L^dag, one
-    per stacked array of ``layers``, the first applied first; ``daggers``
-    holds the adjoint stacks when the caller has them."""
-    daggers = daggers or [ops.conj().transpose(0, 2, 1) for ops in layers]
-    for ops, ops_dag in zip(layers, daggers):
-        x = (ops @ x @ ops_dag).sum(axis=0)
-    return x
-
-
-def _apply_to_projector(layers, q):
-    """Ψ(Q Q^dag), kept as N N^dag with N = [L N]_L per layer while N has
-    at most d columns, then applied to the d x d product."""
-    d = q.shape[0]
-    n = q
-    for i, ops in enumerate(layers):
-        n = (ops @ n).transpose(1, 0, 2).reshape(d, -1)
-        if n.shape[1] > d:
-            return _apply_layers(layers[i + 1:], n @ dagger(n))
-    return n @ dagger(n)
-
-
-def _step_cap(dim: int) -> int:
-    """Conjugate gradients ends in at most as many steps as the real
-    dimension of the Hermitian operators, d^2."""
-    return dim * dim
-
-
-def _fixed_point(layers, x, target):
-    """Projection of the Hermitian x onto Fix(Ψ), Ψ given by ``layers`` as
-    in :func:`_apply_layers` and self-adjoint.
-
-    Conjugate gradients on I - Ψ with right-hand side 0 started at x:
-    every update lies in the range of I - Ψ, so the iterates converge to
-    x minus its range component.  Stops when the recurrence and then the
-    recomputed residual ||Ψ(y) - y|| / ||y|| are at most ``target``;
-    returns ``(y, residual, steps)``.
-    """
-    # the rounding of Ψ(p) grows with its Kraus terms written out as
-    # (Φ + Φ^dag) / 2, len(layers) x Π (layer sizes): 2m for the one layer of
-    # E and E^dag, 2m^2 for E^dag ∘ E; and again with the number of layers
-    # applied in sequence: 2m and 4m^2 in all
-    terms = len(layers) ** 2 * int(np.prod([ops.shape[0] for ops in layers]))
-    daggers = [ops.conj().transpose(0, 2, 1) for ops in layers]
-
-    def minus_gradient(v):  # Ψ(v) - v = -(I - Ψ)(v)
-        return _apply_layers(layers, v, daggers) - v
-
-    r = minus_gradient(x)
-    p = r
-    rr = np.vdot(r, r).real
-    steps = 0
-    while True:
-        norm = frobenius(x)
-        if np.sqrt(rr) <= target * norm:
-            r = minus_gradient(x)  # the recurrence drifts; judge the true residual
-            residual = frobenius(r) / norm
-            if residual <= target:
-                return (x + dagger(x)) / 2.0, residual, steps
-            p = r
-            rr = np.vdot(r, r).real
-        if not np.isfinite(rr):
-            raise NotFinite(f"fixed-point iteration produced a non-finite residual after "
-                            f"{steps} steps")
-        if steps >= _step_cap(x.shape[0]):
-            raise _RetryProbe(f"fixed point did not converge: residual "
-                              f"{np.sqrt(rr) / norm:.3e} after {steps} steps")
-        ap = -minus_gradient(p)
-        curvature = np.vdot(p, ap).real
-        if not np.isfinite(curvature):
-            raise NotFinite(f"fixed-point iteration produced a non-finite curvature after "
-                            f"{steps} steps")
-        # <X, (I - Ψ) X> >= 0 for every trace-preserving unital channel; for
-        # a direction in Fix(Ψ) the computed value is rounding, at most about
-        # (number of Kraus terms) d eps ||p||^2
-        rounding = terms * x.shape[0] * np.finfo(float).eps * np.vdot(p, p).real
-        if not curvature >= -rounding:
-            raise NotTracePreserving(
-                f"I - (E + E^dag)/2 has curvature {curvature:.3e} < 0 at step {steps}; "
-                "fixed points by iteration need a trace-preserving channel")
-        if not curvature > rounding:
-            raise _RetryProbe(f"fixed point stagnated: residual {np.sqrt(rr) / norm:.3e} "
-                              f"after {steps} steps")
-        alpha = rr / curvature
-        x = x + alpha * p
-        r = r - alpha * ap
-        rr_next = np.vdot(r, r).real
-        p = r + (rr_next / rr) * p
-        rr = rr_next
-        steps += 1
-
-
-def _draw_fixed_points(layers, target, rng):
-    """y, g and the check element: three independent random fixed points,
-    with their worst convergence residual and their step counts."""
-    dim = layers[0].shape[1]
-    points, residuals, steps = [], [], []
-    for _ in range(3):
-        z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        point, residual, n_steps = _fixed_point(layers, (z + dagger(z)) / 2.0, target)
-        points.append(point)
-        residuals.append(residual)
-        steps.append(n_steps)
-    return points[0], points[1], points[2:], (float(np.max(residuals)), steps)
+def _fit_products(ops, q, blocks, offsets):
+    """Worst pattern residual of the m^2 products E_b^dag E_a, taken as
+    (E_b q)^dag (E_a q) one Kraus row b at a time for a >= b: m + m(m+1)/2
+    products of d x d, about 2m d^2 entries live.  E_a^dag E_b, the
+    adjoint, has the same residual."""
+    z = ops @ q
+    return float(np.max([_pattern_residual(dagger(z[b]) @ z[b:], blocks, offsets)
+                         for b in range(len(z))]))  # a NaN stays NaN
 
 
 def _eigenspace_blocks(y, g, tol):
@@ -329,10 +220,12 @@ def _eigenspace_blocks(y, g, tol):
     Clusters of eigenvalues of y closer than ``cluster_gap(tol)``
     (relative) are one eigenvalue of a matrix factor; the summands are the
     connected components of the clusters linked by a block of g, in the
-    eigenbasis of y, of norm above ``cluster_gap(tol) ||g||``.  Each
-    member's link to the first cluster of its summand must be a scaled
-    unitary within ``cluster_gap(tol)``.  Cost: one ``eigh`` and one
-    d x d congruence.
+    eigenbasis of y, of norm above ``cluster_gap(tol) ||g||``.  The
+    eigenvectors of the first cluster of a summand are its reference
+    frame.  When the clusters have more than one dimension, each other
+    member's link to the first cluster must be a scaled unitary within
+    ``cluster_gap(tol)``, and it carries the frame over.  Cost: one
+    ``eigh`` and one d x d congruence.
     """
     gap = cluster_gap(tol)
     wy, vy = np.linalg.eigh(y)
@@ -355,6 +248,9 @@ def _eigenspace_blocks(y, g, tol):
         first = slice(bounds[members[0]], bounds[members[0] + 1])
         for c in members:
             rows = slice(bounds[c], bounds[c + 1])
+            if c == members[0] or n_k == 1:  # the reference frame, or nothing to align
+                cols.append(vy[:, rows])
+                continue
             t_c = gy[rows, first]
             gram = dagger(t_c) @ t_c
             cval = float(np.trace(gram).real) / n_k
@@ -377,10 +273,12 @@ def _components(linked):
         labels = merged
 
 
-def _structure_attempt(draw, support, dim, rng, tol):
-    """One probe: draw y, g and the check elements, read the blocks off
-    y and g, assemble the basis change and fit every check element."""
-    y, g, checks, convergence = draw(rng)
+def _structure_attempt(draw, fit, support, rng, tol):
+    """One probe: draw y, g, read the blocks off them, assemble the basis
+    change and fit every check element to the block pattern."""
+    y, g = draw(rng)
+    if not (np.all(np.isfinite(y)) and np.all(np.isfinite(g))):
+        raise NotFinite("a random element of the generating span has a non-finite entry")
     blocks, cols = _eigenspace_blocks(y, g, tol)
     try:
         q = complete_isometry(cols if support is None else support @ cols, tol)
@@ -388,39 +286,36 @@ def _structure_attempt(draw, support, dim, rng, tol):
         raise _RetryProbe("assembled basis change lost orthonormality") from None
 
     offsets = np.cumsum([0] + [m * n for m, n in blocks])[:-1].tolist()
-    residual = _pattern_residual(checks, q, blocks, offsets)
+    residual = fit(q, blocks, offsets)
     if not residual <= acceptance_tol(tol):
         raise _RetryProbe(f"pattern residual {residual:.3e}")
-    return blocks, q, offsets, residual, convergence
+    return blocks, q, offsets, residual
 
 
-def _pattern_residual(checks, q, blocks, offsets):
-    worst = []
-    for x in checks:
-        t = dagger(q) @ x @ q
-        model = np.zeros_like(t)
-        for (m_k, n_k), off in zip(blocks, offsets):
-            blk = t[off:off + m_k * n_k, off:off + m_k * n_k]
-            x_k = partial_trace_b(blk, m_k, n_k) / n_k
-            model[off:off + m_k * n_k, off:off + m_k * n_k] = np.kron(x_k, np.eye(n_k))
-        worst.append(frobenius(t - model) / max(1.0, frobenius(x)))
-    return float(np.max(worst))  # a NaN stays NaN
+def _pattern_residual(t, blocks, offsets):
+    """Worst ||T - model|| / max(1, ||T||) over the stacked T, model the
+    pattern ⊕ X_k (x) I_{n_k} (zero off the blocks) with X_k the scaled
+    partial trace of T's block; T is overwritten by T - model."""
+    scale = np.maximum(1.0, np.linalg.norm(t, axis=(1, 2)))
+    for (m_k, n_k), off in zip(blocks, offsets):
+        blk = t[:, off:off + m_k * n_k, off:off + m_k * n_k]
+        x_k = np.einsum("gikjk->gij", blk.reshape(-1, m_k, n_k, m_k, n_k)) / n_k
+        blk -= (x_k[:, :, None, :, None] * np.eye(n_k)[:, None, :]).reshape(blk.shape)
+    return float(np.max(np.linalg.norm(t, axis=(1, 2)) / scale))  # a NaN stays NaN
 
 
-def _probe(draw, support, dim, seed, tol):
+def _probe(draw, fit, support, seed, tol):
     """The retry loop of both callers: ``(structure, reasons)``, with
     ``structure`` None when every seed was degenerate."""
     reasons = []
     for attempt in range(_ATTEMPTS):
         rng = np.random.default_rng(seed + attempt)
         try:
-            blocks, q, offsets, residual, (fp_residual, fp_steps) = _structure_attempt(
-                draw, support, dim, rng, tol)
+            blocks, q, offsets, residual = _structure_attempt(draw, fit, support, rng, tol)
         except _RetryProbe as exc:
             reasons.append(f"seed {seed + attempt}: {exc}")
             continue
-        return AlgebraStructure(blocks, q, offsets, residual, seed + attempt,
-                                fp_residual, fp_steps), reasons
+        return AlgebraStructure(blocks, q, offsets, residual, seed + attempt), reasons
     return None, reasons
 
 
@@ -449,18 +344,19 @@ def algebra_structure(basis, seed: int = 0, tol: float = DEFAULT_TOL) -> Algebra
     basis = [np.asarray(x, dtype=complex) for x in basis]
     if not basis:
         raise NotAnAlgebra("empty basis")
-    dim = basis[0].shape[0]
     span, support = _check_algebra(basis, tol)
     cbasis = [dagger(support) @ x @ support for x in basis]
 
-    structure, reasons = _probe(functools.partial(_draw_from_span, cbasis, basis),
-                                support, dim, seed, tol)
+    structure, reasons = _probe(functools.partial(_draw_from_span, cbasis),
+                                functools.partial(_fit_congruence, np.asarray(basis)),
+                                support, seed, tol)
     if structure is not None:
         # the basis lies in ⊕ M_{m_k} (x) I_{n_k}; spanning all of it
         # means the span is that algebra, hence product closed
         if span.shape[1] != sum(m * m for m, _ in structure.blocks):
-            raise NotAnAlgebra(f"basis spans dimension {span.shape[1]} inside the block "
-                               f"algebra of {structure.blocks}: not closed under products")
+            raise NotAnAlgebra(f"basis span is not closed under products: dimension "
+                               f"{span.shape[1]} inside the block algebra of "
+                               f"{structure.blocks}")
         return structure
     # a span that no probe could fit is usually not product closed; the
     # product of two random elements then leaves it with probability 1
@@ -471,40 +367,54 @@ def algebra_structure(basis, seed: int = 0, tol: float = DEFAULT_TOL) -> Algebra
     raise UnluckySeed(f"algebra probing failed after {_ATTEMPTS} seeds: {'; '.join(reasons)}")
 
 
-def _noiseless_blocks(layers, dim: int, seed: int, tol: float):
-    """The probe and emission of :func:`enumerate_noiseless` for the
-    self-adjoint unital Ψ given by ``layers`` (see :func:`_apply_layers`).
+def _require_unital_tp(ch: KrausChannel, what: str) -> None:
+    """Fix = {K, K^dag}' needs a unital and trace-preserving channel."""
+    if not ch.is_unital:
+        raise NotUnital(f"{what} requires a unital channel")
+    if not ch.is_trace_preserving:
+        raise NotTracePreserving(
+            f"{what} reads the fixed points off the interaction algebra, which needs "
+            f"a trace-preserving channel; sum E_a^dag E_a differs from identity by "
+            f"{ch.tp_defect:.3e}")
 
-    Returns the certified structure (the third fixed point fits the block
-    pattern and Ψ(P_k) = P_k for every summand) and, for each block with
-    m_k > 1, the subsystem decomposition with d_A = n_k and d_B = m_k,
-    whose W passes the ``strict_tol`` isometry check.
+
+def _noiseless_blocks(ch: KrausChannel, seed: int, tol: float, dual_composition: bool):
+    """The probe and emission of :func:`enumerate_noiseless` (Fix(E)) and,
+    with ``dual_composition``, of ``find_ucc`` (Fix(E^dag ∘ E)).
+
+    Returns the certified structure of Fix: every generator fits the
+    pattern ⊕ M_μ (x) I_ν of the interaction algebra, whose blocks become
+    the blocks (m, n) = (ν, μ) of Fix, with ``q`` permuted inside each
+    block so that Fix acts as X (x) I_n.  For each block with ν > 1 it
+    also returns the subsystem decomposition with d_A = μ and d_B = ν,
+    whose W (the block's columns of the interaction algebra's basis
+    change, A-major as they stand) passes the ``strict_tol`` isometry
+    check.
     """
-    target = fixed_point_target(tol, dim)
-    structure, reasons = _probe(functools.partial(_draw_fixed_points, layers, target),
-                                None, dim, seed, tol)
-    if structure is None:
-        raise UnluckySeed(f"fixed-point probing failed after {_ATTEMPTS} seeds: "
+    ops = np.asarray(ch.kraus)
+    draw, fit = ((_draw_from_products, _fit_products) if dual_composition
+                 else (_draw_from_span, _fit_congruence))
+    found, reasons = _probe(functools.partial(draw, ops), functools.partial(fit, ops),
+                            None, seed, tol)
+    if found is None:
+        raise UnluckySeed(f"interaction-algebra probing failed after {_ATTEMPTS} seeds: "
                           f"{'; '.join(reasons)}")
 
-    subsystems = []
-    for (m_k, n_k), off in zip(structure.blocks, structure.offsets):
-        q_k = structure.q[:, off:off + m_k * n_k]
-        drift = frobenius(_apply_to_projector(layers, q_k) - q_k @ dagger(q_k))
-        if not drift <= acceptance_tol(tol, np.sqrt(m_k * n_k)):
-            raise UnluckySeed(f"summand projector of block (m={m_k}, n={n_k}) is not "
-                              f"fixed (residual {drift:.3e})")
-        if m_k <= 1:
+    dim = ch.dim
+    blocks, cols, subsystems = [], [], []
+    for (mu, nu), off in zip(found.blocks, found.offsets):
+        w = found.q[:, off:off + mu * nu]
+        blocks.append((nu, mu))
+        cols.append(w.reshape(dim, mu, nu).transpose(0, 2, 1).reshape(dim, -1))
+        if nu <= 1:
             continue
-        # fixed-point elements act as X (x) I_{n_k}; the protected factor
-        # is the matrix factor, so d_B = m_k and the A-major column of W
-        # for |a>(x)|b> is the Q column with inner index b * n_k + a.
-        w = q_k.reshape(dim, m_k, n_k).transpose(0, 2, 1).reshape(dim, -1)
         try:
-            subsystems.append(SubsystemDecomposition(dim, n_k, m_k, w, tol=tol))
+            subsystems.append(SubsystemDecomposition(dim, mu, nu, w, tol=tol))
         except DimensionMismatch as exc:
             # Q passed at acceptance_tol; W is judged at strict_tol
-            raise UnluckySeed(f"emitted block (m={m_k}, n={n_k}): {exc}") from exc
+            raise UnluckySeed(f"emitted block (m={nu}, n={mu}): {exc}") from exc
+    structure = AlgebraStructure(blocks, np.hstack(cols), found.offsets, found.residual,
+                                 found.seed_used)
     return structure, subsystems
 
 
@@ -512,32 +422,28 @@ def enumerate_noiseless(ch: KrausChannel, seed: int = 0,
                         tol: float = DEFAULT_TOL) -> NoiselessSubsystems:
     """Noiseless subsystems of a unital channel from its fixed-point algebra.
 
-    Draws three random fixed points by conjugate gradients, reads the
-    block structure off two of them and checks it against the third,
-    and for each block with m_k > 1 emits the maximal subsystem
+    Fix(E) is the commutant of the algebra that the Kraus operators
+    generate.  Reads that algebra's block structure off two random
+    Hermitian elements of span{E_a, E_a^dag}, fits every E_a to it, and
+    for each block of Fix with m_k > 1 emits the maximal subsystem
     decomposition with d_B = m_k and d_A = n_k, read off the columns of
-    the basis-change unitary.  Every summand projector must be fixed and
-    every emitted decomposition must pass
+    the basis-change unitary.  Every emitted decomposition must pass
     :func:`~subrec.correctability.check_noiseless`.
 
     Raises
     ------
-    NotUnital
-        If the channel is not unital.
+    NotUnital, NotTracePreserving
+        If the channel is not unital, or not trace preserving (checked
+        up front: Fix(E) = {E_a, E_a^dag}' needs both).
+    NotFinite
+        If a random element of the span has a non-finite entry.
     UnluckySeed
         If probing stayed degenerate for five consecutive seeds (each
-        seed listed with its reason: a fixed point that did not converge
-        in d^2 steps, or stalled at rounding, gives its residual and step
-        count), an emitted W is not an isometry at ``strict_tol``, or a
-        certificate failed.
-    NotFinite, NotTracePreserving
-        If the fixed-point iteration meets a non-finite value, or a
-        direction of negative curvature beyond rounding, which a
-        trace-preserving unital channel cannot have.
+        seed listed with its reason), an emitted W is not an isometry at
+        ``strict_tol``, or a certificate failed.
     """
-    if not ch.is_unital:
-        raise NotUnital("noiseless-subsystem enumeration requires a unital channel")
-    structure, candidates = _noiseless_blocks((_psi_kraus(ch),), ch.dim, seed, tol)
+    _require_unital_tp(ch, "noiseless-subsystem enumeration")
+    structure, candidates = _noiseless_blocks(ch, seed, tol, dual_composition=False)
     residuals = []
     for dec in candidates:
         verdict = check_noiseless(ch, dec, tol=tol)

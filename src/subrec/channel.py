@@ -150,7 +150,7 @@ def fixed_point_basis(s: Superoperator, tol: float = DEFAULT_TOL) -> list[np.nda
 
     Computed as the null space of (S - I); singular values below
     ``strict_tol(tol, s_max)`` are treated as zero.  A dense test reference
-    for the fixed points that discovery draws by iteration.
+    for the fixed points that discovery reads off the interaction algebra.
     """
     d = s.dim
     delta = s.matrix - np.eye(d * d)

@@ -228,17 +228,13 @@ def _run_ns(args) -> int:
         "Q": st.q,
         "subsystems": [subsystem_to_json(dec) for dec in found.subsystems],
         "residuals": {"structure": st.residual,
-                      "noiseless": found.residuals,
-                      "fixed_point": st.fixed_point_residual},
-        "fixed_point_steps": st.fixed_point_steps,
+                      "noiseless": found.residuals},
         "seed": st.seed_used,
     }
     lines = [f"fixed-point algebra blocks (m_k, n_k): {st.blocks}",
              f"quantum noiseless subsystems: {len(found.subsystems)}",
              f"classical sectors: {len(st.classical_sectors)}",
-             f"structure residual: {_fmt(st.residual)}",
-             f"fixed-point residual: {_fmt(st.fixed_point_residual)} "
-             f"(steps {st.fixed_point_steps})"]
+             f"structure residual: {_fmt(st.residual)}"]
     for dec, resid in zip(found.subsystems, found.residuals):
         lines.append(f"  d_B={dec.d_b} d_A={dec.d_a} noiseless residual {_fmt(resid)}")
     _emit(report, args, lines)
@@ -264,9 +260,7 @@ def _run_ucc(args) -> int:
             "stage": c.stage, "detail": c.detail, "residual": c.residual,
         } for c in report_obj.contradictions],
         "residuals": {"corrections": [e.residual for e in report_obj.subsystems],
-                      "structure": st.residual,
-                      "fixed_point": st.fixed_point_residual},
-        "fixed_point_steps": st.fixed_point_steps,
+                      "structure": st.residual},
         "seed": report_obj.seed,
     }
     lines = [f"unitarily correctable subsystems: {len(report_obj.subsystems)}",

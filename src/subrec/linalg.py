@@ -14,7 +14,6 @@ threshold                    formula                          at DEFAULT_TOL    
 strict_tol(tol, s)           tol max(1, s)                    1e-9 max(1, s)     [1]
 acceptance_tol(tol, s)       max(100 tol, 1e-7) max(1, s)     1e-7 max(1, s)     [2]
 cluster_gap(tol)             min(1e-6, max(1e3 tol, 1e-9))    1e-6               [3]
-fixed_point_target(tol, d)   max(min(tol, gap) / 1e3, d eps)  1e-12 (d < 4500)   algebra CG
 gram_schmidt_cutoff(tol, δ)  max(gap, sqrt δ)                 1e-6 (δ <= 1e-12)  [4]
 eigen-degeneracy             strict_tol(tol / 10, |w|_inf)    1e-10 max(1, |w|)  hermitian_eig
 ===========================  ===============================  =================  =============
@@ -22,8 +21,9 @@ eigen-degeneracy             strict_tol(tol / 10, |w|_inf)    1e-10 max(1, |w|) 
 [1] inputs (Hermitian, projector, polar factor, TP, unital, W) and
 certificates (factorization, F >= 0, G_A identity, noiseless, spans,
 ``channels_equal``); [2] assembled results: the G_a orthogonality gate,
-the unitarity of every completion (s = d), algebra closure and pattern,
-Ψ(P_k) = P_k, the correction's TP defect (s = √d), the UCC correction;
+the unitarity of every completion (s = d), algebra closure and the
+pattern fit of every check element or generator, the correction's TP
+defect (s = √d), the UCC correction;
 [3] ``algebra``: eigenvalue clusters, links gap ||g||, intertwiner defect
 gap max(1, c); [4] Gram-Schmidt on a projector or isometry of defect δ.
 Why these values: README, "Tolerance".
@@ -74,11 +74,6 @@ def acceptance_tol(tol: float, scale=1.0):
 def cluster_gap(tol: float) -> float:
     """Relative gap between eigenvalue clusters: ``1e3 tol`` clipped to [1e-9, 1e-6]."""
     return min(1e-6, max(1e3 * tol, 1e-9))
-
-
-def fixed_point_target(tol: float, dim: int) -> float:
-    """Relative residual a random fixed point must reach: ``max(min(tol, gap) / 1e3, d eps)``."""
-    return max(min(tol, cluster_gap(tol)) / 1e3, dim * np.finfo(float).eps)
 
 
 def gram_schmidt_cutoff(tol: float, defect: float) -> float:
@@ -230,13 +225,11 @@ def _index_ordered_basis(comp: np.ndarray, target: int, cutoff: float) -> np.nda
     is dropped up front: projection only shrinks it.  The other columns go
     in blocks of at most the number still wanted.  A block is projected off
     the basis twice (re-orthogonalized block Gram-Schmidt; the first block
-    meets an empty basis and skips both), then one
-    Householder QR with R's diagonal made real positive gives the
-    Gram-Schmidt vectors of its columns in order, |R_tt| being the residual
-    norm of column t.  The block is kept up to its first column with
-    |R_tt| <= cutoff; that column is skipped, and the next block starts
-    after it, at most twice as wide as the part kept, so dense skips cost
-    about what one column at a time did.
+    meets an empty basis and skips both), then taken by
+    :func:`_block_gram_schmidt`.  A block it takes only up to its first
+    skip is followed by one at most twice as wide as the part kept, so
+    dense skips it cannot take at once cost about what one column at a
+    time did.
     """
     d = comp.shape[0]
     cand = np.flatnonzero(np.linalg.norm(comp, axis=0) > cutoff)
@@ -247,15 +240,43 @@ def _index_ordered_basis(comp: np.ndarray, target: int, cutoff: float) -> np.nda
         block = comp[:, cand[pos:pos + min(width, target - k)]].astype(complex, copy=False)
         for _ in range(2 if k else 0):  # the first block has no basis to meet
             block -= basis[:, :k] @ (dagger(basis[:, :k]) @ block)
-        q, r = np.linalg.qr(block)
-        diag = np.diagonal(r)
-        small = np.flatnonzero(~(np.abs(diag) > cutoff))
-        t = int(small[0]) if small.size else diag.size
-        basis[:, k:k + t] = q[:, :t] * (diag[:t] / np.abs(diag[:t]))
-        k += t
-        pos += min(t + 1, diag.size)
-        width = max(1, 2 * t)
+        vectors, taken = _block_gram_schmidt(block, cutoff)
+        basis[:, k:k + vectors.shape[1]] = vectors
+        k += vectors.shape[1]
+        pos += taken
+        width = target if taken == block.shape[1] else max(1, 2 * vectors.shape[1])
     return basis[:, :k]
+
+
+def _block_gram_schmidt(block: np.ndarray, cutoff: float):
+    """The index-ordered Gram-Schmidt of the leading columns of ``block``:
+    ``(vectors, taken)``, the vectors of the columns kept among the first
+    ``taken``.
+
+    One Householder QR with R's diagonal made real positive gives the
+    Gram-Schmidt vectors of the columns in order, |R_tt| being the residual
+    norm of column t, up to the first column with |R_tt| <= cutoff.  Past
+    it, R also holds the direction of that column's residual, which the
+    loop does not keep; so the columns of larger |R_tt| get a QR of their
+    own, which stands for the whole block when every other column lies
+    within the cut-off of the kept vectors before it (the loop's choice
+    column by column).  Otherwise the block is taken up to its first skip.
+    """
+    q, r = np.linalg.qr(block)
+    diag = np.diagonal(r)
+    keep = np.abs(diag) > cutoff
+    if keep.all():
+        return q * (diag / np.abs(diag)), diag.size
+    kept, skipped = np.flatnonzero(keep), np.flatnonzero(~keep)
+    q_kept, r_kept = np.linalg.qr(block[:, kept])
+    kept_diag = np.diagonal(r_kept)
+    coef = dagger(q_kept) @ block[:, skipped]
+    coef[kept[:, None] > skipped] = 0.0  # each column meets the vectors before it
+    if (np.all(np.abs(kept_diag) > cutoff) and np.all(
+            np.linalg.norm(block[:, skipped] - q_kept @ coef, axis=0) <= cutoff)):
+        return q_kept * (kept_diag / np.abs(kept_diag)), diag.size
+    t = int(skipped[0])
+    return q[:, :t] * (diag[:t] / np.abs(diag[:t])), t + 1
 
 
 def orthonormal_complement(p: np.ndarray, tol: float = DEFAULT_TOL) -> list[np.ndarray]:

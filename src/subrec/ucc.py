@@ -3,9 +3,10 @@
 For unital noise the unitarily correctable subsystems are exactly the
 noiseless subsystems of the composition of the channel with its dual.
 The pipeline: read the block structure of the fixed-point algebra of
-Ψ = E^dag ∘ E, applied as X -> E^dag(E(X)) through the m Kraus operators
-of E (Ψ is self-adjoint, so it is its own symmetrization, and the m^2
-operators of the composition are never formed); check each candidate's
+E^dag ∘ E, the commutant of the interaction algebra generated by the
+products E_b^dag E_a, off two random elements of their span and fit
+every product to it (m^2 products of d x d, taken one Kraus row at a
+time; the composition is never formed); check each candidate's
 correctability for E itself, build the recovery unitary, and upgrade it
 to a correction by pairing the output C (x) B frame back onto A (x) B
 (possible exactly because rank F_{C|A}(I_A) = rank I_A here), verified
@@ -28,12 +29,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import (AlgebraStructure, _apply_layers, _dual_composition_layers,
-                      _noiseless_blocks)
+from .algebra import AlgebraStructure, _noiseless_blocks, _require_unital_tp
 from .channel import KrausChannel, dual
 from .correctability import check_correctable
 from .errors import NotUnital, PreconditionViolated
-from .linalg import DEFAULT_TOL, acceptance_tol, frobenius, numeric_rank, strict_tol
+from .linalg import DEFAULT_TOL, acceptance_tol, dagger, frobenius, numeric_rank, strict_tol
 from .recovery import _build_recovery, _correction, verify_correction
 from .subsystem import SubsystemDecomposition
 
@@ -85,31 +85,30 @@ def find_ucc(ch: KrausChannel, seed: int = 0, tol: float = DEFAULT_TOL) -> UccRe
     ------
     NotUnital
         If the channel is not unital (the characterization of unitary
-        correctability via the dual composition needs unital noise), or
-        E^dag ∘ E is not, which for unital E means E is not trace
-        preserving.
-    UnluckySeed, NotFinite, NotTracePreserving
+        correctability via the dual composition needs unital noise).
+    NotTracePreserving
+        If the channel is not trace preserving, checked up front: then
+        E^dag ∘ E is not unital, and its fixed points are not the
+        commutant of the E_b^dag E_a.
+    UnluckySeed, NotFinite
         As :func:`~subrec.algebra.enumerate_noiseless` raises them for
         E^dag ∘ E.
     """
-    if not ch.is_unital:
-        raise NotUnital("UCC discovery requires a unital channel")
-    layers = _dual_composition_layers(ch)
-    # E^dag∘E(I) = E^dag(I) = Σ E_a^dag E_a for unital E: judged as the
-    # composed channel would judge its own unitality, at the channel's tol
-    eye = np.eye(ch.dim)
-    if not frobenius(_apply_layers(layers, eye) - eye) <= strict_tol(ch.tol, np.sqrt(ch.dim)):
-        raise NotUnital("noiseless-subsystem enumeration requires E^dag∘E to be unital")
-    structure, candidates = _noiseless_blocks(layers, ch.dim, seed, tol)
+    _require_unital_tp(ch, "UCC discovery")
+    structure, candidates = _noiseless_blocks(ch, seed, tol, dual_composition=True)
 
     report = UccReport(
         subsystems=[], classical_sectors=list(structure.classical_sectors),
         rank_diagnostics=[], structure=structure, seed=seed)
 
     for dec in candidates:
-        p_ab = dec.p_ab
+        # (rank E(P_AB), rank P_AB) from the Gram matrices of X = [E_a W]_a
+        # and of W, the smaller side of each: E(P_AB) = X X^dag and
+        # P_AB = W W^dag have the same nonzero spectra as X^dag X and W^dag W
+        x = (np.asarray(ch.kraus) @ dec.w).transpose(1, 0, 2).reshape(ch.dim, -1)
+        gram = dagger(x) @ x if x.shape[1] < ch.dim else x @ dagger(x)
         report.rank_diagnostics.append(
-            (numeric_rank(ch.apply(p_ab), tol), numeric_rank(p_ab, tol)))
+            (numeric_rank(gram, tol), numeric_rank(dagger(dec.w) @ dec.w, tol)))
 
         cert = check_correctable(ch, dec, tol=tol)
         if not cert.passed:

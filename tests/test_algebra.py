@@ -215,7 +215,7 @@ PAULI_Z = np.diag([1.0, -1.0]).astype(complex)
     ([np.eye(2), PAULI_X, PAULI_Z], "inside the block algebra"),
     ([np.eye(4), np.kron(PAULI_X, np.eye(2)), np.kron(PAULI_Z, np.eye(2)),
       np.kron(np.eye(2), PAULI_Z)], "inside the block algebra"),
-    # probing fits no block structure here; a random product exposes it
+    # y and g generate all of M_4 here, of dimension 16 > 5
     ([np.eye(4), np.kron(PAULI_X, np.eye(2)), np.kron(PAULI_Z, np.eye(2)),
       np.kron(np.eye(2), PAULI_X), np.kron(np.eye(2), PAULI_Z)], "span is not closed"),
 ])

@@ -36,7 +36,6 @@ from subrec.linalg import (
     complete_isometry,
     dagger,
     eigenvalue_clusters,
-    fixed_point_target,
     gram_schmidt_cutoff,
     orthonormal_complement,
     partial_trace_b,
@@ -44,8 +43,7 @@ from subrec.linalg import (
 )
 from subrec.random_ops import haar_isometry, haar_unitary
 
-POLICY = {"strict_tol", "acceptance_tol", "cluster_gap", "fixed_point_target",
-          "gram_schmidt_cutoff"}
+POLICY = {"strict_tol", "acceptance_tol", "cluster_gap", "gram_schmidt_cutoff"}
 
 
 def small_float_literals(source, name):
@@ -85,8 +83,6 @@ def test_policy_values_at_default_tol():
     assert strict_tol(DEFAULT_TOL, 4.0) == 4e-9
     assert acceptance_tol(DEFAULT_TOL, 40) == pytest.approx(4e-6, rel=1e-15)
     assert cluster_gap(DEFAULT_TOL) == 1e-6
-    assert fixed_point_target(DEFAULT_TOL, 12) == pytest.approx(1e-12, rel=1e-15)
-    assert fixed_point_target(DEFAULT_TOL, 5000) == 5000 * np.finfo(float).eps
     assert gram_schmidt_cutoff(DEFAULT_TOL, 1e-14) == 1e-6
     assert gram_schmidt_cutoff(DEFAULT_TOL, 1e-6) == pytest.approx(1e-3)
     # a NaN scale fails the comparison instead of falling back to 1
@@ -96,16 +92,14 @@ def test_policy_values_at_default_tol():
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
-@given(a=st.floats(-14, -3), b=st.floats(-14, -3), dim=st.integers(1, 512),
-       scale=st.floats(0, 1e3), defect=st.floats(0, 1))
-def test_policy_is_monotone_and_the_gap_clears_the_fixed_point_target(a, b, dim, scale, defect):
+@given(a=st.floats(-14, -3), b=st.floats(-14, -3), scale=st.floats(0, 1e3),
+       defect=st.floats(0, 1))
+def test_policy_is_monotone(a, b, scale, defect):
     lo, hi = sorted((10.0 ** a, 10.0 ** b))
     for threshold in (lambda t: strict_tol(t, scale), lambda t: acceptance_tol(t, scale),
-                      cluster_gap, lambda t: fixed_point_target(t, dim),
-                      lambda t: gram_schmidt_cutoff(t, defect)):
+                      cluster_gap, lambda t: gram_schmidt_cutoff(t, defect)):
         assert threshold(lo) <= threshold(hi)
     for tol in (lo, hi):
-        assert cluster_gap(tol) >= 1e3 * fixed_point_target(tol, dim)
         assert strict_tol(tol, scale) <= acceptance_tol(tol, scale)
 
 

@@ -210,8 +210,7 @@ def _public_chain(ch, seed=0, tol=1e-9):
     # -> verify_correction, every recovery certificate computed
     import subrec.algebra as algebra
 
-    _, candidates = algebra._noiseless_blocks(
-        algebra._dual_composition_layers(ch), ch.dim, seed, tol)
+    _, candidates = algebra._noiseless_blocks(ch, seed, tol, dual_composition=True)
     found, ranks, contradictions = [], [], []
     for dec in candidates:
         ranks.append((numeric_rank(ch.apply(dec.p_ab), tol), numeric_rank(dec.p_ab, tol)))
@@ -233,10 +232,12 @@ def _public_chain(ch, seed=0, tol=1e-9):
 
 
 def _near_ucc(seed):
-    # a planted unital code mixed with a Haar unitary at weight 1e-10: at
-    # tol = 1e-9 the blocks of E^dag ∘ E fail check_correctable for E
+    # a planted unital code mixed with a Haar unitary at weight 1e-16: its
+    # amplitude 1e-8 lies below the cluster gap, so the planted blocks are
+    # read off the interaction algebra, and above tol = 1e-9, so they fail
+    # check_correctable for E
     ch, _ = planted_channel(2, 2, 8, 2, seed=seed, unital=True)
-    eps = 1e-10
+    eps = 1e-16
     return KrausChannel([np.sqrt(1 - eps) * k for k in ch.kraus]
                         + [np.sqrt(eps) * haar_unitary(8, seed=100 + seed)])
 
@@ -281,3 +282,30 @@ def test_find_ucc_matches_the_public_chain_bit_for_bit(make, blocks, n_contradic
         assert np.array_equal(entry.u_correction, u_corr)
         assert entry.residual == residual
         assert np.array_equal(entry.f_a_superop, f_a)
+
+
+def _schur_weyl(n_qubits):
+    """(2J + 1, m_J) for every total spin J of n qubits, with
+    m_J = C(N, N/2 - J) - C(N, N/2 - J - 1)."""
+    from math import comb
+
+    out = []
+    for k in range(n_qubits // 2 + 1):  # k = N/2 - J
+        out.append((n_qubits - 2 * k + 1, comb(n_qubits, k) - (comb(n_qubits, k - 1) if k else 0)))
+    return out
+
+
+@pytest.mark.parametrize("n_qubits", [6, 7])
+def test_collective_rotation_gives_the_schur_weyl_list(n_qubits):
+    # collective noise acts as U_J (x) I_{m_J} on each total spin J: the
+    # spin-J irreducible is the noisy factor A, its multiplicity space the
+    # protected B, and a multiplicity 1 leaves only a classical label
+    report = find_ucc(_collective_rotation(n_qubits), seed=0)
+    expected = _schur_weyl(n_qubits)
+    assert not report.contradictions
+    assert sorted((s.decomposition.d_a, s.decomposition.d_b) for s in report.subsystems) \
+        == sorted((d_a, d_b) for d_a, d_b in expected if d_b > 1)
+    assert sorted(report.classical_sectors) == sorted((1, d_a) for d_a, d_b in expected
+                                                      if d_b == 1)
+    for entry in report.subsystems:
+        assert entry.residual < 1e-8
