@@ -13,7 +13,8 @@ y, g of their span, and takes Fix = A' from it.  Neither a basis of the
 fixed-point set nor any d^2 x d^2 matrix is formed:
 
 * y and g are the Hermitian parts of random combinations Σ_a c_a E_a
-  (no product) or Σ_b E_b^dag (Σ_a c_ab E_a) (m products of d x d);
+  (no product) or Σ_b E_b^dag (Σ_a c_ab E_a) (m products of d x d), or,
+  on a retry, of words of such combinations;
 * the eigenvalues of y fall into clusters, one per eigenvalue of the
   matrix factor of its summand and each as large as the summand's
   multiplicity.  Two clusters lie in one central summand exactly
@@ -36,9 +37,10 @@ same residual).  ``enumerate_noiseless`` also runs ``check_noiseless`` on
 every emitted block (so the block algebra lies in Fix(E));
 ``find_ucc`` certifies each block by correctability and a verified
 correction for E instead, which by the paper's theorem is the same
-property.  Degenerate draws are retried on derived seeds before
-surfacing UnluckySeed.  Noiseless subsystems of the channel are read off
-the blocks of Fix with m_k > 1.
+property.  Degenerate draws are retried on derived seeds, each from
+longer words of span elements (a span can be more degenerate than the
+algebra it generates), before surfacing UnluckySeed.  Noiseless
+subsystems of the channel are read off the blocks of Fix with m_k > 1.
 
 ``commutant`` here, and ``fixed_point_basis`` and ``to_superoperator``
 in :mod:`subrec.channel`, are dense (d^2-sized) references: no discovery
@@ -175,25 +177,36 @@ class _RetryProbe(Exception):
     """Internal: the random draw was degenerate, try the next seed."""
 
 
-def _random_hermitian_combo(mats, rng):
-    z = sum((rng.normal() + 1j * rng.normal()) * m for m in mats)
-    return (z + dagger(z)) / 2.0
-
-
 def _draw_from_span(mats, rng):
-    """y, g: Hermitian parts of two random combinations of ``mats``."""
-    return _random_hermitian_combo(mats, rng), _random_hermitian_combo(mats, rng)
+    """A random combination Σ_a c_a X_a of ``mats``."""
+    return sum((rng.normal() + 1j * rng.normal()) * x for x in mats)
 
 
 def _draw_from_products(ops, rng):
-    """y, g: Hermitian parts of Σ_b E_b^dag (Σ_a c_ab E_a) for random c,
-    elements of span{E_b^dag E_a} at m products of d x d each."""
+    """A random Σ_b E_b^dag (Σ_a c_ab E_a), an element of
+    span{E_b^dag E_a} at m products of d x d."""
     m, d, _ = ops.shape
-    rows = dagger(ops.reshape(m * d, d))  # [E_1^dag | ... | E_m^dag]
+    c = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+    return dagger(ops.reshape(m * d, d)) @ np.tensordot(c, ops, axes=1).reshape(m * d, d)
+
+
+def _draw_words(draw, rng, length):
+    """y, g: Hermitian parts of two random elements of the algebra, each
+    s_1 + s_2 (s_3 + s_4 (...)) over words of up to ``length`` draws
+    s_i = draw(rng) from the generating span.
+
+    Words of length 1 are the span itself, enough for a generic channel.
+    A span can be more degenerate than the algebra it generates: every
+    Hermitian element of span{X (x) I, Y (x) I, Z (x) X} squares to a
+    multiple of I, so y and g have doubled eigenvalues and generate only
+    M_2 (x) I_2, which the generators do not fit.  Products of
+    independent draws leave that span, and each retry lengthens the words.
+    """
     pair = []
     for _ in range(2):
-        c = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
-        z = rows @ np.tensordot(c, ops, axes=1).reshape(m * d, d)
+        z = draw(rng)
+        for _ in range(length - 1):
+            z = draw(rng) + draw(rng) @ z
         pair.append((z + dagger(z)) / 2.0)
     return pair
 
@@ -273,10 +286,11 @@ def _components(linked):
         labels = merged
 
 
-def _structure_attempt(draw, fit, support, rng, tol):
-    """One probe: draw y, g, read the blocks off them, assemble the basis
-    change and fit every check element to the block pattern."""
-    y, g = draw(rng)
+def _structure_attempt(draw, fit, support, rng, length, tol):
+    """One probe: draw y, g from words of up to ``length`` elements of the
+    span, read the blocks off them, assemble the basis change and fit
+    every check element to the block pattern."""
+    y, g = _draw_words(draw, rng, length)
     if not (np.all(np.isfinite(y)) and np.all(np.isfinite(g))):
         raise NotFinite("a random element of the generating span has a non-finite entry")
     blocks, cols = _eigenspace_blocks(y, g, tol)
@@ -305,13 +319,16 @@ def _pattern_residual(t, blocks, offsets):
 
 
 def _probe(draw, fit, support, seed, tol):
-    """The retry loop of both callers: ``(structure, reasons)``, with
-    ``structure`` None when every seed was degenerate."""
+    """The retry loop of every caller: ``(structure, reasons)``, with
+    ``structure`` None when every seed was degenerate.  Attempt i draws
+    from words of up to i + 1 elements of the span (see
+    :func:`_draw_words`)."""
     reasons = []
     for attempt in range(_ATTEMPTS):
         rng = np.random.default_rng(seed + attempt)
         try:
-            blocks, q, offsets, residual = _structure_attempt(draw, fit, support, rng, tol)
+            blocks, q, offsets, residual = _structure_attempt(draw, fit, support, rng,
+                                                              attempt + 1, tol)
         except _RetryProbe as exc:
             reasons.append(f"seed {seed + attempt}: {exc}")
             continue
@@ -361,7 +378,7 @@ def algebra_structure(basis, seed: int = 0, tol: float = DEFAULT_TOL) -> Algebra
     # a span that no probe could fit is usually not product closed; the
     # product of two random elements then leaves it with probability 1
     rng = np.random.default_rng(seed)
-    x, y = _random_hermitian_combo(basis, rng), _random_hermitian_combo(basis, rng)
+    x, y = _draw_words(functools.partial(_draw_from_span, basis), rng, 1)
     if not _in_span(span, [x @ y], acceptance_tol(tol)):
         raise NotAnAlgebra("basis span is not closed under products")
     raise UnluckySeed(f"algebra probing failed after {_ATTEMPTS} seeds: {'; '.join(reasons)}")
@@ -378,9 +395,11 @@ def _require_unital_tp(ch: KrausChannel, what: str) -> None:
             f"{ch.tp_defect:.3e}")
 
 
-def _noiseless_blocks(ch: KrausChannel, seed: int, tol: float, dual_composition: bool):
-    """The probe and emission of :func:`enumerate_noiseless` (Fix(E)) and,
-    with ``dual_composition``, of ``find_ucc`` (Fix(E^dag ∘ E)).
+def _noiseless_blocks(ch: KrausChannel, draw, fit, seed: int, tol: float):
+    """The probe and emission of :func:`enumerate_noiseless` (Fix(E)) and
+    of ``find_ucc`` (Fix(E^dag ∘ E)), whose generators ``draw(ops, rng)``
+    samples from and ``fit(ops, q, blocks, offsets)`` checks against a
+    pattern, ``ops`` being the stacked Kraus operators.
 
     Returns the certified structure of Fix: every generator fits the
     pattern ⊕ M_μ (x) I_ν of the interaction algebra, whose blocks become
@@ -392,8 +411,6 @@ def _noiseless_blocks(ch: KrausChannel, seed: int, tol: float, dual_composition:
     check.
     """
     ops = np.asarray(ch.kraus)
-    draw, fit = ((_draw_from_products, _fit_products) if dual_composition
-                 else (_draw_from_span, _fit_congruence))
     found, reasons = _probe(functools.partial(draw, ops), functools.partial(fit, ops),
                             None, seed, tol)
     if found is None:
@@ -424,10 +441,11 @@ def enumerate_noiseless(ch: KrausChannel, seed: int = 0,
 
     Fix(E) is the commutant of the algebra that the Kraus operators
     generate.  Reads that algebra's block structure off two random
-    Hermitian elements of span{E_a, E_a^dag}, fits every E_a to it, and
-    for each block of Fix with m_k > 1 emits the maximal subsystem
-    decomposition with d_B = m_k and d_A = n_k, read off the columns of
-    the basis-change unitary.  Every emitted decomposition must pass
+    Hermitian elements of span{E_a, E_a^dag} (on a retry, of words of its
+    elements), fits every E_a to it, and for each block of Fix with
+    m_k > 1 emits the maximal subsystem decomposition with d_B = m_k and
+    d_A = n_k, read off the columns of the basis-change unitary.  Every
+    emitted decomposition must pass
     :func:`~subrec.correctability.check_noiseless`.
 
     Raises
@@ -443,7 +461,7 @@ def enumerate_noiseless(ch: KrausChannel, seed: int = 0,
         ``strict_tol``, or a certificate failed.
     """
     _require_unital_tp(ch, "noiseless-subsystem enumeration")
-    structure, candidates = _noiseless_blocks(ch, seed, tol, dual_composition=False)
+    structure, candidates = _noiseless_blocks(ch, _draw_from_span, _fit_congruence, seed, tol)
     residuals = []
     for dec in candidates:
         verdict = check_noiseless(ch, dec, tol=tol)

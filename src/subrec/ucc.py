@@ -29,7 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import AlgebraStructure, _noiseless_blocks, _require_unital_tp
+from .algebra import (AlgebraStructure, _draw_from_products, _fit_products, _noiseless_blocks,
+                      _require_unital_tp)
 from .channel import KrausChannel, dual
 from .correctability import check_correctable
 from .errors import NotUnital, PreconditionViolated
@@ -95,7 +96,8 @@ def find_ucc(ch: KrausChannel, seed: int = 0, tol: float = DEFAULT_TOL) -> UccRe
         E^dag ∘ E.
     """
     _require_unital_tp(ch, "UCC discovery")
-    structure, candidates = _noiseless_blocks(ch, seed, tol, dual_composition=True)
+    structure, candidates = _noiseless_blocks(ch, _draw_from_products, _fit_products, seed,
+                                              tol)
 
     report = UccReport(
         subsystems=[], classical_sectors=list(structure.classical_sectors),

@@ -228,7 +228,7 @@ def test_span_with_unit_and_adjoints_but_not_products(basis, message):
 def test_unlucky_seed_lists_every_retry(monkeypatch):
     import subrec.algebra as algebra
 
-    def always_retry(basis, support, dim, rng, tol):
+    def always_retry(draw, fit, support, rng, length, tol):
         raise algebra._RetryProbe(f"draw {rng.integers(1000)}")
 
     monkeypatch.setattr(algebra, "_structure_attempt", always_retry)

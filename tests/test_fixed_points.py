@@ -154,8 +154,9 @@ def broadcast_channel(dim):
 
 
 def test_non_positive_curvature_raises_typed_error():
-    # I - (E + E^dag)/2 has negative curvature here; both discoveries
-    # refuse the non-trace-preserving channel up front, before any draw
+    # a unital channel that is not trace preserving: Fix is not the
+    # commutant of its Kraus operators, so both discoveries refuse it up
+    # front, before any draw
     ch = broadcast_channel(3)
     assert ch.is_unital and not ch.is_trace_preserving
     for discover in (enumerate_noiseless, find_ucc):
@@ -233,11 +234,10 @@ def test_emitted_frame_beyond_strict_isometry_defect_is_unlucky_seed():
 @pytest.mark.parametrize("discover, draw", [(enumerate_noiseless, "_draw_from_span"),
                                             (find_ucc, "_draw_from_products")])
 def test_generator_fit_rejects_degenerate_draws(monkeypatch, discover, draw):
-    # y, g multiples of I generate only C I, of pattern one block (1, d),
-    # which the generators of the interaction algebra leave
-    import subrec.algebra as algebra
-
-    monkeypatch.setattr(algebra, draw, lambda ops, rng: (np.eye(8), 2.0 * np.eye(8)))
+    # draws and their words all multiples of I generate only C I, of
+    # pattern one block (1, d), which the generators of the interaction
+    # algebra leave (the draw is patched where the discovery binds it)
+    monkeypatch.setattr(f"{discover.__module__}.{draw}", lambda ops, rng: np.eye(8))
     ch, _ = planted_channel(2, 2, 8, 3, seed=4, unital=True)
     with pytest.raises(UnluckySeed) as info:
         discover(ch, seed=0)
@@ -256,15 +256,13 @@ def test_lazy_dual_composition_agrees_with_the_stacked_operators(dim, m):
         ch = random_unital_channel(dim, m, seed=4000 + seed)
         ops = np.asarray(ch.kraus)
         stacked = np.asarray(compose(dual(ch), ch).kraus)
-        y, g = algebra._draw_from_products(ops, np.random.default_rng(seed))
+        drawn = algebra._draw_from_products(ops, np.random.default_rng(seed))
         rng = np.random.default_rng(seed)
-        for drawn in (y, g):
-            c = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
-            z = np.tensordot(c.reshape(-1), stacked, axes=1)  # Σ c[b, a] E_b^dag E_a
-            reference = (z + z.conj().T) / 2
-            assert np.linalg.norm(drawn - reference) <= 1e-13 * np.linalg.norm(reference)
+        c = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+        reference = np.tensordot(c.reshape(-1), stacked, axes=1)  # Σ c[b, a] E_b^dag E_a
+        assert np.linalg.norm(drawn - reference) <= 1e-13 * np.linalg.norm(reference)
         # a pattern the generators fit and one they do not
-        structure, _ = algebra._noiseless_blocks(ch, 0, 1e-9, dual_composition=True)
+        structure = find_ucc(ch, seed=0, tol=1e-9).structure
         alg_blocks = [(n, m_k) for m_k, n in structure.blocks]  # back to A's pattern
         q_alg = np.hstack([structure.q[:, off:off + m_k * n].reshape(dim, m_k, n)
                            .transpose(0, 2, 1).reshape(dim, -1)
@@ -329,6 +327,33 @@ def test_channels_where_conjugate_gradients_stalled(dim, m, seed, command, fixed
         structure = enumerate_noiseless(ch, seed=0).structure
     assert sum(m_k * m_k for m_k, _ in structure.blocks) == fixed_dim
     assert structure.residual < 1e-9
+
+
+PAULI = {"I": np.eye(2), "X": np.array([[0, 1], [1, 0]]),
+         "Y": np.array([[0, -1j], [1j, 0]]), "Z": np.diag([1, -1])}
+
+
+@pytest.mark.parametrize("words, ns_blocks, ucc_blocks", [
+    (("XI", "YI", "ZX", "ZY"), [(1, 4)], [(1, 2), (1, 2)]),
+    (("XI", "YI", "ZX"), [(1, 2), (1, 2)], [(2, 2)])])
+def test_anticommuting_kraus_operators_are_read_off_words_of_two_draws(words, ns_blocks,
+                                                                        ucc_blocks):
+    # the E_a anticommute, so every Hermitian element of their span squares
+    # to a multiple of I: y and g drawn from the span have doubled
+    # eigenvalues and generate only M_2 (x) I_2, which the E_a do not fit;
+    # products of two draws leave the span and give the algebra
+    ch = KrausChannel([np.kron(PAULI[w[0]], PAULI[w[1]]) / np.sqrt(len(words))
+                       for w in words])
+    report = find_ucc(ch, seed=0)
+    assert not report.contradictions
+    for target, structure, blocks in ((ch, enumerate_noiseless(ch, seed=0).structure,
+                                       ns_blocks),
+                                      (compose(dual(ch), ch), report.structure, ucc_blocks)):
+        superop = to_superoperator(target)
+        assert sorted(structure.blocks) == blocks
+        assert sorted(algebra_structure(fixed_point_basis(superop)).blocks) == blocks
+        assert sum(m_k * m_k for m_k, _ in blocks) == fixed_space_dimension(superop.matrix)
+        assert structure.residual < 1e-9
 
 
 def test_generic_two_unitary_mixture_at_d128_is_classical_and_fast():

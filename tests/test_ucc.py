@@ -210,7 +210,8 @@ def _public_chain(ch, seed=0, tol=1e-9):
     # -> verify_correction, every recovery certificate computed
     import subrec.algebra as algebra
 
-    _, candidates = algebra._noiseless_blocks(ch, seed, tol, dual_composition=True)
+    _, candidates = algebra._noiseless_blocks(ch, algebra._draw_from_products,
+                                              algebra._fit_products, seed, tol)
     found, ranks, contradictions = [], [], []
     for dec in candidates:
         ranks.append((numeric_rank(ch.apply(dec.p_ab), tol), numeric_rank(dec.p_ab, tol)))
