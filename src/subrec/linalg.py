@@ -149,6 +149,13 @@ def hermitian_eig(m: np.ndarray, tol: float = DEFAULT_TOL):
     NotHermitian
         If the symmetry residual exceeds tolerance.
     """
+    w, q = _sorted_eigh(m, tol)
+    return w, _canonicalize_eigenvectors(w, q, tol)
+
+
+def _sorted_eigh(m: np.ndarray, tol: float):
+    # hermitian_eig before canonicalization: the symmetry check, then the
+    # solver's eigenvectors in stable descending order of the eigenvalues
     m = _as_square(m)
     defect = frobenius(m - dagger(m))
     if not defect <= strict_tol(tol, frobenius(m)):
@@ -157,19 +164,21 @@ def hermitian_eig(m: np.ndarray, tol: float = DEFAULT_TOL):
     # stable descending order: exact ties keep the solver's ordering, so
     # already-diagonal inputs come back with untouched eigenvectors
     order = np.argsort(-w, kind="stable")
-    w = w[order]
-    q = q[:, order]
-    return w, _canonicalize_eigenvectors(w, q, tol)
+    return w[order], q[:, order]
 
 
-def _canonicalize_eigenvectors(w: np.ndarray, q: np.ndarray, tol: float) -> np.ndarray:
+def _canonicalize_eigenvectors(w: np.ndarray, q: np.ndarray, tol: float,
+                               leading: int | None = None) -> np.ndarray:
     """Deterministic eigenbasis: canonical vectors inside degenerate clusters.
 
     Within each cluster of eigenvalues closer than ``tol / 10`` (relative)
     the solver's basis is arbitrary; replace it by the index-ordered
     Gram-Schmidt of the standard basis projected onto the eigenspace.
     Every column's phase is then fixed so its largest entry is real
-    positive.  Reconstruction error stays below the cluster width.
+    positive.  Reconstruction error stays below the cluster width.  With
+    ``leading`` given, only the clusters that meet the first ``leading``
+    columns are made canonical, bit for bit as in the full pass; the
+    later ones keep the solver's vectors, phase-fixed.
     """
     d = w.size
     if not d:
@@ -177,6 +186,8 @@ def _canonicalize_eigenvectors(w: np.ndarray, q: np.ndarray, tol: float) -> np.n
     q = q.copy()
     bounds = np.append(eigenvalue_clusters(w, tol / 10), d)
     for start, stop in zip(bounds[:-1], bounds[1:]):
+        if leading is not None and start >= leading:
+            break
         if stop - start > 1:
             block = q[:, start:stop]
             defect = frobenius(dagger(block) @ block - np.eye(stop - start))

@@ -9,7 +9,12 @@ i.e. a single unitary returns the protected B factor, with the
 complementary factor moved to C.  The construction:
 
 1. assemble the positive block matrix F = (F_ab) from the
-   correctability certificate and diagonalize it, U F U^dag = D;
+   correctability certificate and diagonalize it, U F U^dag = D, with
+   ``hermitian_eig``'s symmetry check and descending order; the
+   eigenvectors are made canonical only in the clusters above the live
+   cut-off, whose columns set U's live rows, the closed-form Kraus list
+   and the correction, while F's null cluster keeps the solver's
+   phase-fixed vectors, which reach only the step 2 and step 3 residuals;
 2. remix the code-projected Kraus operators into
    G_a W = sum_b E_b W (U_ab^dag (x) I_B), whose ranges are mutually
    orthogonal, (G_a W)^dag (G_b W) = delta_ab D_aa (x) I_B; this identity
@@ -61,8 +66,8 @@ import numpy as np
 from .channel import KrausChannel
 from .correctability import CorrectabilityCertificate
 from .errors import CertificateMismatch, NotTracePreserving, NumericalDegeneracy
-from .linalg import (DEFAULT_TOL, acceptance_tol, complete_isometry, dagger, hermitian_eig,
-                     strict_tol)
+from .linalg import (DEFAULT_TOL, _canonicalize_eigenvectors, _sorted_eigh, acceptance_tol,
+                     complete_isometry, dagger, strict_tol)
 from .subsystem import (SubsystemDecomposition, _row_group, certify_code_map,
                         remix_residual)
 
@@ -87,6 +92,13 @@ class RecoveryResult:
     basis; ``orthogonality_residual`` is the step 2 check, which also
     certifies the closed-form polar factor of step 4, and
     ``g_action_residual`` the step 3 check.
+
+    The operators (``u_recovery``, ``c_subsystem``, ``f_ca_kraus``,
+    ``f_ca_superop``) read only F's eigenvectors above the live cut-off,
+    which are canonical, so they do not depend on the eigensolver's choice
+    of basis inside a degenerate cluster.  The three residuals are exact up
+    to rounding, and the last bits of the step 2 and step 3 residuals
+    depend on the solver's basis of F's null cluster.
     """
 
     u_recovery: np.ndarray
@@ -117,6 +129,14 @@ class _Built(NamedTuple):
     kw: np.ndarray  # the code-projected Kraus operators E_b W
 
 
+def _diagonalize_f(f: np.ndarray, tol: float):
+    """Step 1: ``hermitian_eig`` of F, but canonical only in the clusters
+    that meet the eigenvalues above the live cut-off (module docstring)."""
+    lam, q = _sorted_eigh(f, tol)
+    live = np.count_nonzero(lam > strict_tol(tol, lam[0] if lam.size else 1.0))
+    return lam, _canonicalize_eigenvectors(lam, q, tol, leading=live)
+
+
 def _build_recovery(ch: KrausChannel, dec: SubsystemDecomposition,
                     cert: CorrectabilityCertificate, tol: float) -> _Built:
     """Steps 1, 2 and 4: the recovery unitary and C frame, without certificates.
@@ -134,7 +154,7 @@ def _build_recovery(ch: KrausChannel, dec: SubsystemDecomposition,
 
     # 1. diagonalize F; eigenvalues in [-tol, 0) are numerical noise and
     # get clamped, anything lower invalidates the certificate.
-    lam, q = hermitian_eig(cert.f_matrix, tol=tol)
+    lam, q = _diagonalize_f(cert.f_matrix, tol)
     scale = lam[0] if lam.size else 1.0
     cutoff = strict_tol(tol, scale)
     if lam.size and lam[-1] < -cutoff:

@@ -113,14 +113,19 @@ def certify_code_map(ops, d_a: int, d_b: int, frame: np.ndarray | None = None,
     Frobenius norm as that of the K x K product
     R_p diag(I_m, -F(|i><j|)) R_q^dag (with F = I and d_A = 1, the
     product with F is a sign flip).  Rows p go in groups, which may span A
-    indices, each against every column at once: d_A products, one per
-    column A index j, and one norm reduction per group.  Cost:
-    n d_out (m + d_C)^2 for the QR and n^2 K^2 (m + d_C) for the products
-    (n = d_A d_B).  A group has max(1, max(K n d_out, 2^16) // (K^2 n))
-    rows, so no product block exceeds K n d_out entries or the floor of
-    2^16 (1 MB), and shapes under that floor run as one group; above it
-    the peak is about 2 (m + d_C) n d_out entries (the QR and its input),
-    and nothing of size d_out^2 is formed.
+    indices and start or end inside one, each against every column at
+    once.  The left factors R_p diag(I_m, -F(|i_p><j|)) of a group take one
+    product per A index i in it, the last d_C columns of its rows against
+    [F(|i><0|) .. F(|i><d_A-1|)]; then d_A products, one per column A index
+    j, and each K x K block's squared norm sums its contiguous last axis
+    (one product with a vector of ones) before its K rows.  Cost:
+    n d_out (m + d_C)^2 for the QR, n K d_A d_C^2 for the left factors and
+    n^2 K^2 (m + d_C) for the products (n = d_A d_B).  A group has
+    max(1, max(K n d_out, 2^16) // (K^2 n)) rows, so no product block
+    exceeds K n d_out entries or the floor of 2^16 (1 MB), and shapes
+    under that floor run as one group; above it the peak is about
+    2 (m + d_C) n d_out entries (the QR and its input), and nothing of
+    size d_out^2 is formed.
     """
     ops = np.asarray(ops, dtype=complex)
     n = d_a * d_b
@@ -162,22 +167,39 @@ def certify_code_map(ops, d_a: int, d_b: int, frame: np.ndarray | None = None,
     if identity:
         # F = I: R_p diag(I_m, -I) is R_p with its last d_C columns negated
         r[..., m:] *= -1
+    else:
+        # neg_f[i] = -[F(|i><0|) .. F(|i><d_A-1|)], every column A index side by side
+        neg_f = -factors.transpose(0, 2, 1, 3).reshape(d_a, d_c, d_a * d_c)
     group = _row_group(k_rows * k_rows * n, k_rows * n * d_out)
     worst = []
     for start in range(0, n, group):
         rows = r[start:start + group]
+        stop = start + len(rows)
         if identity:
             left = rows[None]
         else:
-            # left[j, p] = R_p diag(I_m, -F(|i_p><j|)), i_p the A index of row p
+            # left[j, p] = R_p diag(I_m, -F(|i_p><j|)), i_p the A index of row p:
+            # one product per A index of the group, against every j at once
             left = np.empty((d_a, *rows.shape), dtype=complex)
             left[..., :m] = rows[..., :m]
-            np.matmul(-rows[:, None, :, m:], factors[np.arange(start, start + len(rows)) // d_b],
-                      out=left[..., m:].transpose(1, 0, 2, 3))
+            for i in range(start // d_b, (stop - 1) // d_b + 1):
+                lo, hi = max(start, i * d_b) - start, min(stop, (i + 1) * d_b) - start
+                prod = (rows[lo:hi, :, m:].reshape(-1, d_c) @ neg_f[i]).reshape(
+                    hi - lo, k_rows, d_a, d_c)
+                left[:, lo:hi, :, m:] = prod.transpose(2, 0, 1, 3)
         diff = (left.reshape(len(left), -1, cols) @ r_dag).view(float)
         diff = diff.reshape(d_a, len(rows), k_rows, d_b, 2 * k_rows)
-        worst.append(np.max(np.einsum("jpalb,jpalb->jpl", diff, diff)))
+        worst.append(np.max(_squared_block_norms(diff)))
     return CodeMapCertificate(superop, factors, float(np.sqrt(np.max(worst))))
+
+
+def _squared_block_norms(diff: np.ndarray) -> np.ndarray:
+    # diff[..., a, l, :] holds row a of the K x K block l as 2K real parts, so
+    # its squared Frobenius norm sums the contiguous last axis, as one
+    # matrix-vector product with ones, then the K axis a; squared in place
+    width = diff.shape[-1]
+    sums = np.square(diff, out=diff).reshape(-1, width) @ np.ones(width)
+    return sums.reshape(diff.shape[:-1]).sum(axis=-2)
 
 
 def _row_group(row_entries: int, cap: int) -> int:
@@ -204,9 +226,10 @@ def remix_residual(cols, mix: np.ndarray) -> float:
     max(K n d_out, 2^16) entries.  With q q^dag - I Hermitian, the (l, k)
     product is the adjoint of the (k, l) one, so each group of rows k
     meets only the columns l from its first row on.  The value is exact
-    for the given q, rounding aside; G itself is never read.  Cost:
-    n d_out c^2 for the QR, n K c^2 for the left factors and about
-    n^2 K^2 c / 2 for the products.
+    for the given q, rounding aside; G itself is never read.  The squared
+    norms are summed as in ``certify_code_map``, over the contiguous last
+    axis first.  Cost: n d_out c^2 for the QR, n K c^2 for the left
+    factors and about n^2 K^2 c / 2 for the products.
     """
     cols = np.asarray(cols, dtype=complex)
     n, d_out, c = cols.shape
@@ -224,7 +247,7 @@ def remix_residual(cols, mix: np.ndarray) -> float:
         # the (l, k) product is the adjoint of the (k, l) one: columns l >= start
         diff = (left[start:start + group].reshape(-1, c) @ r_dag[:, start * k_rows:]).view(float)
         diff = diff.reshape(-1, k_rows, n - start, 2 * k_rows)
-        worst.append(np.max(np.einsum("pald,pald->pl", diff, diff)))
+        worst.append(np.max(_squared_block_norms(diff)))
     return float(np.sqrt(np.max(worst)))
 
 

@@ -403,8 +403,10 @@ def _group_rows(d_out, cols, n):
 
 # (d_out, m, d_C, d_A, d_B): one group over all three A indices; then groups
 # of 22 rows over d_B = 8, the first spanning A indices 0 to 2 and ending
-# inside A index 2, whose last two rows form the second group
-@pytest.mark.parametrize("d_out, m, d_c, d_a, d_b", [(6, 2, 2, 3, 2), (30, 8, 3, 3, 8)])
+# inside A index 2, whose last two rows form the second group, with
+# d_C = d_A and with d_C = 4 > d_A
+@pytest.mark.parametrize("d_out, m, d_c, d_a, d_b", [(6, 2, 2, 3, 2), (30, 8, 3, 3, 8),
+                                                     (34, 7, 4, 3, 8)])
 def test_row_groups_across_a_indices_agree_with_loop(d_out, m, d_c, d_a, d_b):
     n = d_a * d_b
     rows = _group_rows(d_out, m + d_c, n)

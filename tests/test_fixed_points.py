@@ -131,7 +131,7 @@ def test_unlucky_seed_lists_every_seed_of_the_channel_probe(monkeypatch, discove
         assert f"seed {seed}: degenerate draw" in str(info.value)
 
 
-def test_nan_in_iteration_raises_not_finite():
+def test_nan_kraus_entry_raises_not_finite_from_the_draw():
     # a NaN written past the constructor's finiteness check reaches the
     # random draw from the generating span of either discovery
     ch, _ = planted_channel(2, 2, 8, 3, seed=2, unital=True)
@@ -153,7 +153,7 @@ def broadcast_channel(dim):
     return KrausChannel(kraus, require_tp=False)
 
 
-def test_non_positive_curvature_raises_typed_error():
+def test_unital_channel_not_trace_preserving_is_refused_up_front():
     # a unital channel that is not trace preserving: Fix is not the
     # commutant of its Kraus operators, so both discoveries refuse it up
     # front, before any draw
@@ -164,7 +164,7 @@ def test_non_positive_curvature_raises_typed_error():
             discover(ch, seed=0)
 
 
-def test_cli_no_tp_check_non_positive_curvature_exit_1(tmp_path, capsys):
+def test_cli_no_tp_check_not_trace_preserving_exit_1(tmp_path, capsys):
     path = tmp_path / "ch.json"
     path.write_text(canonical_dumps(channel_to_json(broadcast_channel(3))))
     for command in ("ns", "ucc"):
@@ -246,7 +246,7 @@ def test_generator_fit_rejects_degenerate_draws(monkeypatch, discover, draw):
 
 
 @pytest.mark.parametrize("dim, m", [(2, 1), (3, 2), (6, 4), (11, 3)])
-def test_lazy_dual_composition_agrees_with_the_stacked_operators(dim, m):
+def test_grouped_fit_agrees_with_the_stacked_composition(dim, m):
     # the generators E_b^dag E_a of the interaction algebra, drawn from
     # and fitted through E's m operators one Kraus row at a time, against
     # the m^2 stacked Kraus operators of E^dag ∘ E

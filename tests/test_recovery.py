@@ -16,12 +16,13 @@ from subrec import (
     construct_recovery,
     demo_build,
     embed_product,
+    find_ucc,
     planted_channel,
     recovery_to_correction,
     verify_correction,
 )
-from subrec.linalg import (acceptance_tol, complete_isometry, dagger, hermitian_eig,
-                          operator_basis, orthonormal_complement,
+from subrec.linalg import (DEFAULT_TOL, acceptance_tol, complete_isometry, dagger,
+                          hermitian_eig, operator_basis, orthonormal_complement,
                           polar_isometry_on_support, strict_tol)
 from subrec.random_ops import haar_isometry, haar_unitary
 from subrec.subsystem import remix_residual
@@ -254,6 +255,36 @@ def test_closed_form_images_match_polar_factor_cooling():
     assert np.max(np.abs(dagger(res.u_recovery)[:, :expected.shape[1]] - expected)) < 1e-10
 
 
+@pytest.mark.parametrize("case", ["unital", "cooling"])
+def test_reported_operators_equal_those_of_a_fully_canonical_eigenbasis(case, monkeypatch):
+    # the builder makes only F's live clusters canonical, and every reported
+    # operator reads only their columns: byte for byte what it gives on
+    # hermitian_eig's eigenbasis.  The planted unital code has a d_A-fold
+    # live cluster and a find_ucc correction; the binary-unitary code has
+    # dim C = 2 > d_A = 1
+    import subrec.recovery as recovery
+
+    if case == "unital":
+        ch, dec = planted_channel(2, 2, 8, 3, seed=5, unital=True)
+    else:
+        ch, dec = demo_build(DemoSpec(name="binary-unitary", p=0.4,
+                                      thetas=(0.5, 1.4, 2.9, 4.2), seed=2))
+    cert = check_correctable(ch, dec)
+
+    def reported():
+        res = construct_recovery(ch, dec, cert)
+        report = find_ucc(ch, seed=0)
+        return [res.u_recovery, *res.f_ca_kraus, res.c_subsystem.w,
+                *recovery_to_correction(res, dec).kraus,
+                *(entry.u_correction for entry in report.subsystems)]
+
+    ours = reported()
+    monkeypatch.setattr(recovery, "_diagonalize_f", hermitian_eig)
+    theirs = reported()
+    assert len(ours) == len(theirs) == (8 if case == "unital" else 6)
+    assert [x.tobytes() for x in ours] == [x.tobytes() for x in theirs]
+
+
 @pytest.mark.parametrize("dims", [(1, 2, 6, 3), (2, 2, 8, 3), (3, 2, 12, 3), (2, 4, 20, 4)])
 def test_f_ca_kraus_reproduces_extracted_map(dims):
     d_a, d_b, dim, m = dims
@@ -300,11 +331,13 @@ def test_g_action_residual_matches_written_out_loop(dims, scale, monkeypatch):
     # 1 + 1e-9 (inside every gate) makes it about 2e-9 ||sum_a E_a E_a^dag||
     import subrec.recovery as recovery
 
+    eig = recovery._diagonalize_f
+
     def scaled_eig(m, tol):
-        w, q = hermitian_eig(m, tol=tol)
+        w, q = eig(m, tol)
         return w, scale * q
 
-    monkeypatch.setattr(recovery, "hermitian_eig", scaled_eig)
+    monkeypatch.setattr(recovery, "_diagonalize_f", scaled_eig)
     d_a, d_b, dim, m = dims
     ch, dec = planted_channel(d_a, d_b, dim, m, seed=70 + dim)
     cert = check_correctable(ch, dec)
@@ -327,12 +360,13 @@ def test_g_action_residual_matches_loop_off_correctability(dims, monkeypatch):
     import subrec.recovery as recovery
 
     scale = 1.0 + 1e-6
+    eig = recovery._diagonalize_f
 
     def scaled_eig(m, tol):
-        w, q = hermitian_eig(m, tol=tol)
+        w, q = eig(m, tol)
         return w, scale * q
 
-    monkeypatch.setattr(recovery, "hermitian_eig", scaled_eig)
+    monkeypatch.setattr(recovery, "_diagonalize_f", scaled_eig)
     d_a, d_b, dim, m = dims
     ch, dec = planted_channel(d_a, d_b, dim, m, seed=90 + dim)
     rng = np.random.default_rng(92)
@@ -512,10 +546,14 @@ def test_step_3_peak_memory_at_the_ucc_complement_block(monkeypatch):
 
 
 def _gate_row_by_row(ch, dec, cert):
-    # steps 1 and 2 as construct_recovery writes them, then the Gram blocks of
-    # the orthogonality gate one Kraus row at a time, less kron(D_aa, I_B)
+    # steps 1 and 2 as construct_recovery writes them, on the builder's own
+    # eigenbasis of F, then the Gram blocks of the orthogonality gate one
+    # Kraus row at a time, less kron(D_aa, I_B)
+    from subrec.recovery import _build_recovery
+
     d, d_a, d_b, m = ch.dim, dec.d_a, dec.d_b, ch.m
-    lam, q = hermitian_eig(cert.f_matrix)
+    lam, _ = hermitian_eig(cert.f_matrix)
+    q = _build_recovery(ch, dec, cert, DEFAULT_TOL).q
     lam = np.maximum(lam, 0.0)
     u4 = dagger(q).reshape(m, d_a, m, d_a)
     ew = (np.asarray(ch.kraus) @ dec.w).reshape(m, d, d_a, d_b)
