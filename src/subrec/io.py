@@ -35,6 +35,7 @@ from __future__ import annotations
 import gc
 import json
 import re
+from itertools import chain
 
 import numpy as np
 
@@ -56,6 +57,7 @@ __all__ = [
 
 _DECODER = json.JSONDecoder()
 _WHITESPACE = re.compile(r"[ \t\n\r]*")  # JSON's insignificant whitespace
+_BOOLS = frozenset((bool, np.bool_))  # np.bool_ from an array below the outer list
 
 
 def matrix_to_json(m: np.ndarray) -> list:
@@ -64,15 +66,18 @@ def matrix_to_json(m: np.ndarray) -> list:
     return m.view(float).reshape(*m.shape, 2).tolist()
 
 
-def _holds_bool(obj) -> bool:
-    """Whether nested lists hold a JSON true or false, which numpy reads as
-    1 or 0.  Arrays, such as the elements :func:`read_json` makes, are
-    taken as numbers."""
+def _holds_bool(obj, levels: int) -> bool:
+    """Whether ``levels`` levels of nested lists hold a JSON true or false,
+    which numpy reads as 1 or 0.  Arrays, such as the elements
+    :func:`read_json` makes, are taken as numbers."""
     if isinstance(obj, np.ndarray):
         return False
     if isinstance(obj, list) and any(isinstance(x, np.ndarray) for x in obj):
-        return any(map(_holds_bool, obj))
-    return bool in set(map(type, np.asarray(obj, dtype=object).flat))
+        return any(_holds_bool(x, levels - 1) for x in obj)
+    flat = obj
+    for _ in range(levels - 1):
+        flat = chain.from_iterable(flat)
+    return not _BOOLS.isdisjoint(map(type, flat))
 
 
 def _pairs(obj, what: str, depth: int) -> np.ndarray:
@@ -83,7 +88,7 @@ def _pairs(obj, what: str, depth: int) -> np.ndarray:
     except ValueError:  # ragged nesting, e.g. a truncated [re] pair
         raise MalformedInput(f"{what}: nested lists of unequal lengths") from None
     if (arr.dtype.kind not in "iuf" or arr.ndim != depth + 1 or arr.shape[-1] != 2
-            or _holds_bool(obj)):
+            or _holds_bool(obj, arr.ndim)):
         raise MalformedInput(
             f"{what} must be {depth} levels of lists of [re, im] number pairs")
     return np.ascontiguousarray(arr, dtype=float).view(complex)[..., 0]

@@ -31,6 +31,8 @@ Why these values: README, "Tolerance".
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import (
@@ -61,7 +63,16 @@ __all__ = [
 
 
 def strict_tol(tol: float, scale=1.0):
-    """Threshold for inputs and certificates: ``tol max(1, scale)`` (a NaN scale stays NaN)."""
+    """Threshold for inputs and certificates: ``tol max(1, scale)``.
+
+    A NaN scale gives NaN and +inf gives inf, as ``np.maximum`` does.  A
+    Python int or float (``np.float64`` included) is taken in plain Python
+    arithmetic, the same value without ufunc dispatch; any other scale, an
+    array among them, goes through ``np.maximum``.
+    """
+    if isinstance(scale, (int, float)):
+        # a NaN fails scale <= 1 and is kept
+        return float(tol * (1.0 if scale <= 1.0 else scale))
     cut = tol * np.maximum(1.0, scale)
     return float(cut) if np.ndim(cut) == 0 else cut
 
@@ -94,7 +105,19 @@ def dagger(m: np.ndarray) -> np.ndarray:
 
 
 def frobenius(m: np.ndarray) -> float:
-    """Frobenius norm."""
+    """Frobenius norm, the value of ``np.linalg.norm`` to a few ulp.
+
+    A complex array takes one BLAS pass, sqrt(Re <m, m>) through
+    ``np.vdot``, where ``np.linalg.norm`` makes two strided dots over the
+    real and imaginary parts.  ``np.vdot`` turns an infinite entry into
+    NaN, so a NaN there is handed to ``np.linalg.norm``: a NaN entry gives
+    NaN and an infinite one (without NaN) inf, as before.
+    """
+    m = np.asarray(m)
+    if m.dtype.kind == "c":
+        square = np.vdot(m, m).real
+        if not math.isnan(square):
+            return math.sqrt(square)
     return float(np.linalg.norm(m))
 
 

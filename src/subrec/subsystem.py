@@ -112,18 +112,26 @@ def certify_code_map(ops, d_a: int, d_b: int, frame: np.ndarray | None = None,
     X_p = Q_p R_p, R_p of K = min(d_out, m + d_C) rows, gives its
     Frobenius norm as that of the K x K product
     R_p diag(I_m, -F(|i><j|)) R_q^dag (with F = I and d_A = 1, the
-    product with F is a sign flip).  Rows p go in groups, which may span A
-    indices and start or end inside one, each against every column at
-    once.  The left factors R_p diag(I_m, -F(|i_p><j|)) of a group take one
-    product per A index i in it, the last d_C columns of its rows against
-    [F(|i><0|) .. F(|i><d_A-1|)]; then d_A products, one per column A index
-    j, and each K x K block's squared norm sums its contiguous last axis
-    (one product with a vector of ones) before its K rows.  Cost:
-    n d_out (m + d_C)^2 for the QR, n K d_A d_C^2 for the left factors and
-    n^2 K^2 (m + d_C) for the products (n = d_A d_B).  A group has
-    max(1, max(K n d_out, 2^16) // (K^2 n)) rows, so no product block
-    exceeds K n d_out entries or the floor of 2^16 (1 MB), and shapes
-    under that floor run as one group; above it the peak is about
+    product with F is a sign flip).  Rows p go in blocks of one A index i,
+    each block against the columns q = (j, l) of one column A index j.
+    Read off the I_B slice, F(|j><i|) = F(|i><j|)^dag, so the (q, p)
+    mismatch is the adjoint of the (p, q) one, and a block meets only the
+    columns from its first row p0 on: j > i, and j = i from l = p0 - i d_B
+    (as in ``remix_residual``).  A given ``superop`` need not preserve
+    Hermiticity, so then every block meets all d_B columns of its j.
+    Blocks of one shape go in batches, two products each: the left factors
+    R_p diag(I_m, -F(|i><j|)), the last d_C columns of a block's rows
+    against F(|i><j|), then the K x K blocks against the R_q^dag; each
+    block's squared norm sums its contiguous last axis (one product with a
+    vector of ones) before its K rows.  Cost: n d_out (m + d_C)^2 for the
+    QR, n K d_A d_C^2 for the left factors and n^2 K^2 (m + d_C) for the
+    products (n = d_A d_B); with F read off the slice, the rows of A index
+    i meet the column A indices j >= i, and the last two fall to about
+    (d_A + 1) / (2 d_A) of that.  With g = max(1, max(K n d_out, 2^16) //
+    (K^2 n)), a block has min(g, d_B) rows and a batch as many blocks as
+    fit in the entries of g rows against every column, so no product
+    exceeds K n d_out entries or the floor of 2^16 (1 MB), and shapes under
+    that floor take one batch; above it the peak is about
     2 (m + d_C) n d_out entries (the QR and its input), and nothing of
     size d_out^2 is formed.
     """
@@ -137,7 +145,8 @@ def certify_code_map(ops, d_a: int, d_b: int, frame: np.ndarray | None = None,
         raise DimensionMismatch(
             f"frame must be {d_out} x (d_C * {d_b}) with d_C >= 1, got {frame.shape}")
     d_c = frame.shape[1] // d_b
-    if superop is None:
+    paired = superop is None
+    if paired:
         # V^dag N_a with rows (i, c) and columns (a, b, k): F(|i><j|)_cd is
         # the Gram entry of rows (i, c) and (j, d), over d_B
         coded = (dagger(frame) @ ops).reshape(-1, d_c, d_b, d_a, d_b)
@@ -167,29 +176,37 @@ def certify_code_map(ops, d_a: int, d_b: int, frame: np.ndarray | None = None,
     if identity:
         # F = I: R_p diag(I_m, -I) is R_p with its last d_C columns negated
         r[..., m:] *= -1
-    else:
-        # neg_f[i] = -[F(|i><0|) .. F(|i><d_A-1|)], every column A index side by side
-        neg_f = -factors.transpose(0, 2, 1, 3).reshape(d_a, d_c, d_a * d_c)
+    neg_f = -factors
     group = _row_group(k_rows * k_rows * n, k_rows * n * d_out)
+    # blocks (p0, i, j): `rows` rows from p0, all of A index i, against the
+    # columns (j, l0) .. (j, d_B - 1), listed by their shape (rows, l0).  With
+    # F read off the I_B slice the (q, p) mismatch is the adjoint of the (p, q)
+    # one, so a block meets only the columns from its first row on
+    rows_per_block = min(group, d_b)
+    shapes = {}
+    for i in range(d_a):
+        for start in range(0, d_b, rows_per_block):
+            rows = min(rows_per_block, d_b - start)
+            for j in range(i if paired else 0, d_a):
+                l0 = start if paired and j == i else 0
+                shapes.setdefault((rows, l0), []).append((i * d_b + start, i, j))
     worst = []
-    for start in range(0, n, group):
-        rows = r[start:start + group]
-        stop = start + len(rows)
-        if identity:
-            left = rows[None]
-        else:
-            # left[j, p] = R_p diag(I_m, -F(|i_p><j|)), i_p the A index of row p:
-            # one product per A index of the group, against every j at once
-            left = np.empty((d_a, *rows.shape), dtype=complex)
-            left[..., :m] = rows[..., :m]
-            for i in range(start // d_b, (stop - 1) // d_b + 1):
-                lo, hi = max(start, i * d_b) - start, min(stop, (i + 1) * d_b) - start
-                prod = (rows[lo:hi, :, m:].reshape(-1, d_c) @ neg_f[i]).reshape(
-                    hi - lo, k_rows, d_a, d_c)
-                left[:, lo:hi, :, m:] = prod.transpose(2, 0, 1, 3)
-        diff = (left.reshape(len(left), -1, cols) @ r_dag).view(float)
-        diff = diff.reshape(d_a, len(rows), k_rows, d_b, 2 * k_rows)
-        worst.append(np.max(_squared_block_norms(diff)))
+    for (rows, l0), blocks in shapes.items():
+        # as many blocks as fit in the entries of `group` rows against every column
+        per = max(1, group * n // (rows * (d_b - l0)))
+        for first in range(0, len(blocks), per):
+            p0, ii, jj = np.array(blocks[first:first + per]).T
+            # left[t] = R_p diag(I_m, -F(|i_t><j_t|)) for the rows p of block t
+            left = r[p0[:, None] + np.arange(rows)]
+            if not identity:
+                left[..., m:] = (left[..., m:].reshape(len(p0), -1, d_c) @ neg_f[ii, jj]).reshape(
+                    len(p0), rows, k_rows, d_c)
+            # a lone block's columns are a view, a batch's a gathered copy
+            cut = slice(l0 * k_rows, None)
+            right = r_dag[jj[0]:jj[0] + 1, :, cut] if len(jj) == 1 else r_dag[jj, :, cut]
+            diff = (left.reshape(len(p0), -1, cols) @ right).view(float)
+            diff = diff.reshape(len(p0), rows, k_rows, d_b - l0, 2 * k_rows)
+            worst.append(np.max(_squared_block_norms(diff)))
     return CodeMapCertificate(superop, factors, float(np.sqrt(np.max(worst))))
 
 

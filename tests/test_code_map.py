@@ -258,26 +258,89 @@ def _factoring_instance(d_out, m, d_c, d_a=2, d_b=2, seed=49):
     return ops, frame, certify_code_map(ops, d_a, d_b, frame=frame).superop
 
 
-# K = min(d_out, m + d_C) is d_out < m + d_C in the first case, m + d_C in the second
-@pytest.mark.parametrize("d_out, m, d_c", [(4, 3, 2), (12, 3, 3)])
-def test_given_non_hermitian_factor_map_agrees_with_loop(d_out, m, d_c):
-    d_a = d_b = 2
-    ops, frame, exact = _factoring_instance(d_out, m, d_c)
+# K = min(d_out, m + d_C) is d_out < m + d_C in the first case, m + d_C in
+# the second; in the third, K = 19 and the row groups of 7 rows split each
+# A index of d_B = 8
+@pytest.mark.parametrize("d_out, m, d_c, d_a, d_b", [
+    pytest.param(4, 3, 2, 2, 2, id="4-3-2"), pytest.param(12, 3, 3, 2, 2, id="12-3-3"),
+    pytest.param(24, 17, 2, 3, 8, id="24-17-2-3-8")])
+def test_given_non_hermitian_factor_map_agrees_with_loop(d_out, m, d_c, d_a, d_b):
+    ops, frame, exact = _factoring_instance(d_out, m, d_c, d_a=d_a, d_b=d_b)
+    last = d_a - 1
     rng = np.random.default_rng(52)
     kick = 0.3 * (rng.normal(size=(d_c, d_c)) + 1j * rng.normal(size=(d_c, d_c)))
-    # a map that does not preserve Hermiticity: F(|1><0|) != F(|0><1|)^dag
+    # a map that does not preserve Hermiticity: F(|last><0|) != F(|0><last|)^dag
     kicked = exact.copy()
-    kicked[:, 1] += kick.flatten(order="F")
-    f_10 = kicked[:, 1].reshape(d_c, d_c, order="F")
-    f_01 = kicked[:, d_a].reshape(d_c, d_c, order="F")
-    assert np.linalg.norm(f_10 - dagger(f_01)) > 0.1
+    kicked[:, last] += kick.flatten(order="F")
+    f_l0 = kicked[:, last].reshape(d_c, d_c, order="F")
+    f_0l = kicked[:, d_a * last].reshape(d_c, d_c, order="F")
+    assert np.linalg.norm(f_l0 - dagger(f_0l)) > 0.1
     cm = assert_matches_loop(ops, d_a, d_b, frame=frame, superop=kicked)
-    # the mismatch sits only in the rows p = (1, k) against the columns
-    # q = (0, l) < p, where it is V_k kick V_l^dag
+    # the mismatch sits only in the rows p = (last, k) against the columns
+    # q = (0, l) < p, where it is V_k kick V_l^dag: a given map takes every
+    # pair, not only the columns from each row group's first row on
     assert abs(cm.residual - np.linalg.norm(kick)) < 1e-12
     assert certify_code_map(ops, d_a, d_b, frame=frame, superop=exact).residual < 1e-12
     rand = rng.normal(size=exact.shape) + 1j * rng.normal(size=exact.shape)
     assert_matches_loop(ops, d_a, d_b, frame=frame, superop=rand)
+
+
+# (d_A, d_B): the compressed pairs of a planted code with m = 5 have
+# d_out = n = 24 and K = 24, so the row groups have 4 rows and split every
+# A index (into 4 + 2 rows at d_B = 6); d_A = 1 has six groups
+@pytest.mark.parametrize("unital", [False, True])
+@pytest.mark.parametrize("d_a, d_b", [(1, 24), (2, 12), (3, 8), (4, 6)])
+def test_pair_symmetric_kernel_on_planted_codes_agrees_with_loop(d_a, d_b, unital):
+    # F read off the I_B slice: each unordered pair of matrix units is taken once
+    n, m = d_a * d_b, 5
+    ch, dec = planted_channel(d_a, d_b, n + 8, m, seed=70 + d_a, unital=unital)
+    # E ∘ P_AB framed by W: K = m + d_A, all rows in one group
+    assert_matches_loop([k @ dec.w for k in ch.kraus], d_a, d_b, frame=dec.w)
+    pairs = np.array(compressed_pairs(ch, dec))
+    assert _group_rows(n, m * m + d_a, n) == 4 < d_b
+    assert certify_code_map(pairs, d_a, d_b).residual < 1e-12
+    rng = np.random.default_rng(71)
+    kick = rng.normal(size=pairs.shape) + 1j * rng.normal(size=pairs.shape)
+    cm = assert_matches_loop(pairs + 1e-3 * kick, d_a, d_b)
+    assert cm.residual > 1e-5
+
+
+@pytest.mark.parametrize("d_a", [2, 3])
+def test_kick_below_the_diagonal_is_seen_through_its_mirrored_block(d_a):
+    # N_a = V (K_a (x) I_B) factors exactly, with K_a |d_A - 1> = 0; the kick
+    # eps w, w a unit vector orthogonal to range(V), goes into the column
+    # p = (d_A - 1, 0) of N_0 alone.  The mismatch is then eps w N_0[:, q]^dag
+    # at the rows p, of norm eps ||K_0 |j>|| at the columns q = (j, l): it is
+    # largest at some j < d_A - 1, where the kernel meets it only as the
+    # adjoint, rows of A index j against the columns of A index d_A - 1.
+    # The diagonal pair (p, p) carries eps^2 alone
+    d_b, d_c, m, d_out, eps = 2, 2, 3, 8, 1e-3
+    rng = np.random.default_rng(72)
+    frame = haar_isometry(d_out, d_c * d_b, seed=73)
+    kraus = rng.normal(size=(m, d_c, d_a)) + 1j * rng.normal(size=(m, d_c, d_a))
+    kraus[:, :, -1] = 0.0
+    ops = frame @ np.kron(kraus, np.eye(d_b))
+    w = orthonormal_complement(frame @ dagger(frame))[0]
+    ops[0][:, (d_a - 1) * d_b] += eps * w
+    cm = assert_matches_loop(ops, d_a, d_b, frame=frame)
+    expected = eps * max(np.linalg.norm(kraus[0][:, j]) for j in range(d_a - 1))
+    assert abs(cm.residual - expected) < 1e-12
+    assert expected > 100 * eps ** 2
+
+
+# the first and last row of A index 0, a row that opens the second group of
+# A index 2, and the last row of all, which meets only its own group's columns
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("column", [0, 5, 16, 23])
+def test_non_finite_operator_column_gives_non_finite_residual(bad, column):
+    ch, dec = planted_channel(4, 6, 32, 5, seed=74)
+    pairs = np.array(compressed_pairs(ch, dec))
+    assert _group_rows(24, 25 + 4, 24) == 4
+    pairs[7, 3, column] = bad
+    residual = certify_code_map(pairs, 4, 6).residual
+    assert not np.isfinite(residual)
+    assert not residual <= THRESHOLD
 
 
 def test_peak_memory_at_the_ucc_complement_block():
@@ -384,8 +447,8 @@ def test_identity_factor_map_with_one_row_chunks_agrees_with_loop(d_out, m, d_b)
 @pytest.mark.parametrize("d_out, m, d_c", [(7, 4, 2), (6, 4, 2)])
 def test_general_factor_map_with_one_row_chunks_agrees_with_loop(d_out, m, d_c):
     # K = 6 > d_out / 2 with d_A = d_B = 2: groups of K n d_out product
-    # entries would be one row each; under the 2^16 floor the four rows, both
-    # A indices, go in one group, against d_A = 2 column blocks
+    # entries would be one row each; under the 2^16 floor the blocks of both
+    # A indices, two rows against one column A index each, go in one product
     d_a = d_b = 2
     ops, frame, exact = _factoring_instance(d_out, m, d_c)
     assert certify_code_map(ops, d_a, d_b, frame=frame).residual < 1e-12
@@ -401,10 +464,11 @@ def _group_rows(d_out, cols, n):
     return max(1, max(k_rows * n * d_out, 1 << 16) // (k_rows * k_rows * n))
 
 
-# (d_out, m, d_C, d_A, d_B): one group over all three A indices; then groups
-# of 22 rows over d_B = 8, the first spanning A indices 0 to 2 and ending
-# inside A index 2, whose last two rows form the second group, with
-# d_C = d_A and with d_C = 4 > d_A
+# (d_out, m, d_C, d_A, d_B): every block, the rows of one A index against one
+# column A index, in one product; then a cap of 22 rows against every
+# column, room for 8 blocks of d_B = 8 rows and columns, so the 9 blocks of
+# a given map take two products and the 6 of F read off the slice one;
+# with d_C = d_A and with d_C = 4 > d_A
 @pytest.mark.parametrize("d_out, m, d_c, d_a, d_b", [(6, 2, 2, 3, 2), (30, 8, 3, 3, 8),
                                                      (34, 7, 4, 3, 8)])
 def test_row_groups_across_a_indices_agree_with_loop(d_out, m, d_c, d_a, d_b):

@@ -231,6 +231,18 @@ def test_boolean_kraus_entries_are_malformed(doc):
         channel_from_json(_read_text(json.dumps(doc)), require_tp=False)
 
 
+@pytest.mark.parametrize("row", [[[1.0, 0.0], [0.0, np.True_]],
+                                 [[1.0, 0.0], np.array([False, False])]],
+                         ids=["numpy-bool", "bool-array"])
+def test_numpy_booleans_in_nested_lists_are_malformed(row):
+    # from the Python API: numpy reads np.True_ and a bool array below the
+    # outer list as numbers, as it reads JSON true and false
+    doc = {"dim": 2, "kraus": [[row, [[0.0, 0.0], [1.0, 0.0]]]]}
+    assert np.asarray(doc["kraus"]).dtype == float
+    with pytest.raises(MalformedInput):
+        channel_from_json(doc, require_tp=False)
+
+
 def test_boolean_w_entries_are_malformed():
     doc = {"dim": 2, "dA": 1, "dB": 1, "W": [[[1.0, 0.0], [False, 0.0]]]}
     for obj in (doc, _read_text(json.dumps(doc))):

@@ -36,6 +36,7 @@ from subrec.linalg import (
     complete_isometry,
     dagger,
     eigenvalue_clusters,
+    frobenius,
     gram_schmidt_cutoff,
     orthonormal_complement,
     partial_trace_b,
@@ -89,6 +90,78 @@ def test_policy_values_at_default_tol():
     assert not 0.0 <= strict_tol(DEFAULT_TOL, float("nan"))
     assert isinstance(strict_tol(DEFAULT_TOL, 2.0), float)
     assert strict_tol(DEFAULT_TOL, np.array([0.5, 3.0])).tolist() == [1e-9, 3.0 * 1e-9]
+
+
+SCALES = {"int-0": 0, "int-7": 7, "negative-int": -3, "big-int": 10 ** 20, "bool": True,
+          "float-2.5": 2.5, "float-0.25": 0.25, "float64-40": np.float64(40.0),
+          "float64-0.5": np.float64(0.5), "nan": float("nan"), "float64-nan": np.float64("nan"),
+          "inf": float("inf"), "-inf": float("-inf"), "float32": np.float32(3.3),
+          "int64": np.int64(9), "0-d-array": np.array(4.0),
+          "array": np.array([0.5, 3.0, np.nan, np.inf, -np.inf])}
+
+
+@pytest.mark.parametrize("name", SCALES)
+def test_tolerances_equal_the_ufunc_formula_on_every_scale_type(name):
+    # Python scalars skip np.maximum; the value, NaN and inf included, is
+    # the one np.maximum gives, and so is the type: float, or an array
+    scale = SCALES[name]
+    for tol in (DEFAULT_TOL, 1e-3):
+        for got, base in ((strict_tol(tol, scale), tol),
+                          (acceptance_tol(tol, scale), max(100 * tol, 1e-7))):
+            want = base * np.maximum(1.0, scale)
+            if np.ndim(want):
+                assert isinstance(got, np.ndarray)
+            else:
+                assert type(got) is float
+                want = float(want)
+            np.testing.assert_array_equal(got, want)  # NaN where want is NaN
+
+
+def test_a_nan_scale_is_never_hidden():
+    for scale in (float("nan"), np.float64("nan"), np.array(np.nan)):
+        for cut in (strict_tol(DEFAULT_TOL, scale), acceptance_tol(DEFAULT_TOL, scale)):
+            assert np.isnan(cut)
+            assert not 0.0 <= cut and not cut <= np.inf
+
+
+def _frobenius_inputs():
+    rng = np.random.default_rng(81)
+    z = rng.normal(size=(40, 40)) + 1j * rng.normal(size=(40, 40))
+    big = rng.normal(size=(256, 256)) + 1j * rng.normal(size=(256, 256))
+    return {"real": z.real, "complex": z, "transposed": z.T, "strided": z[:, ::3],
+            "3-d": z.reshape(10, 4, 40), "vector": z[0], "d-256": big,
+            "tiny-entries": 1e-160 * z, "nested-list": z[:3, :3].tolist(),
+            "int": np.arange(12).reshape(3, 4), "complex64": z.astype(np.complex64),
+            "empty-complex": np.zeros((0, 3), dtype=complex), "empty-real": np.zeros(0)}
+
+
+FROBENIUS_INPUTS = _frobenius_inputs()
+
+
+@pytest.mark.parametrize("name", FROBENIUS_INPUTS)
+def test_frobenius_matches_numpy_norm_to_a_few_ulp(name):
+    m = FROBENIUS_INPUTS[name]
+    got, want = frobenius(m), float(np.linalg.norm(m))
+    assert type(got) is float
+    # ulps of the input's precision: complex64 sums in single precision
+    eps = np.finfo(np.result_type(np.asarray(m), np.float32)).eps
+    assert abs(got - want) <= 8 * eps * want
+
+
+NON_FINITE = [np.nan, np.inf, -np.inf]
+
+
+@pytest.mark.parametrize("dtype, entry", [(float, e) for e in NON_FINITE] + [
+    (complex, e) for e in NON_FINITE + [complex(np.inf, 1.0), complex(1.0, -np.inf),
+                                        complex(np.inf, np.inf), complex(np.nan, 0.0),
+                                        complex(np.inf, np.nan)]])
+def test_frobenius_keeps_nan_and_inf(dtype, entry):
+    m = np.random.default_rng(82).normal(size=(6, 5)).astype(dtype)
+    m[2, 3] = entry
+    want = float(np.linalg.norm(m))
+    got = frobenius(m)
+    assert not np.isfinite(got)
+    np.testing.assert_array_equal(got, want)  # NaN for a NaN part, else inf
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
