@@ -10,6 +10,8 @@ Kraus representations are only unique up to a unitary remixing.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import DimensionMismatch, NotFinite, NotTracePreserving
@@ -53,12 +55,10 @@ class KrausChannel:
                 raise DimensionMismatch("Kraus operators must share one square shape")
             if not np.all(np.isfinite(k)):
                 raise NotFinite("Kraus operators must have finite entries")
-        self.kraus = tuple(ops)
+        self.kraus = self._built = tuple(ops)
         self.dim = d
         self.tol = tol
-        eye = np.eye(d)
-        self.tp_defect = frobenius(sum(dagger(k) @ k for k in ops) - eye)
-        self.unital_defect = frobenius(sum(k @ dagger(k) for k in ops) - eye)
+        self.tp_defect = frobenius(sum(dagger(k) @ k for k in ops) - np.eye(d))
         if require_tp and not self.is_trace_preserving:
             raise NotTracePreserving(
                 f"sum E_a^dag E_a differs from identity by {self.tp_defect:.3e}")
@@ -67,6 +67,13 @@ class KrausChannel:
     def m(self) -> int:
         """Number of Kraus operators."""
         return len(self.kraus)
+
+    @functools.cached_property
+    def unital_defect(self) -> float:
+        """||sum_a E_a E_a^dag - I||_F of the operators the channel was built
+        with, as ``tp_defect``; computed on first use, since checking and
+        recovering a subsystem never read it."""
+        return frobenius(sum(k @ dagger(k) for k in self._built) - np.eye(self.dim))
 
     @property
     def is_trace_preserving(self) -> bool:

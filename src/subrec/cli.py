@@ -133,20 +133,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _read(path: str):
-    with open(path) as fh:
+    with open(path, "rb") as fh:
         return read_json(fh)
 
 
 def _load_channel(args, tol):
     require_tp = not getattr(args, "no_tp_check", False)
-    obj = _read(args.channel) if args.channel else read_json(sys.stdin)
+    # the bytes of stdin, unless it was replaced by a text stream without them
+    stdin = getattr(sys.stdin, "buffer", sys.stdin)
+    obj = _read(args.channel) if args.channel else read_json(stdin)
     return channel_from_json(obj, require_tp=require_tp, tol=tol)
 
 
 def _emit(report: dict, args, text_lines) -> None:
     text = canonical_dumps(report) if args.out or args.format == "json" else None
     if args.out:
-        with open(args.out, "w") as fh:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
             fh.write("\n")
     if args.format == "json":
@@ -282,7 +284,7 @@ def _run_demo(args) -> int:
     ch, dec = demo_build(spec)
     payload = canonical_dumps(channel_to_json(ch))
     if args.out:
-        with open(args.out, "w") as fh:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(payload)
             fh.write("\n")
     else:
@@ -291,7 +293,7 @@ def _run_demo(args) -> int:
         if dec is None:
             print(f"demo '{args.name}' has no candidate subsystem", file=sys.stderr)
             return EXIT_ERROR
-        with open(args.out_subsystem, "w") as fh:
+        with open(args.out_subsystem, "w", encoding="utf-8") as fh:
             fh.write(canonical_dumps(subsystem_to_json(dec)))
             fh.write("\n")
     return EXIT_OK

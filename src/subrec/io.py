@@ -9,14 +9,19 @@ Wire formats (language neutral, lossless at double precision):
 * subsystem: ``{"dim": d, "dA": dA, "dB": dB, "W": [col1, col2, ...]}``
   with W stored column-major, each column a d-list of pairs.
 
-Matrices move between ndarrays and wire text without a Python list per
-entry.  :func:`canonical_dumps` writes an ndarray wherever a matrix
-goes, row by row, and hands every subtree without an array to
+Wire text is UTF-8 JSON (RFC 8259), read and written the same under any
+locale.  Matrices move between ndarrays and wire text without a Python
+list per entry.  :func:`canonical_dumps` writes an ndarray wherever a
+matrix goes, row by row, and hands every subtree without an array to
 ``json.dumps`` whole.  :func:`read_json` reads the top-level object with
 ``json.JSONDecoder.raw_decode`` and turns each element of an array value
 (one Kraus operator, one W column) into an ndarray before it reads the
-next, so at most one element's lists are alive at a time; any input
-that is not such an object is parsed, or rejected, by ``json.loads``.
+next, so at most one element's lists are alive at a time.  From a binary
+handle it never holds the document as text: it decodes each element from
+its own byte range, and an element of more than 2^16 bytes one row
+at a time, so at most one row's lists are alive.  Any input that is not
+such an object is decoded whole and parsed, or rejected, by
+``json.loads``, with the errors a text-mode read gives.
 The parse tree has no reference cycles, so :func:`read_json` pauses
 Python's cyclic garbage collector for the parse (process-global, for
 that one call; it is re-enabled on return or error if it was enabled
@@ -32,6 +37,7 @@ parse -> serialize round-trips byte for byte.
 
 from __future__ import annotations
 
+import functools
 import gc
 import json
 import re
@@ -56,7 +62,6 @@ __all__ = [
 ]
 
 _DECODER = json.JSONDecoder()
-_WHITESPACE = re.compile(r"[ \t\n\r]*")  # JSON's insignificant whitespace
 _BOOLS = frozenset((bool, np.bool_))  # np.bool_ from an array below the outer list
 
 
@@ -213,12 +218,14 @@ def canonical_dumps(obj) -> str:
 
 # -- decoding ---------------------------------------------------------------
 
+# from bytes, an array element longer than this many bytes is read one
+# row at a time: the floor of a product block in subsystem._row_group, below
+# which one parse of the whole element costs less than one per row
+_WHOLE = 1 << 16
+
+
 class _Unexpected(Exception):
-    """The text is not a JSON object read element by element; json.loads decides."""
-
-
-def _skip(text: str, pos: int) -> int:
-    return _WHITESPACE.match(text, pos).end()
+    """The document is not a JSON object read element by element; json.loads decides."""
 
 
 def _element(text: str, start: int):
@@ -244,72 +251,219 @@ def _has_boolean(text: str, start: int, end: int) -> bool:
                for word in ("true", "false"))
 
 
-def _read_value(text: str, pos: int):
+class _Text:
+    """A JSON document as text, each value decoded where it stands."""
+
+    space = re.compile(r"[ \t\n\r]*")  # JSON's insignificant whitespace
+
+    def __init__(self, doc):
+        self.doc = doc
+        self.end = len(doc)
+
+    def skip(self, pos: int) -> int:
+        return self.space.match(self.doc, pos).end()
+
+    def char(self, pos: int) -> str:
+        return self.doc[pos:pos + 1]
+
+    def value(self, pos: int):
+        """(value, end) of the JSON value at ``pos``."""
+        return _DECODER.raw_decode(self.doc, pos)
+
+    def element(self, pos: int):
+        """(element, end) of the array element at ``pos``, as :func:`_element`."""
+        return _element(self.doc, pos)
+
+
+@functools.cache
+def _closing(depth: int) -> re.Pattern:
+    # a run of `depth` closing brackets, whitespace between them allowed
+    return re.compile(rb"\](?:[ \t\n\r]*\]){%d}" % (depth - 1))
+
+
+class _Bytes(_Text):
+    """A JSON document as UTF-8 bytes, each value decoded from its own byte
+    range: a scalar's is its token; an array's opens with a run of opening
+    brackets and ends at the first run of as many closing ones (see
+    :meth:`_extent`).  The parse of a range must end exactly at its end,
+    which a value that is not JSON, or that nests deeper than it opens,
+    does not: such a document, like an object value, is :class:`_Unexpected`.
+    The whole document is never decoded."""
+
+    space = re.compile(rb"[ \t\n\r]*")
+    # a string, or json's number grammar, or a named constant
+    token = re.compile(rb'"(?:[^"\\]|\\.)*"|-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?'
+                       rb"|true|false|null|NaN|-?Infinity", re.DOTALL)
+    opening = re.compile(rb"(?:\[[ \t\n\r]*)+")
+
+    def __init__(self, doc):
+        super().__init__(doc)
+        self.view = memoryview(doc)
+
+    def char(self, pos):
+        return self.doc[pos:pos + 1].decode("latin-1")
+
+    def value(self, pos):
+        token = self.token.match(self.doc, pos)
+        if token is None:
+            raise _Unexpected
+        return self._parse(pos, token.end(), _DECODER.raw_decode)
+
+    def element(self, pos):
+        if self.char(pos) != "[":
+            return self.value(pos)
+        depth, end = self._extent(pos, pos + _WHOLE)
+        if end is not None:
+            return self._parse(pos, end, _element)
+        if depth > 1:
+            return self._rows(pos, depth)
+        return self._parse(pos, self._extent(pos)[1], _element)
+
+    def _parse(self, start: int, end: int, parse):
+        """(value, end) from ``parse(text, 0)`` of the range's text, which it
+        must read to the end."""
+        text = str(self.view[start:end], "utf-8")
+        value, stop = parse(text, 0)
+        if stop != len(text):
+            raise _Unexpected
+        return value, end
+
+    def _extent(self, pos: int, limit: int | None = None):
+        """(depth, end) of the array at ``pos``: it opens with ``depth``
+        brackets and ends after the first run of ``depth`` closing ones;
+        ``end`` is None when that run does not end by ``limit``."""
+        opening = self.opening.match(self.doc, pos)
+        if opening is None:
+            raise _Unexpected
+        depth = opening.group().count(b"[")
+        closing = _closing(depth).search(self.doc, pos, self.end if limit is None else limit)
+        if closing is None and limit is None:
+            raise _Unexpected
+        return depth, None if closing is None else closing.end()
+
+    def _rows(self, start: int, depth: int):
+        """(ndarray, end) of the array at ``start``, which opens with
+        ``depth`` brackets, read one row at a time through :func:`_element`;
+        a row ends at the first run of ``depth - 1`` closing brackets.  The
+        rows must stack as ``np.asarray`` of the whole element would:
+        numbers of one shape, signed integers or floats (numpy reads a row
+        of integers beyond int64 as unsigned, and how that promotes against
+        the other rows differs between numpy versions)."""
+        closing = _closing(depth - 1)
+        rows = []
+        pos = self.skip(start + 1)
+        while True:
+            end = closing.search(self.doc, pos)
+            if end is None:
+                raise _Unexpected
+            row, pos = self._parse(pos, end.end(), _element)
+            if (not isinstance(row, np.ndarray) or row.dtype.kind not in "if"
+                    or rows and row.shape != rows[0].shape):
+                raise _Unexpected
+            rows.append(row)
+            pos = self.skip(pos)
+            if self.char(pos) != ",":
+                break
+            pos = self.skip(pos + 1)
+        if self.char(pos) != "]":
+            raise _Unexpected
+        return np.stack(rows), pos + 1
+
+
+def _read_value(src: _Text, pos: int):
     """(value, end) of the JSON value at ``pos``; an array's elements are
-    read one at a time through :func:`_element`."""
-    if not text.startswith("[", pos):
-        return _DECODER.raw_decode(text, pos)
+    read one at a time through ``src.element``."""
+    if src.char(pos) != "[":
+        return src.value(pos)
     items = []
-    pos = _skip(text, pos + 1)
-    if text.startswith("]", pos):
+    pos = src.skip(pos + 1)
+    if src.char(pos) == "]":
         return items, pos + 1
     while True:
-        item, pos = _element(text, pos)
+        item, pos = src.element(pos)
         items.append(item)
-        pos = _skip(text, pos)
-        if text.startswith("]", pos):
+        pos = src.skip(pos)
+        if src.char(pos) == "]":
             return items, pos + 1
-        if not text.startswith(",", pos):
+        if src.char(pos) != ",":
             raise _Unexpected
-        pos = _skip(text, pos + 1)
+        pos = src.skip(pos + 1)
 
 
-def _read_object(text: str) -> dict:
-    pos = _skip(text, 0)
-    if not text.startswith("{", pos):
+def _read_object(doc) -> dict:
+    """The JSON object in ``doc``, text or UTF-8 bytes, each element of an
+    array value read on its own; :class:`_Unexpected` for anything else."""
+    src = _Text(doc) if isinstance(doc, str) else _Bytes(doc)
+    pos = src.skip(0)
+    if src.char(pos) != "{":
         raise _Unexpected
     obj = {}
-    pos = _skip(text, pos + 1)
-    if text.startswith("}", pos):
+    pos = src.skip(pos + 1)
+    if src.char(pos) == "}":
         pos += 1
     else:
         while True:
-            key, pos = _DECODER.raw_decode(text, pos)
-            pos = _skip(text, pos)
-            if not isinstance(key, str) or not text.startswith(":", pos):
+            key, pos = src.value(pos)
+            pos = src.skip(pos)
+            if not isinstance(key, str) or src.char(pos) != ":":
                 raise _Unexpected
-            obj[key], pos = _read_value(text, _skip(text, pos + 1))
-            pos = _skip(text, pos)
-            if text.startswith("}", pos):
+            obj[key], pos = _read_value(src, src.skip(pos + 1))
+            pos = src.skip(pos)
+            if src.char(pos) == "}":
                 pos += 1
                 break
-            if not text.startswith(",", pos):
+            if src.char(pos) != ",":
                 raise _Unexpected
-            pos = _skip(text, pos + 1)
-    if _skip(text, pos) != len(text):
+            pos = src.skip(pos + 1)
+    if src.skip(pos) != src.end:
         raise _Unexpected
     return obj
 
 
+def _as_text(data) -> str:
+    # as a text-mode file with encoding="utf-8" reads the bytes: strict
+    # UTF-8 (a byte order mark is kept, for json.loads to refuse), and
+    # universal newlines
+    text = str(data, "utf-8")
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+
+
 def read_json(fh):
-    """The JSON document in the text file ``fh``, as ``json.load`` reads it,
+    """The JSON document in the file ``fh``, as ``json.load`` reads it,
     except that each element of a top-level array value that numpy reads as
     numbers is an ndarray (:func:`channel_from_json` and
     :func:`subsystem_from_json` take either form).
 
-    Invalid JSON raises ``json.JSONDecodeError``, from ``json.loads``.
-    The cyclic garbage collector is paused while the text is parsed and
-    left as it was found.
+    ``fh`` is a binary or a text handle.  Bytes are read as a text-mode
+    file opened with ``encoding="utf-8"`` would read them, without holding
+    the document as text: each array element is decoded from its own byte
+    range, and an element longer than 2^16 bytes one row at a time,
+    straight into its ndarray.  Bytes that are not read this way (an
+    object inside the top-level one, an element of more than 2^16
+    bytes whose rows are not numbers of one shape, a byte order mark,
+    bytes that are not UTF-8, invalid JSON) are decoded whole and read as
+    text, with the same results and errors.
+
+    Invalid JSON raises ``json.JSONDecodeError``, from ``json.loads``, and
+    bytes that are not UTF-8 raise ``UnicodeDecodeError``.  The cyclic
+    garbage collector is paused while the document is parsed and left as
+    it was found.
     """
-    text = fh.read()
+    doc = fh.read()
     collecting = gc.isenabled()
     gc.disable()  # the parse makes no cycles: the collector would only walk it
     try:
+        if not isinstance(doc, str):
+            try:
+                return _read_object(doc)
+            except (_Unexpected, json.JSONDecodeError, UnicodeDecodeError):
+                pass
+            doc = _as_text(doc)
         try:
-            return _read_object(text)
+            return _read_object(doc)
         except (_Unexpected, json.JSONDecodeError):
             pass
-        return json.loads(text)
+        return json.loads(doc)
     finally:
         if collecting:
             gc.enable()

@@ -5,16 +5,25 @@ from subrec import (
     DemoSpec,
     KrausChannel,
     NotTracePreserving,
+    NotUnital,
     channels_equal,
+    check_correctable,
     compose,
+    construct_recovery,
     demo_build,
     dual,
+    enumerate_noiseless,
+    find_ucc,
     fixed_point_basis,
     majorizes,
     numeric_rank,
+    planted_channel,
+    recovery_to_correction,
     to_superoperator,
+    verify_correction,
 )
-from subrec.linalg import dagger, operator_basis, vec
+from subrec.demos import DEMO_NAMES
+from subrec.linalg import dagger, frobenius, operator_basis, vec
 from subrec.random_ops import (
     haar_unitary,
     random_channel,
@@ -295,3 +304,35 @@ def test_channels_equal_under_random_remixing_and_padding(seed):
     assert _dense_distance(f, g)[0] < 1e-13
     assert channels_equal(f, g, tol=1e-13)
     assert not channels_equal(f, KrausChannel(remixed[:4], require_tp=False))
+
+
+def _unital_defect_formula(ch):
+    return frobenius(sum(k @ dagger(k) for k in ch.kraus) - np.eye(ch.dim))
+
+
+def test_unital_defect_is_computed_on_first_use_with_unchanged_values():
+    channels = [demo_build(DemoSpec(name=name))[0] for name in DEMO_NAMES]
+    channels += [planted_channel(2, 2, 12, 3, seed=5, unital=True)[0],
+                 planted_channel(2, 2, 12, 3, seed=5)[0], random_channel(5, 3, seed=2)]
+    verdicts = []
+    for ch in channels:
+        assert "unital_defect" not in vars(ch)
+        assert ch.unital_defect == _unital_defect_formula(ch)
+        assert "unital_defect" in vars(ch)
+        verdicts.append(ch.is_unital)
+        assert repr(ch).endswith(f"unital={ch.is_unital})")
+    assert verdicts == [True, True, True, False, True, False, False]
+    for ch in channels[-2:]:
+        for discover in (enumerate_noiseless, find_ucc):
+            with pytest.raises(NotUnital, match="requires a unital channel"):
+                discover(ch, seed=0)
+
+
+def test_check_and_recover_never_read_the_unital_defect():
+    ch, dec = planted_channel(2, 2, 12, 3, seed=5)
+    cert = check_correctable(ch, dec)
+    correction = recovery_to_correction(construct_recovery(ch, dec, cert), dec)
+    residual, _ = verify_correction(ch, dec, correction)
+    assert cert.passed and residual < 1e-9
+    assert "unital_defect" not in vars(ch) and "unital_defect" not in vars(correction)
+    assert not ch.is_unital

@@ -395,3 +395,35 @@ def test_boolean_entries_exit_1(tmp_path, capsys):
         assert "MalformedInput" in out.err and field in out.err
         assert "Traceback" not in out.err
         path.write_text(good)
+
+
+def test_byte_order_mark_exit_1(tmp_path, capsys, monkeypatch):
+    # JSON text is UTF-8 without a byte order mark (RFC 8259): read as bytes,
+    # a file or stdin that starts with one fails as json.loads fails on it
+    ch_file, _ = write_demo(tmp_path, "phase-flip", p=0.3)
+    data = b"\xef\xbb\xbf" + ch_file.read_bytes()
+    ch_file.write_bytes(data)
+    code, out = run(["ucc", "--channel", str(ch_file)], capsys=capsys)
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+    code_stdin, out_stdin = run(["ucc"], capsys=capsys)
+    for code, out in ((code, out), (code_stdin, out_stdin)):
+        assert code == 1
+        assert out.err == ("subrec: JSONDecodeError: Unexpected UTF-8 BOM (decode using "
+                           "utf-8-sig): line 1 column 1 (char 0)\n")
+
+
+@pytest.mark.parametrize("command", ["check", "recover", "ucc"])
+def test_stdin_bytes_give_the_report_of_the_file(command, tmp_path, capsys, monkeypatch):
+    # d = 48: each Kraus operator is over 2^16 characters and read row by row
+    ch_file, dec_file = write_demo(tmp_path, "planted", dim=48, d_a=2, d_b=2,
+                                   unital=command == "ucc", seed=6)
+    argv = [command, "--format", "json"]
+    if command != "ucc":
+        argv += ["--subsystem", str(dec_file)]
+    code, from_file = run(argv + ["--channel", str(ch_file)], capsys=capsys)
+    assert code == 0
+    monkeypatch.setattr("sys.stdin",
+                        io.TextIOWrapper(io.BytesIO(ch_file.read_bytes()), encoding="utf-8"))
+    code, from_stdin = run(argv, capsys=capsys)
+    assert code == 0
+    assert from_stdin.out == from_file.out

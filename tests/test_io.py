@@ -10,6 +10,7 @@ exception types alike.
 import gc
 import io
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -266,6 +267,250 @@ def test_decoded_channel_and_subsystem_round_trip_bit_for_bit():
     assert subsystem_from_json(_read_text(text)).w.tobytes() == dec.w.tobytes()
 
 
+# -- reading bytes -----------------------------------------------------------
+
+def _numbers(value):
+    """An array element as read_json documents it: an ndarray when numpy
+    reads the lists as numbers and they hold no JSON boolean."""
+    if not isinstance(value, list):
+        return value
+    try:
+        arr = np.asarray(value)
+    except (ValueError, OverflowError):
+        return value
+    if arr.dtype.kind not in "iuf" or _holds_json_bool(value):
+        return value
+    return arr
+
+
+def _holds_json_bool(value):
+    if isinstance(value, list):
+        return any(map(_holds_json_bool, value))
+    return isinstance(value, bool)
+
+
+def _documented(text):
+    """read_json's documented result, from json.loads of the whole text."""
+    obj = json.loads(text)
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            if isinstance(value, list):
+                obj[key] = [_numbers(v) for v in value]
+    return obj
+
+
+def _text_mode(data):
+    # how a file opened in text mode with encoding="utf-8" reads: strict
+    # UTF-8 and universal newlines
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
+
+
+def _result(read, arg):
+    """read(arg), or the type and message of what it raised."""
+    try:
+        return read(arg)
+    except Exception as exc:  # the exception is the outcome under test
+        return type(exc), str(exc)
+
+
+def _same(a, b) -> bool:
+    """Equal parse trees: ndarrays by dtype, shape and bytes, floats by bits."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return (type(a) is type(b) and a.dtype == b.dtype and a.shape == b.shape
+                and a.tobytes() == b.tobytes())
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, dict):
+        return list(a) == list(b) and all(_same(a[k], b[k]) for k in a)
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, float):
+        return np.float64(a).tobytes() == np.float64(b).tobytes()
+    return a == b
+
+
+def _assert_reads_as_documented(data: bytes, name="") -> None:
+    """A binary handle, a text-mode handle and (for UTF-8) a StringIO each
+    give what json.loads of the text gives, or its exception and message."""
+    want = _result(lambda d: _documented(_text_mode(d)), data)
+    assert _same(_result(lambda d: read_json(io.BytesIO(d)), data), want), name
+    text_handle = _result(lambda d: read_json(io.TextIOWrapper(io.BytesIO(d), encoding="utf-8")),
+                          data)
+    assert _same(text_handle, want), name
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError:
+        return
+    assert _same(_result(_read_text, text), _result(_documented, text)), name
+
+
+def _large_matrix(rows, cols, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+
+
+def _padded(m: np.ndarray, length: int) -> str:
+    """The canonical text of ``m`` with spaces before its last bracket, to ``length``."""
+    text = canonical_dumps(m)
+    assert len(text) <= length
+    return text[:-1] + " " * (length - len(text)) + "]"
+
+
+# two 40 x 40 Kraus operators: each element is about 70 000 characters, over
+# the 2^16 beyond which bytes are read one row at a time
+LARGE_OBJ = {"dim": 40, "kraus": [matrix_to_json(_large_matrix(40, 40, s)) for s in (1, 2)]}
+LARGE = canonical_dumps(LARGE_OBJ)
+
+
+def _damaged(*edits):
+    """LARGE with its second Kraus operator edited, in compact JSON."""
+    obj = json.loads(LARGE)
+    for edit in edits:
+        edit(obj["kraus"][1])
+    return json.dumps(obj, separators=(",", ":"))
+
+
+def _set(row, col, value):
+    def edit(k):
+        k[row][col] = value
+    return edit
+
+
+def _large_docs():
+    under = _padded(_large_matrix(36, 36, 3), 1 << 16)
+    over = _padded(_large_matrix(36, 36, 3), (1 << 16) + 1)
+    pretty = json.dumps(LARGE_OBJ, indent=1)
+    integers = {"dim": 40, "kraus": [np.arange(3200).reshape(40, 40, 2).tolist()]}
+    mixed = {"dim": 40, "kraus": [[[[i, 0] if r % 2 else [i + 0.5, 0.25] for i in range(40)]
+                                   for r in range(40)] * 2]}
+    return {
+        "large canonical": LARGE,
+        "large pretty, indent 1": pretty,
+        "large pretty, CRLF": pretty.replace("\n", "\r\n"),
+        "large pretty, CR": pretty.replace("\n", "\r"),
+        "spaces between closing brackets": re.sub(r"\](?=\])", "] \n\t", LARGE),
+        "spaces between opening brackets": re.sub(r"\[(?=\[)", "[ \r\n", LARGE),
+        "element of exactly 2^16 characters": f'{{"dim": 36, "kraus": [{under}]}}',
+        "element of 2^16 + 1 characters": f'{{"dim": 36, "kraus": [{over}]}}',
+        "elements either side of 2^16": f'{{"dim": 36, "kraus": [{over}, {under}, {over}]}}',
+        "ragged row deep inside": _damaged(lambda k: k[37].pop()),
+        "short pair deep inside": _damaged(lambda k: k[38][39].pop()),
+        "true deep inside": _damaged(_set(38, 5, [True, 0.0])),
+        "false in the last pair": _damaged(_set(39, 39, [0.0, False])),
+        "string deep inside": _damaged(_set(20, 3, ["1.0", 0.0])),
+        "null deep inside": _damaged(_set(20, 3, [None, 0.0])),
+        "object deep inside": _damaged(_set(20, 3, {"re": 1.0})),
+        "deeper nesting deep inside": _damaged(_set(20, 3, [[1.0, 2.0]])),
+        "deeper nesting in the first row": _damaged(lambda k: k.__setitem__(0, [k[0]])),
+        "shallower row": _damaged(lambda k: k.__setitem__(10, 1.0)),
+        "NaN and Infinity deep inside": _damaged(_set(30, 2, [float("nan"), float("-inf")]),
+                                                 _set(31, 0, [float("inf"), 0.0])),
+        "integer rows": json.dumps(integers),
+        "integer and float rows": json.dumps(mixed),
+        "integer beyond int64 in a late row": _damaged(_set(39, 0, [2 ** 63, 0])),
+        "integer beyond uint64 in a late row": _damaged(_set(39, 0, [2 ** 64, 0])),
+        "integer rows and a row of integers beyond int64": json.dumps(
+            {"kraus": [integers["kraus"][0][:39] + [[[2 ** 63, 2 ** 63]] * 40]]}),
+        "element closing with fewer brackets than it opens":
+            '{"dim": 1, "kraus": [[[[1, 0]], [2, 0]], [[[3, 0]]]]}',
+        "large element closed by a brace": LARGE.replace("]]],", "]]},", 1),
+        "truncated mid-row": LARGE[:len(LARGE) // 2],
+        "truncated mid-number": LARGE[:LARGE.index(".", len(LARGE) // 3) + 3],
+        "truncated before the last bracket": LARGE[:-1],
+        "trailing bytes": LARGE + " x",
+        "trailing bracket": LARGE + "}",
+        "second document": LARGE + LARGE,
+        "empty kraus": '{"dim": 1, "kraus": []}',
+        "duplicate keys, large last": f'{{"kraus": [[[[1, 0]]]], "kraus": {json.dumps(LARGE_OBJ["kraus"])}}}',
+        "duplicate keys, large first": f'{{"kraus": {json.dumps(LARGE_OBJ["kraus"])}, "kraus": [[[[1, 0]]]]}}',
+        "object value after the matrices": LARGE[:-1] + ', "meta": {"a": [1, 2]}}',
+        "escaped string keys and values": LARGE[:-1] + r', "né": "a\"]]]\\", "x": ["]]", [["]]]"]]]}',
+        "large W column": json.dumps({"dim": 1600, "dA": 1, "dB": 1,
+                                      "W": [matrix_to_json(_large_matrix(1, 1600, 4)[0])]}),
+    }
+
+
+BYTES_CORPUS = {name: text.encode() for name, text in _large_docs().items()}
+BYTES_CORPUS.update({
+    **{f"channel corpus: {name}": text.encode("utf-8") for name, text in CHANNEL_CORPUS.items()},
+    **{f"subsystem corpus: {name}": text.encode() for name, text in SUBSYSTEM_CORPUS.items()},
+    "byte order mark, large": b"\xef\xbb\xbf" + LARGE.encode(),
+    "invalid UTF-8 inside a large element": (LARGE[:50000] + "\udcff" + LARGE[50001:]).encode(
+        "utf-8", "surrogateescape"),
+    "invalid UTF-8 in a string value": LARGE[:-1].encode() + b', "note": "\xff"}',
+    "invalid UTF-8 after the document": LARGE.encode() + b"\xc3",
+    "Latin-1 text": '{"dim": 1, "note": "café", "kraus": [[[[1, 0]]]]}'.encode("latin-1"),
+})
+
+
+def test_reading_bytes_matches_the_text_reading_on_the_corpus():
+    for name, data in BYTES_CORPUS.items():
+        _assert_reads_as_documented(data, name)
+
+
+@pytest.mark.parametrize("length, by_rows", [(1 << 16, False), ((1 << 16) + 1, True)])
+def test_elements_beyond_two_to_the_sixteen_are_read_by_rows(length, by_rows, monkeypatch):
+    import subrec.io as wire
+
+    calls = []
+    rows = wire._Bytes._rows
+
+    def spied(self, start, depth):
+        calls.append((start, depth))
+        return rows(self, start, depth)
+
+    monkeypatch.setattr(wire._Bytes, "_rows", spied)
+    m = _large_matrix(36, 36, 3)
+    data = f'{{"dim": 36, "kraus": [{_padded(m, length)}]}}'.encode()
+    got = read_json(io.BytesIO(data))
+    assert calls == ([(data.index(b"[[[[") + 1, 3)] if by_rows else [])
+    assert got["kraus"][0].tobytes() == np.asarray(matrix_to_json(m)).tobytes()
+
+
+LAYOUTS = {
+    "canonical": canonical_dumps,
+    "indent 1": lambda obj: json.dumps(obj, indent=1),
+    "spaced": lambda obj: json.dumps(obj, separators=(" , ", " : ")),
+    "CRLF": lambda obj: json.dumps(obj, indent="\t").replace("\n", "\r\n"),
+    "spaced brackets": lambda obj: re.sub(r"([\[\]])(?=[\[\]])", r"\1 ", canonical_dumps(obj)),
+}
+DAMAGE = ["none", "truncate", "trailing", "invalid byte", "true", "ragged", "string", "nan"]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(1, 48), cols=st.integers(1, 48),
+       count=st.integers(1, 3), layout=st.sampled_from(sorted(LAYOUTS)),
+       damage=st.sampled_from(DAMAGE), where=st.floats(0, 1))
+def test_reading_bytes_matches_the_text_reading(seed, rows, cols, count, layout, damage, where):
+    # matrices either side of the 2^16-character row-by-row threshold, laid
+    # out and damaged in ways a file may be
+    rng = np.random.default_rng(seed)
+    kraus = []
+    for _ in range(count):
+        m = rng.standard_normal((rows, cols, 2))
+        m[rng.random((rows, cols, 2)) < 0.1] = rng.choice(SPECIAL)
+        kraus.append(m.tolist())
+    row, col = int(where * (rows - 1)), int(where * (cols - 1))
+    target = kraus[int(where * (count - 1))]
+    if damage == "true":
+        target[row][col][1] = True
+    elif damage == "ragged":
+        target[row].pop()
+    elif damage == "string":
+        target[row][col][0] = "0"
+    elif damage == "nan":
+        target[row][col] = [float("nan"), float("inf")]
+    data = LAYOUTS[layout]({"dim": rows, "kraus": kraus}).encode()
+    at = int(where * len(data))
+    if damage == "truncate":
+        data = data[:at]
+    elif damage == "trailing":
+        data += b" 0"
+    elif damage == "invalid byte":
+        data = data[:at] + b"\xfe" + data[at:]
+    _assert_reads_as_documented(data)
+
+
 # -- memory -----------------------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -307,6 +552,24 @@ def test_decoding_peak_stays_below_three_documents(wide_document, tmp_path):
     assert peak < 3 * len(text)
 
 
+def test_reading_bytes_peaks_below_two_documents(tmp_path):
+    # from text, read_json held the bytes and the text together and one
+    # element's lists: 2.7 documents; from bytes it holds the bytes, one
+    # row's lists and the arrays
+    ch, _ = planted_channel(2, 2, 128, 3, seed=11)
+    path = tmp_path / "channel.json"
+    path.write_text(canonical_dumps(channel_to_json(ch)) + "\n")
+
+    def decode():
+        with open(path, "rb") as fh:
+            return read_json(fh)
+
+    peak, obj = _peak(decode)
+    again = channel_from_json(obj)
+    assert np.stack(again.kraus).tobytes() == np.stack(ch.kraus).tobytes()
+    assert peak < 2 * path.stat().st_size
+
+
 @pytest.mark.parametrize("enabled", [True, False])
 def test_read_json_pauses_the_collector_and_leaves_it_as_found(enabled, monkeypatch):
     import subrec.io as wire
@@ -328,6 +591,13 @@ def test_read_json_pauses_the_collector_and_leaves_it_as_found(enabled, monkeypa
         assert _read_text('{"dim": 1, "kraus": [[[[1.0, 0.0]]]]}')["dim"] == 1
         assert _read_text("[1, 2]") == [1, 2]
         assert seen == [False, False, False] and gc.isenabled() == enabled
+        # bytes read element by element, then bytes read as text by json.loads
+        assert read_json(io.BytesIO(b'{"dim": 1, "kraus": [[[[1.0, 0.0]]]]}'))["dim"] == 1
+        assert read_json(io.BytesIO(b"[1, 2]")) == [1, 2]
+        assert seen == [False] * 7 and gc.isenabled() == enabled
+        with pytest.raises(UnicodeDecodeError):
+            read_json(io.BytesIO(b'{"dim": 1, "x": "\xff"}'))
+        assert gc.isenabled() == enabled
         with pytest.raises(json.JSONDecodeError):
             _read_text('{"dim": 1,')
         assert gc.isenabled() == enabled
