@@ -10,8 +10,8 @@ composed with its dual.
 
 from .algebra import (AlgebraStructure, NoiselessSubsystems, algebra_structure,
                       commutant, enumerate_noiseless, noiseless_subsystems)
-from .channel import (KrausChannel, Superoperator, channels_equal, compose, dual,
-                      fixed_point_basis, to_superoperator)
+from .channel import (KrausChannel, channels_equal, compose, dual, fixed_point_basis,
+                      to_superoperator)
 from .correctability import (CorrectabilityCertificate, NoiselessResult,
                              check_correctable, check_noiseless)
 from .demos import DemoSpec, demo_build, intersect_chords, planted_channel

@@ -11,6 +11,7 @@ Kraus representations are only unique up to a unitary remixing.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -20,7 +21,6 @@ from .subsystem import certify_code_map
 
 __all__ = [
     "KrausChannel",
-    "Superoperator",
     "dual",
     "compose",
     "to_superoperator",
@@ -102,26 +102,6 @@ class KrausChannel:
         return f"KrausChannel(dim={self.dim}, m={self.m}, unital={self.is_unital})"
 
 
-class Superoperator:
-    """Matrix of a superoperator acting on column-stacked operators.
-
-    With ``vec`` the column-stacking vectorization, the matrix of the
-    Kraus map is ``sum_a conj(E_a) kron E_a`` and satisfies
-    ``matrix @ vec(X) = vec(E(X))``.
-    """
-
-    def __init__(self, dim: int, matrix: np.ndarray):
-        matrix = np.asarray(matrix, dtype=complex)
-        if matrix.shape != (dim * dim, dim * dim):
-            raise DimensionMismatch(
-                f"superoperator matrix must be {dim * dim} x {dim * dim}")
-        self.dim = dim
-        self.matrix = matrix
-
-    def __repr__(self):
-        return f"Superoperator(dim={self.dim})"
-
-
 def dual(ch: KrausChannel) -> KrausChannel:
     """The adjoint map E^dag, with Kraus operators {E_a^dag}.
 
@@ -139,28 +119,34 @@ def compose(f: KrausChannel, g: KrausChannel) -> KrausChannel:
     return KrausChannel(kraus, require_tp=False, tol=max(f.tol, g.tol))
 
 
-def to_superoperator(ch: KrausChannel) -> Superoperator:
-    """Superoperator matrix of the channel (column-stacking convention).
+def to_superoperator(ch: KrausChannel) -> np.ndarray:
+    """Superoperator matrix of the channel, ``sum_a conj(E_a) kron E_a``.
 
-    A d^2 x d^2 array: no discovery path builds it; it stays public as a
-    dense test reference (the benchmark tracer looks it up by name).
+    With ``vec`` the column-stacking vectorization it satisfies
+    ``S @ vec(X) = vec(E(X))``.  A d^2 x d^2 array: no discovery path
+    builds it; it stays public as a dense test reference (the benchmark
+    tracer looks it up by name).
     """
     d = ch.dim
     mat = np.zeros((d * d, d * d), dtype=complex)
     for k in ch.kraus:
         mat += np.kron(k.conj(), k)
-    return Superoperator(d, mat)
+    return mat
 
 
-def fixed_point_basis(s: Superoperator, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
-    """Orthonormal (Hilbert-Schmidt) basis of the fixed-point set {X : E(X) = X}.
+def fixed_point_basis(s: np.ndarray, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
+    """Orthonormal (Hilbert-Schmidt) basis of {X : E(X) = X}, for the map E
+    whose superoperator matrix is ``s`` (d^2 x d^2).
 
     Computed as the null space of (S - I); singular values below
     ``strict_tol(tol, s_max)`` are treated as zero.  A dense test reference
     for the fixed points that discovery reads off the interaction algebra.
     """
-    d = s.dim
-    delta = s.matrix - np.eye(d * d)
+    s = np.asarray(s, dtype=complex)
+    d = math.isqrt(s.shape[0]) if s.ndim == 2 else 0
+    if s.shape != (d * d, d * d):
+        raise DimensionMismatch(f"superoperator matrix must be d^2 x d^2, got {s.shape}")
+    delta = s - np.eye(d * d)
     _, sv, vh = np.linalg.svd(delta)
     smax = float(sv[0]) if sv.size else 0.0
     rank = int(np.sum(sv > strict_tol(tol, smax)))

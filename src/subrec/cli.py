@@ -101,7 +101,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--subsystem", required=True, help="subsystem JSON file")
         p.add_argument("--tolerance", type=_tolerance, default=None,
                        help="structural tolerance (default 1e-9 or SUBREC_TOLERANCE)")
-        p.add_argument("--seed", type=_seed, default=0, help="probing seed")
+        if not subsystem:  # discovery probes with a seed; check and recover do not
+            p.add_argument("--seed", type=_seed, default=0, help="probing seed")
         p.add_argument("--out", help="write the JSON report to this file")
         p.add_argument("--format", choices=("json", "text"), default="text",
                        help="stdout format")

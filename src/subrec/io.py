@@ -13,15 +13,14 @@ Wire text is UTF-8 JSON (RFC 8259), read and written the same under any
 locale.  Matrices move between ndarrays and wire text without a Python
 list per entry.  :func:`canonical_dumps` writes an ndarray wherever a
 matrix goes, row by row, and hands every subtree without an array to
-``json.dumps`` whole.  :func:`read_json` reads the top-level object with
-``json.JSONDecoder.raw_decode`` and turns each element of an array value
-(one Kraus operator, one W column) into an ndarray before it reads the
-next, so at most one element's lists are alive at a time.  From a binary
-handle it never holds the document as text: it decodes each element from
-its own byte range, and an element of more than 2^16 bytes one row
-at a time, so at most one row's lists are alive.  Any input that is not
-such an object is decoded whole and parsed, or rejected, by
-``json.loads``, with the errors a text-mode read gives.
+``json.dumps`` whole.  :func:`read_json` walks the top-level object as
+UTF-8 bytes (a text handle's document is encoded first) and turns each
+element of an array value (one Kraus operator, one W column) into an
+ndarray before it reads the next: it decodes each element from its own
+byte range, and an element of more than 2^16 bytes one row at a time,
+so at most one row's lists are alive.  Any input that the walker does
+not read is parsed whole, or rejected, by ``json.loads``, with the
+result and the errors a text-mode read gives.
 The parse tree has no reference cycles, so :func:`read_json` pauses
 Python's cyclic garbage collector for the parse (process-global, for
 that one call; it is re-enabled on return or error if it was enabled
@@ -229,19 +228,24 @@ class _Unexpected(Exception):
 
 
 def _element(text: str, start: int):
-    """(element, end) of the array element at ``start``: a list that numpy
-    reads as numbers becomes an ndarray, and its lists are freed on return;
-    any other value is kept as parsed, for the schema check to judge."""
+    """(element, end) of the array element at ``start``, as :func:`_numbers`
+    leaves it; the lists of an element made an ndarray are freed on return."""
     value, end = _DECODER.raw_decode(text, start)
+    return _numbers(value, lambda *_: _has_boolean(text, start, end)), end
+
+
+def _numbers(value, has_bool):
+    """``value``, or its ndarray when it is a list that numpy reads as numbers
+    and ``has_bool(value, ndim)`` finds no JSON true or false in it (numpy
+    reads those as 1 and 0); any other value is kept as parsed, for the
+    schema check to judge."""
     if not isinstance(value, list):
-        return value, end
+        return value
     try:
         arr = np.asarray(value)
     except (ValueError, OverflowError):
-        return value, end
-    if arr.dtype.kind not in "iuf" or _has_boolean(text, start, end):
-        return value, end
-    return arr, end
+        return value
+    return value if arr.dtype.kind not in "iuf" or has_bool(value, arr.ndim) else arr
 
 
 def _has_boolean(text: str, start: int, end: int) -> bool:
@@ -251,37 +255,13 @@ def _has_boolean(text: str, start: int, end: int) -> bool:
                for word in ("true", "false"))
 
 
-class _Text:
-    """A JSON document as text, each value decoded where it stands."""
-
-    space = re.compile(r"[ \t\n\r]*")  # JSON's insignificant whitespace
-
-    def __init__(self, doc):
-        self.doc = doc
-        self.end = len(doc)
-
-    def skip(self, pos: int) -> int:
-        return self.space.match(self.doc, pos).end()
-
-    def char(self, pos: int) -> str:
-        return self.doc[pos:pos + 1]
-
-    def value(self, pos: int):
-        """(value, end) of the JSON value at ``pos``."""
-        return _DECODER.raw_decode(self.doc, pos)
-
-    def element(self, pos: int):
-        """(element, end) of the array element at ``pos``, as :func:`_element`."""
-        return _element(self.doc, pos)
-
-
 @functools.cache
 def _closing(depth: int) -> re.Pattern:
     # a run of `depth` closing brackets, whitespace between them allowed
     return re.compile(rb"\](?:[ \t\n\r]*\]){%d}" % (depth - 1))
 
 
-class _Bytes(_Text):
+class _Bytes:
     """A JSON document as UTF-8 bytes, each value decoded from its own byte
     range: a scalar's is its token; an array's opens with a run of opening
     brackets and ends at the first run of as many closing ones (see
@@ -296,20 +276,26 @@ class _Bytes(_Text):
                        rb"|true|false|null|NaN|-?Infinity", re.DOTALL)
     opening = re.compile(rb"(?:\[[ \t\n\r]*)+")
 
-    def __init__(self, doc):
-        super().__init__(doc)
+    def __init__(self, doc: bytes):
+        self.doc = doc
+        self.end = len(doc)
         self.view = memoryview(doc)
 
-    def char(self, pos):
+    def skip(self, pos: int) -> int:
+        return self.space.match(self.doc, pos).end()
+
+    def char(self, pos: int) -> str:
         return self.doc[pos:pos + 1].decode("latin-1")
 
-    def value(self, pos):
+    def value(self, pos: int):
+        """(value, end) of the scalar at ``pos``."""
         token = self.token.match(self.doc, pos)
         if token is None:
             raise _Unexpected
         return self._parse(pos, token.end(), _DECODER.raw_decode)
 
-    def element(self, pos):
+    def element(self, pos: int):
+        """(element, end) of the array element at ``pos``, as :func:`_element`."""
         if self.char(pos) != "[":
             return self.value(pos)
         depth, end = self._extent(pos, pos + _WHOLE)
@@ -370,7 +356,7 @@ class _Bytes(_Text):
         return np.stack(rows), pos + 1
 
 
-def _read_value(src: _Text, pos: int):
+def _read_value(src: _Bytes, pos: int):
     """(value, end) of the JSON value at ``pos``; an array's elements are
     read one at a time through ``src.element``."""
     if src.char(pos) != "[":
@@ -390,10 +376,10 @@ def _read_value(src: _Text, pos: int):
         pos = src.skip(pos + 1)
 
 
-def _read_object(doc) -> dict:
-    """The JSON object in ``doc``, text or UTF-8 bytes, each element of an
-    array value read on its own; :class:`_Unexpected` for anything else."""
-    src = _Text(doc) if isinstance(doc, str) else _Bytes(doc)
+def _read_object(doc: bytes) -> dict:
+    """The JSON object in the UTF-8 bytes ``doc``, each element of an array
+    value read on its own; :class:`_Unexpected` for anything else."""
+    src = _Bytes(doc)
     pos = src.skip(0)
     if src.char(pos) != "{":
         raise _Unexpected
@@ -434,15 +420,18 @@ def read_json(fh):
     numbers is an ndarray (:func:`channel_from_json` and
     :func:`subsystem_from_json` take either form).
 
-    ``fh`` is a binary or a text handle.  Bytes are read as a text-mode
-    file opened with ``encoding="utf-8"`` would read them, without holding
-    the document as text: each array element is decoded from its own byte
-    range, and an element longer than 2^16 bytes one row at a time,
-    straight into its ndarray.  Bytes that are not read this way (an
-    object inside the top-level one, an element of more than 2^16
-    bytes whose rows are not numbers of one shape, a byte order mark,
-    bytes that are not UTF-8, invalid JSON) are decoded whole and read as
-    text, with the same results and errors.
+    ``fh`` is a binary or a text handle; text is walked as its UTF-8 bytes.
+    Bytes are read as a text-mode file opened with ``encoding="utf-8"``
+    would read them, without holding the document as text: each array
+    element is decoded from its own byte range, and an element longer than
+    2^16 bytes one row at a time, straight into its ndarray.  A document
+    that is not read this way (an object inside the top-level one, an
+    element of more than 2^16 bytes whose rows are not numbers of one
+    shape, a byte order mark, bytes that are not UTF-8, invalid JSON) is
+    parsed whole by ``json.loads``, from the text as given or as a
+    text-mode file reads the bytes, and each element of a top-level array
+    value becomes an ndarray as above, so the result and the errors are
+    the same.
 
     Invalid JSON raises ``json.JSONDecodeError``, from ``json.loads``, and
     bytes that are not UTF-8 raise ``UnicodeDecodeError``.  The cyclic
@@ -453,17 +442,17 @@ def read_json(fh):
     collecting = gc.isenabled()
     gc.disable()  # the parse makes no cycles: the collector would only walk it
     try:
-        if not isinstance(doc, str):
-            try:
-                return _read_object(doc)
-            except (_Unexpected, json.JSONDecodeError, UnicodeDecodeError):
-                pass
-            doc = _as_text(doc)
         try:
-            return _read_object(doc)
-        except (_Unexpected, json.JSONDecodeError):
+            return _read_object(doc.encode("utf-8", "surrogatepass") if isinstance(doc, str)
+                                else doc)
+        except (_Unexpected, json.JSONDecodeError, UnicodeDecodeError):
             pass
-        return json.loads(doc)
+        obj = json.loads(doc if isinstance(doc, str) else _as_text(doc))
+        if isinstance(obj, dict):
+            for key, value in obj.items():
+                if isinstance(value, list):
+                    obj[key] = [_numbers(v, _holds_bool) for v in value]
+        return obj
     finally:
         if collecting:
             gc.enable()

@@ -16,6 +16,7 @@ acceptance_tol(tol, s)       max(100 tol, 1e-7) max(1, s)     1e-7 max(1, s)    
 cluster_gap(tol)             min(1e-6, max(1e3 tol, 1e-9))    1e-6               [3]
 gram_schmidt_cutoff(tol, δ)  max(gap, sqrt δ)                 1e-6 (δ <= 1e-12)  [4]
 eigen-degeneracy             strict_tol(tol / 10, |w|_inf)    1e-10 max(1, |w|)  hermitian_eig
+numeric_rank(m, tol)         tol s_max                        1e-9 s_max         [5]
 ===========================  ===============================  =================  =============
 
 [1] inputs (Hermitian, projector, polar factor, TP, unital, W) and
@@ -25,7 +26,10 @@ the unitarity of every completion (s = d), algebra closure and the
 pattern fit of every check element or generator, the correction's TP
 defect (s = √d), the UCC correction;
 [3] ``algebra``: eigenvalue clusters, links gap ||g||, intertwiner defect
-gap max(1, c); [4] Gram-Schmidt on a projector or isometry of defect δ.
+gap max(1, c); [4] Gram-Schmidt on a projector or isometry of defect δ;
+[5] ``find_ucc``'s rank diagnostics and ``rank_support_equivalence``:
+relative to the largest singular value s_max, with no floor at 1, so a
+rank does not change with the scale of E(P_AB).
 Why these values: README, "Tolerance".
 """
 

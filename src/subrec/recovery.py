@@ -58,7 +58,7 @@ Kraus index b, which reproduces the extracted map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -109,8 +109,6 @@ class RecoveryResult:
     residual: float
     g_action_residual: float
     orthogonality_residual: float
-    channel: KrausChannel | None = field(default=None, repr=False)
-    decomposition: SubsystemDecomposition | None = field(default=None, repr=False)
 
     @property
     def dim_c(self) -> int:
@@ -254,10 +252,10 @@ def construct_recovery(ch: KrausChannel, dec: SubsystemDecomposition,
         u_recovery=built.u_recovery, c_subsystem=built.c_subsystem,
         f_ca_kraus=built.f_ca_kraus, f_ca_superop=cm.superop, d_blocks=built.d_blocks,
         residual=cm.residual, g_action_residual=g_action_resid,
-        orthogonality_residual=built.orthogonality_residual, channel=ch, decomposition=dec)
+        orthogonality_residual=built.orthogonality_residual)
 
 
-def recovery_to_correction(res: RecoveryResult, dec: SubsystemDecomposition,
+def recovery_to_correction(res, dec: SubsystemDecomposition,
                            tol: float = DEFAULT_TOL) -> KrausChannel:
     """Upgrade a recovery into a correction channel R with R ∘ E ∘ P_AB = F_A (x) id_B.
 
@@ -275,22 +273,14 @@ def recovery_to_correction(res: RecoveryResult, dec: SubsystemDecomposition,
     trace preserving within ``acceptance_tol(tol, sqrt(d))``, or
     :class:`~subrec.errors.NotTracePreserving` is raised; it is returned
     with ``tol = acceptance_tol(tol)``, so its own ``is_trace_preserving``
-    applies that same threshold.
+    applies that same threshold.  Only ``res.u_recovery`` and
+    ``res.c_subsystem`` are read.
     """
-    return _correction(res.u_recovery, res.c_subsystem, dec, tol)
-
-
-def _correction(u_recovery: np.ndarray, c_dec: SubsystemDecomposition,
-                dec: SubsystemDecomposition, tol: float) -> KrausChannel:
-    # recovery_to_correction on the two fields of the recovery it reads
-    w, w_c = dec.w, c_dec.w
+    w, w_c = dec.w, res.c_subsystem.w
     d, n_cb = w_c.shape
-    # the builder's C frame is the first n_cb standard basis vectors, whose
-    # index-ordered completion u_c is I: no Gram-Schmidt and no product with
-    # it; any other frame is completed
     coordinate = np.array_equal(w_c, np.eye(d, n_cb))
     u_c_dag = np.eye(d, dtype=complex) if coordinate else dagger(complete_isometry(w_c, tol))
-    if c_dec.d_a == dec.d_a:
+    if res.c_subsystem.d_a == dec.d_a:
         u_w = complete_isometry(w, tol)
         kraus = [u_w if coordinate else u_w @ u_c_dag]
     else:
@@ -302,7 +292,7 @@ def _correction(u_recovery: np.ndarray, c_dec: SubsystemDecomposition,
         kraus += [np.outer(w[:, 0], q) for q in u_c_dag[n_cb:]]
     # judged, and returned, at the acceptance tolerance, so the channel's own
     # is_trace_preserving agrees with this check
-    correction = KrausChannel([k @ u_recovery for k in kraus], require_tp=False,
+    correction = KrausChannel([k @ res.u_recovery for k in kraus], require_tp=False,
                               tol=acceptance_tol(tol))
     if not correction.is_trace_preserving:
         raise NotTracePreserving(

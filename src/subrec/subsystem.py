@@ -39,7 +39,6 @@ class SubsystemDecomposition:
         self.d_a = d_a
         self.d_b = d_b
         self.w = w
-        self.tol = tol
 
     @property
     def p_ab(self) -> np.ndarray:
@@ -111,8 +110,7 @@ def certify_code_map(ops, d_a: int, d_b: int, frame: np.ndarray | None = None,
     with X_p = [N_1[:, p] .. N_m[:, p] | V_k].  One batched thin QR
     X_p = Q_p R_p, R_p of K = min(d_out, m + d_C) rows, gives its
     Frobenius norm as that of the K x K product
-    R_p diag(I_m, -F(|i><j|)) R_q^dag (with F = I and d_A = 1, the
-    product with F is a sign flip).  Rows p go in blocks of one A index i,
+    R_p diag(I_m, -F(|i><j|)) R_q^dag.  Rows p go in blocks of one A index i,
     each block against the columns q = (j, l) of one column A index j.
     Read off the I_B slice, F(|j><i|) = F(|i><j|)^dag, so the (q, p)
     mismatch is the adjoint of the (p, q) one, and a block meets only the
@@ -172,10 +170,6 @@ def certify_code_map(ops, d_a: int, d_b: int, frame: np.ndarray | None = None,
     # r_dag[j] = [R_(j,0)^dag .. R_(j,d_B-1)^dag], the columns q = (j, l)
     r_dag = r.conj().reshape(d_a, d_b, k_rows, cols).transpose(0, 3, 1, 2).reshape(
         d_a, cols, d_b * k_rows)
-    identity = d_a == 1 and np.array_equal(factors[0, 0], np.eye(d_c))
-    if identity:
-        # F = I: R_p diag(I_m, -I) is R_p with its last d_C columns negated
-        r[..., m:] *= -1
     neg_f = -factors
     group = _row_group(k_rows * k_rows * n, k_rows * n * d_out)
     # blocks (p0, i, j): `rows` rows from p0, all of A index i, against the
@@ -198,9 +192,8 @@ def certify_code_map(ops, d_a: int, d_b: int, frame: np.ndarray | None = None,
             p0, ii, jj = np.array(blocks[first:first + per]).T
             # left[t] = R_p diag(I_m, -F(|i_t><j_t|)) for the rows p of block t
             left = r[p0[:, None] + np.arange(rows)]
-            if not identity:
-                left[..., m:] = (left[..., m:].reshape(len(p0), -1, d_c) @ neg_f[ii, jj]).reshape(
-                    len(p0), rows, k_rows, d_c)
+            left[..., m:] = (left[..., m:].reshape(len(p0), -1, d_c) @ neg_f[ii, jj]).reshape(
+                len(p0), rows, k_rows, d_c)
             # a lone block's columns are a view, a batch's a gathered copy
             cut = slice(l0 * k_rows, None)
             right = r_dag[jj[0]:jj[0] + 1, :, cut] if len(jj) == 1 else r_dag[jj, :, cut]

@@ -35,7 +35,7 @@ from .channel import KrausChannel, dual
 from .correctability import check_correctable
 from .errors import NotUnital, PreconditionViolated
 from .linalg import DEFAULT_TOL, acceptance_tol, dagger, frobenius, numeric_rank, strict_tol
-from .recovery import _build_recovery, _correction, verify_correction
+from .recovery import _build_recovery, recovery_to_correction, verify_correction
 from .subsystem import SubsystemDecomposition
 
 __all__ = ["UccSubsystem", "InternalContradiction", "UccReport",
@@ -129,7 +129,7 @@ def find_ucc(ch: KrausChannel, seed: int = 0, tol: float = DEFAULT_TOL) -> UccRe
                 f"dim C = {rank_c} differs from d_A = {dec.d_a}", float(rank_c)))
             continue
 
-        correction = _correction(built.u_recovery, built.c_subsystem, dec, tol)
+        correction = recovery_to_correction(built, dec, tol)
         u_corr = correction.kraus[0]
         residual, f_a = verify_correction(ch, dec, correction, tol=tol)
         if not residual <= acceptance_tol(tol):

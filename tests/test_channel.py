@@ -3,6 +3,7 @@ import pytest
 
 from subrec import (
     DemoSpec,
+    DimensionMismatch,
     KrausChannel,
     NotTracePreserving,
     NotUnital,
@@ -128,7 +129,7 @@ def test_binary_unitary_fixed_points_dim_4():
                                 thetas=(0.3, 1.2, 2.5, 4.0), seed=0))
     comp = compose(dual(ch), ch)
     sup = to_superoperator(comp)
-    assert fixed_space_dimension(sup.matrix) == 4
+    assert fixed_space_dimension(sup) == 4
     assert len(fixed_point_basis(sup)) == 4
 
 
@@ -136,7 +137,7 @@ def test_superoperator_matches_kraus_action():
     ch = random_channel(3, 4, seed=5)
     sup = to_superoperator(ch)
     for x in operator_basis(3):
-        lhs = sup.matrix @ vec(x)
+        lhs = sup @ vec(x)
         assert np.linalg.norm(lhs - vec(ch.apply(x))) < 1e-12
 
 
@@ -149,6 +150,12 @@ def test_vec_convention():
 def test_fixed_points_of_identity_channel():
     ch = KrausChannel([np.eye(3)])
     assert len(fixed_point_basis(to_superoperator(ch))) == 9
+
+
+@pytest.mark.parametrize("shape", [(5, 5), (4, 9), (9, 4), (9,), (2, 2, 2, 2)])
+def test_fixed_point_basis_takes_only_a_square_matrix_of_side_d_squared(shape):
+    with pytest.raises(DimensionMismatch):
+        fixed_point_basis(np.zeros(shape))
 
 
 def test_channels_equal_under_kraus_remixing():
@@ -257,8 +264,8 @@ def test_invariance_lemma_both_directions(seed):
 
 
 def _dense_distance(f, g):
-    sf = to_superoperator(f).matrix
-    return np.linalg.norm(sf - to_superoperator(g).matrix), np.linalg.norm(sf)
+    sf = to_superoperator(f)
+    return np.linalg.norm(sf - to_superoperator(g)), np.linalg.norm(sf)
 
 
 @pytest.mark.parametrize("seed", range(5))

@@ -322,11 +322,17 @@ def test_cached_parser_keeps_no_state_between_calls(tmp_path, capsys, monkeypatc
     ["demo", "planted", "--seed", "-1"],
     ["demo", "planted", "--seed", "1.5"],
     ["ucc", "--seed", "-3"],
-    ["check", "--subsystem", "dec.json", "--seed", "x"],
+    ["ns", "--seed", "x"],
 ])
 def test_malformed_demo_and_seed_flags_exit_64(argv, capsys):
     assert main(argv) == 64
     assert "error: argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["check", "recover"])
+def test_seed_is_a_usage_error_where_no_probe_reads_it(command, capsys):
+    assert main([command, "--subsystem", "dec.json", "--seed", "0"]) == 64
+    assert "unrecognized arguments: --seed 0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flags", [["--da", "0"], ["--db", "-1"], ["--kraus", "0"],

@@ -318,7 +318,7 @@ def test_channels_where_conjugate_gradients_stalled(dim, m, seed, command, fixed
     # eigenvalue count of the superoperator says
     ch = random_unital_channel(dim, m, seed=seed)
     target = compose(dual(ch), ch) if command == "ucc" else ch
-    assert fixed_space_dimension(to_superoperator(target).matrix) == fixed_dim
+    assert fixed_space_dimension(to_superoperator(target)) == fixed_dim
     if command == "ucc":
         report = find_ucc(ch, seed=0)
         assert not report.contradictions
@@ -352,7 +352,7 @@ def test_anticommuting_kraus_operators_are_read_off_words_of_two_draws(words, ns
         superop = to_superoperator(target)
         assert sorted(structure.blocks) == blocks
         assert sorted(algebra_structure(fixed_point_basis(superop)).blocks) == blocks
-        assert sum(m_k * m_k for m_k, _ in blocks) == fixed_space_dimension(superop.matrix)
+        assert sum(m_k * m_k for m_k, _ in blocks) == fixed_space_dimension(superop)
         assert structure.residual < 1e-9
 
 

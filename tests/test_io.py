@@ -594,7 +594,7 @@ def test_read_json_pauses_the_collector_and_leaves_it_as_found(enabled, monkeypa
         # bytes read element by element, then bytes read as text by json.loads
         assert read_json(io.BytesIO(b'{"dim": 1, "kraus": [[[[1.0, 0.0]]]]}'))["dim"] == 1
         assert read_json(io.BytesIO(b"[1, 2]")) == [1, 2]
-        assert seen == [False] * 7 and gc.isenabled() == enabled
+        assert seen == [False] * 6 and gc.isenabled() == enabled
         with pytest.raises(UnicodeDecodeError):
             read_json(io.BytesIO(b'{"dim": 1, "x": "\xff"}'))
         assert gc.isenabled() == enabled

@@ -503,8 +503,8 @@ def test_public_recovery_is_the_builder_plus_its_two_certificates(dims):
     cm = certify_code_map(res.u_recovery @ (np.asarray(ch.kraus) @ dec.w), d_a, d_b,
                           frame=res.c_subsystem.w)
     assert np.array_equal(res.f_ca_superop, cm.superop) and res.residual == cm.residual
-    assert recovery_to_correction(res, dec).kraus[0].tobytes() == recovery._correction(
-        built.u_recovery, built.c_subsystem, dec, 1e-9).kraus[0].tobytes()
+    assert recovery_to_correction(res, dec).kraus[0].tobytes() == recovery_to_correction(
+        built, dec, 1e-9).kraus[0].tobytes()
 
 
 def test_step_3_peak_memory_at_the_ucc_complement_block(monkeypatch):
