@@ -40,6 +40,13 @@ class CorrectabilityCertificate:
     on the worst mismatch over the matrix units, read off the pair
     residuals, and where that bound fails the threshold it is the exact
     mismatch (see :func:`check_correctable`).
+
+    ``code_kraus`` is the stack of code-projected Kraus operators E_a W
+    (m x d x d_A d_B) and ``pair_residuals`` the m x m matrix of
+    r_ab = ||Δ_ab||_F, both as the pair check formed them; the recovery
+    builder reuses the first, and bounds its step 2 and step 3 checks by
+    the second, when the certificate was made from the very objects it is
+    handed (see :mod:`subrec.recovery`).
     """
 
     passed: bool
@@ -50,6 +57,8 @@ class CorrectabilityCertificate:
     f_min_eigenvalue: float = 0.0
     channel: KrausChannel | None = field(default=None, repr=False)
     decomposition: SubsystemDecomposition | None = field(default=None, repr=False)
+    code_kraus: np.ndarray | None = field(default=None, repr=False)
+    pair_residuals: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def f_matrix(self) -> np.ndarray:
@@ -90,8 +99,9 @@ def check_correctable(ch: KrausChannel, dec: SubsystemDecomposition,
     Runs the tensor factorization on every compressed Kraus pair
     C_ab = W^dag E_a^dag E_b W = F_ab (x) I_B + Δ_ab, assembles the block
     matrix F and, when all pairs factor (each ||Δ_ab||_F within
-    ``strict_tol(tol, ||E_a^dag E_b||_F)``) and F is positive
-    semidefinite, builds the positive superoperator G_A with Kraus
+    ``strict_tol(tol, ||E_a^dag E_b||_F)``; the m Gram products at d that
+    give those norms run only when some ||Δ_ab||_F exceeds tol, since no
+    threshold is below tol) and F is positive semidefinite, builds the positive superoperator G_A with Kraus
     operators {F_ab} and verifies P_AB ∘ E^dag ∘ E ∘ P_AB = G_A (x) id_B
     on the matrix units of the code at ``strict_tol(tol, d_A d_B)``.
 
@@ -126,14 +136,16 @@ def check_correctable(ch: KrausChannel, dec: SubsystemDecomposition,
         delta[:, :, :, diagonal, :, diagonal] -= f_blocks[rows]
         flat = delta.reshape(-1, n * n).view(float)
         residuals[rows] = np.sqrt(np.einsum("px,px->p", flat, flat)).reshape(-1, m)
-    # ||E_a^dag E_b||_F^2 = <E_a E_a^dag, E_b E_b^dag>: m Gram products at d, stacked
-    grams = (kraus @ kraus.conj().transpose(0, 2, 1)).reshape(m, -1)
-    norms = np.sqrt(np.abs(grams.conj() @ grams.T))
-    all_ok = bool(np.all(residuals <= strict_tol(tol, norms)))
+    # a pair within tol passes at any ||E_a^dag E_b||_F, since the threshold
+    # is tol max(1, ||E_a^dag E_b||_F): the norms run only when some pair (or
+    # a NaN) is not within tol
+    all_ok = bool(np.all(residuals <= tol))
+    if not all_ok:
+        all_ok = bool(np.all(residuals <= strict_tol(tol, _pair_norms(kraus))))
 
     cert = CorrectabilityCertificate(
         passed=all_ok, f_blocks=f_blocks, residual=float(np.max(residuals)),
-        channel=ch, decomposition=dec)
+        channel=ch, decomposition=dec, code_kraus=kw, pair_residuals=residuals)
 
     # F must be PSD: recheck on the assembled block matrix.
     f = cert.f_matrix
@@ -172,6 +184,13 @@ def check_correctable(ch: KrausChannel, dec: SubsystemDecomposition,
     if not worst <= threshold:
         cert.passed = False
     return cert
+
+
+def _pair_norms(kraus: np.ndarray) -> np.ndarray:
+    # ||E_a^dag E_b||_F^2 = <E_a E_a^dag, E_b E_b^dag>: m Gram products at d, stacked
+    m = len(kraus)
+    grams = (kraus @ kraus.conj().transpose(0, 2, 1)).reshape(m, -1)
+    return np.sqrt(np.abs(grams.conj() @ grams.T))
 
 
 def check_noiseless(ch: KrausChannel, dec: SubsystemDecomposition,

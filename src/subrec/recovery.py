@@ -18,14 +18,21 @@ complementary factor moved to C.  The construction:
 2. remix the code-projected Kraus operators into
    G_a W = sum_b E_b W (U_ab^dag (x) I_B), whose ranges are mutually
    orthogonal, (G_a W)^dag (G_b W) = delta_ab D_aa (x) I_B; this identity
-   is checked, and G_a off the code is never formed;
+   is checked, and G_a off the code is never formed.  With the compressed
+   pairs W^dag E_a^dag E_b W = F_ab (x) I_B + Δ_ab of the certificate,
+   G^dag G - Λ (x) I_B = (q^dag F q - Λ) (x) I_B + (q^dag (x) I_B) Δ (q (x) I_B)
+   (Λ = diag(max(lambda, 0))), so no Gram block exceeds
+   sqrt(d_B) ||q^dag F q - Λ||_F + (1 + ||q^dag q - I||_F) (sum_ab r_ab^2)^(1/2),
+   r_ab = ||Δ_ab||_F, plus a rounding allowance (below);
 3. check that the remixed family reproduces the channel on the I_A slice,
    G(k) G(l)^dag = E(k) E(l)^dag for the column blocks G(k), E(k) of the
    B index k, the columns G_a W(|i> (x) |k>) and E_b W(|j> (x) |k>) in
    (a, i) and (b, j) order: the remix is G(k) = E(k) q with q the
    eigenvectors of F, so the mismatch is E(k) (q q^dag - I) E(l)^dag,
    whose norm is that of R_k (q q^dag - I) R_l^dag for the thin QR
-   E(k) = Q_k R_k (``remix_residual``);
+   E(k) = Q_k R_k (``remix_residual``), and at most
+   ||q q^dag - I||_F (||F||_2 + (sum_ab r_ab^2)^(1/2)), since
+   ||E(k)||_2^2 = ||F + Δ_kk||_2 for the (k, k) B slice Δ_kk of Δ;
 4. with D_aa diagonal, the polar factor V_a of G_a P_AB against
    sqrt(D_aa) (x) I_B is the closed form
    V_a W(|l> (x) |k>) = G_a W(|l> (x) |k>) / sqrt(lambda_l) for each live
@@ -38,10 +45,20 @@ complementary factor moved to C.  The construction:
 
 Steps 1, 2 and 4 build the recovery; step 3 and the certificate below
 (step 5 in the code) check it.  ``find_ucc`` runs only the building
-steps, since it certifies the final correction on E itself.  Step 2's
-Gram blocks go in groups of Kraus rows, as many as fit in
-max(m n^2, 2^16) entries (n = d_A d_B): one product under that floor,
-one row at a time above it.
+steps, since it certifies the final correction on E itself.
+
+Steps 2 and 3 read their bounds off the certificate when it was made from
+the very channel and decomposition objects passed in: it carries the
+stack E_a W, which the builder reuses, and the pair residuals r_ab.  Each
+bound also carries an allowance for the rounding of the exact kernel, a
+relative (d + m d_A) eps (times ||E W||_F^2 = d_B tr F in step 2), so it
+is not below the exact value.  A bound within ``acceptance_tol(tol,
+lambda_max)`` is the reported value; where it exceeds that threshold, or
+the certificate belongs to other, value-equal objects, the exact kernels
+run: step 2's m^2 Gram blocks, in groups of Kraus rows, as many as fit in
+max(m n^2, 2^16) entries (n = d_A d_B), and step 3's ``remix_residual``.
+The verdict of the step 2 gate is therefore the exact one, and every
+reported operator is the same either way.
 
 The C (x) B frame the builder emits is the first n_cb = dim C d_B
 standard basis vectors, in (a, l, k) order, so its index-ordered
@@ -67,7 +84,7 @@ from .channel import KrausChannel
 from .correctability import CorrectabilityCertificate
 from .errors import CertificateMismatch, NotTracePreserving, NumericalDegeneracy
 from .linalg import (DEFAULT_TOL, _canonicalize_eigenvectors, _sorted_eigh, acceptance_tol,
-                     complete_isometry, dagger, strict_tol)
+                     complete_isometry, dagger, frobenius, strict_tol)
 from .subsystem import (SubsystemDecomposition, _row_group, certify_code_map,
                         remix_residual)
 
@@ -91,14 +108,17 @@ class RecoveryResult:
     ``residual`` certifies the defining equation on a complete operator
     basis; ``orthogonality_residual`` is the step 2 check, which also
     certifies the closed-form polar factor of step 4, and
-    ``g_action_residual`` the step 3 check.
+    ``g_action_residual`` the step 3 check.  From the caller's own
+    certificate these two are upper bounds read off F and the pair
+    residuals whenever they pass ``acceptance_tol(tol, lambda_max)``, and
+    exact where a bound does not (module docstring).
 
     The operators (``u_recovery``, ``c_subsystem``, ``f_ca_kraus``,
     ``f_ca_superop``) read only F's eigenvectors above the live cut-off,
     which are canonical, so they do not depend on the eigensolver's choice
-    of basis inside a degenerate cluster.  The three residuals are exact up
-    to rounding, and the last bits of the step 2 and step 3 residuals
-    depend on the solver's basis of F's null cluster.
+    of basis inside a degenerate cluster.  ``residual`` is exact up to
+    rounding, and the last bits of the step 2 and step 3 values depend on
+    the solver's basis of F's null cluster.
     """
 
     u_recovery: np.ndarray
@@ -125,6 +145,10 @@ class _Built(NamedTuple):
     orthogonality_residual: float
     q: np.ndarray  # eigenvectors of F: the remix is G(k) = E(k) q
     kw: np.ndarray  # the code-projected Kraus operators E_b W
+    gate: float  # acceptance_tol(tol, lambda_max), the step 2 and step 3 threshold
+    # (||F||_2 + (sum_ab r_ab^2)^(1/2)) (1 + (d + m d_A) eps), which bounds
+    # ||E(k)||_2^2, from the caller's own certificate; None from another one
+    pair_bound: float | None
 
 
 def _diagonalize_f(f: np.ndarray, tol: float):
@@ -133,6 +157,25 @@ def _diagonalize_f(f: np.ndarray, tol: float):
     lam, q = _sorted_eigh(f, tol)
     live = np.count_nonzero(lam > strict_tol(tol, lam[0] if lam.size else 1.0))
     return lam, _canonicalize_eigenvectors(lam, q, tol, leading=live)
+
+
+def _orthogonality_residual(gw: np.ndarray, lam: np.ndarray, d_b: int) -> float:
+    """The exact step 2 residual: the worst Gram block of
+    (G_a W)^dag (G_b W) - delta_ab D_aa (x) I_B over the m^2 pairs."""
+    m, _, n = gw.shape
+    # rows a of Gram blocks in groups of at most max(m n^2, 2^16) entries, not
+    # m^2 n^2; D_aa (x) I_B, each lambda of block a repeated d_B times, comes
+    # off the diagonal of the (a, a) block in place
+    d_diag = np.repeat(lam, d_b).reshape(m, n)
+    diagonal = np.arange(n)
+    group = _row_group(m * n * n, m * n * n)
+    worst = []
+    for start in range(0, m, group):
+        grams = gw[start:start + group, None].conj().transpose(0, 1, 3, 2) @ gw
+        rows = np.arange(len(grams))[:, None]
+        grams[rows, rows + start, diagonal, diagonal] -= d_diag[start:start + len(grams)]
+        worst.append(np.max(np.linalg.norm(grams, axis=(2, 3))))
+    return float(np.max(worst))
 
 
 def _build_recovery(ch: KrausChannel, dec: SubsystemDecomposition,
@@ -148,46 +191,58 @@ def _build_recovery(ch: KrausChannel, dec: SubsystemDecomposition,
         raise CertificateMismatch("certificate did not pass; recovery needs a correctable subsystem")
 
     d, d_a, d_b, m = ch.dim, dec.d_a, dec.d_b, ch.m
-    w = dec.w
+    # a certificate made from these very objects carries E_b W and the pair
+    # residuals r_ab; one made from equal copies is checked on its own
+    own = cert.channel is ch and cert.decomposition is dec
 
     # 1. diagonalize F; eigenvalues in [-tol, 0) are numerical noise and
     # get clamped, anything lower invalidates the certificate.
-    lam, q = _diagonalize_f(cert.f_matrix, tol)
+    f = cert.f_matrix
+    lam, q = _diagonalize_f(f, tol)
     scale = lam[0] if lam.size else 1.0
     cutoff = strict_tol(tol, scale)
     if lam.size and lam[-1] < -cutoff:
         raise CertificateMismatch(
             f"block matrix F has eigenvalue {lam[-1]:.3e}; not positive semidefinite")
+    # ||F||_2, and ||E W||_F^2 = d_B tr F, before the clamp
+    f_norm, f_trace = float(np.max(np.abs(lam))), float(np.sum(np.abs(lam)))
     lam = np.maximum(lam, 0.0)
     # U = q^dag gives U F U^dag = diag(lam); u4[a, i, b, j] = (U_ab)_ij
     u = dagger(q)
     u4 = u.reshape(m, d_a, m, d_a)
+    kw = cert.code_kraus if own else np.asarray(ch.kraus) @ dec.w
+    ew = kw.reshape(m, d, d_a, d_b)
+    gate = acceptance_tol(tol, scale)
 
     # 2. the modified Kraus family on the code, G_a W = sum_b E_b W (U_ab^dag (x) I_B),
-    # has mutually orthogonal ranges; G_a off the code is never needed
-    kw = np.asarray(ch.kraus) @ w
-    ew = kw.reshape(m, d, d_a, d_b)
-    gw_ab = np.tensordot(u4.conj(), ew, axes=([2, 3], [0, 2])).transpose(0, 2, 1, 3)
-    gw = gw_ab.reshape(m, d, d_a * d_b)
-
-    # rows a of Gram blocks in groups of at most max(m n^2, 2^16) entries, not
-    # m^2 n^2; D_aa (x) I_B, each lambda of block a repeated d_B times, comes
-    # off the diagonal of the (a, a) block in place
-    n = d_a * d_b
-    d_diag = np.repeat(lam, d_b).reshape(m, n)
-    diagonal = np.arange(n)
-    group = _row_group(m * n * n, m * n * n)
-    worst = []
-    for start in range(0, m, group):
-        grams = gw[start:start + group, None].conj().transpose(0, 1, 3, 2) @ gw
-        rows = np.arange(len(grams))[:, None]
-        grams[rows, rows + start, diagonal, diagonal] -= d_diag[start:start + len(grams)]
-        worst.append(np.max(np.linalg.norm(grams, axis=(2, 3))))
-    ortho_resid = float(np.max(worst))
-    if not ortho_resid <= acceptance_tol(tol, scale):
-        raise NumericalDegeneracy(
-            f"G_a ranges not orthogonal (residual {ortho_resid:.3e}); "
-            "certificate tolerance too loose")
+    # has mutually orthogonal ranges; G_a off the code is never needed.  With
+    # the compressed pairs C = (W^dag E_a^dag E_b W) = F (x) I_B + Δ,
+    # G^dag G - Λ (x) I_B = (q^dag F q - Λ) (x) I_B + (q^dag (x) I_B) Δ (q (x) I_B),
+    # so no Gram block exceeds sqrt(d_B) ||q^dag F q - Λ||_F +
+    # ||q||_2^2 ||Δ||_F, with ||q||_2^2 <= 1 + ||q^dag q - I||_F and ||Δ||_F the
+    # root sum of squares of the pair residuals; the allowance `rounding` (a
+    # relative (d + m d_A) eps, times ||E W||_F^2 here) covers the rounding of
+    # the exact kernel, so the bound is not below its value.  The m^2 Gram
+    # blocks run only where the bound fails the gate
+    pair_bound = None
+    ortho_resid = float("inf")
+    if own:
+        rounding = (d + m * d_a) * float(np.finfo(float).eps)
+        pair_norm = float(np.linalg.norm(cert.pair_residuals))
+        pair_bound = (f_norm + pair_norm) * (1.0 + rounding)
+        mixed = u @ f @ q
+        mixed[np.diag_indices(m * d_a)] -= lam
+        defect = frobenius(u @ q - np.eye(m * d_a))
+        ortho_resid = float(np.sqrt(d_b) * frobenius(mixed) + (1.0 + defect) * (
+            pair_norm + rounding * d_b * f_trace))
+    gw_ab = np.tensordot(u4.conj(), ew, axes=([2, 3], [0, 2]))
+    if not ortho_resid <= gate:
+        ortho_resid = _orthogonality_residual(
+            gw_ab.transpose(0, 2, 1, 3).reshape(m, d, d_a * d_b), lam, d_b)
+        if not ortho_resid <= gate:
+            raise NumericalDegeneracy(
+                f"G_a ranges not orthogonal (residual {ortho_resid:.3e}); "
+                "certificate tolerance too loose")
 
     # 4. the diagonal blocks of step 2 certify (G_a W)^dag (G_a W) = D_aa (x) I_B
     # with D_aa diagonal, so the polar factor of G_a P_AB sends
@@ -200,7 +255,7 @@ def _build_recovery(ch: KrausChannel, dec: SubsystemDecomposition,
             f"{cutoff:.3e}, so the output subsystem C is empty")
     d_blocks = [(a, np.diag(lam[a * d_a:(a + 1) * d_a]), int(r))
                 for a, r in enumerate(np.bincount(live // d_a, minlength=m)) if r]
-    g_cols = gw_ab.transpose(0, 2, 1, 3).reshape(m * d_a, d, d_b)
+    g_cols = gw_ab.reshape(m * d_a, d, d_b)
     v_cb = (g_cols[live] / np.sqrt(lam[live])[:, None, None]).transpose(1, 0, 2).reshape(d, -1)
     n_cb = v_cb.shape[1]
     rank_c = n_cb // d_b
@@ -216,7 +271,8 @@ def _build_recovery(ch: KrausChannel, dec: SubsystemDecomposition,
     # column block], the live rows in the (a, l) order of the C embedding
     k_live = np.sqrt(lam[live])[:, None] * u[live]
     f_ca_kraus = list(k_live.reshape(live.size, m, d_a).transpose(1, 0, 2))
-    return _Built(u_recovery, c_dec, f_ca_kraus, d_blocks, ortho_resid, q, kw)
+    return _Built(u_recovery, c_dec, f_ca_kraus, d_blocks, ortho_resid, q, kw, gate,
+                  pair_bound)
 
 
 def construct_recovery(ch: KrausChannel, dec: SubsystemDecomposition,
@@ -233,16 +289,27 @@ def construct_recovery(ch: KrausChannel, dec: SubsystemDecomposition,
         subsystem C would be empty).
     NumericalDegeneracy
         If the ranges of the modified Kraus operators fail to be
-        orthogonal beyond ``acceptance_tol(tol, lambda_max)``, indicating
-        a certificate accepted at too loose a tolerance.
+        orthogonal beyond ``acceptance_tol(tol, lambda_max)``, by the
+        exact Gram gate, indicating a certificate accepted at too loose a
+        tolerance.
     """
     built = _build_recovery(ch, dec, cert, tol)
     d, d_a, d_b, m = ch.dim, dec.d_a, dec.d_b, ch.m
 
     # 3. the modified family reproduces the channel on the I_A slice,
-    # G(k) G(l)^dag = E(k) E(l)^dag, from the R factors of the blocks E(k)
-    e_cols = built.kw.reshape(m, d, d_a, d_b).transpose(3, 1, 0, 2).reshape(d_b, d, m * d_a)
-    g_action_resid = remix_residual(e_cols, built.q)
+    # G(k) G(l)^dag = E(k) E(l)^dag: the mismatch E(k) (q q^dag - I) E(l)^dag
+    # has norm at most ||q q^dag - I||_F ||E(k)||_2^2, and ||E(k)||_2^2 =
+    # ||F + Δ_kk||_2 <= ||F||_2 + (sum_ab r_ab^2)^(1/2), the builder's
+    # pair_bound with its rounding allowance; the R factors of the blocks E(k)
+    # give the exact value only where that bound fails the step 2 gate
+    g_action_resid = float("inf")
+    if built.pair_bound is not None:
+        q = built.q
+        g_action_resid = frobenius(q @ dagger(q) - np.eye(len(q))) * built.pair_bound
+    if not g_action_resid <= built.gate:
+        e_cols = built.kw.reshape(m, d, d_a, d_b).transpose(3, 1, 0, 2).reshape(
+            d_b, d, m * d_a)
+        g_action_resid = remix_residual(e_cols, built.q)
 
     # 5. certify U ∘ E ∘ P_AB = F_{C|A} (x) id_B with F_{C|A} extracted
     # from the identity-B slice of the actual action.

@@ -222,3 +222,77 @@ def test_grouped_pairs_match_row_by_row_loop_bit_for_bit(shape):
     # on a passing certificate the G_A residual is the bound read off the pairs
     f_norms = np.linalg.norm(f_blocks, axis=(2, 3))
     assert cert.g_a_residual == float(np.sum(residuals * (2.0 * f_norms + residuals)))
+
+
+def _large_off_code(kick, seed=60):
+    # Kraus operators 1e3 X_a (I - P) + kick Y_a P (not trace preserving): the
+    # complement of the code makes ||E_a^dag E_b||_F about 1e7, while the code
+    # sees only the kick, so the pair residuals, about kick^2, lie far above
+    # tol = 1e-9 and, for a small kick, far below tol ||E_a^dag E_b||_F
+    d = 10
+    dec = SubsystemDecomposition(d, 2, 2, haar_isometry(d, 4, seed=seed))
+    rng = np.random.default_rng(seed)
+    perp = np.eye(d) - dec.p_ab
+
+    def gauss():
+        return rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+
+    kraus = [1e3 * gauss() @ perp + kick * gauss() @ dec.p_ab for _ in range(3)]
+    return KrausChannel(kraus, require_tp=False), dec
+
+
+def _count_pair_norms(monkeypatch):
+    import subrec.correctability as correctability
+
+    calls = []
+    norms = correctability._pair_norms
+
+    def counted(kraus):
+        calls.append(kraus.shape)
+        return norms(kraus)
+
+    monkeypatch.setattr(correctability, "_pair_norms", counted)
+    return calls
+
+
+def test_pair_residuals_within_tol_times_the_pair_norm_pass(monkeypatch):
+    calls = _count_pair_norms(monkeypatch)
+    ch, dec = _large_off_code(1e-3)
+    cert = check_correctable(ch, dec)
+    assert cert.passed
+    norms = np.array([[np.linalg.norm(a.conj().T @ b) for b in ch.kraus] for a in ch.kraus])
+    assert 1e-9 < cert.residual and np.all(cert.pair_residuals <= 1e-9 * norms)
+    assert np.min(norms) > 1e6
+    assert calls == [(3, 10, 10)]
+
+
+def test_pair_residual_above_tol_times_the_pair_norm_fails():
+    ch, dec = _large_off_code(0.3)
+    cert = check_correctable(ch, dec)
+    norms = np.array([[np.linalg.norm(a.conj().T @ b) for b in ch.kraus] for a in ch.kraus])
+    assert np.any(cert.pair_residuals > 1e-9 * norms)
+    assert not cert.passed
+
+
+def test_nan_pair_residual_fails_whatever_the_pair_norms(monkeypatch):
+    # KrausChannel refuses NaN; poison a constructed channel in place
+    calls = _count_pair_norms(monkeypatch)
+    ch, dec = _large_off_code(1e-3)
+    ch.kraus[1][3, 2] = np.nan
+    cert = check_correctable(ch, dec)
+    assert np.isnan(cert.pair_residuals).any()
+    assert not cert.passed
+    assert len(calls) == 1
+
+
+def test_pair_norms_are_not_formed_when_every_pair_is_within_tol(monkeypatch):
+    # the m Gram products at d decide nothing when every r_ab <= tol, since the
+    # threshold tol max(1, ||E_a^dag E_b||_F) is at least tol
+    calls = _count_pair_norms(monkeypatch)
+    ch, dec = planted_channel(4, 8, 40, 3, seed=61)
+    cert = check_correctable(ch, dec)
+    assert cert.passed and np.all(cert.pair_residuals <= 1e-9)
+    assert calls == []
+    bad = SubsystemDecomposition(40, 4, 8, haar_isometry(40, 32, seed=62))
+    assert not check_correctable(ch, bad).passed
+    assert calls == [(3, 40, 40)]

@@ -328,7 +328,9 @@ def _g_action_loop(ch, dec, cert, scale=1.0):
 @pytest.mark.parametrize("scale", [1.0, 1.0 + 1e-9])
 def test_g_action_residual_matches_written_out_loop(dims, scale, monkeypatch):
     # with a unitary remix U the step 3 mismatch is rounding; scaling U by
-    # 1 + 1e-9 (inside every gate) makes it about 2e-9 ||sum_a E_a E_a^dag||
+    # 1 + 1e-9 (inside every gate) makes it about 2e-9 ||sum_a E_a E_a^dag||.
+    # The certificate of an equal copy of the channel takes the exact kernel;
+    # the caller's own certificate reports the bound, which is not below it
     import subrec.recovery as recovery
 
     eig = recovery._diagonalize_f
@@ -341,13 +343,14 @@ def test_g_action_residual_matches_written_out_loop(dims, scale, monkeypatch):
     d_a, d_b, dim, m = dims
     ch, dec = planted_channel(d_a, d_b, dim, m, seed=70 + dim)
     cert = check_correctable(ch, dec)
-    res = construct_recovery(ch, dec, cert)
+    res = construct_recovery(ch, dec, check_correctable(KrausChannel(ch.kraus), dec))
     expected = _g_action_loop(ch, dec, cert, scale)
     if scale == 1.0:
         assert res.g_action_residual < 1e-13 and expected < 1e-13
     else:
         assert expected > 1e-10
     assert abs(res.g_action_residual - expected) <= 1e-6 * expected + 1e-14
+    assert construct_recovery(ch, dec, cert).g_action_residual >= res.g_action_residual
 
 
 @pytest.mark.parametrize("dims", [(1, 5, 12, 3), (1, 4, 16, 2)])
@@ -356,7 +359,8 @@ def test_g_action_residual_matches_loop_off_correctability(dims, monkeypatch):
     # step 3 mismatch of a scaled remix is the same in every row; a channel
     # kicked off correctability and accepted at a loose tol makes it vary
     # with k (on this draw the worst row is not the first of its chunk), so
-    # every row of a chunk of rows must count
+    # every row of a chunk of rows must count.  The exact kernel runs on the
+    # certificate of an equal copy; the own certificate's bound is not below it
     import subrec.recovery as recovery
 
     scale = 1.0 + 1e-6
@@ -374,10 +378,13 @@ def test_g_action_residual_matches_loop_off_correctability(dims, monkeypatch):
                            for k in ch.kraus], require_tp=False, tol=0.1)
     cert = check_correctable(kicked, dec, tol=0.1)
     assert cert.passed
-    res = construct_recovery(kicked, dec, cert, tol=0.1)
+    copy = KrausChannel(kicked.kraus, require_tp=False, tol=0.1)
+    res = construct_recovery(kicked, dec, check_correctable(copy, dec, tol=0.1), tol=0.1)
     expected = _g_action_loop(kicked, dec, cert, scale)
     assert expected > 1e-8
     assert abs(res.g_action_residual - expected) <= 1e-6 * expected
+    own = construct_recovery(kicked, dec, cert, tol=0.1)
+    assert own.g_action_residual >= res.g_action_residual
 
 
 def _frame_result(dim, rank_c, d_b, seed):
@@ -511,14 +518,17 @@ def test_step_3_peak_memory_at_the_ucc_complement_block(monkeypatch):
     # the (1, d - 8) complement of a planted (2, 4) code at d = 128, m = 8:
     # step 3 copies its QR input once and forms one product block of at
     # most K n d entries (the row-group bound of certify_code_map), never
-    # the n^2 K^2 products at once (14.7 MB here)
+    # the n^2 K^2 products at once (14.7 MB here).  Step 3 runs on the
+    # certificate of an equal copy of the channel, which takes the exact
+    # kernel; the caller's own certificate reports a bound not below it
     import subrec.recovery as recovery
 
     d, m = 128, 8
     n = d - 8
     ch, dec = planted_channel(2, 4, d, m, seed=1, unital=True)
     block = SubsystemDecomposition(d, 1, n, complete_isometry(dec.w, 1e-9)[:, 8:])
-    cert = check_correctable(ch, block)
+    own = check_correctable(ch, block)
+    cert = check_correctable(KrausChannel(ch.kraus), block)
     assert cert.passed
     step_3 = []
 
@@ -543,6 +553,7 @@ def test_step_3_peak_memory_at_the_ucc_complement_block(monkeypatch):
     # the whole construction stays at the bound of its step 5 kernel call
     # (m + dim C = 9 columns of length d per row)
     assert peak < 3 * (m + 1 + min(d, m + 1)) * n * d * 16
+    assert construct_recovery(ch, block, own).g_action_residual >= res.g_action_residual
 
 
 def _gate_row_by_row(ch, dec, cert):
@@ -572,7 +583,9 @@ def test_grouped_orthogonality_gate_matches_row_by_row_loop_bit_for_bit(shape):
     # certify's shape (one group under the 2^16 floor), groups of two rows,
     # and the (1, 248) complement block at d = 256, m = 8 (one row per group);
     # a planted F has rank d_A, so only D_00 is nonzero: m = 4 orthogonal
-    # ranges with n = 74 (groups of two rows) give every block its own D_aa
+    # ranges with n = 74 (groups of two rows) give every block its own D_aa.
+    # The gate runs on the certificate of an equal copy of the channel, which
+    # takes the exact kernel; the own certificate's bound is not below it
     if shape == "complement":
         ch, code = planted_channel(2, 4, 256, 8, seed=1, unital=True)
         dec = SubsystemDecomposition(256, 1, 248, complete_isometry(code.w, 1e-9)[:, 8:])
@@ -581,8 +594,10 @@ def test_grouped_orthogonality_gate_matches_row_by_row_loop_bit_for_bit(shape):
     else:
         ch, dec = planted_channel(*shape, seed=7)
     cert = check_correctable(ch, dec)
-    res = construct_recovery(ch, dec, cert)
+    res = construct_recovery(ch, dec, check_correctable(KrausChannel(ch.kraus), dec))
     assert res.orthogonality_residual == _gate_row_by_row(ch, dec, cert)
+    own = construct_recovery(ch, dec, cert)
+    assert own.orthogonality_residual >= res.orthogonality_residual
 
 
 def _count_completions(monkeypatch):
