@@ -101,9 +101,10 @@ def check_correctable(ch: KrausChannel, dec: SubsystemDecomposition,
     matrix F and, when all pairs factor (each ||Δ_ab||_F within
     ``strict_tol(tol, ||E_a^dag E_b||_F)``; the m Gram products at d that
     give those norms run only when some ||Δ_ab||_F exceeds tol, since no
-    threshold is below tol) and F is positive semidefinite, builds the positive superoperator G_A with Kraus
-    operators {F_ab} and verifies P_AB ∘ E^dag ∘ E ∘ P_AB = G_A (x) id_B
-    on the matrix units of the code at ``strict_tol(tol, d_A d_B)``.
+    threshold is below tol) and F is positive semidefinite, builds the
+    positive superoperator G_A with Kraus operators {F_ab} and verifies
+    P_AB ∘ E^dag ∘ E ∘ P_AB = G_A (x) id_B on the matrix units of the code
+    at ``strict_tol(tol, d_A d_B)``.
 
     That identity is first judged by the bound
     Σ_ab ||Δ_ab||_F (2 ||F_ab||_F + ||Δ_ab||_F) on its worst mismatch,

@@ -52,11 +52,12 @@ the very channel and decomposition objects passed in: it carries the
 stack E_a W, which the builder reuses, and the pair residuals r_ab.  Each
 bound also carries an allowance for the rounding of the exact kernel, a
 relative (d + m d_A) eps (times ||E W||_F^2 = d_B tr F in step 2), so it
-is not below the exact value.  A bound within ``acceptance_tol(tol,
-lambda_max)`` is the reported value; where it exceeds that threshold, or
-the certificate belongs to other, value-equal objects, the exact kernels
-run: step 2's m^2 Gram blocks, in groups of Kraus rows, as many as fit in
-max(m n^2, 2^16) entries (n = d_A d_B), and step 3's ``remix_residual``.
+stays above the value that kernel computes.  A bound within
+``acceptance_tol(tol, lambda_max)`` is the reported value; where it
+exceeds that threshold, or the certificate belongs to other, value-equal
+objects, the exact kernels run: step 2's m^2 Gram blocks, in groups of
+Kraus rows, as many as fit in max(m n^2, 2^16) entries (n = d_A d_B), and
+step 3's ``remix_residual``.
 The verdict of the step 2 gate is therefore the exact one, and every
 reported operator is the same either way.
 
@@ -148,7 +149,7 @@ class _Built(NamedTuple):
     gate: float  # acceptance_tol(tol, lambda_max), the step 2 and step 3 threshold
     # (||F||_2 + (sum_ab r_ab^2)^(1/2)) (1 + (d + m d_A) eps), which bounds
     # ||E(k)||_2^2, from the caller's own certificate; None from another one
-    pair_bound: float | None
+    e_block_bound: float | None
 
 
 def _diagonalize_f(f: np.ndarray, tol: float):
@@ -215,26 +216,23 @@ def _build_recovery(ch: KrausChannel, dec: SubsystemDecomposition,
     gate = acceptance_tol(tol, scale)
 
     # 2. the modified Kraus family on the code, G_a W = sum_b E_b W (U_ab^dag (x) I_B),
-    # has mutually orthogonal ranges; G_a off the code is never needed.  With
-    # the compressed pairs C = (W^dag E_a^dag E_b W) = F (x) I_B + Δ,
-    # G^dag G - Λ (x) I_B = (q^dag F q - Λ) (x) I_B + (q^dag (x) I_B) Δ (q (x) I_B),
-    # so no Gram block exceeds sqrt(d_B) ||q^dag F q - Λ||_F +
-    # ||q||_2^2 ||Δ||_F, with ||q||_2^2 <= 1 + ||q^dag q - I||_F and ||Δ||_F the
-    # root sum of squares of the pair residuals; the allowance `rounding` (a
-    # relative (d + m d_A) eps, times ||E W||_F^2 here) covers the rounding of
-    # the exact kernel, so the bound is not below its value.  The m^2 Gram
-    # blocks run only where the bound fails the gate
-    pair_bound = None
-    ortho_resid = float("inf")
+    # has mutually orthogonal ranges; G_a off the code is never needed.  The
+    # bound from the caller's own certificate comes first (module docstring),
+    # the m^2 Gram blocks only where it fails the gate
+    ortho_resid, e_block_bound = float("inf"), None
     if own:
+        # a relative allowance for the rounding of the exact kernels
         rounding = (d + m * d_a) * float(np.finfo(float).eps)
-        pair_norm = float(np.linalg.norm(cert.pair_residuals))
-        pair_bound = (f_norm + pair_norm) * (1.0 + rounding)
+        delta_norm = float(np.linalg.norm(cert.pair_residuals))
+        # for step 3: ||E(k)||_2^2 = ||F + Δ_kk||_2 <= ||F||_2 + ||Δ||_F
+        e_block_bound = (f_norm + delta_norm) * (1.0 + rounding)
+        # G^dag G - Λ (x) I_B = (q^dag F q - Λ) (x) I_B + (q^dag (x) I_B) Δ (q (x) I_B),
+        # with ||q||_2^2 <= 1 + ||q^dag q - I||_F, and `rounding` ||E W||_F^2
+        # allowed for the rounding of the exact kernel
         mixed = u @ f @ q
         mixed[np.diag_indices(m * d_a)] -= lam
-        defect = frobenius(u @ q - np.eye(m * d_a))
-        ortho_resid = float(np.sqrt(d_b) * frobenius(mixed) + (1.0 + defect) * (
-            pair_norm + rounding * d_b * f_trace))
+        ortho_resid = float(np.sqrt(d_b) * frobenius(mixed) + (
+            1.0 + frobenius(u @ q - np.eye(m * d_a))) * (delta_norm + rounding * d_b * f_trace))
     gw_ab = np.tensordot(u4.conj(), ew, axes=([2, 3], [0, 2]))
     if not ortho_resid <= gate:
         ortho_resid = _orthogonality_residual(
@@ -272,7 +270,7 @@ def _build_recovery(ch: KrausChannel, dec: SubsystemDecomposition,
     k_live = np.sqrt(lam[live])[:, None] * u[live]
     f_ca_kraus = list(k_live.reshape(live.size, m, d_a).transpose(1, 0, 2))
     return _Built(u_recovery, c_dec, f_ca_kraus, d_blocks, ortho_resid, q, kw, gate,
-                  pair_bound)
+                  e_block_bound)
 
 
 def construct_recovery(ch: KrausChannel, dec: SubsystemDecomposition,
@@ -300,12 +298,12 @@ def construct_recovery(ch: KrausChannel, dec: SubsystemDecomposition,
     # G(k) G(l)^dag = E(k) E(l)^dag: the mismatch E(k) (q q^dag - I) E(l)^dag
     # has norm at most ||q q^dag - I||_F ||E(k)||_2^2, and ||E(k)||_2^2 =
     # ||F + Δ_kk||_2 <= ||F||_2 + (sum_ab r_ab^2)^(1/2), the builder's
-    # pair_bound with its rounding allowance; the R factors of the blocks E(k)
-    # give the exact value only where that bound fails the step 2 gate
+    # e_block_bound with its rounding allowance; the R factors of the blocks
+    # E(k) give the exact value only where that bound fails the step 2 gate
     g_action_resid = float("inf")
-    if built.pair_bound is not None:
+    if built.e_block_bound is not None:
         q = built.q
-        g_action_resid = frobenius(q @ dagger(q) - np.eye(len(q))) * built.pair_bound
+        g_action_resid = frobenius(q @ dagger(q) - np.eye(len(q))) * built.e_block_bound
     if not g_action_resid <= built.gate:
         e_cols = built.kw.reshape(m, d, d_a, d_b).transpose(3, 1, 0, 2).reshape(
             d_b, d, m * d_a)
