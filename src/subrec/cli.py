@@ -264,7 +264,7 @@ def _run_ucc(args) -> int:
         } for c in report_obj.contradictions],
         "residuals": {"corrections": [e.residual for e in report_obj.subsystems],
                       "structure": st.residual},
-        "seed": report_obj.seed,
+        "seed": st.seed_used,
     }
     lines = [f"unitarily correctable subsystems: {len(report_obj.subsystems)}",
              f"classical sectors: {len(report_obj.classical_sectors)}"]

@@ -44,9 +44,9 @@ class CorrectabilityCertificate:
     ``code_kraus`` is the stack of code-projected Kraus operators E_a W
     (m x d x d_A d_B) and ``pair_residuals`` the m x m matrix of
     r_ab = ||Δ_ab||_F, both as the pair check formed them; the recovery
-    builder reuses the first, and bounds its step 2 and step 3 checks by
-    the second, when the certificate was made from the very objects it is
-    handed (see :mod:`subrec.recovery`).
+    builder reuses the first, and bounds its step 2 check by the second,
+    when the certificate was made from the very objects it is handed (see
+    :mod:`subrec.recovery`).
     """
 
     passed: bool
@@ -122,7 +122,6 @@ def check_correctable(ch: KrausChannel, dec: SubsystemDecomposition,
     m, d_a, d_b, n = ch.m, dec.d_a, dec.d_b, dec.d_a * dec.d_b
     kraus = np.asarray(ch.kraus)
     kw = kraus @ dec.w
-    kw_dag = kw.conj().transpose(0, 2, 1)
     f_blocks = np.empty((m, m, d_a, d_a), dtype=complex)
     residuals = np.empty((m, m))
     diagonal = np.arange(d_b)
@@ -131,8 +130,10 @@ def check_correctable(ch: KrausChannel, dec: SubsystemDecomposition,
     group = _row_group(m * n * n, m * n * n)
     for start in range(0, m, group):
         rows = slice(start, start + group)
-        # compressed pairs (E_a W)^dag (E_b W) = W^dag E_a^dag E_b W, less F_ab (x) I_B
-        delta = (kw_dag[rows, None] @ kw).reshape(-1, m, d_a, d_b, d_a, d_b)
+        # compressed pairs (E_a W)^dag (E_b W) = W^dag E_a^dag E_b W, less F_ab (x) I_B;
+        # the adjoints of this group's rows only, not a copy of the whole stack
+        kw_dag = kw[rows].conj().transpose(0, 2, 1)
+        delta = (kw_dag[:, None] @ kw).reshape(-1, m, d_a, d_b, d_a, d_b)
         f_blocks[rows] = np.einsum("abikjk->abij", delta) / d_b
         delta[:, :, :, diagonal, :, diagonal] -= f_blocks[rows]
         flat = delta.reshape(-1, n * n).view(float)
@@ -179,7 +180,7 @@ def check_correctable(ch: KrausChannel, dec: SubsystemDecomposition,
     if bound <= threshold:
         cert.g_a_residual = bound
         return cert
-    pairs = (kw_dag[:, None] @ kw[None]).reshape(m * m, n, n)
+    pairs = (kw.conj().transpose(0, 2, 1)[:, None] @ kw[None]).reshape(m * m, n, n)
     worst = certify_code_map(pairs, d_a, d_b, superop=g_a).residual
     cert.g_a_residual = worst
     if not worst <= threshold:

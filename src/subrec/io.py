@@ -51,7 +51,6 @@ from .subsystem import SubsystemDecomposition
 
 __all__ = [
     "matrix_to_json",
-    "matrix_from_json",
     "channel_to_json",
     "channel_from_json",
     "subsystem_to_json",
@@ -111,10 +110,6 @@ def _require_fields(obj, what: str, keys) -> None:
     missing = [k for k in keys if k not in obj]
     if missing:
         raise MalformedInput(f"{what} lacks the field(s) {missing}")
-
-
-def matrix_from_json(obj) -> np.ndarray:
-    return _pairs(obj, "matrix", 2)
 
 
 def channel_to_json(ch: KrausChannel) -> dict:

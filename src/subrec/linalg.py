@@ -23,11 +23,10 @@ numeric_rank(m, tol)         tol s_max                        1e-9 s_max        
 certificates (factorization, F >= 0, G_A identity, noiseless, spans,
 ``channels_equal``); [2] assembled results: the G_a orthogonality gate
 (s = lambda_max of F, judged on its bound from the pair residuals, and on
-the exact Gram blocks where that bound exceeds it), the same cut between
-the step 3 bound and ``remix_residual`` in ``construct_recovery``, the
-unitarity of every completion (s = d), algebra closure and the pattern
-fit of every check element or generator, the correction's TP defect
-(s = √d), the UCC correction;
+the exact Gram blocks where that bound exceeds it), the unitarity of
+every completion (s = d), algebra closure and the pattern fit of every
+check element or generator, the correction's TP defect (s = √d), the UCC
+correction;
 [3] ``algebra``: eigenvalue clusters, links gap ||g||, intertwiner defect
 gap max(1, c); [4] Gram-Schmidt on a projector or isometry of defect δ;
 [5] ``find_ucc``'s rank diagnostics and ``rank_support_equivalence``:
@@ -343,7 +342,7 @@ def _complement_basis(p, defect, tol):
 
 def complete_isometry(v: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """The unitary ``[v | index-ordered orthonormal basis of range(v)^perp]``
-    for a d x k isometry v; raises NotPartialIsometry unless
+    for a d x k isometry v; raises NotPartialIsometry if k > d, or unless
     ||u^dag u - I||_F <= ``acceptance_tol(tol, d)``.
 
     The complement is the index-ordered Gram-Schmidt of the columns of
@@ -353,6 +352,8 @@ def complete_isometry(v: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     without a skip costs one block QR, so generic input takes one.
     """
     d, k = v.shape
+    if k > d:
+        raise NotPartialIsometry(f"{k} columns cannot be orthonormal in dimension {d}")
     cutoff = gram_schmidt_cutoff(tol, frobenius(dagger(v) @ v - np.eye(k)))
     u = np.hstack([v, _index_ordered_basis(np.eye(d) - v @ dagger(v), d - k, cutoff)])
     if not (u.shape[1] == d and frobenius(dagger(u) @ u - np.eye(d)) <= acceptance_tol(tol, d)):

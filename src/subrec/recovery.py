@@ -24,15 +24,15 @@ complementary factor moved to C.  The construction:
    (Λ = diag(max(lambda, 0))), so no Gram block exceeds
    sqrt(d_B) ||q^dag F q - Λ||_F + (1 + ||q^dag q - I||_F) (sum_ab r_ab^2)^(1/2),
    r_ab = ||Δ_ab||_F, plus a rounding allowance (below);
-3. check that the remixed family reproduces the channel on the I_A slice,
-   G(k) G(l)^dag = E(k) E(l)^dag for the column blocks G(k), E(k) of the
-   B index k, the columns G_a W(|i> (x) |k>) and E_b W(|j> (x) |k>) in
-   (a, i) and (b, j) order: the remix is G(k) = E(k) q with q the
-   eigenvectors of F, so the mismatch is E(k) (q q^dag - I) E(l)^dag,
-   whose norm is that of R_k (q q^dag - I) R_l^dag for the thin QR
-   E(k) = Q_k R_k (``remix_residual``), and at most
-   ||q q^dag - I||_F (||F||_2 + (sum_ab r_ab^2)^(1/2)), since
-   ||E(k)||_2^2 = ||F + Δ_kk||_2 for the (k, k) B slice Δ_kk of Δ;
+3. bound how far the remixed family is from reproducing the channel on
+   the I_A slice, G(k) G(l)^dag = E(k) E(l)^dag for the column blocks
+   G(k), E(k) of the B index k, the columns G_a W(|i> (x) |k>) and
+   E_b W(|j> (x) |k>) in (a, i) and (b, j) order: the remix is
+   G(k) = E(k) q with q the eigenvectors of F, so the mismatch is
+   E(k) (q q^dag - I) E(l)^dag, of norm at most
+   ||E(k)||_2 ||q q^dag - I||_F ||E(l)||_2 <= ||q q^dag - I||_F max_k ||E(k)||_F^2;
+   a unitary remix leaves the channel unchanged, so this only reports how
+   far q is from unitary, and no verdict reads it;
 4. with D_aa diagonal, the polar factor V_a of G_a P_AB against
    sqrt(D_aa) (x) I_B is the closed form
    V_a W(|l> (x) |k>) = G_a W(|l> (x) |k>) / sqrt(lambda_l) for each live
@@ -47,19 +47,19 @@ Steps 1, 2 and 4 build the recovery; step 3 and the certificate below
 (step 5 in the code) check it.  ``find_ucc`` runs only the building
 steps, since it certifies the final correction on E itself.
 
-Steps 2 and 3 read their bounds off the certificate when it was made from
-the very channel and decomposition objects passed in: it carries the
-stack E_a W, which the builder reuses, and the pair residuals r_ab.  Each
-bound also carries an allowance for the rounding of the exact kernel, a
-relative (d + m d_A) eps (times ||E W||_F^2 = d_B tr F in step 2), so it
-stays above the value that kernel computes.  A bound within
-``acceptance_tol(tol, lambda_max)`` is the reported value; where it
-exceeds that threshold, or the certificate belongs to other, value-equal
-objects, the exact kernels run: step 2's m^2 Gram blocks, in groups of
-Kraus rows, as many as fit in max(m n^2, 2^16) entries (n = d_A d_B), and
-step 3's ``remix_residual``.
-The verdict of the step 2 gate is therefore the exact one, and every
-reported operator is the same either way.
+Step 2 reads its bound off the certificate when it was made from the very
+channel and decomposition objects passed in: it carries the stack E_a W,
+which the builder reuses, and the pair residuals r_ab.  The bound also
+carries an allowance for the rounding of the exact kernel, a relative
+(d + m d_A) eps times ||E W||_F^2 = d_B tr F, so it stays above the value
+that kernel computes.  A bound within ``acceptance_tol(tol, lambda_max)``
+is the reported value; where it exceeds that threshold, or the
+certificate belongs to other, value-equal objects, the exact m^2 Gram
+blocks run, in groups of Kraus rows, as many as fit in max(m n^2, 2^16)
+entries (n = d_A d_B).  The verdict of the step 2 gate is therefore the
+exact one.  Step 3 is the bound above on every path, read off the stack
+E_a W, which the builder holds for either certificate, so it is the same
+for both; every reported operator is the same either way.
 
 The C (x) B frame the builder emits is the first n_cb = dim C d_B
 standard basis vectors, in (a, l, k) order, so its index-ordered
@@ -86,8 +86,7 @@ from .correctability import CorrectabilityCertificate
 from .errors import CertificateMismatch, NotTracePreserving, NumericalDegeneracy
 from .linalg import (DEFAULT_TOL, _canonicalize_eigenvectors, _sorted_eigh, acceptance_tol,
                      complete_isometry, dagger, frobenius, strict_tol)
-from .subsystem import (SubsystemDecomposition, _row_group, certify_code_map,
-                        remix_residual)
+from .subsystem import SubsystemDecomposition, _row_group, certify_code_map
 
 __all__ = ["RecoveryResult", "construct_recovery", "recovery_to_correction",
            "verify_correction"]
@@ -108,11 +107,11 @@ class RecoveryResult:
     ``d_blocks`` records (a, D_aa, r_a) for blocks with nonzero rank;
     ``residual`` certifies the defining equation on a complete operator
     basis; ``orthogonality_residual`` is the step 2 check, which also
-    certifies the closed-form polar factor of step 4, and
-    ``g_action_residual`` the step 3 check.  From the caller's own
-    certificate these two are upper bounds read off F and the pair
-    residuals whenever they pass ``acceptance_tol(tol, lambda_max)``, and
-    exact where a bound does not (module docstring).
+    certifies the closed-form polar factor of step 4: from the caller's
+    own certificate an upper bound read off F and the pair residuals
+    whenever it passes ``acceptance_tol(tol, lambda_max)``, and exact where
+    it does not.  ``g_action_residual`` is the step 3 upper bound
+    ||q q^dag - I||_F max_k ||E(k)||_F^2 on every path (module docstring).
 
     The operators (``u_recovery``, ``c_subsystem``, ``f_ca_kraus``,
     ``f_ca_superop``) read only F's eigenvectors above the live cut-off,
@@ -146,10 +145,6 @@ class _Built(NamedTuple):
     orthogonality_residual: float
     q: np.ndarray  # eigenvectors of F: the remix is G(k) = E(k) q
     kw: np.ndarray  # the code-projected Kraus operators E_b W
-    gate: float  # acceptance_tol(tol, lambda_max), the step 2 and step 3 threshold
-    # (||F||_2 + (sum_ab r_ab^2)^(1/2)) (1 + (d + m d_A) eps), which bounds
-    # ||E(k)||_2^2, from the caller's own certificate; None from another one
-    e_block_bound: float | None
 
 
 def _diagonalize_f(f: np.ndarray, tol: float):
@@ -205,8 +200,8 @@ def _build_recovery(ch: KrausChannel, dec: SubsystemDecomposition,
     if lam.size and lam[-1] < -cutoff:
         raise CertificateMismatch(
             f"block matrix F has eigenvalue {lam[-1]:.3e}; not positive semidefinite")
-    # ||F||_2, and ||E W||_F^2 = d_B tr F, before the clamp
-    f_norm, f_trace = float(np.max(np.abs(lam))), float(np.sum(np.abs(lam)))
+    # ||E W||_F^2 = d_B tr F, before the clamp
+    f_trace = float(np.sum(np.abs(lam)))
     lam = np.maximum(lam, 0.0)
     # U = q^dag gives U F U^dag = diag(lam); u4[a, i, b, j] = (U_ab)_ij
     u = dagger(q)
@@ -219,13 +214,11 @@ def _build_recovery(ch: KrausChannel, dec: SubsystemDecomposition,
     # has mutually orthogonal ranges; G_a off the code is never needed.  The
     # bound from the caller's own certificate comes first (module docstring),
     # the m^2 Gram blocks only where it fails the gate
-    ortho_resid, e_block_bound = float("inf"), None
+    ortho_resid = float("inf")
     if own:
-        # a relative allowance for the rounding of the exact kernels
+        # a relative allowance for the rounding of the exact kernel
         rounding = (d + m * d_a) * float(np.finfo(float).eps)
         delta_norm = float(np.linalg.norm(cert.pair_residuals))
-        # for step 3: ||E(k)||_2^2 = ||F + Δ_kk||_2 <= ||F||_2 + ||Δ||_F
-        e_block_bound = (f_norm + delta_norm) * (1.0 + rounding)
         # G^dag G - Λ (x) I_B = (q^dag F q - Λ) (x) I_B + (q^dag (x) I_B) Δ (q (x) I_B),
         # with ||q||_2^2 <= 1 + ||q^dag q - I||_F, and `rounding` ||E W||_F^2
         # allowed for the rounding of the exact kernel
@@ -269,8 +262,7 @@ def _build_recovery(ch: KrausChannel, dec: SubsystemDecomposition,
     # column block], the live rows in the (a, l) order of the C embedding
     k_live = np.sqrt(lam[live])[:, None] * u[live]
     f_ca_kraus = list(k_live.reshape(live.size, m, d_a).transpose(1, 0, 2))
-    return _Built(u_recovery, c_dec, f_ca_kraus, d_blocks, ortho_resid, q, kw, gate,
-                  e_block_bound)
+    return _Built(u_recovery, c_dec, f_ca_kraus, d_blocks, ortho_resid, q, kw)
 
 
 def construct_recovery(ch: KrausChannel, dec: SubsystemDecomposition,
@@ -292,22 +284,16 @@ def construct_recovery(ch: KrausChannel, dec: SubsystemDecomposition,
         tolerance.
     """
     built = _build_recovery(ch, dec, cert, tol)
-    d, d_a, d_b, m = ch.dim, dec.d_a, dec.d_b, ch.m
+    d_a, d_b = dec.d_a, dec.d_b
 
     # 3. the modified family reproduces the channel on the I_A slice,
     # G(k) G(l)^dag = E(k) E(l)^dag: the mismatch E(k) (q q^dag - I) E(l)^dag
-    # has norm at most ||q q^dag - I||_F ||E(k)||_2^2, and ||E(k)||_2^2 =
-    # ||F + Δ_kk||_2 <= ||F||_2 + (sum_ab r_ab^2)^(1/2), the builder's
-    # e_block_bound with its rounding allowance; the R factors of the blocks
-    # E(k) give the exact value only where that bound fails the step 2 gate
-    g_action_resid = float("inf")
-    if built.e_block_bound is not None:
-        q = built.q
-        g_action_resid = frobenius(q @ dagger(q) - np.eye(len(q))) * built.e_block_bound
-    if not g_action_resid <= built.gate:
-        e_cols = built.kw.reshape(m, d, d_a, d_b).transpose(3, 1, 0, 2).reshape(
-            d_b, d, m * d_a)
-        g_action_resid = remix_residual(e_cols, built.q)
+    # has norm at most ||q q^dag - I||_F max_k ||E(k)||_F^2, where ||E(k)||_F^2
+    # sums the squared columns E_a W(|i> (x) |k>) over (a, i)
+    q = built.q
+    flat = built.kw.view(float)
+    col_sq = np.einsum("adx,adx->x", flat, flat).reshape(d_a, d_b, 2).sum(axis=(0, 2))
+    g_action_resid = frobenius(q @ dagger(q) - np.eye(len(q))) * float(np.max(col_sq))
 
     # 5. certify U ∘ E ∘ P_AB = F_{C|A} (x) id_B with F_{C|A} extracted
     # from the identity-B slice of the actual action.

@@ -16,7 +16,7 @@ from .errors import DimensionMismatch, NotFinite
 from .linalg import DEFAULT_TOL, dagger, frobenius, partial_trace_b, strict_tol
 
 __all__ = ["SubsystemDecomposition", "FactorResult", "CodeMapCertificate",
-           "certify_code_map", "remix_residual", "embed_product", "factor_on_range"]
+           "certify_code_map", "embed_product", "factor_on_range"]
 
 
 class SubsystemDecomposition:
@@ -114,9 +114,9 @@ def certify_code_map(ops, d_a: int, d_b: int, frame: np.ndarray | None = None,
     each block against the columns q = (j, l) of one column A index j.
     Read off the I_B slice, F(|j><i|) = F(|i><j|)^dag, so the (q, p)
     mismatch is the adjoint of the (p, q) one, and a block meets only the
-    columns from its first row p0 on: j > i, and j = i from l = p0 - i d_B
-    (as in ``remix_residual``).  A given ``superop`` need not preserve
-    Hermiticity, so then every block meets all d_B columns of its j.
+    columns from its first row p0 on: j > i, and j = i from l = p0 - i d_B.
+    A given ``superop`` need not preserve Hermiticity, so then every block
+    meets all d_B columns of its j.
     Blocks of one shape go in batches, two products each: the left factors
     R_p diag(I_m, -F(|i><j|)), the last d_C columns of a block's rows
     against F(|i><j|), then the K x K blocks against the R_q^dag; each
@@ -217,48 +217,6 @@ def _row_group(row_entries: int, cap: int) -> int:
     # has at most cap entries or the floor of 2^16 (1 MB), and at least one
     # row, so shapes under the floor run as one group
     return max(1, max(cap, 1 << 16) // row_entries)
-
-
-def remix_residual(cols, mix: np.ndarray) -> float:
-    """Worst mismatch of a remixed column family, max_kl ||G(k) G(l)^dag - E(k) E(l)^dag||_F.
-
-    ``cols`` holds the n blocks E(k) (n x d_out x c) and ``mix`` the c x c
-    matrix q of the remix G(k) = E(k) q.  Then
-
-        G(k) G(l)^dag - E(k) E(l)^dag = E(k) (q q^dag - I) E(l)^dag,
-
-    and with the thin QR E(k) = Q_k R_k, R_k of K = min(d_out, c) rows,
-    the orthonormal columns of Q_k and Q_l drop out of the Frobenius norm:
-    it is that of the K x K product R_k (q q^dag - I) R_l^dag.  This is the
-    R-factor form of ``certify_code_map`` with d_A = 1 and F = I, whose
-    X_k = [G(k) | E(k)] is twice as wide: one batched QR of width c, not
-    2c, and the products go in the same row groups, so no block exceeds
-    max(K n d_out, 2^16) entries.  With q q^dag - I Hermitian, the (l, k)
-    product is the adjoint of the (k, l) one, so each group of rows k
-    meets only the columns l from its first row on.  The value is exact
-    for the given q, rounding aside; G itself is never read.  The squared
-    norms are summed as in ``certify_code_map``, over the contiguous last
-    axis first.  Cost: n d_out c^2 for the QR, n K c^2 for the left
-    factors and about n^2 K^2 c / 2 for the products.
-    """
-    cols = np.asarray(cols, dtype=complex)
-    n, d_out, c = cols.shape
-    mix = np.asarray(mix)
-    if mix.shape != (c, c):
-        raise DimensionMismatch(f"mix must be {c} x {c}, got {mix.shape}")
-    r = np.linalg.qr(cols, mode="r")
-    k_rows = r.shape[1]
-    left = r @ (mix @ dagger(mix) - np.eye(c))
-    # r_dag = [R_0^dag .. R_(n-1)^dag], the columns l
-    r_dag = r.conj().transpose(2, 0, 1).reshape(c, n * k_rows)
-    group = _row_group(k_rows * k_rows * n, k_rows * n * d_out)
-    worst = []
-    for start in range(0, n, group):
-        # the (l, k) product is the adjoint of the (k, l) one: columns l >= start
-        diff = (left[start:start + group].reshape(-1, c) @ r_dag[:, start * k_rows:]).view(float)
-        diff = diff.reshape(-1, k_rows, n - start, 2 * k_rows)
-        worst.append(np.max(_squared_block_norms(diff)))
-    return float(np.sqrt(np.max(worst)))
 
 
 def embed_product(dec: SubsystemDecomposition, sigma_a: np.ndarray,

@@ -104,15 +104,16 @@ def find_ucc(ch: KrausChannel, seed: int = 0, tol: float = DEFAULT_TOL) -> UccRe
         rank_diagnostics=[], structure=structure, seed=seed)
 
     for dec in candidates:
+        cert = check_correctable(ch, dec, tol=tol)
         # (rank E(P_AB), rank P_AB) from the Gram matrices of X = [E_a W]_a
-        # and of W, the smaller side of each: E(P_AB) = X X^dag and
-        # P_AB = W W^dag have the same nonzero spectra as X^dag X and W^dag W
-        x = (np.asarray(ch.kraus) @ dec.w).transpose(1, 0, 2).reshape(ch.dim, -1)
+        # (the certificate's stack) and of W, the smaller side of each:
+        # E(P_AB) = X X^dag and P_AB = W W^dag have the same nonzero spectra
+        # as X^dag X and W^dag W
+        x = cert.code_kraus.transpose(1, 0, 2).reshape(ch.dim, -1)
         gram = dagger(x) @ x if x.shape[1] < ch.dim else x @ dagger(x)
         report.rank_diagnostics.append(
             (numeric_rank(gram, tol), numeric_rank(dagger(dec.w) @ dec.w, tol)))
 
-        cert = check_correctable(ch, dec, tol=tol)
         if not cert.passed:
             report.contradictions.append(InternalContradiction(
                 dec, "check_correctable",

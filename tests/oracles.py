@@ -130,3 +130,26 @@ def extract_common_factor(outputs, d_c, d_b, basis_b):
         model = np.kron(omega, sb)
         worst = max(worst, float(np.linalg.norm(outputs[j] - model)))
     return omega, worst
+
+
+def remix_mismatch(ch, dec, u_mix):
+    """Worst mismatch of the remixed family on the I_A slice, written out.
+
+    G_a W = sum_b E_b W (U_ab^dag (x) I_B) for the (m d_A) x (m d_A) matrix
+    ``u_mix`` = U; then the maximum over (k, l) of
+    ||sum_a G_a W (I_A (x) |k><l|) (G_a W)^dag - the same for E_a W||_F.
+    """
+    d_a, d_b, w = dec.d_a, dec.d_b, dec.w
+    gw = [sum(ch.kraus[b] @ w @ np.kron(dag(u_mix[a * d_a:(a + 1) * d_a,
+                                                  b * d_a:(b + 1) * d_a]), np.eye(d_b))
+              for b in range(ch.m)) for a in range(ch.m)]
+    ew = [k @ w for k in ch.kraus]
+    worst = []
+    for k in range(d_b):
+        for l in range(d_b):
+            unit_b = np.zeros((d_b, d_b))
+            unit_b[k, l] = 1.0
+            x = np.kron(np.eye(d_a), unit_b)
+            diff = sum(g @ x @ dag(g) for g in gw) - sum(e @ x @ dag(e) for e in ew)
+            worst.append(np.linalg.norm(diff))
+    return float(np.max(worst))

@@ -316,6 +316,29 @@ def test_cached_parser_keeps_no_state_between_calls(tmp_path, capsys, monkeypatc
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["ns", "ucc"])
+def test_report_names_the_seed_that_produced_the_structure(command, tmp_path, capsys,
+                                                           monkeypatch):
+    # the first probe attempt is degenerate, so seed 0 retries with seed 1
+    import subrec.algebra as algebra
+
+    attempt = algebra._structure_attempt
+    calls = []
+
+    def degenerate_first(*args):
+        calls.append(None)
+        if len(calls) == 1:
+            raise algebra._RetryProbe("degenerate first draw")
+        return attempt(*args)
+
+    monkeypatch.setattr(algebra, "_structure_attempt", degenerate_first)
+    ch_file, _ = write_demo(tmp_path, "phase-flip", p=0.3)
+    code, out = run([command, "--channel", str(ch_file), "--seed", "0", "--format", "json"],
+                    capsys=capsys)
+    assert code in (0, 2) and len(calls) == 2
+    assert json.loads(out.out)["seed"] == 1
+
+
 @pytest.mark.parametrize("argv", [
     ["demo", "binary-unitary", "--thetas", "a,b"],
     ["demo", "binary-unitary", "--thetas", "0.3,,2.5,4.0"],

@@ -22,7 +22,6 @@ from subrec import (
 )
 from subrec.linalg import complete_isometry, dagger, orthonormal_complement
 from subrec.random_ops import haar_isometry, haar_unitary
-from subrec.subsystem import remix_residual
 
 from oracles import superop_tensor_factorizes
 
@@ -483,45 +482,3 @@ def test_row_groups_across_a_indices_agree_with_loop(d_out, m, d_c, d_a, d_b):
     rand = rng.normal(size=exact.shape) + 1j * rng.normal(size=exact.shape)
     assert_matches_loop(ops, d_a, d_b, frame=frame, superop=rand)
     assert_matches_loop(ops + 1e-3 * rng.normal(size=ops.shape), d_a, d_b, frame=frame)
-
-
-@pytest.mark.parametrize("n, d_out, c", [(3, 10, 4), (5, 4, 6), (2, 12, 1)])
-@pytest.mark.parametrize("kick", [0.0, 1e-9, 0.3])
-def test_remix_residual_matches_the_kernel_on_the_stacked_columns(n, d_out, c, kick):
-    # G(k) = E(k) q for a unitary q, kicked off unitarity; the R-factor form
-    # of width c gives the kernel's value on X_k = [G(k) | E(k)] (d_A = 1,
-    # F = I), also where the kernel's K = d_out is below 2c
-    rng = np.random.default_rng(n * 100 + c)
-    cols = rng.normal(size=(n, d_out, c)) + 1j * rng.normal(size=(n, d_out, c))
-    q = haar_unitary(c, seed=c) + kick * (rng.normal(size=(c, c)) + 1j * rng.normal(size=(c, c)))
-    g_cols = (cols @ q).transpose(2, 1, 0)
-    frame = cols.transpose(1, 2, 0).reshape(d_out, c * n)
-    kernel = certify_code_map(g_cols, 1, n, frame=frame, superop=np.eye(c).reshape(-1, 1))
-    got = remix_residual(cols, q)
-    if kick == 0.0:
-        assert got < 1e-13 and kernel.residual < 1e-13
-    else:
-        # the kernel cancels two terms of size ||E(k)||^2, tens here
-        assert kernel.residual > 1e-8
-        assert abs(got - kernel.residual) <= 1e-8 * kernel.residual + 1e-12
-
-
-def test_remix_residual_in_row_groups_keeps_every_pair():
-    # 300 blocks of width 2 in d_out = 3 run in six row groups, each against
-    # the columns from its first row on.  With q q^dag - I = eps [[0, 1], [1, 0]],
-    # E(5) = [10 x | 0] and E(217) = [0 | 10 y], the largest mismatch is
-    # 100 eps |x| |y| at the pair (5, 217) in two different groups; the
-    # diagonal pairs of both blocks vanish
-    rng = np.random.default_rng(61)
-    cols = rng.normal(size=(300, 3, 2)) + 1j * rng.normal(size=(300, 3, 2))
-    x, y = cols[5, :, 0].copy(), cols[217, :, 1].copy()
-    cols[[5, 217]] = 0.0
-    cols[5, :, 0], cols[217, :, 1] = 10.0 * x, 10.0 * y
-    eps = 0.01
-    lam, v = np.linalg.eigh(np.array([[1.0, eps], [eps, 1.0]]))
-    q = (v * np.sqrt(lam)) @ v.T
-    expected = 100 * eps * np.linalg.norm(x) * np.linalg.norm(y)
-    for order in (cols, cols[::-1]):
-        assert abs(remix_residual(order, q) - expected) <= 1e-12 * expected
-    with pytest.raises(DimensionMismatch):
-        remix_residual(cols, np.eye(3))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from subrec import (
     DemoSpec,
     KrausChannel,
     SubsystemDecomposition,
+    certify_code_map,
     check_correctable,
     check_noiseless,
     compose,
@@ -186,8 +189,9 @@ def test_threshold_scales_with_pair_norm():
 
 def _grouping_case(shape):
     # certify's shape (m = 3, n = 32: one group under the 2^16 floor), m = 8,
-    # n = 64 (groups of two rows) and the (1, 248) complement block of a
-    # planted (2, 4) code at d = 256, m = 8 (one row per group, above the floor)
+    # n = 64 (groups of two rows), the wide workload's (2, 2) code at d = 256
+    # and the (1, 248) complement block of a planted (2, 4) code at d = 256,
+    # m = 8 (one row per group, above the floor)
     if shape == "complement":
         ch, dec = planted_channel(2, 4, 256, 8, seed=1, unital=True)
         return ch, SubsystemDecomposition(256, 1, 248, complete_isometry(dec.w, 1e-9)[:, 8:])
@@ -211,17 +215,58 @@ def _pairs_row_by_row(ch, dec):
     return f_blocks, residuals
 
 
-@pytest.mark.parametrize("shape", [(4, 8, 40, 3), (4, 16, 80, 8), "complement"])
+@pytest.mark.parametrize("shape", [(4, 8, 40, 3), (4, 16, 80, 8), (2, 2, 256, 3), "complement"])
 def test_grouped_pairs_match_row_by_row_loop_bit_for_bit(shape):
+    # each row group takes the adjoints of its own rows, the loop those of
+    # the whole stack: F, every pair residual and G_A agree bit for bit
     ch, dec = _grouping_case(shape)
     cert = check_correctable(ch, dec)
     assert cert.passed
     f_blocks, residuals = _pairs_row_by_row(ch, dec)
     assert cert.f_blocks.tobytes() == f_blocks.tobytes()
+    assert cert.pair_residuals.tobytes() == residuals.tobytes()
     assert cert.residual == float(np.max(residuals))
+    f_ab = f_blocks.reshape(ch.m ** 2, dec.d_a, dec.d_a)
+    g_a = np.einsum("xij,xkl->ikjl", f_ab.conj(), f_ab).reshape(dec.d_a ** 2, dec.d_a ** 2)
+    assert cert.g_a.tobytes() == g_a.tobytes()
     # on a passing certificate the G_A residual is the bound read off the pairs
     f_norms = np.linalg.norm(f_blocks, axis=(2, 3))
     assert cert.g_a_residual == float(np.sum(residuals * (2.0 * f_norms + residuals)))
+
+
+def test_exact_g_a_check_on_the_pairs_of_the_stack_matches_bit_for_bit():
+    # a kick of 1e-2 on a code 1e3 X_a off it: every pair passes, but the
+    # bound on the G_A identity fails its threshold, so the exact check runs
+    ch, dec = _large_off_code(1e-2)
+    cert = check_correctable(ch, dec)
+    f_norms = np.linalg.norm(cert.f_blocks, axis=(2, 3))
+    residuals = cert.pair_residuals
+    assert float(np.sum(residuals * (2.0 * f_norms + residuals))) > 4e-9
+    assert cert.g_a is not None
+    kw = np.asarray(ch.kraus) @ dec.w
+    pairs = (kw.conj().transpose(0, 2, 1)[:, None] @ kw[None]).reshape(ch.m ** 2, 4, 4)
+    assert cert.g_a_residual == certify_code_map(pairs, 2, 2, superop=cert.g_a).residual
+
+
+def test_peak_memory_holds_one_stack_at_the_ucc_complement_block():
+    # the (1, d - 8) complement of a planted (2, 4) code at d = 128, m = 8:
+    # beside the Kraus array (m d^2) the pair check keeps the stack E_a W
+    # (m d n), which the certificate hands on, one row group's adjoint and
+    # two pair-group products (m n^2 each, one row per group); the adjoint
+    # of the whole stack, one more m d n stack, would exceed the bound
+    d, m = 128, 8
+    n = d - 8
+    ch, code = planted_channel(2, 4, d, m, seed=1, unital=True)
+    block = SubsystemDecomposition(d, 1, n, complete_isometry(code.w, 1e-9)[:, 8:])
+    tracemalloc.start()
+    try:
+        cert = check_correctable(ch, block)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cert.passed
+    stack = m * d * n * 16
+    assert peak < m * d * d * 16 + 1.5 * stack + 2 * m * n * n * 16
 
 
 def _large_off_code(kick, seed=60):

@@ -285,6 +285,16 @@ def test_residuals_either_side_of_the_cutoff_match_mgs_loop():
     assert np.max(np.abs(got[:, 1])) == 1.0 and abs(got[4, 1]) == 1.0
 
 
+@pytest.mark.parametrize("shape", [(3, 4), (10, 12)])
+def test_completion_of_more_columns_than_rows_is_not_a_partial_isometry(shape):
+    # k > d columns cannot be orthonormal: a typed error, not numpy's
+    # "negative dimensions" from a complement of d - k columns
+    rng = np.random.default_rng(5)
+    v = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    with pytest.raises(NotPartialIsometry, match="cannot be orthonormal"):
+        complete_isometry(v)
+
+
 def test_hermitian_eig_of_an_empty_matrix():
     w, q = hermitian_eig(np.zeros((0, 0)))
     assert w.shape == (0,) and q.shape == (0, 0)

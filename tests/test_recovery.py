@@ -25,9 +25,7 @@ from subrec.linalg import (DEFAULT_TOL, acceptance_tol, complete_isometry, dagge
                           hermitian_eig, operator_basis, orthonormal_complement,
                           polar_isometry_on_support, strict_tol)
 from subrec.random_ops import haar_isometry, haar_unitary
-from subrec.subsystem import remix_residual
-
-from oracles import extract_common_factor
+from oracles import extract_common_factor, remix_mismatch
 
 
 def build(ch, dec, tol=1e-9):
@@ -303,24 +301,42 @@ def test_f_ca_kraus_reproduces_extracted_map(dims):
 
 
 def _g_action_loop(ch, dec, cert, scale=1.0):
-    # the step 3 definition written out: G_a W = sum_b E_b W (U_ab^dag (x) I_B),
-    # then max over (k, l) of ||sum_a G_a W (I_A (x) |k><l|) (G_a W)^dag - same for E_a||
-    d_a, d_b, w = dec.d_a, dec.d_b, dec.w
+    # the step 3 definition written out, on U = scale q^dag for an eigenbasis q of F
     _, q = hermitian_eig(cert.f_matrix)
-    u_mix = scale * dagger(q)
-    gw = [sum(ch.kraus[b] @ w @ np.kron(dagger(u_mix[a * d_a:(a + 1) * d_a,
-                                                       b * d_a:(b + 1) * d_a]), np.eye(d_b))
-              for b in range(ch.m)) for a in range(ch.m)]
-    ew = [k @ w for k in ch.kraus]
-    worst = []
-    for k in range(d_b):
-        for l in range(d_b):
-            unit_b = np.zeros((d_b, d_b))
-            unit_b[k, l] = 1.0
-            x = np.kron(np.eye(d_a), unit_b)
-            diff = sum(g @ x @ dagger(g) for g in gw) - sum(e @ x @ dagger(e) for e in ew)
-            worst.append(np.linalg.norm(diff))
-    return float(np.max(worst))
+    return remix_mismatch(ch, dec, scale * dagger(q))
+
+
+def _g_action_bound(ch, dec, q):
+    # the reported step 3 value written out: ||q q^dag - I||_F max_k ||E(k)||_F^2,
+    # E(k) the columns E_a W(|i> (x) |k>) of the B index k
+    ew = (np.asarray(ch.kraus) @ dec.w).reshape(ch.m, ch.dim, dec.d_a, dec.d_b)
+    blocks = max(np.linalg.norm(ew[..., k]) ** 2 for k in range(dec.d_b))
+    return np.linalg.norm(q @ dagger(q) - np.eye(len(q))) * blocks
+
+
+def _scaled_eig(monkeypatch, scale):
+    import subrec.recovery as recovery
+
+    eig = recovery._diagonalize_f
+
+    def scaled_eig(m, tol):
+        w, q = eig(m, tol)
+        return w, scale * q
+
+    monkeypatch.setattr(recovery, "_diagonalize_f", scaled_eig)
+    return recovery
+
+
+def _assert_step_3_bound(ch, dec, cert, tol, recovery):
+    # the value is the written-out bound, the same bits from the caller's own
+    # certificate and from the certificate of an equal copy of the channel
+    copy = KrausChannel(ch.kraus, require_tp=False, tol=ch.tol)
+    own = construct_recovery(ch, dec, cert, tol=tol)
+    res = construct_recovery(ch, dec, check_correctable(copy, dec, tol=tol), tol=tol)
+    assert own.g_action_residual == res.g_action_residual
+    q = recovery._build_recovery(ch, dec, cert, tol).q
+    assert own.g_action_residual == pytest.approx(_g_action_bound(ch, dec, q), rel=1e-12)
+    return own.g_action_residual
 
 
 @pytest.mark.parametrize("dims", [(1, 2, 6, 3), (2, 2, 8, 3), (3, 2, 12, 3), (1, 5, 12, 3),
@@ -329,48 +345,28 @@ def _g_action_loop(ch, dec, cert, scale=1.0):
 def test_g_action_residual_matches_written_out_loop(dims, scale, monkeypatch):
     # with a unitary remix U the step 3 mismatch is rounding; scaling U by
     # 1 + 1e-9 (inside every gate) makes it about 2e-9 ||sum_a E_a E_a^dag||.
-    # The certificate of an equal copy of the channel takes the exact kernel;
-    # the caller's own certificate reports the bound, which is not below it
-    import subrec.recovery as recovery
-
-    eig = recovery._diagonalize_f
-
-    def scaled_eig(m, tol):
-        w, q = eig(m, tol)
-        return w, scale * q
-
-    monkeypatch.setattr(recovery, "_diagonalize_f", scaled_eig)
+    # The reported value is the bound ||q q^dag - I||_F max_k ||E(k)||_F^2,
+    # which is not below the written-out definition
+    recovery = _scaled_eig(monkeypatch, scale)
     d_a, d_b, dim, m = dims
     ch, dec = planted_channel(d_a, d_b, dim, m, seed=70 + dim)
     cert = check_correctable(ch, dec)
-    res = construct_recovery(ch, dec, check_correctable(KrausChannel(ch.kraus), dec))
+    got = _assert_step_3_bound(ch, dec, cert, 1e-9, recovery)
     expected = _g_action_loop(ch, dec, cert, scale)
     if scale == 1.0:
-        assert res.g_action_residual < 1e-13 and expected < 1e-13
+        assert got < 1e-13 and expected < 1e-13
     else:
         assert expected > 1e-10
-    assert abs(res.g_action_residual - expected) <= 1e-6 * expected + 1e-14
-    assert construct_recovery(ch, dec, cert).g_action_residual >= res.g_action_residual
+        assert got >= expected
 
 
 @pytest.mark.parametrize("dims", [(1, 5, 12, 3), (1, 4, 16, 2)])
 def test_g_action_residual_matches_loop_off_correctability(dims, monkeypatch):
     # for a correctable code E(k)^dag E(k) is the same for every k, so the
     # step 3 mismatch of a scaled remix is the same in every row; a channel
-    # kicked off correctability and accepted at a loose tol makes it vary
-    # with k (on this draw the worst row is not the first of its chunk), so
-    # every row of a chunk of rows must count.  The exact kernel runs on the
-    # certificate of an equal copy; the own certificate's bound is not below it
-    import subrec.recovery as recovery
-
-    scale = 1.0 + 1e-6
-    eig = recovery._diagonalize_f
-
-    def scaled_eig(m, tol):
-        w, q = eig(m, tol)
-        return w, scale * q
-
-    monkeypatch.setattr(recovery, "_diagonalize_f", scaled_eig)
+    # kicked off correctability and accepted at a loose tol makes ||E(k)||_F
+    # vary with k, so the bound must take the largest block
+    recovery = _scaled_eig(monkeypatch, 1.0 + 1e-6)
     d_a, d_b, dim, m = dims
     ch, dec = planted_channel(d_a, d_b, dim, m, seed=90 + dim)
     rng = np.random.default_rng(92)
@@ -378,13 +374,10 @@ def test_g_action_residual_matches_loop_off_correctability(dims, monkeypatch):
                            for k in ch.kraus], require_tp=False, tol=0.1)
     cert = check_correctable(kicked, dec, tol=0.1)
     assert cert.passed
-    copy = KrausChannel(kicked.kraus, require_tp=False, tol=0.1)
-    res = construct_recovery(kicked, dec, check_correctable(copy, dec, tol=0.1), tol=0.1)
-    expected = _g_action_loop(kicked, dec, cert, scale)
+    got = _assert_step_3_bound(kicked, dec, cert, 0.1, recovery)
+    expected = _g_action_loop(kicked, dec, cert, 1.0 + 1e-6)
     assert expected > 1e-8
-    assert abs(res.g_action_residual - expected) <= 1e-6 * expected
-    own = construct_recovery(kicked, dec, cert, tol=0.1)
-    assert own.g_action_residual >= res.g_action_residual
+    assert got >= expected
 
 
 def _frame_result(dim, rank_c, d_b, seed):
@@ -514,46 +507,30 @@ def test_public_recovery_is_the_builder_plus_its_two_certificates(dims):
         built, dec, 1e-9).kraus[0].tobytes()
 
 
-def test_step_3_peak_memory_at_the_ucc_complement_block(monkeypatch):
+def test_step_3_peak_memory_at_the_ucc_complement_block():
     # the (1, d - 8) complement of a planted (2, 4) code at d = 128, m = 8:
-    # step 3 copies its QR input once and forms one product block of at
-    # most K n d entries (the row-group bound of certify_code_map), never
-    # the n^2 K^2 products at once (14.7 MB here).  Step 3 runs on the
-    # certificate of an equal copy of the channel, which takes the exact
-    # kernel; the caller's own certificate reports a bound not below it
-    import subrec.recovery as recovery
-
+    # step 3 is one reduction over the stack E_a W, so the whole
+    # construction stays at the bound of its step 5 kernel call (m + dim C
+    # = 9 columns of length d per row), on the caller's own certificate
+    # and on that of an equal copy of the channel, which runs the exact
+    # step 2 gate
     d, m = 128, 8
     n = d - 8
     ch, dec = planted_channel(2, 4, d, m, seed=1, unital=True)
     block = SubsystemDecomposition(d, 1, n, complete_isometry(dec.w, 1e-9)[:, 8:])
-    own = check_correctable(ch, block)
-    cert = check_correctable(KrausChannel(ch.kraus), block)
-    assert cert.passed
-    step_3 = []
-
-    def measured(cols, mix):
-        entry, _ = tracemalloc.get_traced_memory()
-        tracemalloc.reset_peak()
-        value = remix_residual(cols, mix)
-        step_3.append(tracemalloc.get_traced_memory()[1] - entry)
-        return value
-
-    monkeypatch.setattr(recovery, "remix_residual", measured)
-    tracemalloc.start()
-    try:
-        res = construct_recovery(ch, block, cert)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    results = []
+    for cert in (check_correctable(ch, block), check_correctable(KrausChannel(ch.kraus), block)):
+        assert cert.passed
+        tracemalloc.start()
+        try:
+            results.append(construct_recovery(ch, block, cert))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * (m + 1 + min(d, m + 1)) * n * d * 16
+    own, res = results
     assert res.g_action_residual < 1e-12 and res.residual < 1e-10
-    qr_input = n * d * m * 16
-    k_rows = min(d, m)
-    assert step_3[0] < 2 * qr_input + k_rows * n * d * 16
-    # the whole construction stays at the bound of its step 5 kernel call
-    # (m + dim C = 9 columns of length d per row)
-    assert peak < 3 * (m + 1 + min(d, m + 1)) * n * d * 16
-    assert construct_recovery(ch, block, own).g_action_residual >= res.g_action_residual
+    assert own.g_action_residual == res.g_action_residual
 
 
 def _gate_row_by_row(ch, dec, cert):

@@ -1,18 +1,21 @@
-"""The step 2 and step 3 bounds of the recovery builder against its exact kernels.
+"""The step 2 and step 3 bounds of the recovery builder against its exact values.
 
 Given the caller's own correctability certificate, ``construct_recovery``
-judges the orthogonality of the remixed ranges (step 2) and reports the
-g-action mismatch (step 3) from bounds read off the certificate: F, its
-eigenbasis q and the pair residuals r_ab.  The exact kernels, the grouped
-Gram gate and ``remix_residual``, run only where a bound fails
+judges the orthogonality of the remixed ranges (step 2) by a bound read
+off the certificate: F, its eigenbasis q and the pair residuals r_ab.  The
+exact grouped Gram gate runs only where that bound fails
 ``acceptance_tol(tol, lambda_max)``, or when the certificate was made from
-other, value-equal objects.  Each case here runs both ways, with the own
-certificate and with the certificate of an equal copy of the channel, and
-checks that
+other, value-equal objects.  Step 3 reports the bound
+||q q^dag - I||_F max_k ||E(k)||_F^2 on every path.  Each case here runs
+both ways, with the own certificate and with the certificate of an equal
+copy of the channel, and checks that
 
-* every reported value is at least the exact kernel's;
-* where a bound fails, the value is the exact one bit for bit, and where it
-  passes, it is the bound written out below;
+* the step 2 value is at least the exact gate's; where the bound fails,
+  it is the exact one bit for bit, and where it passes, it is the bound
+  written out below;
+* the step 3 value is the bound written out below, the same bits both
+  ways, and not below the written-out definition wherever q is scaled off
+  unitarity;
 * both runs raise the same error, or return the same operators bit for bit.
 """
 
@@ -24,19 +27,24 @@ from hypothesis import strategies as st
 import subrec.recovery as recovery
 from subrec import (DemoSpec, KrausChannel, SubsystemDecomposition, check_correctable,
                     construct_recovery, demo_build, planted_channel)
+from subrec.cli import main
+from subrec.errors import NotPartialIsometry
+from subrec.io import canonical_dumps, channel_to_json, subsystem_to_json
 from subrec.linalg import acceptance_tol, complete_isometry, dagger, strict_tol
 from subrec.random_ops import haar_unitary
+
+from oracles import remix_mismatch
 
 
 def _bounds(ch, dec, cert, tol):
     # the two bounds written out from the certificate, on the builder's
     # eigenbasis q of F: with Λ = diag(max(λ, 0)), ||r|| the root sum of
-    # squares of the pair residuals and the rounding allowance
-    # ρ = (d + m d_A) eps,
+    # squares of the pair residuals, the rounding allowance
+    # ρ = (d + m d_A) eps and E(k) the columns E_a W(|i> (x) |k>),
     #   step 2: sqrt(d_B) ||q^dag F q - Λ||_F
     #           + (1 + ||q^dag q - I||_F) (||r|| + ρ d_B Σ|λ|),
-    #   step 3: ||q q^dag - I||_F (||F||_2 + ||r||) (1 + ρ),
-    # both judged at acceptance_tol(tol, λ_max)
+    #           judged at acceptance_tol(λ_max),
+    #   step 3: ||q q^dag - I||_F max_k ||E(k)||_F^2
     f = cert.f_matrix
     lam, q = recovery._diagonalize_f(f, tol)
     size = len(lam)
@@ -45,7 +53,9 @@ def _bounds(ch, dec, cert, tol):
     step_2 = (np.sqrt(dec.d_b) * np.linalg.norm(dagger(q) @ f @ q - np.diag(np.maximum(lam, 0)))
               + (1 + np.linalg.norm(dagger(q) @ q - np.eye(size)))
               * (r + rho * dec.d_b * np.sum(np.abs(lam))))
-    step_3 = np.linalg.norm(q @ dagger(q) - np.eye(size)) * (np.max(np.abs(lam)) + r) * (1 + rho)
+    ew = (np.asarray(ch.kraus) @ dec.w).reshape(ch.m, ch.dim, dec.d_a, dec.d_b)
+    blocks = max(np.linalg.norm(ew[..., k]) ** 2 for k in range(dec.d_b))
+    step_3 = np.linalg.norm(q @ dagger(q) - np.eye(size)) * blocks
     return step_2, step_3, acceptance_tol(tol, lam[0])
 
 
@@ -68,13 +78,13 @@ def _assert_sound(ch, dec, tol=1e-9):
         assert own is exact
         return own
     step_2, step_3, gate = _bounds(ch, dec, cert, tol)
-    for name, bound in (("orthogonality_residual", step_2), ("g_action_residual", step_3)):
-        got, want = getattr(own, name), getattr(exact, name)
-        assert got >= want, name
-        if bound <= gate:
-            assert got == pytest.approx(bound, rel=1e-12, abs=1e-300), name
-        else:
-            assert got == want, name
+    assert own.orthogonality_residual >= exact.orthogonality_residual
+    if step_2 <= gate:
+        assert own.orthogonality_residual == pytest.approx(step_2, rel=1e-12, abs=1e-300)
+    else:
+        assert own.orthogonality_residual == exact.orthogonality_residual
+    assert own.g_action_residual == exact.g_action_residual
+    assert own.g_action_residual == pytest.approx(step_3, rel=1e-12, abs=1e-300)
     assert own.u_recovery.tobytes() == exact.u_recovery.tobytes()
     assert own.c_subsystem.w.tobytes() == exact.c_subsystem.w.tobytes()
     assert [k.tobytes() for k in own.f_ca_kraus] == [k.tobytes() for k in exact.f_ca_kraus]
@@ -141,6 +151,28 @@ def test_kicked_channels_raise_where_the_exact_gate_raises(log_kick, seed, tol, 
     _assert_sound(ch, dec, tol)
 
 
+def test_more_live_columns_than_the_dimension_raise_not_partial_isometry():
+    # check_correctable passes at tol = 1e-6, but step 4's closed-form images
+    # are 12 live columns in d = 10: the completion names the failure
+    ch, dec = _large_off_code(0, 5.6e-4, 0.01)
+    cert = check_correctable(ch, dec, tol=1e-6)
+    assert cert.passed
+    with pytest.raises(NotPartialIsometry, match="12 columns"):
+        construct_recovery(ch, dec, cert, tol=1e-6)
+
+
+def test_cli_recover_of_more_live_columns_than_the_dimension_exits_1(tmp_path, capsys):
+    ch, dec = _large_off_code(0, 5.6e-4, 0.01)
+    ch_file, dec_file = tmp_path / "ch.json", tmp_path / "dec.json"
+    ch_file.write_text(canonical_dumps(channel_to_json(ch)))
+    dec_file.write_text(canonical_dumps(subsystem_to_json(dec)))
+    code = main(["recover", "--channel", str(ch_file), "--subsystem", str(dec_file),
+                 "--no-tp-check", "--tolerance", "1e-6"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "NotPartialIsometry" in err and "Traceback" not in err
+
+
 def _orthogonal_ranges(seed):
     # Kraus operators sqrt(p_a) V S^a W_0 send a (1, 3) code to mutually
     # orthogonal ranges, so F = diag(p_a) has four separate blocks: the step 2
@@ -174,17 +206,22 @@ def test_scaled_remix_straddles_the_gate(log_scale, seed):
     ch, dec = _orthogonal_ranges(seed)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(recovery, "_diagonalize_f", _scaled_eigenvectors(1.0 + 10.0 ** log_scale))
-        _assert_sound(ch, dec)
+        res = _assert_sound(ch, dec)
+        if not isinstance(res, type):
+            q = recovery._diagonalize_f(check_correctable(ch, dec).f_matrix, 1e-9)[1]
+            assert res.g_action_residual >= remix_mismatch(ch, dec, dagger(q))
 
 
 def test_straddling_case_reports_the_exact_kernels():
-    # the explicit example above: both bounds fail, so the exact Gram gate
-    # runs, and passes, and remix_residual gives the step 3 value
+    # the explicit example above: both bounds fail the gate, so the exact
+    # Gram gate runs, and passes, and step 3 still reports its bound, which
+    # is not below the definition written out on the scaled q
     ch, dec = _orthogonal_ranges(0)
     cert = check_correctable(ch, dec)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(recovery, "_diagonalize_f", _scaled_eigenvectors(1.0 + 10.0 ** -7.175))
         step_2, step_3, gate = _bounds(ch, dec, cert, 1e-9)
         res = _assert_sound(ch, dec)
+        q = recovery._diagonalize_f(cert.f_matrix, 1e-9)[1]
     assert res.orthogonality_residual <= gate < min(step_2, step_3)
-    assert res.g_action_residual > strict_tol(1e-9)
+    assert res.g_action_residual >= remix_mismatch(ch, dec, dagger(q)) > strict_tol(1e-9)
