@@ -34,6 +34,9 @@ print(f"hidden algebra on dim {dim}: true pattern {pattern}, "
 
 structure = algebra_structure(hidden, seed=0)
 print(f"recovered blocks (m_k, n_k): {structure.blocks}")
+if sorted(structure.blocks) != sorted(pattern):
+    raise SystemExit(f"recovered blocks {sorted(structure.blocks)} differ from the "
+                     f"planted pattern {sorted(pattern)}")
 print(f"pattern residual: {structure.residual:.2e} "
       f"(probing seed used: {structure.seed_used})")
 

@@ -26,18 +26,20 @@ fixed-point set nor any d^2 x d^2 matrix is formed:
   multiplicity spaces into an explicit tensor basis.
 
 Every output is certified.  For a spanning set (``algebra_structure``)
-each input element must fit the block pattern, and the span must have
-dimension Σ m_k^2, which makes it the whole block algebra and so
-certifies product closure.  For a channel every generator K must fit the
-pattern P = ⊕ M_μ (x) I_ν of y and g: then A lies in P, which y, g ∈ A
-generate, so A = P and Fix = P' = ⊕ I_μ (x) M_ν, every central projector
-of P included.  The m^2 products E_b^dag E_a are fitted one Kraus row b
-at a time, as (E_b Q)^dag (E_a Q) for a >= b (an adjoint fits with the
-same residual).  ``enumerate_noiseless`` also runs ``check_noiseless`` on
-every emitted block (so the block algebra lies in Fix(E));
-``find_ucc`` certifies each block by correctability and a verified
-correction for E instead, which by the paper's theorem is the same
-property.  Degenerate draws are retried on derived seeds, each from
+y and g are drawn on the joint range of the elements and their adjoints,
+each input element must fit their block pattern P, and the span must
+have dimension Σ m_k^2 = dim P.  The span then is P, a dagger-algebra
+that holds its unit, so adjoint closure, the unit and product closure
+follow with no check of their own.  For a channel every generator K
+must fit the pattern P = ⊕ M_μ (x) I_ν of y and g: then A lies in P,
+which y, g ∈ A generate, so A = P and Fix = P' = ⊕ I_μ (x) M_ν, every
+central projector of P included.  The m^2 products E_b^dag E_a are
+fitted one Kraus row b at a time, as (E_b Q)^dag (E_a Q) for a >= b (an
+adjoint fits with the same residual).  ``enumerate_noiseless`` also
+runs ``check_noiseless`` on every emitted block (so the block algebra
+lies in Fix(E)); ``find_ucc`` certifies each block by correctability and
+a verified correction for E instead, which by the paper's theorem is the
+same property.  Degenerate draws are retried on derived seeds, each from
 longer words of span elements (a span can be more degenerate than the
 algebra it generates), before surfacing UnluckySeed.  Noiseless
 subsystems of the channel are read off the blocks of Fix with m_k > 1.
@@ -146,31 +148,6 @@ def _orthonormal_range(stack, tol):
     u, s, _ = np.linalg.svd(stack, full_matrices=False)
     rank = int(np.sum(s > strict_tol(tol, s[0] if s.size else 0.0)))
     return u[:, :rank]
-
-
-def _in_span(span, mats, tol):
-    """Whether every matrix lies in the span, each column judged alone."""
-    v = np.column_stack([vec(x) for x in mats])
-    off = np.linalg.norm(v - span @ (dagger(span) @ v), axis=0)
-    return bool(np.all(off <= strict_tol(tol, np.linalg.norm(v, axis=0))))
-
-
-def _check_algebra(basis, tol):
-    """Check adjoint and unit closure; return the orthonormal span basis
-    (vectorized, d^2 x n) and an orthonormal basis of the unit's support."""
-    span = _orthonormal_range(np.column_stack([vec(x) for x in basis]), tol)
-    ok_tol = acceptance_tol(tol)
-    if not _in_span(span, [dagger(x) for x in basis], ok_tol):
-        raise NotAnAlgebra("basis span is not closed under adjoints")
-    support = _orthonormal_range(np.hstack(basis), tol)
-    unit = support @ dagger(support)
-    if not _in_span(span, [unit], ok_tol):
-        raise NotAnAlgebra("support projector does not act as a unit inside the span")
-    for x in basis:
-        cut = strict_tol(ok_tol, frobenius(x))
-        if not (frobenius(unit @ x - x) <= cut and frobenius(x @ unit - x) <= cut):
-            raise NotAnAlgebra("support projector does not act as a unit on the basis")
-    return span, support
 
 
 class _RetryProbe(Exception):
@@ -318,11 +295,11 @@ def _pattern_residual(t, blocks, offsets):
     return float(np.max(np.linalg.norm(t, axis=(1, 2)) / scale))  # a NaN stays NaN
 
 
-def _probe(draw, fit, support, seed, tol):
-    """The retry loop of every caller: ``(structure, reasons)``, with
-    ``structure`` None when every seed was degenerate.  Attempt i draws
-    from words of up to i + 1 elements of the span (see
-    :func:`_draw_words`)."""
+def _probe(draw, fit, support, seed, tol, what):
+    """The retry loop of every caller: the certified structure of the first
+    seed whose probe fits, or UnluckySeed (``what`` probing failed) listing
+    each seed's reason.  Attempt i draws from words of up to i + 1 elements
+    of the span (see :func:`_draw_words`)."""
     reasons = []
     for attempt in range(_ATTEMPTS):
         rng = np.random.default_rng(seed + attempt)
@@ -332,8 +309,8 @@ def _probe(draw, fit, support, seed, tol):
         except _RetryProbe as exc:
             reasons.append(f"seed {seed + attempt}: {exc}")
             continue
-        return AlgebraStructure(blocks, q, offsets, residual, seed + attempt), reasons
-    return None, reasons
+        return AlgebraStructure(blocks, q, offsets, residual, seed + attempt)
+    raise UnluckySeed(f"{what} probing failed after {_ATTEMPTS} seeds: {'; '.join(reasons)}")
 
 
 def algebra_structure(basis, seed: int = 0, tol: float = DEFAULT_TOL) -> AlgebraStructure:
@@ -352,36 +329,31 @@ def algebra_structure(basis, seed: int = 0, tol: float = DEFAULT_TOL) -> Algebra
     Raises
     ------
     NotAnAlgebra
-        If the adjoint or unit checks fail, or the span is not product
-        closed: smaller than the block algebra that contains it, or, when
-        no probe fits, missing the product of two random elements.
+        If the basis is empty, or its span is smaller than the block
+        algebra ⊕ M_{m_k} (x) I_{n_k} that every element fits: then the
+        span misses an adjoint, a product or the unit of that algebra.
     UnluckySeed
-        If probing stayed degenerate for five consecutive seeds.
+        If probing stayed degenerate for five consecutive seeds, among
+        them any span that fits no block pattern two of its random
+        elements show.
     """
     basis = [np.asarray(x, dtype=complex) for x in basis]
     if not basis:
         raise NotAnAlgebra("empty basis")
-    span, support = _check_algebra(basis, tol)
+    # the unit of the algebra that the basis generates projects onto the
+    # ranges of its elements and of their adjoints
+    support = _orthonormal_range(np.hstack(basis + [dagger(x) for x in basis]), tol)
     cbasis = [dagger(support) @ x @ support for x in basis]
-
-    structure, reasons = _probe(functools.partial(_draw_from_span, cbasis),
-                                functools.partial(_fit_congruence, np.asarray(basis)),
-                                support, seed, tol)
-    if structure is not None:
-        # the basis lies in ⊕ M_{m_k} (x) I_{n_k}; spanning all of it
-        # means the span is that algebra, hence product closed
-        if span.shape[1] != sum(m * m for m, _ in structure.blocks):
-            raise NotAnAlgebra(f"basis span is not closed under products: dimension "
-                               f"{span.shape[1]} inside the block algebra of "
-                               f"{structure.blocks}")
-        return structure
-    # a span that no probe could fit is usually not product closed; the
-    # product of two random elements then leaves it with probability 1
-    rng = np.random.default_rng(seed)
-    x, y = _draw_words(functools.partial(_draw_from_span, basis), rng, 1)
-    if not _in_span(span, [x @ y], acceptance_tol(tol)):
-        raise NotAnAlgebra("basis span is not closed under products")
-    raise UnluckySeed(f"algebra probing failed after {_ATTEMPTS} seeds: {'; '.join(reasons)}")
+    structure = _probe(functools.partial(_draw_from_span, cbasis),
+                       functools.partial(_fit_congruence, np.asarray(basis)),
+                       support, seed, tol, "algebra")
+    # the basis lies in the pattern P = ⊕ M_{m_k} (x) I_{n_k}; spanning all of
+    # it means the span is P, a dagger-algebra that holds its unit
+    dim = _orthonormal_range(np.column_stack([vec(x) for x in basis]), tol).shape[1]
+    if dim != sum(m * m for m, _ in structure.blocks):
+        raise NotAnAlgebra(f"basis span is not closed under adjoints or products: "
+                           f"dimension {dim} inside the block algebra of {structure.blocks}")
+    return structure
 
 
 def _require_unital_tp(ch: KrausChannel, what: str) -> None:
@@ -411,11 +383,8 @@ def _noiseless_blocks(ch: KrausChannel, draw, fit, seed: int, tol: float):
     check.
     """
     ops = np.asarray(ch.kraus)
-    found, reasons = _probe(functools.partial(draw, ops), functools.partial(fit, ops),
-                            None, seed, tol)
-    if found is None:
-        raise UnluckySeed(f"interaction-algebra probing failed after {_ATTEMPTS} seeds: "
-                          f"{'; '.join(reasons)}")
+    found = _probe(functools.partial(draw, ops), functools.partial(fit, ops), None, seed, tol,
+                   "interaction-algebra")
 
     dim = ch.dim
     blocks, cols, subsystems = [], [], []

@@ -291,9 +291,6 @@ def _run_demo(args) -> int:
     else:
         print(payload)
     if args.out_subsystem:
-        if dec is None:
-            print(f"demo '{args.name}' has no candidate subsystem", file=sys.stderr)
-            return EXIT_ERROR
         with open(args.out_subsystem, "w", encoding="utf-8") as fh:
             fh.write(canonical_dumps(subsystem_to_json(dec)))
             fh.write("\n")

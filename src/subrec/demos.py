@@ -139,7 +139,7 @@ def planted_channel(d_a: int, d_b: int, dim: int, n_kraus: int, seed=None,
 
 
 def demo_build(spec: DemoSpec):
-    """Build a demo channel; returns (channel, candidate decomposition or None)."""
+    """Build a demo channel; returns (channel, candidate decomposition)."""
     if spec.name == "phase-flip":
         return _phase_flip(spec.p)
     if spec.name == "binary-unitary":

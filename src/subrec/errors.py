@@ -60,7 +60,7 @@ class CertificateMismatch(SubrecError, ValueError):
 
 
 class NumericalDegeneracy(SubrecError, RuntimeError):
-    """Orthogonality of the modified Kraus ranges fails beyond tolerance."""
+    """The recovery of a loosely accepted certificate fails beyond tolerance."""
 
 
 class PreconditionViolated(SubrecError, ValueError):

@@ -83,7 +83,8 @@ import numpy as np
 
 from .channel import KrausChannel
 from .correctability import CorrectabilityCertificate
-from .errors import CertificateMismatch, NotTracePreserving, NumericalDegeneracy
+from .errors import (CertificateMismatch, NotPartialIsometry, NotTracePreserving,
+                     NumericalDegeneracy)
 from .linalg import (DEFAULT_TOL, _canonicalize_eigenvectors, _sorted_eigh, acceptance_tol,
                      complete_isometry, dagger, frobenius, strict_tol)
 from .subsystem import SubsystemDecomposition, _row_group, certify_code_map
@@ -250,7 +251,13 @@ def _build_recovery(ch: KrausChannel, dec: SubsystemDecomposition,
     v_cb = (g_cols[live] / np.sqrt(lam[live])[:, None, None]).transpose(1, 0, 2).reshape(d, -1)
     n_cb = v_cb.shape[1]
     rank_c = n_cb // d_b
-    u_recovery = dagger(complete_isometry(v_cb, tol))
+    try:
+        u_recovery = dagger(complete_isometry(v_cb, tol))
+    except NotPartialIsometry as exc:
+        # the step 2 gate is absolute, so small live eigenvalues of F can pass
+        # it and still leave these images far from an isometry
+        raise NumericalDegeneracy(f"recovery images do not complete to a unitary: {exc}; "
+                                  "certificate tolerance too loose") from exc
 
     # C (x) B embedding: the injection uses the first rank_c * d_B
     # standard basis vectors in (a, l, k) lexicographic order.
@@ -280,8 +287,9 @@ def construct_recovery(ch: KrausChannel, dec: SubsystemDecomposition,
     NumericalDegeneracy
         If the ranges of the modified Kraus operators fail to be
         orthogonal beyond ``acceptance_tol(tol, lambda_max)``, by the
-        exact Gram gate, indicating a certificate accepted at too loose a
-        tolerance.
+        exact Gram gate, or their normalized images on the code do not
+        complete to a unitary; either indicates a certificate accepted at
+        too loose a tolerance.
     """
     built = _build_recovery(ch, dec, cert, tol)
     d_a, d_b = dec.d_a, dec.d_b

@@ -76,7 +76,6 @@ class UccReport:
     rank_diagnostics: list[tuple[int, int]]
     contradictions: list[InternalContradiction] = field(default_factory=list)
     structure: AlgebraStructure | None = None
-    seed: int = 0
 
 
 def find_ucc(ch: KrausChannel, seed: int = 0, tol: float = DEFAULT_TOL) -> UccReport:
@@ -101,18 +100,16 @@ def find_ucc(ch: KrausChannel, seed: int = 0, tol: float = DEFAULT_TOL) -> UccRe
 
     report = UccReport(
         subsystems=[], classical_sectors=list(structure.classical_sectors),
-        rank_diagnostics=[], structure=structure, seed=seed)
+        rank_diagnostics=[], structure=structure)
 
     for dec in candidates:
         cert = check_correctable(ch, dec, tol=tol)
-        # (rank E(P_AB), rank P_AB) from the Gram matrices of X = [E_a W]_a
-        # (the certificate's stack) and of W, the smaller side of each:
-        # E(P_AB) = X X^dag and P_AB = W W^dag have the same nonzero spectra
-        # as X^dag X and W^dag W
+        # (rank E(P_AB), rank P_AB): E(P_AB) = X X^dag for X = [E_a W]_a (the
+        # certificate's stack) has the nonzero spectrum of the smaller Gram
+        # matrix, and P_AB = W W^dag has rank d_A d_B, W being a certified isometry
         x = cert.code_kraus.transpose(1, 0, 2).reshape(ch.dim, -1)
         gram = dagger(x) @ x if x.shape[1] < ch.dim else x @ dagger(x)
-        report.rank_diagnostics.append(
-            (numeric_rank(gram, tol), numeric_rank(dagger(dec.w) @ dec.w, tol)))
+        report.rank_diagnostics.append((numeric_rank(gram, tol), dec.d_a * dec.d_b))
 
         if not cert.passed:
             report.contradictions.append(InternalContradiction(

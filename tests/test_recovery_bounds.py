@@ -28,7 +28,7 @@ import subrec.recovery as recovery
 from subrec import (DemoSpec, KrausChannel, SubsystemDecomposition, check_correctable,
                     construct_recovery, demo_build, planted_channel)
 from subrec.cli import main
-from subrec.errors import NotPartialIsometry
+from subrec.errors import NotPartialIsometry, NumericalDegeneracy
 from subrec.io import canonical_dumps, channel_to_json, subsystem_to_json
 from subrec.linalg import acceptance_tol, complete_isometry, dagger, strict_tol
 from subrec.random_ops import haar_unitary
@@ -151,14 +151,16 @@ def test_kicked_channels_raise_where_the_exact_gate_raises(log_kick, seed, tol, 
     _assert_sound(ch, dec, tol)
 
 
-def test_more_live_columns_than_the_dimension_raise_not_partial_isometry():
+def test_more_live_columns_than_the_dimension_raise_numerical_degeneracy():
     # check_correctable passes at tol = 1e-6, but step 4's closed-form images
-    # are 12 live columns in d = 10: the completion names the failure
+    # are 12 live columns in d = 10: the loose certificate is named, with the
+    # completion's failure chained
     ch, dec = _large_off_code(0, 5.6e-4, 0.01)
     cert = check_correctable(ch, dec, tol=1e-6)
     assert cert.passed
-    with pytest.raises(NotPartialIsometry, match="12 columns"):
+    with pytest.raises(NumericalDegeneracy, match="12 columns") as info:
         construct_recovery(ch, dec, cert, tol=1e-6)
+    assert isinstance(info.value.__cause__, NotPartialIsometry)
 
 
 def test_cli_recover_of_more_live_columns_than_the_dimension_exits_1(tmp_path, capsys):
@@ -170,7 +172,7 @@ def test_cli_recover_of_more_live_columns_than_the_dimension_exits_1(tmp_path, c
                  "--no-tp-check", "--tolerance", "1e-6"])
     err = capsys.readouterr().err
     assert code == 1
-    assert "NotPartialIsometry" in err and "Traceback" not in err
+    assert "NumericalDegeneracy" in err and "Traceback" not in err
 
 
 def _orthogonal_ranges(seed):

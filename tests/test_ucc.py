@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,8 @@ from subrec import (
     recovery_to_correction,
     verify_correction,
 )
+from subrec.cli import main
+from subrec.io import canonical_dumps, channel_to_json
 from subrec.linalg import acceptance_tol, dagger, numeric_rank, operator_basis
 from subrec.random_ops import haar_isometry, haar_unitary, random_channel, random_unital_channel
 
@@ -120,6 +124,65 @@ def test_ucc_completeness_on_planted(seed):
         if leak < 1e-7:
             found = True
     assert found
+
+
+def _force_contradiction(monkeypatch, stage):
+    # every candidate fails one later stage: the recovery reports an output
+    # subsystem C one dimension larger than A, or the verified correction
+    # residual lies above its threshold
+    import subrec.ucc as ucc
+
+    build, verify = ucc._build_recovery, ucc.verify_correction
+
+    def wider_c(ch, dec, cert, tol):
+        built = build(ch, dec, cert, tol)
+        n = (dec.d_a + 1) * dec.d_b
+        return built._replace(c_subsystem=SubsystemDecomposition(
+            ch.dim, dec.d_a + 1, dec.d_b, np.eye(ch.dim, n, dtype=complex)))
+
+    def above_threshold(ch, dec, correction, tol):
+        _, f_a = verify(ch, dec, correction, tol=tol)
+        return 1e-3, f_a
+
+    if stage == "rank":
+        monkeypatch.setattr(ucc, "_build_recovery", wider_c)
+    else:
+        monkeypatch.setattr(ucc, "verify_correction", above_threshold)
+
+
+CONTRADICTIONS = [("rank", "dim C = 2 differs from d_A = 1", 2.0),
+                  ("verify", "correction residual above tolerance", 1e-3)]
+
+
+@pytest.mark.parametrize("stage, detail, residual", CONTRADICTIONS)
+def test_later_stage_failures_are_reported_as_contradictions(monkeypatch, stage, detail,
+                                                             residual):
+    ch, _ = demo_build(DemoSpec(name="phase-flip", p=0.3))
+    _force_contradiction(monkeypatch, stage)
+    report = find_ucc(ch, seed=0)
+    assert report.subsystems == []
+    assert [(c.stage, c.detail, c.residual) for c in report.contradictions] \
+        == [(stage, detail, residual)] * 2
+    assert sorted(tuple(np.round(np.diagonal(c.decomposition.p_ab).real).astype(int))
+                  for c in report.contradictions) == [(0, 1, 1, 0), (1, 0, 0, 1)]
+
+
+@pytest.mark.parametrize("stage, detail, residual", CONTRADICTIONS)
+def test_cli_ucc_lists_contradictions_and_exits_2(monkeypatch, tmp_path, capsys, stage,
+                                                 detail, residual):
+    ch, _ = demo_build(DemoSpec(name="phase-flip", p=0.3))
+    ch_file = tmp_path / "ch.json"
+    ch_file.write_text(canonical_dumps(channel_to_json(ch)))
+    _force_contradiction(monkeypatch, stage)
+    assert main(["ucc", "--channel", str(ch_file)]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "unitarily correctable subsystems: 0"
+    assert lines[2:] == [f"  contradiction at {stage}: {detail}"] * 2
+    assert main(["ucc", "--channel", str(ch_file), "--format", "json"]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["subsystems"] == []
+    assert [(c["stage"], c["detail"], c["residual"]) for c in report["contradictions"]] \
+        == [(stage, detail, residual)] * 2
 
 
 def test_rank_diagnostics_present():
