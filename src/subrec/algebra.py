@@ -28,9 +28,10 @@ fixed-point set nor any d^2 x d^2 matrix is formed:
 Every output is certified.  For a spanning set (``algebra_structure``)
 y and g are drawn on the joint range of the elements and their adjoints,
 each input element must fit their block pattern P, and the span must
-have dimension Σ m_k^2 = dim P.  The span then is P, a dagger-algebra
-that holds its unit, so adjoint closure, the unit and product closure
-follow with no check of their own.  For a channel every generator K
+have dimension Σ m_k^2 = dim P; a non-finite entry (NotFinite) and a
+joint range of rank 0 (NotAnAlgebra) are refused before any draw.  The
+span then is P, a dagger-algebra that holds its unit, so adjoint
+closure, the unit and product closure follow with no check of their own.  For a channel every generator K
 must fit the pattern P = ⊕ M_μ (x) I_ν of y and g: then A lies in P,
 which y, g ∈ A generate, so A = P and Fix = P' = ⊕ I_μ (x) M_ν, every
 central projector of P included.  The m^2 products E_b^dag E_a are
@@ -39,9 +40,15 @@ adjoint fits with the same residual).  ``enumerate_noiseless`` also
 runs ``check_noiseless`` on every emitted block (so the block algebra
 lies in Fix(E)); ``find_ucc`` certifies each block by correctability and
 a verified correction for E instead, which by the paper's theorem is the
-same property.  Degenerate draws are retried on derived seeds, each from
-longer words of span elements (a span can be more degenerate than the
-algebra it generates), before surfacing UnluckySeed.  Noiseless
+same property.  The fit of the products is already that correctability
+test, block by block: block k of (E_a Q)^dag (E_b Q) is
+W_k^dag E_a^dag E_b W_k = F_ab (x) I + Δ_ab (Holbrook, Kribs & Laflamme),
+so the fit that certifies the structure also hands back, for each block
+with a multiplicity above 1, the F_ab, the remainder norms ||Δ_ab||_F
+and the stack E_a W_k, and ``find_ucc`` judges those.  Degenerate draws
+are retried on derived seeds, each from longer words of span elements (a
+span can be more degenerate than the algebra it generates), before
+surfacing UnluckySeed.  Noiseless
 subsystems of the channel are read off the blocks of Fix with m_k > 1.
 
 ``commutant`` here, and ``fixed_point_basis`` and ``to_superoperator``
@@ -189,18 +196,40 @@ def _draw_words(draw, rng, length):
 
 
 def _fit_congruence(mats, q, blocks, offsets):
-    """Worst pattern residual of q^dag X q over the stacked ``mats``."""
-    return _pattern_residual(dagger(q) @ mats @ q, blocks, offsets)
+    """Worst pattern residual of q^dag X q over the stacked ``mats``, with
+    no by-products."""
+    return _pattern_residual(dagger(q) @ mats @ q, blocks, offsets), None
 
 
 def _fit_products(ops, q, blocks, offsets):
     """Worst pattern residual of the m^2 products E_b^dag E_a, taken as
     (E_b q)^dag (E_a q) one Kraus row b at a time for a >= b: m + m(m+1)/2
     products of d x d, about 2m d^2 entries live.  E_a^dag E_b, the
-    adjoint, has the same residual."""
+    adjoint, has the same residual.
+
+    Block k of (E_a q)^dag (E_b q) is (E_a W_k)^dag (E_b W_k) for W_k the
+    block's columns of q, the compressed pair of ``check_correctable``, and
+    the fit splits it into F_ab (x) I_{n_k} and a remainder Δ_ab.  So the
+    by-products are, for each block with n_k > 1 in order, the pair data of
+    that check: the stack E_a W_k (a view into E_a q, m x d x m_k n_k), the
+    m x m x m_k x m_k array of F_ab and the m x m remainder norms
+    r_ab = ||Δ_ab||_F, the pairs with a < b taken as adjoints."""
     z = ops @ q
-    return float(np.max([_pattern_residual(dagger(z[b]) @ z[b:], blocks, offsets)
-                         for b in range(len(z))]))  # a NaN stays NaN
+    m = len(z)
+    kept = [(off, m_k, n_k) for (m_k, n_k), off in zip(blocks, offsets) if n_k > 1]
+    f_blocks = [np.empty((m, m, m_k, m_k), dtype=complex) for _, m_k, _ in kept]
+    residuals = [np.empty((m, m)) for _ in kept]
+    worst = []
+    for b in range(m):
+        parts = []
+        worst.append(_pattern_residual(dagger(z[b]) @ z[b:], blocks, offsets, parts))
+        for f_k, r_k, (x_k, r_bk) in zip(f_blocks, residuals, parts):
+            f_k[b, b:] = x_k
+            f_k[b + 1:, b] = x_k[1:].conj().transpose(0, 2, 1)
+            r_k[b, b:] = r_k[b:, b] = r_bk
+    fitted = [(z[:, :, off:off + m_k * n_k], f_k, r_k)
+              for (off, m_k, n_k), f_k, r_k in zip(kept, f_blocks, residuals)]
+    return float(np.max(worst)), fitted  # a NaN stays NaN
 
 
 def _eigenspace_blocks(y, g, tol):
@@ -277,39 +306,48 @@ def _structure_attempt(draw, fit, support, rng, length, tol):
         raise _RetryProbe("assembled basis change lost orthonormality") from None
 
     offsets = np.cumsum([0] + [m * n for m, n in blocks])[:-1].tolist()
-    residual = fit(q, blocks, offsets)
+    residual, fitted = fit(q, blocks, offsets)
     if not residual <= acceptance_tol(tol):
         raise _RetryProbe(f"pattern residual {residual:.3e}")
-    return blocks, q, offsets, residual
+    return blocks, q, offsets, residual, fitted
 
 
-def _pattern_residual(t, blocks, offsets):
+def _pattern_residual(t, blocks, offsets, parts=None):
     """Worst ||T - model|| / max(1, ||T||) over the stacked T, model the
     pattern ⊕ X_k (x) I_{n_k} (zero off the blocks) with X_k the scaled
-    partial trace of T's block; T is overwritten by T - model."""
+    partial trace of T's block; T is overwritten by T - model.  A list
+    ``parts`` receives, for each block with n_k > 1 in order, X_k and the
+    norms of that block of T - model, both stacked as T."""
     scale = np.maximum(1.0, np.linalg.norm(t, axis=(1, 2)))
     for (m_k, n_k), off in zip(blocks, offsets):
         blk = t[:, off:off + m_k * n_k, off:off + m_k * n_k]
-        x_k = np.einsum("gikjk->gij", blk.reshape(-1, m_k, n_k, m_k, n_k)) / n_k
-        blk -= (x_k[:, :, None, :, None] * np.eye(n_k)[:, None, :]).reshape(blk.shape)
+        factored = blk.reshape(-1, m_k, n_k, m_k, n_k)
+        x_k = np.einsum("gikjk->gij", factored) / n_k
+        # X_k (x) I_{n_k} is X_k on the diagonal of the I_{n_k} index, zero off it
+        diagonal = np.arange(n_k)
+        factored[:, :, diagonal, :, diagonal] -= x_k
+        if parts is not None and n_k > 1:
+            flat = blk.view(float)
+            parts.append((x_k, np.sqrt(np.einsum("gij,gij->g", flat, flat))))
     return float(np.max(np.linalg.norm(t, axis=(1, 2)) / scale))  # a NaN stays NaN
 
 
 def _probe(draw, fit, support, seed, tol, what):
     """The retry loop of every caller: the certified structure of the first
-    seed whose probe fits, or UnluckySeed (``what`` probing failed) listing
-    each seed's reason.  Attempt i draws from words of up to i + 1 elements
-    of the span (see :func:`_draw_words`)."""
+    seed whose probe fits, with the by-products of that seed's fit, or
+    UnluckySeed (``what`` probing failed) listing each seed's reason.
+    Attempt i draws from words of up to i + 1 elements of the span (see
+    :func:`_draw_words`)."""
     reasons = []
     for attempt in range(_ATTEMPTS):
         rng = np.random.default_rng(seed + attempt)
         try:
-            blocks, q, offsets, residual = _structure_attempt(draw, fit, support, rng,
-                                                              attempt + 1, tol)
+            blocks, q, offsets, residual, fitted = _structure_attempt(draw, fit, support, rng,
+                                                                      attempt + 1, tol)
         except _RetryProbe as exc:
             reasons.append(f"seed {seed + attempt}: {exc}")
             continue
-        return AlgebraStructure(blocks, q, offsets, residual, seed + attempt)
+        return AlgebraStructure(blocks, q, offsets, residual, seed + attempt), fitted
     raise UnluckySeed(f"{what} probing failed after {_ATTEMPTS} seeds: {'; '.join(reasons)}")
 
 
@@ -328,10 +366,13 @@ def algebra_structure(basis, seed: int = 0, tol: float = DEFAULT_TOL) -> Algebra
 
     Raises
     ------
+    NotFinite
+        If a basis element has a NaN or infinite entry.
     NotAnAlgebra
-        If the basis is empty, or its span is smaller than the block
-        algebra ⊕ M_{m_k} (x) I_{n_k} that every element fits: then the
-        span misses an adjoint, a product or the unit of that algebra.
+        If the basis is empty or spans only the zero matrix, or its span
+        is smaller than the block algebra ⊕ M_{m_k} (x) I_{n_k} that
+        every element fits: then the span misses an adjoint, a product or
+        the unit of that algebra.
     UnluckySeed
         If probing stayed degenerate for five consecutive seeds, among
         them any span that fits no block pattern two of its random
@@ -340,13 +381,18 @@ def algebra_structure(basis, seed: int = 0, tol: float = DEFAULT_TOL) -> Algebra
     basis = [np.asarray(x, dtype=complex) for x in basis]
     if not basis:
         raise NotAnAlgebra("empty basis")
+    if not all(np.all(np.isfinite(x)) for x in basis):
+        raise NotFinite("algebra basis has a non-finite entry")
     # the unit of the algebra that the basis generates projects onto the
     # ranges of its elements and of their adjoints
     support = _orthonormal_range(np.hstack(basis + [dagger(x) for x in basis]), tol)
+    if not support.shape[1]:
+        raise NotAnAlgebra("basis spans only the zero matrix, which has no unit projector "
+                           "to decompose")
     cbasis = [dagger(support) @ x @ support for x in basis]
-    structure = _probe(functools.partial(_draw_from_span, cbasis),
-                       functools.partial(_fit_congruence, np.asarray(basis)),
-                       support, seed, tol, "algebra")
+    structure, _ = _probe(functools.partial(_draw_from_span, cbasis),
+                          functools.partial(_fit_congruence, np.asarray(basis)),
+                          support, seed, tol, "algebra")
     # the basis lies in the pattern P = ⊕ M_{m_k} (x) I_{n_k}; spanning all of
     # it means the span is P, a dagger-algebra that holds its unit
     dim = _orthonormal_range(np.column_stack([vec(x) for x in basis]), tol).shape[1]
@@ -380,11 +426,12 @@ def _noiseless_blocks(ch: KrausChannel, draw, fit, seed: int, tol: float):
     also returns the subsystem decomposition with d_A = μ and d_B = ν,
     whose W (the block's columns of the interaction algebra's basis
     change, A-major as they stand) passes the ``strict_tol`` isometry
-    check.
+    check.  Third, the by-products of the fit that certified the
+    structure, as ``fit`` returned them.
     """
     ops = np.asarray(ch.kraus)
-    found = _probe(functools.partial(draw, ops), functools.partial(fit, ops), None, seed, tol,
-                   "interaction-algebra")
+    found, fitted = _probe(functools.partial(draw, ops), functools.partial(fit, ops), None,
+                           seed, tol, "interaction-algebra")
 
     dim = ch.dim
     blocks, cols, subsystems = [], [], []
@@ -401,7 +448,7 @@ def _noiseless_blocks(ch: KrausChannel, draw, fit, seed: int, tol: float):
             raise UnluckySeed(f"emitted block (m={nu}, n={mu}): {exc}") from exc
     structure = AlgebraStructure(blocks, np.hstack(cols), found.offsets, found.residual,
                                  found.seed_used)
-    return structure, subsystems
+    return structure, subsystems, fitted
 
 
 def enumerate_noiseless(ch: KrausChannel, seed: int = 0,
@@ -430,7 +477,8 @@ def enumerate_noiseless(ch: KrausChannel, seed: int = 0,
         ``strict_tol``, or a certificate failed.
     """
     _require_unital_tp(ch, "noiseless-subsystem enumeration")
-    structure, candidates = _noiseless_blocks(ch, _draw_from_span, _fit_congruence, seed, tol)
+    structure, candidates, _ = _noiseless_blocks(ch, _draw_from_span, _fit_congruence, seed,
+                                                 tol)
     residuals = []
     for dec in candidates:
         verdict = check_noiseless(ch, dec, tol=tol)

@@ -138,12 +138,23 @@ def check_correctable(ch: KrausChannel, dec: SubsystemDecomposition,
         delta[:, :, :, diagonal, :, diagonal] -= f_blocks[rows]
         flat = delta.reshape(-1, n * n).view(float)
         residuals[rows] = np.sqrt(np.einsum("px,px->p", flat, flat)).reshape(-1, m)
+    return _verdict(ch, dec, kw, f_blocks, residuals, tol)[0]
+
+
+def _verdict(ch: KrausChannel, dec: SubsystemDecomposition, kw: np.ndarray,
+             f_blocks: np.ndarray, residuals: np.ndarray, tol: float):
+    """The verdict of :func:`check_correctable` on its pair data: the stack
+    E_a W, the m x m x d_A x d_A array of the F_ab and the m x m remainder
+    norms r_ab = ||Δ_ab||_F of the compressed pairs, wherever they were
+    formed.  Returns the certificate and F's eigenvalues, ascending (one
+    NaN for a non-finite F)."""
+    m, d_a, d_b, n = ch.m, dec.d_a, dec.d_b, dec.d_a * dec.d_b
     # a pair within tol passes at any ||E_a^dag E_b||_F, since the threshold
     # is tol max(1, ||E_a^dag E_b||_F): the norms run only when some pair (or
     # a NaN) is not within tol
     all_ok = bool(np.all(residuals <= tol))
     if not all_ok:
-        all_ok = bool(np.all(residuals <= strict_tol(tol, _pair_norms(kraus))))
+        all_ok = bool(np.all(residuals <= strict_tol(tol, _pair_norms(np.asarray(ch.kraus)))))
 
     cert = CorrectabilityCertificate(
         passed=all_ok, f_blocks=f_blocks, residual=float(np.max(residuals)),
@@ -158,7 +169,7 @@ def check_correctable(ch: KrausChannel, dec: SubsystemDecomposition,
         cert.passed = False
 
     if not cert.passed:
-        return cert
+        return cert, eigs
 
     # G_A from Kraus {F_ab}: these are exactly the Kraus operators of the
     # compressed map, so the identity below tests the tensor-factor
@@ -179,13 +190,13 @@ def check_correctable(ch: KrausChannel, dec: SubsystemDecomposition,
     bound = float(np.sum(residuals * (2.0 * f_norms + residuals)))
     if bound <= threshold:
         cert.g_a_residual = bound
-        return cert
+        return cert, eigs
     pairs = (kw.conj().transpose(0, 2, 1)[:, None] @ kw[None]).reshape(m * m, n, n)
     worst = certify_code_map(pairs, d_a, d_b, superop=g_a).residual
     cert.g_a_residual = worst
     if not worst <= threshold:
         cert.passed = False
-    return cert
+    return cert, eigs
 
 
 def _pair_norms(kraus: np.ndarray) -> np.ndarray:

@@ -21,17 +21,18 @@ numeric_rank(m, tol)         tol s_max                        1e-9 s_max        
 
 [1] inputs (Hermitian, projector, polar factor, TP, unital, W) and
 certificates (factorization, F >= 0, G_A identity, noiseless, spans,
-``channels_equal``); [2] assembled results: the G_a orthogonality gate
-(s = lambda_max of F, judged on its bound from the pair residuals, and on
-the exact Gram blocks where that bound exceeds it), the unitarity of
-every completion (s = d), algebra closure and the pattern fit of every
-check element or generator, the correction's TP defect (s = √d), the UCC
-correction;
+``channels_equal``), and the live eigenvalues of F (s = lambda_max)
+that set dim C and ``find_ucc``'s rank diagnostics; [2] assembled
+results: the G_a orthogonality gate (s = lambda_max of F, judged on its
+bound from the pair residuals, and on the exact Gram blocks where that
+bound exceeds it), the unitarity of every completion (s = d), algebra
+closure and the pattern fit of every check element or generator, the
+correction's TP defect (s = √d), the UCC correction;
 [3] ``algebra``: eigenvalue clusters, links gap ||g||, intertwiner defect
 gap max(1, c); [4] Gram-Schmidt on a projector or isometry of defect δ;
-[5] ``find_ucc``'s rank diagnostics and ``rank_support_equivalence``:
-relative to the largest singular value s_max, with no floor at 1, so a
-rank does not change with the scale of E(P_AB).
+[5] ``rank_support_equivalence``: relative to the largest singular value
+s_max, with no floor at 1, so a rank does not change with the scale of
+E(P_AB).
 Why these values: README, "Tolerance".
 """
 

@@ -349,10 +349,15 @@ def recovery_to_correction(res, dec: SubsystemDecomposition,
         kraus = [w[:, :block.shape[1]] @ dagger(block)
                  for block in (w_c[:, s:s + n] for s in range(0, n_cb, n))]
         kraus += [np.outer(w[:, 0], q) for q in u_c_dag[n_cb:]]
-    # judged, and returned, at the acceptance tolerance, so the channel's own
-    # is_trace_preserving agrees with this check
-    correction = KrausChannel([k @ res.u_recovery for k in kraus], require_tp=False,
-                              tol=acceptance_tol(tol))
+    return _checked_correction([k @ res.u_recovery for k in kraus], tol)
+
+
+def _checked_correction(kraus, tol: float) -> KrausChannel:
+    """The correction channel with Kraus operators ``kraus``, judged, and
+    returned, at the acceptance tolerance, so the channel's own
+    ``is_trace_preserving`` agrees with this check; NotTracePreserving if
+    it fails."""
+    correction = KrausChannel(kraus, require_tp=False, tol=acceptance_tol(tol))
     if not correction.is_trace_preserving:
         raise NotTracePreserving(
             f"assembled correction: sum R_a^dag R_a differs from identity by "

@@ -5,6 +5,7 @@ from subrec import (
     DemoSpec,
     KrausChannel,
     NotAnAlgebra,
+    NotFinite,
     NotUnital,
     UnluckySeed,
     algebra_structure,
@@ -106,6 +107,21 @@ def test_not_an_algebra():
     e01[0, 1] = 1.0
     with pytest.raises(NotAnAlgebra):
         algebra_structure([e01], seed=0)
+
+
+def test_zero_basis_is_not_an_algebra():
+    # the support has rank 0, so there is no unit projector to decompose
+    with pytest.raises(NotAnAlgebra, match="only the zero matrix"):
+        algebra_structure([np.zeros((2, 2))], seed=0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_basis_raises_not_finite(bad):
+    # judged before the support SVD, which would not converge on a NaN
+    x = np.eye(2, dtype=complex)
+    x[0, 1] = bad
+    with pytest.raises(NotFinite):
+        algebra_structure([np.eye(2), x], seed=0)
 
 
 def test_noiseless_identity_channel_is_full_space():

@@ -269,8 +269,8 @@ def test_grouped_fit_agrees_with_the_stacked_composition(dim, m):
                            for (m_k, n), off in zip(structure.blocks, structure.offsets)])
         for q, blocks in ((q_alg, alg_blocks), (haar_unitary(dim, seed=seed), [(1, dim)])):
             offsets = np.cumsum([0] + [a * b for a, b in blocks])[:-1].tolist()
-            lazy = algebra._fit_products(ops, q, blocks, offsets)
-            reference = algebra._fit_congruence(stacked, q, blocks, offsets)
+            lazy, _ = algebra._fit_products(ops, q, blocks, offsets)
+            reference, _ = algebra._fit_congruence(stacked, q, blocks, offsets)
             assert abs(lazy - reference) <= 1e-13 * max(1.0, reference)
 
 

@@ -22,7 +22,7 @@ from subrec import (
     verify_correction,
 )
 from subrec.cli import main
-from subrec.io import canonical_dumps, channel_to_json
+from subrec.io import canonical_dumps, channel_to_json, subsystem_to_json
 from subrec.linalg import acceptance_tol, dagger, numeric_rank, operator_basis
 from subrec.random_ops import haar_isometry, haar_unitary, random_channel, random_unital_channel
 
@@ -273,8 +273,8 @@ def _public_chain(ch, seed=0, tol=1e-9):
     # -> verify_correction, every recovery certificate computed
     import subrec.algebra as algebra
 
-    _, candidates = algebra._noiseless_blocks(ch, algebra._draw_from_products,
-                                              algebra._fit_products, seed, tol)
+    _, candidates, _ = algebra._noiseless_blocks(ch, algebra._draw_from_products,
+                                                 algebra._fit_products, seed, tol)
     found, ranks, contradictions = [], [], []
     for dec in candidates:
         ranks.append((numeric_rank(ch.apply(dec.p_ab), tol), numeric_rank(dec.p_ab, tol)))
@@ -318,34 +318,116 @@ def _collective_rotation(n_qubits, thetas=(0.7, 1.1, 0.4)):
     return KrausChannel(kraus)
 
 
-@pytest.mark.parametrize("make, blocks, n_contradictions", [
-    (lambda: planted_channel(2, 2, 12, 3, seed=3, unital=True)[0], [(1, 8), (2, 2)], 0),
-    (lambda: planted_channel(2, 3, 30, 2, seed=4, unital=True)[0], [(1, 3), (1, 3), (1, 24)], 0),
-    (lambda: planted_channel(4, 8, 40, 3, seed=5, unital=True)[0], [(1, 8), (4, 8)], 0),
-    (lambda: random_unital_channel(3, 1, seed=1), [(1, 3)], 0),
-    (lambda: random_unital_channel(6, 3, seed=4), [], 0),
-    (lambda: _collective_rotation(4), [(1, 2), (3, 3)], 0),
-    (lambda: _near_ucc(0), [], 3),
-], ids=["planted-12", "planted-30", "planted-40", "unitary-3", "unital-6", "collective-4",
-        "near-ucc-8"])
+# name: (channel, sorted reported (d_A, d_B), number of contradictions)
+CHAIN_CASES = {
+    "planted-12": (lambda: planted_channel(2, 2, 12, 3, seed=3, unital=True)[0],
+                   [(1, 8), (2, 2)], 0),
+    "planted-30": (lambda: planted_channel(2, 3, 30, 2, seed=4, unital=True)[0],
+                   [(1, 3), (1, 3), (1, 24)], 0),
+    "planted-40": (lambda: planted_channel(4, 8, 40, 3, seed=5, unital=True)[0],
+                   [(1, 8), (4, 8)], 0),
+    "unitary-3": (lambda: random_unital_channel(3, 1, seed=1), [(1, 3)], 0),
+    "unital-6": (lambda: random_unital_channel(6, 3, seed=4), [], 0),
+    "collective-4": (lambda: _collective_rotation(4), [(1, 2), (3, 3)], 0),
+    "near-ucc-8": (lambda: _near_ucc(0), [], 3),
+}
+
+
+@pytest.mark.parametrize("make, blocks, n_contradictions", list(CHAIN_CASES.values()),
+                         ids=list(CHAIN_CASES))
 def test_find_ucc_matches_the_public_chain_bit_for_bit(make, blocks, n_contradictions):
-    # find_ucc builds each recovery without its step 3 and step 5
-    # certificates and pairs the frames from the unitary alone: nothing it
-    # reports may differ from the chain that computes them
+    # find_ucc reads each certificate off the probe's fit, the rank off F and
+    # completes W by the other columns of the probe's Q: it must find the very
+    # blocks of the public chain, bit for bit, with its contradiction stages
+    # and rank integers, and a correction that agrees with the chain's on the
+    # images E_a W of the code (off them the two completions differ)
     ch = make()
+    tol = 1e-9
+    report = find_ucc(ch, seed=0, tol=tol)
+    assert sorted((s.decomposition.d_a, s.decomposition.d_b) for s in report.subsystems) \
+        == blocks
+    assert len(report.contradictions) == n_contradictions
+    found, ranks, contradictions = _public_chain(ch, tol=tol)
+    assert report.rank_diagnostics == ranks
+    assert [c.stage for c in report.contradictions] == [stage for stage, _ in contradictions]
+    for c, (_, residual) in zip(report.contradictions, contradictions):
+        assert abs(c.residual - residual) <= 1e-12 * abs(residual)
+    assert len(report.subsystems) == len(found)
+    kraus = np.asarray(ch.kraus)
+    for entry, (w, u_corr, _, _) in zip(report.subsystems, found):
+        dec = entry.decomposition
+        assert np.array_equal(dec.w, w)
+        assert max(np.linalg.norm((entry.u_correction - u_corr) @ k @ w) for k in kraus) \
+            <= acceptance_tol(tol)
+        residual, f_a = verify_correction(ch, dec, KrausChannel([entry.u_correction]), tol=tol)
+        assert residual <= acceptance_tol(tol)
+        assert (residual, f_a.tobytes()) == (entry.residual, entry.f_a_superop.tobytes())
+
+
+def _spy(monkeypatch, *functions):
+    """Count the calls of each function through every subrec module that binds it."""
+    import sys
+
+    calls = {f.__name__: 0 for f in functions}
+
+    def counting(f):
+        def wrapper(*args, **kwargs):
+            calls[f.__name__] += 1
+            return f(*args, **kwargs)
+        return wrapper
+
+    for name, module in list(sys.modules.items()):
+        if name == "subrec" or name.startswith("subrec."):
+            for attr, value in list(vars(module).items()):
+                if any(value is f for f in functions):
+                    monkeypatch.setattr(module, attr, counting(value))
+    return calls
+
+
+@pytest.mark.parametrize("name", ["planted-12", "collective-4", "near-ucc-8"])
+def test_find_ucc_forms_no_second_pass_over_the_pairs(monkeypatch, name):
+    # the certificates come off the probe's fit, the rank off F and the
+    # correction off the probe's Q: no per-candidate check, rank SVD or completion
+    make, blocks, n_contradictions = CHAIN_CASES[name]
+    ch = make()
+    calls = _spy(monkeypatch, check_correctable, numeric_rank, recovery_to_correction)
     report = find_ucc(ch, seed=0)
     assert sorted((s.decomposition.d_a, s.decomposition.d_b) for s in report.subsystems) \
         == blocks
     assert len(report.contradictions) == n_contradictions
-    found, ranks, contradictions = _public_chain(ch)
-    assert report.rank_diagnostics == ranks
-    assert [(c.stage, c.residual) for c in report.contradictions] == contradictions
-    assert len(report.subsystems) == len(found)
-    for entry, (w, u_corr, residual, f_a) in zip(report.subsystems, found):
-        assert np.array_equal(entry.decomposition.w, w)
-        assert np.array_equal(entry.u_correction, u_corr)
-        assert entry.residual == residual
-        assert np.array_equal(entry.f_a_superop, f_a)
+    assert calls == {"check_correctable": 0, "numeric_rank": 0, "recovery_to_correction": 0}
+
+
+@pytest.mark.parametrize("name", ["planted-12", "collective-4", "near-ucc-8"])
+def test_probe_fit_hands_back_the_pair_data_of_check_correctable(name):
+    # block k of the fitted (E_a Q)^dag (E_b Q) is the compressed pair of the
+    # candidate W: its stack E_a W, F_ab and remainder norms agree with the
+    # ones check_correctable forms again, to rounding
+    import subrec.algebra as algebra
+
+    ch = CHAIN_CASES[name][0]()
+    _, candidates, fitted = algebra._noiseless_blocks(ch, algebra._draw_from_products,
+                                                      algebra._fit_products, 0, 1e-9)
+    assert len(fitted) == len(candidates)
+    for dec, (kw, f_blocks, residuals) in zip(candidates, fitted):
+        cert = check_correctable(ch, dec)
+        assert np.linalg.norm(kw - cert.code_kraus) <= 1e-13 * np.linalg.norm(kw)
+        assert np.linalg.norm(f_blocks - cert.f_blocks) <= 1e-13 * np.linalg.norm(f_blocks)
+        assert np.all(np.abs(residuals - cert.pair_residuals)
+                      <= 1e-13 + 1e-9 * cert.pair_residuals)
+
+
+@pytest.mark.parametrize("command", ["check", "recover"])
+def test_cli_check_and_recover_still_run_check_correctable_once(monkeypatch, tmp_path, capsys,
+                                                                command):
+    ch, dec = demo_build(DemoSpec(name="phase-flip", p=0.3))
+    ch_file, dec_file = tmp_path / "ch.json", tmp_path / "dec.json"
+    ch_file.write_text(canonical_dumps(channel_to_json(ch)))
+    dec_file.write_text(canonical_dumps(subsystem_to_json(dec)))
+    calls = _spy(monkeypatch, check_correctable)
+    assert main([command, "--channel", str(ch_file), "--subsystem", str(dec_file)]) == 0
+    capsys.readouterr()
+    assert calls == {"check_correctable": 1}
 
 
 def _schur_weyl(n_qubits):
