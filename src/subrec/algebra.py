@@ -318,7 +318,7 @@ def _pattern_residual(t, blocks, offsets, parts=None):
     partial trace of T's block; T is overwritten by T - model.  A list
     ``parts`` receives, for each block with n_k > 1 in order, X_k and the
     norms of that block of T - model, both stacked as T."""
-    scale = np.maximum(1.0, np.linalg.norm(t, axis=(1, 2)))
+    scale = np.maximum(1.0, _norms(t))
     for (m_k, n_k), off in zip(blocks, offsets):
         blk = t[:, off:off + m_k * n_k, off:off + m_k * n_k]
         factored = blk.reshape(-1, m_k, n_k, m_k, n_k)
@@ -327,9 +327,14 @@ def _pattern_residual(t, blocks, offsets, parts=None):
         diagonal = np.arange(n_k)
         factored[:, :, diagonal, :, diagonal] -= x_k
         if parts is not None and n_k > 1:
-            flat = blk.view(float)
-            parts.append((x_k, np.sqrt(np.einsum("gij,gij->g", flat, flat))))
-    return float(np.max(np.linalg.norm(t, axis=(1, 2)) / scale))  # a NaN stays NaN
+            parts.append((x_k, _norms(blk)))
+    return float(np.max(_norms(t) / scale))  # a NaN stays NaN
+
+
+def _norms(t):
+    """Frobenius norms of the stacked ``t``: one pass over its real view."""
+    flat = t.view(float)
+    return np.sqrt(np.einsum("gij,gij->g", flat, flat))
 
 
 def _probe(draw, fit, support, seed, tol, what):

@@ -29,7 +29,7 @@ bound exceeds it), the unitarity of every completion (s = d), algebra
 closure and the pattern fit of every check element or generator, the
 correction's TP defect (s = √d), the UCC correction;
 [3] ``algebra``: eigenvalue clusters, links gap ||g||, intertwiner defect
-gap max(1, c); [4] Gram-Schmidt on a projector or isometry of defect δ;
+gap max(1, c); [4] index-ordered Gram-Schmidt on a projector of defect δ;
 [5] ``rank_support_equivalence``: relative to the largest singular value
 s_max, with no floor at 1, so a rank does not change with the scale of
 E(P_AB).
@@ -259,65 +259,19 @@ def polar_isometry_on_support(g: np.ndarray, s: np.ndarray,
 
 def _index_ordered_basis(comp: np.ndarray, target: int, cutoff: float) -> np.ndarray:
     """Index-ordered Gram-Schmidt over the columns of ``comp``: each column,
-    projected off the vectors kept so far, is kept when its residual norm
-    exceeds ``cutoff``, until ``target`` are kept; returns them as columns.
-
-    Blocked form of that column loop.  A column of norm within the cut-off
-    is dropped up front: projection only shrinks it.  The other columns go
-    in blocks of at most the number still wanted.  A block is projected off
-    the basis twice (re-orthogonalized block Gram-Schmidt; the first block
-    meets an empty basis and skips both), then taken by
-    :func:`_block_gram_schmidt`.  A block it takes only up to its first
-    skip is followed by one at most twice as wide as the part kept, so
-    dense skips it cannot take at once cost about what one column at a
-    time did.
-    """
-    d = comp.shape[0]
-    cand = np.flatnonzero(np.linalg.norm(comp, axis=0) > cutoff)
-    basis = np.zeros((d, target), dtype=complex, order="F")
-    k = pos = 0
-    width = target
-    while k < target and pos < cand.size:
-        block = comp[:, cand[pos:pos + min(width, target - k)]].astype(complex, copy=False)
-        for _ in range(2 if k else 0):  # the first block has no basis to meet
-            block -= basis[:, :k] @ (dagger(basis[:, :k]) @ block)
-        vectors, taken = _block_gram_schmidt(block, cutoff)
-        basis[:, k:k + vectors.shape[1]] = vectors
-        k += vectors.shape[1]
-        pos += taken
-        width = target if taken == block.shape[1] else max(1, 2 * vectors.shape[1])
-    return basis[:, :k]
-
-
-def _block_gram_schmidt(block: np.ndarray, cutoff: float):
-    """The index-ordered Gram-Schmidt of the leading columns of ``block``:
-    ``(vectors, taken)``, the vectors of the columns kept among the first
-    ``taken``.
-
-    One Householder QR with R's diagonal made real positive gives the
-    Gram-Schmidt vectors of the columns in order, |R_tt| being the residual
-    norm of column t, up to the first column with |R_tt| <= cutoff.  Past
-    it, R also holds the direction of that column's residual, which the
-    loop does not keep; so the columns of larger |R_tt| get a QR of their
-    own, which stands for the whole block when every other column lies
-    within the cut-off of the kept vectors before it (the loop's choice
-    column by column).  Otherwise the block is taken up to its first skip.
-    """
-    q, r = np.linalg.qr(block)
-    diag = np.diagonal(r)
-    keep = np.abs(diag) > cutoff
-    if keep.all():
-        return q * (diag / np.abs(diag)), diag.size
-    kept, skipped = np.flatnonzero(keep), np.flatnonzero(~keep)
-    q_kept, r_kept = np.linalg.qr(block[:, kept])
-    kept_diag = np.diagonal(r_kept)
-    coef = dagger(q_kept) @ block[:, skipped]
-    coef[kept[:, None] > skipped] = 0.0  # each column meets the vectors before it
-    if (np.all(np.abs(kept_diag) > cutoff) and np.all(
-            np.linalg.norm(block[:, skipped] - q_kept @ coef, axis=0) <= cutoff)):
-        return q_kept * (kept_diag / np.abs(kept_diag)), diag.size
-    t = int(skipped[0])
-    return q[:, :t] * (diag[:t] / np.abs(diag[:t])), t + 1
+    projected off the vectors kept so far twice (one re-orthogonalization
+    pass), is kept when its residual norm exceeds ``cutoff``, until
+    ``target`` are kept; returns them as columns."""
+    basis = np.zeros((comp.shape[0], 0), dtype=complex)
+    for v in comp.T.astype(complex):
+        if basis.shape[1] == target:
+            break
+        for _ in range(2):
+            v -= basis @ (dagger(basis) @ v)
+        norm = np.linalg.norm(v)
+        if norm > cutoff:
+            basis = np.column_stack([basis, v / norm])
+    return basis
 
 
 def orthonormal_complement(p: np.ndarray, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
@@ -325,8 +279,8 @@ def orthonormal_complement(p: np.ndarray, tol: float = DEFAULT_TOL) -> list[np.n
 
     Projects the standard basis vectors in index order onto the
     complement of the projector ``p`` and keeps (Gram-Schmidt with one
-    re-orthogonalization pass, blocked as in :func:`_index_ordered_basis`)
-    those whose residual exceeds ``gram_schmidt_cutoff(tol, ||p^2 - p||_F)``,
+    re-orthogonalization pass, :func:`_index_ordered_basis`) those whose
+    residual exceeds ``gram_schmidt_cutoff(tol, ||p^2 - p||_F)``,
     stopping once it has round(Tr(I - p)) vectors.
     """
     p = _as_square(p, "p")
@@ -342,22 +296,17 @@ def _complement_basis(p, defect, tol):
 
 
 def complete_isometry(v: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """The unitary ``[v | index-ordered orthonormal basis of range(v)^perp]``
-    for a d x k isometry v; raises NotPartialIsometry if k > d, or unless
-    ||u^dag u - I||_F <= ``acceptance_tol(tol, d)``.
-
-    The complement is the index-ordered Gram-Schmidt of the columns of
-    I - v v^dag, with the cut-off taken from the defect ||v^dag v - I||_F,
-    in the blocked form of :func:`_index_ordered_basis`: the zero columns
-    of a coordinate frame are dropped up front, and a run of columns
-    without a skip costs one block QR, so generic input takes one.
-    """
+    """The unitary ``[v | Q[:, k:]]`` for a d x k isometry v, Q from v's
+    complete Householder QR (not taken when k = d); raises NotPartialIsometry
+    if k > d, or unless ||u^dag u - I||_F <= ``acceptance_tol(tol, d)``.
+    Q[:, k:] is orthogonal to range(v) to rounding, whatever v's defect, and
+    a coordinate frame completes to I exactly (each reflector is I)."""
+    v = np.asarray(v, dtype=complex)
     d, k = v.shape
     if k > d:
         raise NotPartialIsometry(f"{k} columns cannot be orthonormal in dimension {d}")
-    cutoff = gram_schmidt_cutoff(tol, frobenius(dagger(v) @ v - np.eye(k)))
-    u = np.hstack([v, _index_ordered_basis(np.eye(d) - v @ dagger(v), d - k, cutoff)])
-    if not (u.shape[1] == d and frobenius(dagger(u) @ u - np.eye(d)) <= acceptance_tol(tol, d)):
+    u = v.copy() if k == d else np.hstack([v, np.linalg.qr(v, mode="complete")[0][:, k:]])
+    if not frobenius(dagger(u) @ u - np.eye(d)) <= acceptance_tol(tol, d):
         raise NotPartialIsometry("completion failed to produce a unitary")
     return u
 

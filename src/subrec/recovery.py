@@ -38,10 +38,10 @@ complementary factor moved to C.  The construction:
    V_a W(|l> (x) |k>) = G_a W(|l> (x) |k>) / sqrt(lambda_l) for each live
    eigenvalue lambda_l of block a and each B basis vector k; these images,
    gathered in (a, l, k) order from the operators of step 2, are the
-   first columns of a unitary V completed by the index-ordered complement
-   of their range (``complete_isometry``: Gram-Schmidt of the columns of
-   I - V_live V_live^dag, blocked, one Householder QR per run of columns
-   without a skip); the recovery is U = V^dag.
+   first columns of a unitary V, completed by the unitary factor of their
+   complete Householder QR (``complete_isometry``); the recovery is
+   U = V^dag.  Only V's action on E's images of the code is fixed, so any
+   completion serves.
 
 Steps 1, 2 and 4 build the recovery; step 3 and the certificate below
 (step 5 in the code) check it.  ``find_ucc`` runs only the building
@@ -62,8 +62,8 @@ E_a W, which the builder holds for either certificate, so it is the same
 for both; every reported operator is the same either way.
 
 The C (x) B frame the builder emits is the first n_cb = dim C d_B
-standard basis vectors, in (a, l, k) order, so its index-ordered
-completion is I: ``recovery_to_correction`` pairs it onto W without
+standard basis vectors, in (a, l, k) order, whose Householder completion
+is I exactly: ``recovery_to_correction`` pairs it onto W without
 completing it, and completes only a general frame.
 
 The certificate's residual is computed against the factor map extracted
@@ -326,10 +326,11 @@ def recovery_to_correction(res, dec: SubsystemDecomposition,
     When dim C = d_A the pairing completes to a unitary, so the whole
     correction is a unitary channel.  The C frame of a
     :func:`construct_recovery` result is the first dim C d_B standard
-    basis vectors, whose index-ordered completion is I, so that
-    completion is not formed: only W is completed (and, when cooling,
-    nothing).  Any other frame is completed.  The assembled correction is
-    trace preserving within ``acceptance_tol(tol, sqrt(d))``, or
+    basis vectors, which ``complete_isometry`` completes to I bit for bit,
+    so that QR and its unitarity check are skipped: only W is completed
+    (and, when cooling, nothing).  Any other frame is completed.  The
+    assembled correction is trace preserving within
+    ``acceptance_tol(tol, sqrt(d))``, or
     :class:`~subrec.errors.NotTracePreserving` is raised; it is returned
     with ``tol = acceptance_tol(tol)``, so its own ``is_trace_preserving``
     applies that same threshold.  Only ``res.u_recovery`` and
@@ -372,6 +373,11 @@ def verify_correction(ch: KrausChannel, dec: SubsystemDecomposition,
     Returns ``(residual, f_a_superop)`` where the map F_A is extracted
     from the identity-B slice, mirroring the recovery certificate.
     """
-    ops = (np.asarray(correction.kraus)[:, None] @ (np.asarray(ch.kraus) @ dec.w)[None])
+    return _verify_on(np.asarray(ch.kraus) @ dec.w, dec, correction)
+
+
+def _verify_on(kw: np.ndarray, dec: SubsystemDecomposition, correction: KrausChannel):
+    """:func:`verify_correction` on the stack E_a W ``kw``, wherever it was formed."""
+    ops = np.asarray(correction.kraus)[:, None] @ kw[None]
     cm = certify_code_map(ops.reshape(-1, *ops.shape[2:]), dec.d_a, dec.d_b, frame=dec.w)
     return cm.residual, cm.superop

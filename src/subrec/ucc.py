@@ -19,9 +19,9 @@ pairing the output C (x) B frame, the first d_A d_B standard basis
 vectors (possible exactly because rank F_{C|A}(I_A) = rank I_A here),
 back onto A (x) B: the correction is [W | the other columns of Q] U, Q
 being unitary by the probe's certificate, and it is checked trace
-preserving and verified on E's own operators.  By the theorem, that
-certificate is the noiseless property for E^dag ∘ E, so it is not
-checked a second time.
+preserving and verified on E's own E_a W, the stack the fit formed.  By
+the theorem, that certificate is the noiseless property for E^dag ∘ E,
+so it is not checked a second time.
 
 The certificates each reported subsystem passed are those of
 ``check_correctable`` (the factorization and G_A identity residuals), the
@@ -48,7 +48,7 @@ from .channel import KrausChannel, dual
 from .correctability import _verdict, check_correctable
 from .errors import NotUnital, PreconditionViolated
 from .linalg import DEFAULT_TOL, acceptance_tol, frobenius, numeric_rank, strict_tol
-from .recovery import _build_recovery, _checked_correction, verify_correction
+from .recovery import _build_recovery, _checked_correction, _verify_on
 from .subsystem import SubsystemDecomposition
 
 __all__ = ["UccSubsystem", "InternalContradiction", "UccReport",
@@ -150,7 +150,7 @@ def find_ucc(ch: KrausChannel, seed: int = 0, tol: float = DEFAULT_TOL) -> UccRe
         n = dec.d_a * dec.d_b
         u_w = np.hstack([dec.w, structure.q[:, :off], structure.q[:, off + n:]])
         correction = _checked_correction([u_w @ built.u_recovery], tol)
-        residual, f_a = verify_correction(ch, dec, correction, tol=tol)
+        residual, f_a = _verify_on(cert.code_kraus, dec, correction)
         if not residual <= acceptance_tol(tol):
             report.contradictions.append(InternalContradiction(
                 dec, "verify", "correction residual above tolerance", residual))

@@ -5,7 +5,9 @@ verify: the superoperator factorization test works on the full matrix
 by reshaping, the commutant dimension comes from an elementwise linear
 system, fixed points are counted from a dense eigendecomposition, and
 majorization inputs are produced by explicit Birkhoff mixtures of
-permutations.
+permutations.  Collective rotation noise is built from the total spin
+operators, and its block list is the Schur-Weyl decomposition, counted
+in closed form.
 """
 
 import numpy as np
@@ -153,3 +155,27 @@ def remix_mismatch(ch, dec, u_mix):
             diff = sum(g @ x @ dag(g) for g in gw) - sum(e @ x @ dag(e) for e in ew)
             worst.append(np.linalg.norm(diff))
     return float(np.max(worst))
+
+
+def collective_rotation(n_qubits, thetas=(0.7, 1.1, 0.4)):
+    """Kraus operators of collective rotation noise on ``n_qubits`` qubits:
+    exp(-i theta_a J_a) with weights 1/3 for the total spin J_x, J_y, J_z."""
+    paulis = (np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1, -1]))
+    kraus = []
+    for pauli, theta in zip(paulis, thetas):
+        j = sum(np.kron(np.kron(np.eye(2 ** k), pauli / 2), np.eye(2 ** (n_qubits - k - 1)))
+                for k in range(n_qubits))
+        lam, v = np.linalg.eigh(j)
+        kraus.append(np.sqrt(1 / 3) * (v * np.exp(-1j * theta * lam)) @ dag(v))
+    return kraus
+
+
+def schur_weyl(n_qubits):
+    """(2J + 1, m_J) for every total spin J of n qubits, with
+    m_J = C(N, N/2 - J) - C(N, N/2 - J - 1)."""
+    from math import comb
+
+    out = []
+    for k in range(n_qubits // 2 + 1):  # k = N/2 - J
+        out.append((n_qubits - 2 * k + 1, comb(n_qubits, k) - (comb(n_qubits, k - 1) if k else 0)))
+    return out

@@ -238,8 +238,8 @@ def test_orthonormal_complement_matches_mgs_loop(seed, dim, rank):
 
 def test_skip_inside_a_block_matches_mgs_loop():
     # range(p) holds (e_2 + e_3) / sqrt(2), so (I - p) e_3 = -(I - p) e_2: the
-    # loop skips column 3, inside the first block of d - rank columns, and
-    # the block after it starts at column 4
+    # loop skips column 3, among the first d - rank columns, and goes on
+    # from column 4
     dim, rank = 12, 4
     lead = np.zeros((dim, 1))
     lead[2:4] = 1 / np.sqrt(2)
@@ -259,17 +259,19 @@ def test_dense_skips_match_mgs_loop(dim):
     # W = I (x) (e_0 + e_1) / sqrt(2): every odd column of I - W W^dag repeats
     # the one before it up to sign, so every other column is a skip
     w = np.kron(np.eye(dim // 2), np.ones((2, 1)) / np.sqrt(2))
-    u = complete_isometry(w)
+    got = orthonormal_complement(w @ dagger(w))
     expected = _mgs_complement(w @ dagger(w))
-    assert len(expected) == dim // 2
-    assert np.max(np.abs(u[:, dim // 2:] - np.column_stack(expected))) < 1e-12
+    assert len(got) == len(expected) == dim // 2
+    assert np.max(np.abs(np.column_stack(got) - np.column_stack(expected))) < 1e-12
+    u = complete_isometry(w)
+    assert np.linalg.norm(dagger(u) @ u - np.eye(dim)) < 1e-13
 
 
 def test_residuals_either_side_of_the_cutoff_match_mgs_loop():
     # column 1 leaves 1.01e-6 e_4 off e_0 (kept), column 2 leaves 0.99e-6 e_5
-    # (skipped), column 4 is zero (dropped up front); every other column
-    # meets the kept vectors only in entries 0 or 1, so both loops project
-    # exactly and round alike
+    # (skipped), column 4 is zero (skipped); every other column meets the
+    # kept vectors only in entries 0 or 1, so both loops project exactly and
+    # round alike
     dim = 8
     comp = np.zeros((dim, dim))
     comp[0, 0] = comp[0, 1] = comp[0, 2] = 1.0

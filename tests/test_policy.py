@@ -30,7 +30,6 @@ from subrec import (
     planted_channel,
 )
 from subrec.linalg import (
-    _index_ordered_basis,
     acceptance_tol,
     cluster_gap,
     complete_isometry,
@@ -207,35 +206,47 @@ def test_hermitian_eig_merges_only_below_a_tenth_of_tol():
 
 @pytest.mark.parametrize("seed,dim,cols", [(1, 5, 2), (2, 8, 5), (3, 12, 1), (4, 6, 6),
                                            (5, 6, 0)])
-def test_complete_isometry_matches_padded_complete_to_unitary(seed, dim, cols):
+def test_complete_isometry_matches_padded_complete_to_unitary(seed, dim, cols, monkeypatch):
+    # the contract: v's own bits first, then columns orthogonal to range(v)
+    # spanning the complement that the index-ordered complete_to_unitary
+    # of the padded v spans, a unitary, the same bits on every call, and no
+    # QR for a square v
     v = haar_isometry(dim, cols, seed=seed)
     u = complete_isometry(v)
+    assert np.array_equal(u[:, :cols], v)
+    assert np.linalg.norm(dagger(u[:, cols:]) @ v) < 1e-14 * dim
+    assert np.linalg.norm(dagger(u) @ u - np.eye(dim)) < 1e-13
+    assert np.array_equal(complete_isometry(v), u)
     padded = np.zeros((dim, dim), dtype=complex)
     padded[:, :cols] = v
-    assert np.max(np.abs(u - complete_to_unitary(padded, dim))) < 1e-12
-    assert np.array_equal(u[:, :cols], v)
-    assert np.linalg.norm(dagger(u) @ u - np.eye(dim)) < 1e-12
+    rest = complete_to_unitary(padded, dim)[:, cols:]
+    assert np.linalg.norm(u[:, cols:] @ dagger(u[:, cols:]) - rest @ dagger(rest)) < 1e-12
+    qr, calls = np.linalg.qr, []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return qr(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", spy)
+    complete_isometry(v)
+    assert len(calls) == (cols < dim)
 
 
-# the coordinate C frame of construct_recovery: its first columns are zero in
-# I - V V^dag and dropped up front, the others are standard vectors
+# the coordinate C frame of construct_recovery: every Householder reflector
+# of a coordinate column is I, so Q is I
 @pytest.mark.parametrize("dim,cols", [(7, 3), (40, 32), (64, 8), (9, 9), (6, 0), (33, 1)])
 def test_complete_isometry_of_coordinate_frame_is_the_identity(dim, cols):
     assert np.array_equal(complete_isometry(np.eye(dim)[:, :cols]), np.eye(dim))
 
 
-def test_coordinate_frame_gram_schmidt_is_the_identity_at_every_width():
+def test_coordinate_frame_completion_is_the_identity_at_every_width():
     # recovery_to_correction takes the completion of that frame to be I
-    # without running it: the index-ordered Gram-Schmidt equals I entry for
-    # entry (a zero may carry a sign, which no later product turns into a
-    # nonzero value)
+    # without running it: the completion equals I entry for entry (a zero
+    # may carry a sign, which no later product turns into a nonzero value)
     for dim in range(1, 49):
         eye = np.eye(dim)
         for cols in range(dim + 1):
-            v = eye[:, :cols]
-            rest = _index_ordered_basis(eye - v @ dagger(v), dim - cols,
-                                        gram_schmidt_cutoff(DEFAULT_TOL, 0.0))
-            assert np.array_equal(np.hstack([v, rest]), eye), (dim, cols)
+            assert np.array_equal(complete_isometry(eye[:, :cols]), eye), (dim, cols)
 
 
 @pytest.mark.parametrize("bad", ["scaled", "nan", "dependent"])

@@ -22,8 +22,8 @@ from subrec import (
     verify_correction,
 )
 from subrec.linalg import (DEFAULT_TOL, acceptance_tol, complete_isometry, dagger,
-                          hermitian_eig, operator_basis, orthonormal_complement,
-                          polar_isometry_on_support, strict_tol)
+                          hermitian_eig, operator_basis, polar_isometry_on_support,
+                          strict_tol)
 from subrec.random_ops import haar_isometry, haar_unitary
 from oracles import extract_common_factor, remix_mismatch
 
@@ -414,28 +414,48 @@ def test_cooling_correction_of_a_general_c_frame_matches_written_out_loop():
                 for k in range(d_b):
                     op += np.outer(w[:, i * d_b + k], w_c[:, c * d_b + k].conj())
         expected.append(op)
-    expected += [np.outer(w[:, 0], q.conj()) for q in orthonormal_complement(w_c @ dagger(w_c))]
+    expected += [np.outer(w[:, 0], q.conj()) for q in complete_isometry(w_c).T[rank_c * d_b:]]
     correction = recovery_to_correction(res, dec)
     assert correction.m == len(expected) == 2 + d - rank_c * d_b
     for op, loop_op in zip(correction.kraus, expected):
         assert np.max(np.abs(op - loop_op @ res.u_recovery)) < 1e-12
 
 
-def test_loosely_accepted_code_gets_a_correction_judged_at_acceptance_tol():
-    # a 1e-6 kick passes check_correctable and construct_recovery at
-    # tol = 1e-4; the completion amplifies it to a TP defect of 1.7e-3 in
-    # the assembled unitary, above strict_tol(1e-4, sqrt(40)) but far
-    # below acceptance_tol(1e-4, sqrt(40))
-    tol = 1e-4
+def _kicked_planted(tol):
+    # the planted (4, 8, 40) code with every Kraus operator kicked by 1e-6,
+    # which passes check_correctable and construct_recovery at tol = 1e-4
     ch0, dec = planted_channel(4, 8, 40, 3, seed=4)
     rng = np.random.default_rng(1004)
-    ch = KrausChannel([k + 1e-6 * (rng.normal(size=k.shape) + 1j * rng.normal(size=k.shape))
-                       for k in ch0.kraus], require_tp=False, tol=tol)
+    return KrausChannel([k + 1e-6 * (rng.normal(size=k.shape) + 1j * rng.normal(size=k.shape))
+                         for k in ch0.kraus], require_tp=False, tol=tol), dec
+
+
+def test_loosely_accepted_code_gets_a_correction_judged_at_acceptance_tol():
+    # a recovery scaled by 1 + 1e-3 gives the kicked code's correction a TP
+    # defect of about 2e-3 sqrt(40), above strict_tol(1e-4, sqrt(40)) but far
+    # below acceptance_tol(1e-4, sqrt(40))
+    tol = 1e-4
+    ch, dec = _kicked_planted(tol)
     res = build(ch, dec, tol=tol)
-    corr = recovery_to_correction(res, dec, tol=tol)
+    scaled = dataclasses.replace(res, u_recovery=(1 + 1e-3) * res.u_recovery)
+    corr = recovery_to_correction(scaled, dec, tol=tol)
     assert strict_tol(tol, np.sqrt(40)) < corr.tp_defect <= acceptance_tol(tol, np.sqrt(40))
     residual, _ = verify_correction(ch, dec, corr, tol=tol)
     assert residual <= acceptance_tol(tol)
+
+
+def test_completion_does_not_amplify_the_kick_of_a_loosely_accepted_code():
+    # the QR complement of the recovery images is orthogonal to them to
+    # rounding, so the kicked code's correction is trace preserving and
+    # verified within the strict tolerance; a Gram-Schmidt complement cut
+    # at sqrt of the images' defect left a TP defect of 1.7e-3 and a
+    # verified residual of 3.6e-4
+    tol = 1e-4
+    ch, dec = _kicked_planted(tol)
+    corr = recovery_to_correction(build(ch, dec, tol=tol), dec, tol=tol)
+    assert corr.tp_defect <= strict_tol(tol, np.sqrt(40))
+    residual, _ = verify_correction(ch, dec, corr, tol=tol)
+    assert residual <= strict_tol(tol)
 
 
 @pytest.mark.parametrize("cooling", [False, True])
@@ -470,11 +490,7 @@ def test_correction_judges_itself_trace_preserving_at_its_acceptance(tol):
     cases = [planted_channel(2, 2, 8, 3, seed=15), planted_channel(4, 8, 40, 3, seed=4),
              demo_build(DemoSpec(name="binary-unitary", p=0.4,
                                  thetas=(0.5, 1.4, 2.9, 4.2), seed=2))]
-    rng = np.random.default_rng(1004)
-    ch0, dec = cases[1]
-    cases.append((KrausChannel([k + 1e-6 * (rng.normal(size=k.shape)
-                                            + 1j * rng.normal(size=k.shape))
-                                for k in ch0.kraus], require_tp=False, tol=tol), dec))
+    cases.append(_kicked_planted(tol))
     for ch, dec in cases:
         if not check_correctable(ch, dec, tol=tol).passed:
             continue

@@ -25,6 +25,8 @@ from subrec.cli import main
 from subrec.io import canonical_dumps, channel_to_json, subsystem_to_json
 from subrec.linalg import acceptance_tol, dagger, numeric_rank, operator_basis
 from subrec.random_ops import haar_isometry, haar_unitary, random_channel, random_unital_channel
+from subrec.recovery import _verify_on
+from oracles import collective_rotation, schur_weyl
 
 
 def test_unitary_channel_whole_space_ucc():
@@ -132,7 +134,7 @@ def _force_contradiction(monkeypatch, stage):
     # residual lies above its threshold
     import subrec.ucc as ucc
 
-    build, verify = ucc._build_recovery, ucc.verify_correction
+    build, verify = ucc._build_recovery, ucc._verify_on
 
     def wider_c(ch, dec, cert, tol):
         built = build(ch, dec, cert, tol)
@@ -140,14 +142,14 @@ def _force_contradiction(monkeypatch, stage):
         return built._replace(c_subsystem=SubsystemDecomposition(
             ch.dim, dec.d_a + 1, dec.d_b, np.eye(ch.dim, n, dtype=complex)))
 
-    def above_threshold(ch, dec, correction, tol):
-        _, f_a = verify(ch, dec, correction, tol=tol)
+    def above_threshold(kw, dec, correction):
+        _, f_a = verify(kw, dec, correction)
         return 1e-3, f_a
 
     if stage == "rank":
         monkeypatch.setattr(ucc, "_build_recovery", wider_c)
     else:
-        monkeypatch.setattr(ucc, "verify_correction", above_threshold)
+        monkeypatch.setattr(ucc, "_verify_on", above_threshold)
 
 
 CONTRADICTIONS = [("rank", "dim C = 2 differs from d_A = 1", 2.0),
@@ -273,10 +275,10 @@ def _public_chain(ch, seed=0, tol=1e-9):
     # -> verify_correction, every recovery certificate computed
     import subrec.algebra as algebra
 
-    _, candidates, _ = algebra._noiseless_blocks(ch, algebra._draw_from_products,
-                                                 algebra._fit_products, seed, tol)
+    _, candidates, fitted = algebra._noiseless_blocks(ch, algebra._draw_from_products,
+                                                      algebra._fit_products, seed, tol)
     found, ranks, contradictions = [], [], []
-    for dec in candidates:
+    for dec, (kw, _, _) in zip(candidates, fitted):
         ranks.append((numeric_rank(ch.apply(dec.p_ab), tol), numeric_rank(dec.p_ab, tol)))
         cert = check_correctable(ch, dec, tol=tol)
         if not cert.passed:
@@ -291,7 +293,7 @@ def _public_chain(ch, seed=0, tol=1e-9):
         if not residual <= acceptance_tol(tol):
             contradictions.append(("verify", residual))
             continue
-        found.append((dec.w, correction.kraus[0], residual, f_a))
+        found.append((dec.w, correction.kraus[0], kw))
     return found, ranks, contradictions
 
 
@@ -306,18 +308,6 @@ def _near_ucc(seed):
                         + [np.sqrt(eps) * haar_unitary(8, seed=100 + seed)])
 
 
-def _collective_rotation(n_qubits, thetas=(0.7, 1.1, 0.4)):
-    # exp(-i theta_a J_a) with weights 1/3 for the total spin J_x, J_y, J_z
-    paulis = (np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1, -1]))
-    kraus = []
-    for pauli, theta in zip(paulis, thetas):
-        j = sum(np.kron(np.kron(np.eye(2 ** k), pauli / 2), np.eye(2 ** (n_qubits - k - 1)))
-                for k in range(n_qubits))
-        lam, v = np.linalg.eigh(j)
-        kraus.append(np.sqrt(1 / 3) * (v * np.exp(-1j * theta * lam)) @ dagger(v))
-    return KrausChannel(kraus)
-
-
 # name: (channel, sorted reported (d_A, d_B), number of contradictions)
 CHAIN_CASES = {
     "planted-12": (lambda: planted_channel(2, 2, 12, 3, seed=3, unital=True)[0],
@@ -328,7 +318,7 @@ CHAIN_CASES = {
                    [(1, 8), (4, 8)], 0),
     "unitary-3": (lambda: random_unital_channel(3, 1, seed=1), [(1, 3)], 0),
     "unital-6": (lambda: random_unital_channel(6, 3, seed=4), [], 0),
-    "collective-4": (lambda: _collective_rotation(4), [(1, 2), (3, 3)], 0),
+    "collective-4": (lambda: KrausChannel(collective_rotation(4)), [(1, 2), (3, 3)], 0),
     "near-ucc-8": (lambda: _near_ucc(0), [], 3),
 }
 
@@ -340,7 +330,9 @@ def test_find_ucc_matches_the_public_chain_bit_for_bit(make, blocks, n_contradic
     # completes W by the other columns of the probe's Q: it must find the very
     # blocks of the public chain, bit for bit, with its contradiction stages
     # and rank integers, and a correction that agrees with the chain's on the
-    # images E_a W of the code (off them the two completions differ)
+    # images E_a W of the code (off them the two completions differ); its
+    # certificate is verify_correction's kernel, bit for bit, on the stack
+    # E_a W of the fit, which equals the chain's E_a W to rounding
     ch = make()
     tol = 1e-9
     report = find_ucc(ch, seed=0, tol=tol)
@@ -354,14 +346,18 @@ def test_find_ucc_matches_the_public_chain_bit_for_bit(make, blocks, n_contradic
         assert abs(c.residual - residual) <= 1e-12 * abs(residual)
     assert len(report.subsystems) == len(found)
     kraus = np.asarray(ch.kraus)
-    for entry, (w, u_corr, _, _) in zip(report.subsystems, found):
+    for entry, (w, u_corr, kw) in zip(report.subsystems, found):
         dec = entry.decomposition
         assert np.array_equal(dec.w, w)
         assert max(np.linalg.norm((entry.u_correction - u_corr) @ k @ w) for k in kraus) \
             <= acceptance_tol(tol)
-        residual, f_a = verify_correction(ch, dec, KrausChannel([entry.u_correction]), tol=tol)
-        assert residual <= acceptance_tol(tol)
+        correction = KrausChannel([entry.u_correction])
+        residual, f_a = _verify_on(kw, dec, correction)
         assert (residual, f_a.tobytes()) == (entry.residual, entry.f_a_superop.tobytes())
+        residual, f_a = verify_correction(ch, dec, correction, tol=tol)
+        assert residual <= acceptance_tol(tol)
+        assert abs(residual - entry.residual) <= 1e-14
+        assert np.max(np.abs(f_a - entry.f_a_superop)) <= 1e-14
 
 
 def _spy(monkeypatch, *functions):
@@ -430,24 +426,13 @@ def test_cli_check_and_recover_still_run_check_correctable_once(monkeypatch, tmp
     assert calls == {"check_correctable": 1}
 
 
-def _schur_weyl(n_qubits):
-    """(2J + 1, m_J) for every total spin J of n qubits, with
-    m_J = C(N, N/2 - J) - C(N, N/2 - J - 1)."""
-    from math import comb
-
-    out = []
-    for k in range(n_qubits // 2 + 1):  # k = N/2 - J
-        out.append((n_qubits - 2 * k + 1, comb(n_qubits, k) - (comb(n_qubits, k - 1) if k else 0)))
-    return out
-
-
 @pytest.mark.parametrize("n_qubits", [6, 7])
 def test_collective_rotation_gives_the_schur_weyl_list(n_qubits):
     # collective noise acts as U_J (x) I_{m_J} on each total spin J: the
     # spin-J irreducible is the noisy factor A, its multiplicity space the
     # protected B, and a multiplicity 1 leaves only a classical label
-    report = find_ucc(_collective_rotation(n_qubits), seed=0)
-    expected = _schur_weyl(n_qubits)
+    report = find_ucc(KrausChannel(collective_rotation(n_qubits)), seed=0)
+    expected = schur_weyl(n_qubits)
     assert not report.contradictions
     assert sorted((s.decomposition.d_a, s.decomposition.d_b) for s in report.subsystems) \
         == sorted((d_a, d_b) for d_a, d_b in expected if d_b > 1)
