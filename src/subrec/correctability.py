@@ -113,9 +113,12 @@ def check_correctable(ch: KrausChannel, dec: SubsystemDecomposition,
     The verdict is therefore the exact one, and ``g_a_residual`` is the
     bound when it passes, the exact residual otherwise.
 
-    The pairs are formed in groups of Kraus rows a, as many as fit in
-    max(m n^2, 2^16) entries (n = d_A d_B): all m rows in one product
-    under that floor, one row at a time above it.
+    Since C_ba = C_ab^dag, only the m (m + 1) / 2 pairs a <= b are formed,
+    and F_ba = F_ab^dag, r_ba = r_ab are filled in, as the fit of
+    :func:`~subrec.ucc.find_ucc` does, so F is Hermitian off its diagonal
+    blocks bit for bit.  The pairs go in chunks of at most max(m n^2, 2^16)
+    entries (n = d_A d_B), each pair counting its product and its two
+    gathered operands: one batched product under that floor.
     """
     if ch.dim != dec.dim:
         raise DimensionMismatch(f"channel dim {ch.dim} != decomposition dim {dec.dim}")
@@ -125,19 +128,23 @@ def check_correctable(ch: KrausChannel, dec: SubsystemDecomposition,
     f_blocks = np.empty((m, m, d_a, d_a), dtype=complex)
     residuals = np.empty((m, m))
     diagonal = np.arange(d_b)
-    # rows a of pairs in groups of at most max(m n^2, 2^16) entries, not m^2 n^2:
-    # one group under that floor
-    group = _row_group(m * n * n, m * n * n)
-    for start in range(0, m, group):
-        rows = slice(start, start + group)
-        # compressed pairs (E_a W)^dag (E_b W) = W^dag E_a^dag E_b W, less F_ab (x) I_B;
-        # the adjoints of this group's rows only, not a copy of the whole stack
-        kw_dag = kw[rows].conj().transpose(0, 2, 1)
-        delta = (kw_dag[:, None] @ kw).reshape(-1, m, d_a, d_b, d_a, d_b)
-        f_blocks[rows] = np.einsum("abikjk->abij", delta) / d_b
-        delta[:, :, :, diagonal, :, diagonal] -= f_blocks[rows]
-        flat = delta.reshape(-1, n * n).view(float)
-        residuals[rows] = np.sqrt(np.einsum("px,px->p", flat, flat)).reshape(-1, m)
+    # the pairs a <= b (docstring), each counting its n^2 product and its two
+    # gathered n x d operands against the max(m n^2, 2^16) entries of a chunk
+    index = np.arange(m)
+    first, second = np.nonzero(index[:, None] <= index)
+    chunk = _row_group(n * (n + 2 * dec.dim), m * n * n)
+    for start in range(0, first.size, chunk):
+        a, b = first[start:start + chunk], second[start:start + chunk]
+        kw_dag = kw[a]
+        np.conjugate(kw_dag, out=kw_dag)
+        delta = (kw_dag.transpose(0, 2, 1) @ kw[b]).reshape(-1, d_a, d_b, d_a, d_b)
+        f_ab = np.einsum("pikjk->pij", delta) / d_b
+        delta[:, :, diagonal, :, diagonal] -= f_ab
+        # the adjoints first, so each diagonal block F_aa keeps its own bits
+        f_blocks[b, a] = f_ab.conj().transpose(0, 2, 1)
+        f_blocks[a, b] = f_ab
+        flat = delta.reshape(len(a), -1).view(float)
+        residuals[a, b] = residuals[b, a] = np.sqrt(np.einsum("px,px->p", flat, flat))
     return _verdict(ch, dec, kw, f_blocks, residuals, tol)[0]
 
 

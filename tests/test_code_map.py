@@ -161,7 +161,10 @@ def test_cooling_recovery_output_frame_larger_than_a():
     ops = [res.u_recovery @ k @ dec.w for k in ch.kraus]
     cm = assert_matches_loop(ops, dec.d_a, dec.d_b, frame=res.c_subsystem.w)
     assert cm.superop.shape == (res.dim_c ** 2, dec.d_a ** 2)
-    assert abs(cm.residual - res.residual) < 1e-14
+    # step 5 reports a bound on this residual, and the closed-form superop
+    # within that bound of the extracted one
+    assert cm.residual <= res.residual
+    assert np.max(np.linalg.norm(res.f_ca_superop - cm.superop, axis=0)) <= res.residual
     correction = recovery_to_correction(res, dec)
     assert correction.m > 1
     ops = [r @ k @ dec.w for r in correction.kraus for k in ch.kraus]

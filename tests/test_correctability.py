@@ -188,10 +188,10 @@ def test_threshold_scales_with_pair_norm():
 
 
 def _grouping_case(shape):
-    # certify's shape (m = 3, n = 32: one group under the 2^16 floor), m = 8,
-    # n = 64 (groups of two rows), the wide workload's (2, 2) code at d = 256
-    # and the (1, 248) complement block of a planted (2, 4) code at d = 256,
-    # m = 8 (one row per group, above the floor)
+    # certify's shape (m = 3, n = 32: one chunk of 6 pairs under the 2^16
+    # floor), m = 8, n = 64 (chunks of 4 of the 36 pairs), the wide workload's
+    # (2, 2) code at d = 256 (one chunk) and the (1, 248) complement block of a
+    # planted (2, 4) code at d = 256, m = 8 (chunks of 2 pairs, above the floor)
     if shape == "complement":
         ch, dec = planted_channel(2, 4, 256, 8, seed=1, unital=True)
         return ch, SubsystemDecomposition(256, 1, 248, complete_isometry(dec.w, 1e-9)[:, 8:])
@@ -199,7 +199,8 @@ def _grouping_case(shape):
 
 
 def _pairs_row_by_row(ch, dec):
-    # one Kraus row a of pairs at a time, F_ab (x) I_B subtracted per row
+    # one Kraus row a of pairs at a time, F_ab (x) I_B subtracted per row;
+    # then the pairs a > b are the adjoints of the pairs a < b
     m, d_a, d_b = ch.m, dec.d_a, dec.d_b
     kw = np.asarray(ch.kraus) @ dec.w
     kw_dag = kw.conj().transpose(0, 2, 1)
@@ -212,19 +213,24 @@ def _pairs_row_by_row(ch, dec):
         delta[:, :, diagonal, :, diagonal] -= f_blocks[a]
         flat = delta.reshape(m, -1).view(float)
         residuals[a] = np.sqrt(np.einsum("bx,bx->b", flat, flat))
+    for a, b in zip(*np.tril_indices(m, -1)):
+        f_blocks[a, b] = dagger(f_blocks[b, a])
+        residuals[a, b] = residuals[b, a]
     return f_blocks, residuals
 
 
 @pytest.mark.parametrize("shape", [(4, 8, 40, 3), (4, 16, 80, 8), (2, 2, 256, 3), "complement"])
 def test_grouped_pairs_match_row_by_row_loop_bit_for_bit(shape):
-    # each row group takes the adjoints of its own rows, the loop those of
-    # the whole stack: F, every pair residual and G_A agree bit for bit
+    # the chunks of pairs a <= b take the adjoints of their own rows, the
+    # loop those of the whole stack: F, every pair residual and G_A agree
+    # bit for bit, and F is exactly Hermitian
     ch, dec = _grouping_case(shape)
     cert = check_correctable(ch, dec)
     assert cert.passed
     f_blocks, residuals = _pairs_row_by_row(ch, dec)
     assert cert.f_blocks.tobytes() == f_blocks.tobytes()
     assert cert.pair_residuals.tobytes() == residuals.tobytes()
+    assert np.array_equal(cert.f_matrix, dagger(cert.f_matrix))
     assert cert.residual == float(np.max(residuals))
     f_ab = f_blocks.reshape(ch.m ** 2, dec.d_a, dec.d_a)
     g_a = np.einsum("xij,xkl->ikjl", f_ab.conj(), f_ab).reshape(dec.d_a ** 2, dec.d_a ** 2)
@@ -251,9 +257,10 @@ def test_exact_g_a_check_on_the_pairs_of_the_stack_matches_bit_for_bit():
 def test_peak_memory_holds_one_stack_at_the_ucc_complement_block():
     # the (1, d - 8) complement of a planted (2, 4) code at d = 128, m = 8:
     # beside the Kraus array (m d^2) the pair check keeps the stack E_a W
-    # (m d n), which the certificate hands on, one row group's adjoint and
-    # two pair-group products (m n^2 each, one row per group); the adjoint
-    # of the whole stack, one more m d n stack, would exceed the bound
+    # (m d n), which the certificate hands on, and one chunk of pairs, whose
+    # gathered operands and product stay within m n^2 entries (two pairs per
+    # chunk); the adjoint of the whole stack, one more m d n stack, would
+    # exceed the bound
     d, m = 128, 8
     n = d - 8
     ch, code = planted_channel(2, 4, d, m, seed=1, unital=True)

@@ -503,7 +503,8 @@ def test_correction_judges_itself_trace_preserving_at_its_acceptance(tol):
 @pytest.mark.parametrize("dims", [(1, 2, 6, 3), (2, 2, 8, 3), (3, 2, 12, 3), (2, 4, 20, 4)])
 def test_public_recovery_is_the_builder_plus_its_two_certificates(dims):
     # construct_recovery adds steps 3 and 5 to the builder find_ucc runs,
-    # and changes nothing the builder made
+    # and changes nothing the builder made; step 5 is a bound on the exact
+    # kernel's residual, with the closed-form superop within it
     import subrec.recovery as recovery
 
     d_a, d_b, dim, m = dims
@@ -518,18 +519,19 @@ def test_public_recovery_is_the_builder_plus_its_two_certificates(dims):
     assert res.orthogonality_residual == built.orthogonality_residual
     cm = certify_code_map(res.u_recovery @ (np.asarray(ch.kraus) @ dec.w), d_a, d_b,
                           frame=res.c_subsystem.w)
-    assert np.array_equal(res.f_ca_superop, cm.superop) and res.residual == cm.residual
+    assert cm.residual <= res.residual
+    assert np.max(np.linalg.norm(res.f_ca_superop - cm.superop, axis=0)) <= res.residual
     assert recovery_to_correction(res, dec).kraus[0].tobytes() == recovery_to_correction(
         built, dec, 1e-9).kraus[0].tobytes()
 
 
 def test_step_3_peak_memory_at_the_ucc_complement_block():
     # the (1, d - 8) complement of a planted (2, 4) code at d = 128, m = 8:
-    # step 3 is one reduction over the stack E_a W, so the whole
-    # construction stays at the bound of its step 5 kernel call (m + dim C
-    # = 9 columns of length d per row), on the caller's own certificate
-    # and on that of an equal copy of the channel, which runs the exact
-    # step 2 gate
+    # step 3 is one reduction over the stack E_a W and step 5 a bound, so
+    # the whole construction stays within what the step 5 kernel would
+    # need (m + dim C = 9 columns of length d per row), on the caller's own
+    # certificate and on that of an equal copy of the channel, which runs
+    # the exact step 2 gate
     d, m = 128, 8
     n = d - 8
     ch, dec = planted_channel(2, 4, d, m, seed=1, unital=True)

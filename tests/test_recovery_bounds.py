@@ -1,4 +1,4 @@
-"""The step 2 and step 3 bounds of the recovery builder against its exact values.
+"""The step 2, 3 and 5 bounds of the recovery builder against its exact values.
 
 Given the caller's own correctability certificate, ``construct_recovery``
 judges the orthogonality of the remixed ranges (step 2) by a bound read
@@ -6,7 +6,9 @@ off the certificate: F, its eigenbasis q and the pair residuals r_ab.  The
 exact grouped Gram gate runs only where that bound fails
 ``acceptance_tol(tol, lambda_max)``, or when the certificate was made from
 other, value-equal objects.  Step 3 reports the bound
-||q q^dag - I||_F max_k ||E(k)||_F^2 on every path.  Each case here runs
+||q q^dag - I||_F max_k ||E(k)||_F^2 on every path.  Step 5 reports its
+bound on the recovery identity wherever it is within ``acceptance_tol(tol)``,
+and the exact ``certify_code_map`` residual elsewhere.  Each case here runs
 both ways, with the own certificate and with the certificate of an equal
 copy of the channel, and checks that
 
@@ -16,6 +18,10 @@ copy of the channel, and checks that
 * the step 3 value is the bound written out below, the same bits both
   ways, and not below the written-out definition wherever q is scaled off
   unitarity;
+* the step 5 value is at least the exact kernel's; where the bound passes,
+  it is the bound written out below and the superop is the closed form's,
+  within that value of the extracted one, and where it fails, residual and
+  superop are the kernel's bit for bit;
 * both runs raise the same error, or return the same operators bit for bit.
 """
 
@@ -31,6 +37,7 @@ from subrec.cli import main
 from subrec.errors import NotPartialIsometry, NumericalDegeneracy
 from subrec.io import canonical_dumps, channel_to_json, subsystem_to_json
 from subrec.linalg import acceptance_tol, complete_isometry, dagger, strict_tol
+from subrec.subsystem import certify_code_map
 from subrec.random_ops import haar_unitary
 
 from oracles import remix_mismatch
@@ -45,6 +52,13 @@ def _bounds(ch, dec, cert, tol):
     #           + (1 + ||q^dag q - I||_F) (||r|| + ρ d_B Σ|λ|),
     #           judged at acceptance_tol(λ_max),
     #   step 3: ||q q^dag - I||_F max_k ||E(k)||_F^2
+    # and, with V = U^dag of defect δ_V = ||V^dag V - I||_F, c = max_k ||E(k)||_F^2,
+    # η = ||q^dag q - I||_F, η' = ||q q^dag - I||_F, G(k) = E(k) q and ν the
+    # largest ||G(k)||_F over the columns (a, l) off the live set,
+    #   ε = (λ_max δ_V^2 + (1 + δ_V) ν^2)^(1/2),
+    #   step 5: 2 [(1 + δ_V) c η' (2 + η') + (1 + η) (2 sqrt(λ_max) ε + ε^2)
+    #              + ρ ((1 + δ_V) c + (1 + η) λ_max)],
+    #           judged at acceptance_tol(tol)
     f = cert.f_matrix
     lam, q = recovery._diagonalize_f(f, tol)
     size = len(lam)
@@ -54,9 +68,42 @@ def _bounds(ch, dec, cert, tol):
               + (1 + np.linalg.norm(dagger(q) @ q - np.eye(size)))
               * (r + rho * dec.d_b * np.sum(np.abs(lam))))
     ew = (np.asarray(ch.kraus) @ dec.w).reshape(ch.m, ch.dim, dec.d_a, dec.d_b)
-    blocks = max(np.linalg.norm(ew[..., k]) ** 2 for k in range(dec.d_b))
-    step_3 = np.linalg.norm(q @ dagger(q) - np.eye(size)) * blocks
+    c = max(np.linalg.norm(ew[..., k]) ** 2 for k in range(dec.d_b))
+    eta_out = np.linalg.norm(q @ dagger(q) - np.eye(size))
+    step_3 = eta_out * c
     return step_2, step_3, acceptance_tol(tol, lam[0])
+
+
+def _step_5_bound(ch, dec, cert, res, tol):
+    lam, q = recovery._diagonalize_f(cert.f_matrix, tol)
+    lam = np.maximum(lam, 0.0)
+    size, eps = len(lam), np.finfo(float).eps
+    dead = lam <= strict_tol(tol, lam[0])
+    ew = (np.asarray(ch.kraus) @ dec.w).reshape(ch.m, ch.dim, dec.d_a, dec.d_b)
+    # G(k) as the builder forms it, from the blocks of U = q^dag
+    gw = np.tensordot(q.T.reshape(ch.m, dec.d_a, ch.m, dec.d_a), ew, axes=([2, 3], [0, 2]))
+    g_dead = gw.reshape(size, ch.dim, dec.d_b)[dead]
+    nu = max(np.linalg.norm(g_dead[..., k]) for k in range(dec.d_b)) if dead.any() else 0.0
+    c = max(np.linalg.norm(ew[..., k]) ** 2 for k in range(dec.d_b))
+    eta_in = np.linalg.norm(dagger(q) @ q - np.eye(size))
+    eta_out = np.linalg.norm(q @ dagger(q) - np.eye(size))
+    u = res.u_recovery
+    delta_v = np.linalg.norm(u @ dagger(u) - np.eye(ch.dim))
+    err = np.sqrt(lam[0] * delta_v ** 2 + (1 + delta_v) * nu ** 2)
+    rho = (ch.dim + size) * eps
+    return 2 * ((1 + delta_v) * c * eta_out * (2 + eta_out)
+                + (1 + eta_in) * (2 * np.sqrt(lam[0]) * err + err ** 2)
+                + rho * ((1 + delta_v) * c + (1 + eta_in) * lam[0]))
+
+
+def _exact_step_5(ch, dec, res):
+    return certify_code_map(res.u_recovery @ (np.asarray(ch.kraus) @ dec.w), dec.d_a, dec.d_b,
+                            frame=res.c_subsystem.w)
+
+
+def _closed_form_superop(kraus):
+    # X -> sum_b K_b X K_b^dag in column stacking: sum_b conj(K_b) (x) K_b
+    return sum(np.kron(k.conj(), k) for k in kraus)
 
 
 def _outcome(ch, dec, cert, tol):
@@ -90,6 +137,17 @@ def _assert_sound(ch, dec, tol=1e-9):
     assert [k.tobytes() for k in own.f_ca_kraus] == [k.tobytes() for k in exact.f_ca_kraus]
     assert own.f_ca_superop.tobytes() == exact.f_ca_superop.tobytes()
     assert own.residual == exact.residual
+    cm = _exact_step_5(ch, dec, own)
+    assert own.residual >= cm.residual
+    if _step_5_bound(ch, dec, cert, own, tol) <= acceptance_tol(tol):
+        assert own.residual == pytest.approx(_step_5_bound(ch, dec, cert, own, tol),
+                                             rel=1e-9, abs=1e-300)
+        assert np.allclose(own.f_ca_superop, _closed_form_superop(own.f_ca_kraus),
+                           rtol=1e-14, atol=1e-15)
+        assert np.max(np.linalg.norm(own.f_ca_superop - cm.superop, axis=0)) <= own.residual
+    else:
+        assert own.residual == cm.residual
+        assert own.f_ca_superop.tobytes() == cm.superop.tobytes()
     return own
 
 
@@ -227,3 +285,46 @@ def test_straddling_case_reports_the_exact_kernels():
         q = recovery._diagonalize_f(cert.f_matrix, 1e-9)[1]
     assert res.orthogonality_residual <= gate < min(step_2, step_3)
     assert res.g_action_residual >= remix_mismatch(ch, dec, dagger(q)) > strict_tol(1e-9)
+
+
+def test_step_5_straddle_reports_the_exact_kernel():
+    # q scaled by 1 + 1e-8: the step 2 bound passes its gate, but the step 5
+    # bound, about 4 ||q q^dag - I||_F max_k ||E(k)||_F^2, exceeds
+    # acceptance_tol(1e-9) = 1e-7, while the exact identity holds to rounding,
+    # since U, F and the C frame scale together: the kernel's residual and
+    # superop are reported, bit for bit
+    ch, dec = _orthogonal_ranges(0)
+    cert = check_correctable(ch, dec)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(recovery, "_diagonalize_f", _scaled_eigenvectors(1.0 + 1e-8))
+        step_2, _, gate = _bounds(ch, dec, cert, 1e-9)
+        res = _assert_sound(ch, dec)
+        step_5 = _step_5_bound(ch, dec, cert, res, 1e-9)
+    cm = _exact_step_5(ch, dec, res)
+    assert step_2 <= gate and cm.residual < 1e-14 < acceptance_tol(1e-9) < step_5
+    assert res.residual == cm.residual
+    assert res.f_ca_superop.tobytes() == cm.superop.tobytes()
+
+
+def test_planted_corpus_never_runs_the_step_5_kernel(monkeypatch):
+    # the certify instances, the planted codes, the binary-unitary code and the
+    # d = 256 complement block: every step 5 bound passes, so construct_recovery
+    # never calls certify_code_map
+    cases = [planted_channel(4, 8, 40, 3, np.random.default_rng([1, 1, i])) for i in range(41)]
+    cases += [planted_channel(d_a, 3, 4 * d_a + 6, m, seed=10 * d_a + m, unital=unital)
+              for d_a in (1, 2, 3, 4) for unital in (False, True) for m in (1, 2, 5)]
+    cases.append(demo_build(DemoSpec(name="binary-unitary", p=0.4,
+                                     thetas=(0.5, 1.4, 2.9, 4.2), seed=2)))
+    ch, code = planted_channel(2, 4, 256, 8, seed=1, unital=True)
+    cases.append((ch, SubsystemDecomposition(256, 1, 248, complete_isometry(code.w, 1e-9)[:, 8:])))
+    certs = [check_correctable(ch, dec) for ch, dec in cases]
+    kernel, calls = recovery.certify_code_map, []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(recovery, "certify_code_map", counted)
+    for (ch, dec), cert in zip(cases, certs):
+        assert construct_recovery(ch, dec, cert).residual <= 1e-11
+    assert calls == []
