@@ -20,7 +20,7 @@ import numpy as np
 from .channel import KrausChannel
 from .errors import DimensionMismatch
 from .linalg import DEFAULT_TOL, dagger, frobenius, strict_tol
-from .subsystem import SubsystemDecomposition, _row_group, certify_code_map
+from .subsystem import SubsystemDecomposition, _certify_on_code, _row_group, certify_code_map
 
 __all__ = ["CorrectabilityCertificate", "NoiselessResult",
            "check_correctable", "check_noiseless"]
@@ -85,7 +85,15 @@ class CorrectabilityCertificate:
 
 @dataclass
 class NoiselessResult:
-    """Verdict of the noiseless-subsystem test E ∘ P_AB = G_A (x) id_B."""
+    """Verdict of the noiseless-subsystem test E ∘ P_AB = G_A (x) id_B.
+
+    ``residual`` is the product-form upper bound on the worst mismatch over
+    the matrix units when that bound is within ``strict_tol(tol)``, with
+    ``g_a`` the closed form sum_a conj(k_a) (x) k_a, and otherwise the exact
+    mismatch, with the G_A extracted from the I_B slice (see
+    :func:`check_noiseless`).  ``ok`` is the verdict at
+    ``strict_tol(tol, d_A d_B)``, the exact one either way.
+    """
 
     ok: bool
     residual: float
@@ -217,12 +225,18 @@ def check_noiseless(ch: KrausChannel, dec: SubsystemDecomposition,
                     tol: float = DEFAULT_TOL) -> NoiselessResult:
     """Test whether B is a noiseless subsystem: E ∘ P_AB = G_A (x) id_B.
 
-    The candidate map G_A is extracted from the sigma_B = I_B/d_B slice,
-    then the identity is verified for a complete operator basis
-    {sigma_A^(i) (x) sigma_B^(j)} against that single consistent G_A.
+    The identity holds exactly when every E_a W = W (k_a (x) I_B), with
+    k_a = (1/d_B) sum_l W_l^dag E_a W_l (W_l the columns of B index l).  The
+    remainders E_a W - W (k_a (x) I_B) bound the exact residual, at a cost
+    of O(m d n d_A), and that bound is reported, with the closed-form G_A,
+    when it is within ``strict_tol(tol)``.  Otherwise, and for a NaN bound,
+    the candidate map G_A is extracted from the sigma_B = I_B/d_B slice and
+    the identity is verified exactly for a complete operator basis
+    {sigma_A^(i) (x) sigma_B^(j)} against that single consistent G_A
+    (``certify_code_map``), and that residual is reported.
     """
     if ch.dim != dec.dim:
         raise DimensionMismatch(f"channel dim {ch.dim} != decomposition dim {dec.dim}")
-    cm = certify_code_map(np.asarray(ch.kraus) @ dec.w, dec.d_a, dec.d_b, frame=dec.w)
-    ok = cm.residual <= strict_tol(tol, dec.d_a * dec.d_b)
-    return NoiselessResult(ok=ok, residual=cm.residual, g_a=cm.superop)
+    residual, g_a = _certify_on_code(np.asarray(ch.kraus) @ dec.w, dec, tol)
+    return NoiselessResult(ok=residual <= strict_tol(tol, dec.d_a * dec.d_b),
+                           residual=residual, g_a=g_a)

@@ -91,11 +91,13 @@ V_k^dag A_k' = 0 for k != k', so it differs from the closed form by at most B
 too, and the exact residual is at most 2 B.  The reported bound is 2 (B + ρ),
 with ρ a relative (d + m d_A) eps of the images' scale,
 (1 + δ_V) c + (1 + η) λ_max, for the rounding of the exact kernel and of the
-quantities read.  Within ``acceptance_tol(tol)`` (no scale, so a reader's
-gate at that threshold sees the exact verdict) it is the reported residual,
-with the closed-form superop; otherwise ``certify_code_map`` runs and its
-residual and extracted superop are reported.  Reading the bound costs
-O(m d_A d d_B + (m d_A)^3), with no d x d product.
+quantities read.  Within ``strict_tol(tol)`` (no scale, so a reader's gate
+at any threshold down to that one sees the exact verdict) it is the
+reported residual, with the closed-form superop; otherwise
+``certify_code_map`` runs and its residual and extracted superop are
+reported.  Reading the bound costs O(m d_A d d_B + (m d_A)^3), with no
+d x d product.  ``verify_correction`` judges R ∘ E ∘ P_AB by a bound of its
+own, read off the composed operators, at the same threshold.
 """
 
 from __future__ import annotations
@@ -111,7 +113,8 @@ from .errors import (CertificateMismatch, NotPartialIsometry, NotTracePreserving
                      NumericalDegeneracy)
 from .linalg import (DEFAULT_TOL, _canonicalize_eigenvectors, _complete_isometry, _sorted_eigh,
                      acceptance_tol, complete_isometry, dagger, frobenius, strict_tol)
-from .subsystem import SubsystemDecomposition, _row_group, certify_code_map
+from .subsystem import (SubsystemDecomposition, _certify_on_code, _kraus_superop, _row_group,
+                        certify_code_map)
 
 __all__ = ["RecoveryResult", "construct_recovery", "recovery_to_correction",
            "verify_correction"]
@@ -134,7 +137,7 @@ class RecoveryResult:
     ``d_blocks`` records (a, D_aa, r_a) for blocks with nonzero rank;
     ``residual`` certifies the defining equation on a complete operator
     basis: the step 5 upper bound on the exact residual whenever it is
-    within ``acceptance_tol(tol)``, and the exact residual where it is not
+    within ``strict_tol(tol)``, and the exact residual where it is not
     (module docstring); ``orthogonality_residual`` is the step 2 check,
     which also certifies the closed-form polar factor of step 4: from the
     caller's own certificate an upper bound read off F and the pair
@@ -339,10 +342,10 @@ def construct_recovery(ch: KrausChannel, dec: SubsystemDecomposition,
     g_action_resid = eta_out * c
 
     # 5. U ∘ E ∘ P_AB = F_{C|A} (x) id_B: the bound, with the closed form,
-    # when it is within acceptance_tol(tol), else the exact certificate with
+    # when it is within strict_tol(tol), else the exact certificate with
     # F_{C|A} extracted from the identity-B slice of the actual action
     bound = _step_5_bound(built, c, eta_out)
-    if bound <= acceptance_tol(tol):
+    if bound <= strict_tol(tol):
         residual, superop = bound, _kraus_superop(np.asarray(built.f_ca_kraus))
     else:
         cm = certify_code_map(built.u_recovery @ built.kw, d_a, d_b, frame=built.c_subsystem.w)
@@ -373,13 +376,6 @@ def _step_5_bound(built: _Built, c: float, eta_out: float) -> float:
     rounding = (d + size) * float(np.finfo(float).eps) * (
         (1.0 + delta_v) * c + (1.0 + eta_in) * lam_max)
     return float(2.0 * (mismatch + rounding))
-
-
-def _kraus_superop(kraus: np.ndarray) -> np.ndarray:
-    """The d_C^2 x d_A^2 matrix (column stacking) of X -> sum_b K_b X K_b^dag
-    for the m x d_C x d_A stack ``kraus``."""
-    _, d_c, d_a = kraus.shape
-    return np.einsum("bci,bej->ecji", kraus, kraus.conj()).reshape(d_c * d_c, d_a * d_a)
 
 
 def recovery_to_correction(res, dec: SubsystemDecomposition,
@@ -438,14 +434,21 @@ def verify_correction(ch: KrausChannel, dec: SubsystemDecomposition,
                       correction: KrausChannel, tol: float = DEFAULT_TOL):
     """Residual of R ∘ E ∘ P_AB = F_A (x) id_B on a complete operator basis.
 
-    Returns ``(residual, f_a_superop)`` where the map F_A is extracted
-    from the identity-B slice, mirroring the recovery certificate.
+    Returns ``(residual, f_a_superop)``.  The composed operators R_r E_a W
+    are first judged by their product form: each is W (k_c (x) I_B) up to a
+    remainder, and the bound that remainder gives on the exact residual
+    (``subsystem._product_form_bound``) is the reported residual whenever it
+    is within ``strict_tol(tol)``, with the closed-form F_A, X -> sum_c k_c X
+    k_c^dag, within it of the extracted map.  Otherwise, a NaN bound
+    included, ``certify_code_map`` runs and its exact residual and the F_A it
+    extracts from the identity-B slice are reported, bit for bit.  So a
+    verdict at any threshold down to ``strict_tol(tol)`` is the exact one.
     """
-    return _verify_on(np.asarray(ch.kraus) @ dec.w, dec, correction)
+    return _verify_on(np.asarray(ch.kraus) @ dec.w, dec, correction, tol)
 
 
-def _verify_on(kw: np.ndarray, dec: SubsystemDecomposition, correction: KrausChannel):
+def _verify_on(kw: np.ndarray, dec: SubsystemDecomposition, correction: KrausChannel,
+               tol: float):
     """:func:`verify_correction` on the stack E_a W ``kw``, wherever it was formed."""
     ops = np.asarray(correction.kraus)[:, None] @ kw[None]
-    cm = certify_code_map(ops.reshape(-1, *ops.shape[2:]), dec.d_a, dec.d_b, frame=dec.w)
-    return cm.residual, cm.superop
+    return _certify_on_code(ops.reshape(-1, *ops.shape[2:]), dec, tol)

@@ -27,7 +27,9 @@ The certificates each reported subsystem passed are those of
 ``check_correctable`` (the factorization and G_A identity residuals), the
 orthogonality gate of the remixed Kraus ranges (step 2 of the recovery
 construction, on which its closed-form polar factor rests) and
-``verify_correction``, whose residual is the one reported.  The recovery
+``verify_correction``, whose residual is the one reported: the
+product-form bound on the correction identity when it is within
+``strict_tol(tol)``, and the exact residual otherwise.  The recovery
 is built without its own step 3 and step 5 certificates: the correction
 identity R ∘ E ∘ P_AB = F_A (x) id_B is checked directly on E, so the
 intermediate U ∘ E ∘ P_AB = F_{C|A} (x) id_B would only repeat it.  The
@@ -150,7 +152,7 @@ def find_ucc(ch: KrausChannel, seed: int = 0, tol: float = DEFAULT_TOL) -> UccRe
         n = dec.d_a * dec.d_b
         u_w = np.hstack([dec.w, structure.q[:, :off], structure.q[:, off + n:]])
         correction = _checked_correction([u_w @ built.u_recovery], tol)
-        residual, f_a = _verify_on(cert.code_kraus, dec, correction)
+        residual, f_a = _verify_on(cert.code_kraus, dec, correction, tol)
         if not residual <= acceptance_tol(tol):
             report.contradictions.append(InternalContradiction(
                 dec, "verify", "correction residual above tolerance", residual))

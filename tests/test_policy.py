@@ -351,15 +351,23 @@ def test_noiseless_verdict_is_monotone_and_flips_at_its_threshold(seed, log_tol)
     ch, dec = planted_channel(2, 2, 8, 3, seed=seed, unital=True)
     base = compose(dual(ch), ch)  # noiseless on the planted code
     direction = ginibre_like(base.kraus, np.random.default_rng(seed + 1))
-    verdicts, residuals = [], []
+    verdicts, exact = [], []
     for eps in tol * np.logspace(-2, 2, 17):
-        result = check_noiseless(kicked(base.kraus, direction, eps, tol), dec, tol=tol)
+        noisy = kicked(base.kraus, direction, eps, tol)
+        result = check_noiseless(noisy, dec, tol=tol)
         assert result.ok == (result.residual <= strict_tol(tol, dec.d_a * dec.d_b))
+        # the reported residual is the product-form bound below strict_tol(tol)
+        # and the exact kernel's above it: never below the exact one, and the
+        # verdict is the exact one's
+        kernel = certify_code_map(np.asarray(noisy.kraus) @ dec.w, dec.d_a, dec.d_b,
+                                  frame=dec.w).residual
+        assert result.residual >= kernel
+        assert result.ok == (kernel <= strict_tol(tol, dec.d_a * dec.d_b))
         verdicts.append(result.ok)
-        residuals.append(result.residual)
+        exact.append(kernel)
     assert is_monotone_flip(verdicts)
     assert verdicts[0] and not verdicts[-1]
-    assert residuals == sorted(residuals)
+    assert exact == sorted(exact)
 
 
 @settings(derandomize=True, max_examples=30, deadline=None)

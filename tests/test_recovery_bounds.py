@@ -7,7 +7,7 @@ exact grouped Gram gate runs only where that bound fails
 ``acceptance_tol(tol, lambda_max)``, or when the certificate was made from
 other, value-equal objects.  Step 3 reports the bound
 ||q q^dag - I||_F max_k ||E(k)||_F^2 on every path.  Step 5 reports its
-bound on the recovery identity wherever it is within ``acceptance_tol(tol)``,
+bound on the recovery identity wherever it is within ``strict_tol(tol)``,
 and the exact ``certify_code_map`` residual elsewhere.  Each case here runs
 both ways, with the own certificate and with the certificate of an equal
 copy of the channel, and checks that
@@ -23,6 +23,13 @@ copy of the channel, and checks that
   within that value of the extracted one, and where it fails, residual and
   superop are the kernel's bit for bit;
 * both runs raise the same error, or return the same operators bit for bit.
+
+The last part checks the product-form bound that ``verify_correction`` (and
+so ``find_ucc``) and ``check_noiseless`` report within ``strict_tol(tol)``:
+on every call the library makes, it is at least the exact kernel's residual
+and its closed-form superop is within it of the extracted one, and where it
+exceeds the gate, or is NaN, the kernel's residual and superop are reported
+bit for bit.
 """
 
 import numpy as np
@@ -31,16 +38,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import subrec.recovery as recovery
+import subrec.subsystem as subsystem
 from subrec import (DemoSpec, KrausChannel, SubsystemDecomposition, check_correctable,
-                    construct_recovery, demo_build, planted_channel)
+                    check_noiseless, compose, construct_recovery, demo_build, dual,
+                    enumerate_noiseless, find_ucc, planted_channel, recovery_to_correction,
+                    verify_correction)
 from subrec.cli import main
-from subrec.errors import NotPartialIsometry, NumericalDegeneracy
+from subrec.errors import NotPartialIsometry, NumericalDegeneracy, SubrecError
 from subrec.io import canonical_dumps, channel_to_json, subsystem_to_json
 from subrec.linalg import acceptance_tol, complete_isometry, dagger, strict_tol
 from subrec.subsystem import certify_code_map
-from subrec.random_ops import haar_unitary
+from subrec.random_ops import haar_unitary, random_unital_channel
 
-from oracles import remix_mismatch
+from oracles import collective_rotation, remix_mismatch
 
 
 def _bounds(ch, dec, cert, tol):
@@ -58,7 +68,7 @@ def _bounds(ch, dec, cert, tol):
     #   ε = (λ_max δ_V^2 + (1 + δ_V) ν^2)^(1/2),
     #   step 5: 2 [(1 + δ_V) c η' (2 + η') + (1 + η) (2 sqrt(λ_max) ε + ε^2)
     #              + ρ ((1 + δ_V) c + (1 + η) λ_max)],
-    #           judged at acceptance_tol(tol)
+    #           judged at strict_tol(tol)
     f = cert.f_matrix
     lam, q = recovery._diagonalize_f(f, tol)
     size = len(lam)
@@ -139,7 +149,7 @@ def _assert_sound(ch, dec, tol=1e-9):
     assert own.residual == exact.residual
     cm = _exact_step_5(ch, dec, own)
     assert own.residual >= cm.residual
-    if _step_5_bound(ch, dec, cert, own, tol) <= acceptance_tol(tol):
+    if _step_5_bound(ch, dec, cert, own, tol) <= strict_tol(tol):
         assert own.residual == pytest.approx(_step_5_bound(ch, dec, cert, own, tol),
                                              rel=1e-9, abs=1e-300)
         assert np.allclose(own.f_ca_superop, _closed_form_superop(own.f_ca_kraus),
@@ -290,7 +300,7 @@ def test_straddling_case_reports_the_exact_kernels():
 def test_step_5_straddle_reports_the_exact_kernel():
     # q scaled by 1 + 1e-8: the step 2 bound passes its gate, but the step 5
     # bound, about 4 ||q q^dag - I||_F max_k ||E(k)||_F^2, exceeds
-    # acceptance_tol(1e-9) = 1e-7, while the exact identity holds to rounding,
+    # strict_tol(1e-9) = 1e-9, while the exact identity holds to rounding,
     # since U, F and the C frame scale together: the kernel's residual and
     # superop are reported, bit for bit
     ch, dec = _orthogonal_ranges(0)
@@ -301,7 +311,7 @@ def test_step_5_straddle_reports_the_exact_kernel():
         res = _assert_sound(ch, dec)
         step_5 = _step_5_bound(ch, dec, cert, res, 1e-9)
     cm = _exact_step_5(ch, dec, res)
-    assert step_2 <= gate and cm.residual < 1e-14 < acceptance_tol(1e-9) < step_5
+    assert step_2 <= gate and cm.residual < 1e-14 < strict_tol(1e-9) < step_5
     assert res.residual == cm.residual
     assert res.f_ca_superop.tobytes() == cm.superop.tobytes()
 
@@ -327,4 +337,229 @@ def test_planted_corpus_never_runs_the_step_5_kernel(monkeypatch):
     monkeypatch.setattr(recovery, "certify_code_map", counted)
     for (ch, dec), cert in zip(cases, certs):
         assert construct_recovery(ch, dec, cert).residual <= 1e-11
+    assert calls == []
+
+
+# The product-form bound of verify_correction, find_ucc and check_noiseless.
+# Each reaches the code-space certificate through one gate: the bound on the
+# exact kernel's residual that the remainders N_c - W (k_c (x) I_B) give is
+# reported, with the closed-form superop, when it is within strict_tol(tol),
+# and the kernel's residual and superop otherwise.
+
+def _product_form_mirror(ops, dec):
+    # the bound written out per operator: k_c = (1/d_B) sum_l W_l^dag N_c[:, (., l)]
+    # with W_l, N_c[:, (., l)] the columns of B index l; A_c = W (k_c (x) I_B);
+    # δ, a the largest root sums over c of the squared columns of N_c - A_c
+    # and A_c, f = max_i sum_c ||k_c e_i||^2, γ = ||W^dag W - I||_F,
+    #   B = 2 δ a + δ^2,  D = (1 + γ) B + (2 γ + γ^2) f,
+    #   bound = B + (1 + γ) D + (d + d_A d_B + C) eps ((a + δ)^2 + (1 + γ) f)
+    w, d_a, d_b = dec.w, dec.d_a, dec.d_b
+    ks = [sum(dagger(w[:, l::d_b]) @ n[:, l::d_b] for l in range(d_b)) / d_b for n in ops]
+    prod = [w @ np.kron(k, np.eye(d_b)) for k in ks]
+    delta = np.sqrt(np.max(sum(np.sum(np.abs(n - p) ** 2, axis=0) for n, p in zip(ops, prod))))
+    a = np.sqrt(np.max(sum(np.sum(np.abs(p) ** 2, axis=0) for p in prod)))
+    f = np.max(sum(np.sum(np.abs(k) ** 2, axis=0) for k in ks))
+    gamma = np.linalg.norm(dagger(w) @ w - np.eye(d_a * d_b))
+    b = 2 * delta * a + delta ** 2
+    drift = (1 + gamma) * b + (2 * gamma + gamma ** 2) * f
+    rho = (len(w) + d_a * d_b + len(ops)) * np.finfo(float).eps
+    return b + (1 + gamma) * drift + rho * ((a + delta) ** 2 + (1 + gamma) * f), ks
+
+
+def _assert_gate_sound(ops, dec, tol, reported):
+    """The reported (residual, superop) of the gate against the exact kernel."""
+    residual, superop = reported
+    cm = certify_code_map(ops, dec.d_a, dec.d_b, frame=dec.w)
+    bound = subsystem._product_form_bound(ops, dec)[0]
+    if bound <= strict_tol(tol):
+        assert residual == bound >= cm.residual
+        kraus = _product_form_mirror(ops, dec)[1]
+        assert np.allclose(superop, _closed_form_superop(kraus), rtol=1e-13, atol=1e-15)
+        assert np.max(np.linalg.norm(superop - cm.superop, axis=0)) <= residual
+    else:
+        assert np.array(residual).tobytes() == np.array(cm.residual).tobytes()
+        assert superop.tobytes() == cm.superop.tobytes()
+        assert not bound < cm.residual
+
+
+@pytest.fixture
+def gate_calls(monkeypatch):
+    """Check every call of the gate, as the library reaches it, against the
+    exact kernel, recording the reported residuals."""
+    import subrec.correctability as correctability
+
+    gate, calls = subsystem._certify_on_code, []
+
+    def checked(ops, dec, tol):
+        reported = gate(ops, dec, tol)
+        _assert_gate_sound(ops, dec, tol, reported)
+        calls.append(reported[0])
+        return reported
+
+    for module in (recovery, correctability):
+        monkeypatch.setattr(module, "_certify_on_code", checked)
+    return calls
+
+
+def _planted_corpus():
+    # the certify instances, the planted codes of test_planted_codes and the
+    # binary-unitary code, whose cooling correction has dim C = 2 > d_A
+    cases = [planted_channel(4, 8, 40, 3, np.random.default_rng([1, 1, i])) for i in range(41)]
+    cases += [planted_channel(d_a, 3, 4 * d_a + 6, m, seed=10 * d_a + m, unital=unital)
+              for d_a in (1, 2, 3, 4) for unital in (False, True) for m in (1, 2, 5)]
+    cases.append(demo_build(DemoSpec(name="binary-unitary", p=0.4,
+                                     thetas=(0.5, 1.4, 2.9, 4.2), seed=2)))
+    return [(ch, dec, recovery_to_correction(
+        construct_recovery(ch, dec, check_correctable(ch, dec)), dec)) for ch, dec in cases]
+
+
+def test_verify_correction_bound_on_the_planted_corpus(gate_calls):
+    corpus = _planted_corpus()
+    for ch, dec, correction in corpus:
+        residual, _ = verify_correction(ch, dec, correction)
+        assert residual <= 1e-12
+    assert len(gate_calls) == len(corpus)
+    # the cooling correction: many Kraus operators, each composed one
+    assert corpus[-1][2].m > 1
+
+
+def _discover_channels():
+    # the discover workload's instances at seed 1, planted (2, 2) unital codes
+    # at d = 12 drawn from default_rng([1, 3, i]), and collective rotation
+    # noise on 6 to 9 qubits
+    channels = [planted_channel(2, 2, 12, 3, np.random.default_rng([1, 3, i]), unital=True)[0]
+                for i in range(17)]
+    return channels + [KrausChannel(collective_rotation(n)) for n in (6, 7, 8, 9)]
+
+
+def test_find_ucc_bound_on_the_discover_instances_and_collective_noise(gate_calls):
+    reported = []
+    for ch in _discover_channels():
+        report = find_ucc(ch)
+        assert report.subsystems and not report.contradictions
+        reported += [entry.residual for entry in report.subsystems]
+    # every reported correction residual is the bound, within strict_tol(1e-9)
+    assert gate_calls == reported
+    assert all(residual <= 1e-11 for residual in reported)
+
+
+def test_check_noiseless_bound_on_the_blocks_of_enumerate_noiseless(gate_calls):
+    # the noiseless blocks of E^dag ∘ E for planted unital codes, of F (x) id_B
+    # for a random unital F, and the Schur-Weyl blocks of collective noise
+    channels = [compose(dual(ch), ch) for ch in
+                (planted_channel(2, 2, 12, 3, seed=s, unital=True)[0] for s in range(4))]
+    f = random_unital_channel(4, 3, seed=3)
+    channels.append(KrausChannel([np.kron(k, np.eye(16)) for k in f.kraus]))
+    channels += [KrausChannel(collective_rotation(n)) for n in (4, 5, 6)]
+    reported = []
+    for ch in channels:
+        found = enumerate_noiseless(ch)
+        assert found.subsystems
+        reported += found.residuals
+    assert gate_calls == reported
+    assert all(residual <= 1e-11 for residual in reported)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(log_kick=st.floats(-8, -2), seed=st.integers(0, 2**16),
+       tol=st.sampled_from([1e-9, 1e-6, 1e-4]), shrink=st.sampled_from([1.0, 0.1, 0.01]))
+@example(log_kick=-5.0, seed=0, tol=1e-4, shrink=1.0)
+def test_kicked_corrections_report_a_sound_value(log_kick, seed, tol, shrink):
+    # the correction of a kicked code, verified at its own tol: the bound is
+    # the one written out above, and the reported value is sound either way
+    ch, dec = _large_off_code(seed, 10.0 ** log_kick, shrink)
+    cert = check_correctable(ch, dec, tol=tol)
+    if not cert.passed:
+        return
+    try:
+        correction = recovery_to_correction(construct_recovery(ch, dec, cert, tol=tol), dec,
+                                            tol=tol)
+    except SubrecError:
+        return
+    kw = np.asarray(ch.kraus) @ dec.w
+    ops = (np.asarray(correction.kraus)[:, None] @ kw[None]).reshape(-1, *kw.shape[1:])
+    bound = subsystem._product_form_bound(ops, dec)[0]
+    assert bound == pytest.approx(_product_form_mirror(ops, dec)[0], rel=1e-6)
+    _assert_gate_sound(ops, dec, tol, verify_correction(ch, dec, correction, tol=tol))
+
+
+def _kicked_on_the_code(eps):
+    # a planted (2, 2) code whose Kraus operators get eps G_a P_AB after its
+    # correction was built: the exact correction residual is about 5.5 eps,
+    # the bound about 4.7 times that
+    ch, dec = planted_channel(2, 2, 8, 3, seed=15)
+    correction = recovery_to_correction(
+        construct_recovery(ch, dec, check_correctable(ch, dec)), dec)
+    rng = np.random.default_rng(1)
+    kicks = [rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)) for _ in ch.kraus]
+    kicked = KrausChannel([k + eps * g @ dec.p_ab for k, g in zip(ch.kraus, kicks)],
+                          require_tp=False, tol=1e-6)
+    return kicked, dec, correction
+
+
+def test_straddling_correction_reports_the_exact_kernel():
+    # the bound exceeds strict_tol(1e-9) while the exact residual is within
+    # it: the kernel's residual and superop are reported, bit for bit, and
+    # the verdict at strict_tol(1e-9) is the exact one
+    ch, dec, correction = _kicked_on_the_code(1e-10)
+    kw = np.asarray(ch.kraus) @ dec.w
+    ops = (np.asarray(correction.kraus)[:, None] @ kw[None]).reshape(-1, *kw.shape[1:])
+    bound = subsystem._product_form_bound(ops, dec)[0]
+    cm = certify_code_map(ops, dec.d_a, dec.d_b, frame=dec.w)
+    assert cm.residual <= strict_tol(1e-9) < bound
+    residual, superop = verify_correction(ch, dec, correction)
+    assert residual == cm.residual
+    assert superop.tobytes() == cm.superop.tobytes()
+    # at a looser tol the same bound is the reported value
+    residual, superop = verify_correction(ch, dec, correction, tol=1e-8)
+    assert residual == bound
+    assert np.max(np.linalg.norm(superop - cm.superop, axis=0)) <= residual
+
+
+def test_nan_correction_input_reports_the_kernels_nan():
+    # a NaN entry makes the bound NaN, which fails the gate: the kernel runs,
+    # and its NaN residual and superop are reported
+    ch, dec, correction = _kicked_on_the_code(0.0)
+    ch.kraus[1][3, 2] = np.nan
+    kw = np.asarray(ch.kraus) @ dec.w
+    ops = (np.asarray(correction.kraus)[:, None] @ kw[None]).reshape(-1, *kw.shape[1:])
+    assert np.isnan(subsystem._product_form_bound(ops, dec)[0])
+    cm = certify_code_map(ops, dec.d_a, dec.d_b, frame=dec.w)
+    residual, superop = verify_correction(ch, dec, correction)
+    assert np.isnan(residual) and np.isnan(cm.residual)
+    assert superop.tobytes() == cm.superop.tobytes()
+    verdict = check_noiseless(ch, dec)
+    assert np.isnan(verdict.residual) and not verdict.ok
+
+
+def test_planted_corpus_never_runs_the_code_map_kernel(monkeypatch):
+    # verify_correction on the planted corpus, find_ucc on the discover
+    # instances and collective noise, and check_noiseless on the noiseless
+    # blocks of E^dag ∘ E: every product-form bound passes, so no module
+    # calls certify_code_map
+    import sys
+
+    corpus = _planted_corpus()
+    channels = _discover_channels()[:17] + [KrausChannel(collective_rotation(n))
+                                            for n in (6, 7, 8)]
+    noiseless = []
+    for s in range(4):
+        ch, code = planted_channel(2, 2, 12, 3, seed=s, unital=True)
+        noiseless.append((compose(dual(ch), ch), code))
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return certify_code_map(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if (name == "subrec" or name.startswith("subrec.")) \
+                and getattr(module, "certify_code_map", None) is certify_code_map:
+            monkeypatch.setattr(module, "certify_code_map", counted)
+    for ch, dec, correction in corpus:
+        assert verify_correction(ch, dec, correction)[0] <= 1e-12
+    for ch in channels:
+        assert find_ucc(ch).subsystems
+    for ch, dec in noiseless:
+        assert check_noiseless(ch, dec).ok
     assert calls == []

@@ -142,8 +142,8 @@ def _force_contradiction(monkeypatch, stage):
         return built._replace(c_subsystem=SubsystemDecomposition(
             ch.dim, dec.d_a + 1, dec.d_b, np.eye(ch.dim, n, dtype=complex)))
 
-    def above_threshold(kw, dec, correction):
-        _, f_a = verify(kw, dec, correction)
+    def above_threshold(kw, dec, correction, tol):
+        _, f_a = verify(kw, dec, correction, tol)
         return 1e-3, f_a
 
     if stage == "rank":
@@ -331,8 +331,8 @@ def test_find_ucc_matches_the_public_chain_bit_for_bit(make, blocks, n_contradic
     # blocks of the public chain, bit for bit, with its contradiction stages
     # and rank integers, and a correction that agrees with the chain's on the
     # images E_a W of the code (off them the two completions differ); its
-    # certificate is verify_correction's kernel, bit for bit, on the stack
-    # E_a W of the fit, which equals the chain's E_a W to rounding
+    # certificate is verify_correction's, bit for bit, on the stack E_a W of
+    # the fit, which equals the chain's E_a W to rounding
     ch = make()
     tol = 1e-9
     report = find_ucc(ch, seed=0, tol=tol)
@@ -352,7 +352,7 @@ def test_find_ucc_matches_the_public_chain_bit_for_bit(make, blocks, n_contradic
         assert max(np.linalg.norm((entry.u_correction - u_corr) @ k @ w) for k in kraus) \
             <= acceptance_tol(tol)
         correction = KrausChannel([entry.u_correction])
-        residual, f_a = _verify_on(kw, dec, correction)
+        residual, f_a = _verify_on(kw, dec, correction, tol)
         assert (residual, f_a.tobytes()) == (entry.residual, entry.f_a_superop.tobytes())
         residual, f_a = verify_correction(ch, dec, correction, tol=tol)
         assert residual <= acceptance_tol(tol)
