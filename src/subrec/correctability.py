@@ -237,6 +237,6 @@ def check_noiseless(ch: KrausChannel, dec: SubsystemDecomposition,
     """
     if ch.dim != dec.dim:
         raise DimensionMismatch(f"channel dim {ch.dim} != decomposition dim {dec.dim}")
-    residual, g_a = _certify_on_code(np.asarray(ch.kraus) @ dec.w, dec, tol)
+    residual, g_a = _certify_on_code(np.asarray(ch.kraus) @ dec.w, dec.d_a, dec, tol)
     return NoiselessResult(ok=residual <= strict_tol(tol, dec.d_a * dec.d_b),
                            residual=residual, g_a=g_a)

@@ -301,20 +301,14 @@ def complete_isometry(v: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     if k > d, or unless ||u^dag u - I||_F <= ``acceptance_tol(tol, d)``.
     Q[:, k:] is orthogonal to range(v) to rounding, whatever v's defect, and
     a coordinate frame completes to I exactly (each reflector is I)."""
-    return _complete_isometry(v, tol)[0]
-
-
-def _complete_isometry(v: np.ndarray, tol: float):
-    """:func:`complete_isometry` with the defect ||u^dag u - I||_F it measured."""
     v = np.asarray(v, dtype=complex)
     d, k = v.shape
     if k > d:
         raise NotPartialIsometry(f"{k} columns cannot be orthonormal in dimension {d}")
     u = v.copy() if k == d else np.hstack([v, np.linalg.qr(v, mode="complete")[0][:, k:]])
-    defect = frobenius(dagger(u) @ u - np.eye(d))
-    if not defect <= acceptance_tol(tol, d):
+    if not frobenius(dagger(u) @ u - np.eye(d)) <= acceptance_tol(tol, d):
         raise NotPartialIsometry("completion failed to produce a unitary")
-    return u, defect
+    return u
 
 
 def complete_to_unitary(v: np.ndarray, dim: int, tol: float = DEFAULT_TOL) -> np.ndarray:

@@ -42,7 +42,7 @@ complementary factor moved to C.  The construction:
    complete Householder QR (``complete_isometry``); the recovery is
    U = V^dag.  Only V's action on E's images of the code is fixed, so any
    completion serves;
-5. certify U ∘ E ∘ P_AB = F_{C|A} (x) id_B by a bound (below), with the
+5. certify U ∘ E ∘ P_AB = F_{C|A} (x) id_B on U E_b W (below), with the
    closed form of F_{C|A}: E_b W = sum_a G_a W (U_ab (x) I_B) gives one
    operator K_b = Λ_live^{1/2} U[live rows, b-th column block] per
    original Kraus index b.
@@ -70,34 +70,14 @@ standard basis vectors, in (a, l, k) order, whose Householder completion
 is I exactly: ``recovery_to_correction`` pairs it onto W without
 completing it, and completes only a general frame.
 
-Step 5 bounds the residual of the exact certificate (``certify_code_map``,
-against the factor map extracted from the I_B slice of U ∘ E ∘ P_AB) by
-quantities the builder holds.  On the matrix unit |i, k><j, l> the action
-is U E(k) M_ij E(l)^dag U^dag, M_ij = I_m (x) |i><j|.  With P = q q^dag,
-E(k) (M_ij - P M_ij P) E(l)^dag has norm at most c η' (2 + η'), and U
-adds a factor ||U||_2^2 <= 1 + δ_V, where c = max_k ||E(k)||_F^2 (step 3),
-η' = ||q q^dag - I||_F and δ_V = ||V^dag V - I||_F, which the completion
-measures.  The rest is U G(k) T_ij G(l)^dag U^dag, T_ij = q^dag M_ij q,
-||T_ij||_2 <= 1 + η, η = ||q^dag q - I||_F.  V's first columns are the step 4
-images bit for bit, so U G(k) = A_k + Err_k, where A_k sends a live column
-(a, l) to sqrt(lambda_l) times the C (x) B basis vector (a, l, k) and every
-other column to 0, and ||Err_k||_F <= ε = (λ_max δ_V^2 + (1 + δ_V) ν^2)^(1/2),
-ν^2 the largest squared norm of G(k) over the columns off the live set.
-A_k T_ij A_l^dag is exactly V_k F_{C|A}(|i><j|) V_l^dag for the closed form,
-so its mismatch on every matrix unit is at most
-B = (1 + δ_V) c η' (2 + η') + (1 + η) (2 sqrt(λ_max) ε + ε^2).  The extracted
-map is (1 / d_B) sum_{k, k'} V_k^dag (U ∘ E)(|i, k'><j, k'|) V_k, and
-V_k^dag A_k' = 0 for k != k', so it differs from the closed form by at most B
-too, and the exact residual is at most 2 B.  The reported bound is 2 (B + ρ),
-with ρ a relative (d + m d_A) eps of the images' scale,
-(1 + δ_V) c + (1 + η) λ_max, for the rounding of the exact kernel and of the
-quantities read.  Within ``strict_tol(tol)`` (no scale, so a reader's gate
-at any threshold down to that one sees the exact verdict) it is the
-reported residual, with the closed-form superop; otherwise
-``certify_code_map`` runs and its residual and extracted superop are
-reported.  Reading the bound costs O(m d_A d d_B + (m d_A)^3), with no
-d x d product.  ``verify_correction`` judges R ∘ E ∘ P_AB by a bound of its
-own, read off the composed operators, at the same threshold.
+Step 5 is the code-map identity of ``verify_correction`` and
+``check_noiseless`` with the C (x) B frame, a coordinate frame of defect 0,
+as output frame, and passes their gate: the product-form bound on U E_b W
+(``subsystem._product_form_bound``), with the closed-form superop of the
+factors it reads off, the K_b to rounding, within ``strict_tol(tol)`` (no
+scale, so a reader's gate at any threshold down to that one sees the exact
+verdict); otherwise, a NaN bound included, the residual and superop of
+``certify_code_map``.  Forming U E_b W costs m d^2 d_A d_B.
 """
 
 from __future__ import annotations
@@ -111,10 +91,9 @@ from .channel import KrausChannel
 from .correctability import CorrectabilityCertificate
 from .errors import (CertificateMismatch, NotPartialIsometry, NotTracePreserving,
                      NumericalDegeneracy)
-from .linalg import (DEFAULT_TOL, _canonicalize_eigenvectors, _complete_isometry, _sorted_eigh,
-                     acceptance_tol, complete_isometry, dagger, frobenius, strict_tol)
-from .subsystem import (SubsystemDecomposition, _certify_on_code, _kraus_superop, _row_group,
-                        certify_code_map)
+from .linalg import (DEFAULT_TOL, _canonicalize_eigenvectors, _sorted_eigh, acceptance_tol,
+                     complete_isometry, dagger, frobenius, strict_tol)
+from .subsystem import SubsystemDecomposition, _certify_on_code, _row_group
 
 __all__ = ["RecoveryResult", "construct_recovery", "recovery_to_correction",
            "verify_correction"]
@@ -130,14 +109,14 @@ class RecoveryResult:
     embedding); ``f_ca_kraus`` is the closed-form Kraus list of F_{C|A},
     one d_C x d_A operator Λ_live^{1/2} U[live rows, b-th column block]
     per original Kraus index b; ``f_ca_superop`` is the d_C^2 x d_A^2
-    matrix of F_{C|A}: that of the closed form when ``residual`` is the
-    step 5 bound, and the map ``certify_code_map`` extracts from the
-    action when it is that kernel's exact value, within ``residual`` of
-    each other on every matrix unit;
+    matrix of F_{C|A}: the closed form of the factors read off U E_b W when
+    ``residual`` is the bound, and the map ``certify_code_map`` extracts
+    when it is that kernel's value, within ``residual`` of each other on
+    every matrix unit;
     ``d_blocks`` records (a, D_aa, r_a) for blocks with nonzero rank;
     ``residual`` certifies the defining equation on a complete operator
-    basis: the step 5 upper bound on the exact residual whenever it is
-    within ``strict_tol(tol)``, and the exact residual where it is not
+    basis: the product-form upper bound on the exact residual whenever it
+    is within ``strict_tol(tol)``, and the exact residual where it is not
     (module docstring); ``orthogonality_residual`` is the step 2 check,
     which also certifies the closed-form polar factor of step 4: from the
     caller's own certificate an upper bound read off F and the pair
@@ -146,10 +125,11 @@ class RecoveryResult:
     ||q q^dag - I||_F max_k ||E(k)||_F^2 on every path (module docstring).
 
     The operators (``u_recovery``, ``c_subsystem``, ``f_ca_kraus``,
-    ``f_ca_superop``) read only F's eigenvectors above the live cut-off,
-    which are canonical, so they do not depend on the eigensolver's choice
-    of basis inside a degenerate cluster.  The last bits of the step 2, 3
-    and 5 values depend on the solver's basis of F's null cluster.
+    ``f_ca_superop``) and ``residual`` read only F's eigenvectors above the
+    live cut-off, which are canonical, so they do not depend on the
+    eigensolver's choice of basis inside a degenerate cluster.  The last
+    bits of the step 2 and 3 values depend on the solver's basis of F's
+    null cluster.
     """
 
     u_recovery: np.ndarray
@@ -176,10 +156,6 @@ class _Built(NamedTuple):
     orthogonality_residual: float
     q: np.ndarray  # eigenvectors of F: the remix is G(k) = E(k) q
     kw: np.ndarray  # the code-projected Kraus operators E_b W
-    lam: np.ndarray  # F's eigenvalues, clamped at 0
-    live: np.ndarray  # indices (a, l) of the live eigenvalues
-    g_cols: np.ndarray  # G(k)[:, (a, l)] at [(a, l), :, k]
-    v_defect: float  # ||V^dag V - I||_F of the completed V = U^dag
 
 
 def _diagonalize_f(f: np.ndarray, tol: float):
@@ -286,7 +262,7 @@ def _build_recovery(ch: KrausChannel, dec: SubsystemDecomposition,
     n_cb = v_cb.shape[1]
     rank_c = n_cb // d_b
     try:
-        v, v_defect = _complete_isometry(v_cb, tol)
+        v = complete_isometry(v_cb, tol)
     except NotPartialIsometry as exc:
         # the step 2 gate is absolute, so small live eigenvalues of F can pass
         # it and still leave these images far from an isometry
@@ -304,8 +280,7 @@ def _build_recovery(ch: KrausChannel, dec: SubsystemDecomposition,
     # column block], the live rows in the (a, l) order of the C embedding
     k_live = np.sqrt(lam[live])[:, None] * u[live]
     f_ca_kraus = list(k_live.reshape(live.size, m, d_a).transpose(1, 0, 2))
-    return _Built(u_recovery, c_dec, f_ca_kraus, d_blocks, ortho_resid, q, kw, lam, live,
-                  g_cols, v_defect)
+    return _Built(u_recovery, c_dec, f_ca_kraus, d_blocks, ortho_resid, q, kw)
 
 
 def construct_recovery(ch: KrausChannel, dec: SubsystemDecomposition,
@@ -341,41 +316,17 @@ def construct_recovery(ch: KrausChannel, dec: SubsystemDecomposition,
     eta_out = frobenius(q @ dagger(q) - np.eye(len(q)))
     g_action_resid = eta_out * c
 
-    # 5. U ∘ E ∘ P_AB = F_{C|A} (x) id_B: the bound, with the closed form,
-    # when it is within strict_tol(tol), else the exact certificate with
-    # F_{C|A} extracted from the identity-B slice of the actual action
-    bound = _step_5_bound(built, c, eta_out)
-    if bound <= strict_tol(tol):
-        residual, superop = bound, _kraus_superop(np.asarray(built.f_ca_kraus))
-    else:
-        cm = certify_code_map(built.u_recovery @ built.kw, d_a, d_b, frame=built.c_subsystem.w)
-        residual, superop = cm.residual, cm.superop
+    # 5. U ∘ E ∘ P_AB = F_{C|A} (x) id_B on the C frame: the product-form
+    # bound, with the closed form, when it is within strict_tol(tol), else the
+    # exact certificate with F_{C|A} extracted from the identity-B slice
+    residual, superop = _certify_on_code(built.u_recovery @ built.kw, d_a, built.c_subsystem,
+                                         tol)
 
     return RecoveryResult(
         u_recovery=built.u_recovery, c_subsystem=built.c_subsystem,
         f_ca_kraus=built.f_ca_kraus, f_ca_superop=superop, d_blocks=built.d_blocks,
         residual=residual, g_action_residual=g_action_resid,
         orthogonality_residual=built.orthogonality_residual)
-
-
-def _step_5_bound(built: _Built, c: float, eta_out: float) -> float:
-    """Upper bound 2 (B + ρ) on the step 5 residual, read off the builder
-    (module docstring); ``c`` = max_k ||E(k)||_F^2, ``eta_out`` = ||q q^dag - I||_F."""
-    q, lam, delta_v = built.q, built.lam, built.v_defect
-    size, d, d_b = len(q), built.kw.shape[1], built.c_subsystem.d_b
-    eta_in = frobenius(dagger(q) @ q - np.eye(size))
-    # nu^2 = max_k ||G(k)||_F^2 over the columns (a, l) off the live set
-    dead = np.ones(size, dtype=bool)
-    dead[built.live] = False
-    g_dead = built.g_cols[dead].view(float).reshape(-1, d, d_b, 2)
-    nu_sq = float(np.max(np.einsum("xdkr,xdkr->k", g_dead, g_dead), initial=0.0))
-    lam_max = float(lam[0])
-    err = np.sqrt(lam_max * delta_v ** 2 + (1.0 + delta_v) * nu_sq)
-    mismatch = (1.0 + delta_v) * c * eta_out * (2.0 + eta_out) + (1.0 + eta_in) * (
-        2.0 * np.sqrt(lam_max) * err + err ** 2)
-    rounding = (d + size) * float(np.finfo(float).eps) * (
-        (1.0 + delta_v) * c + (1.0 + eta_in) * lam_max)
-    return float(2.0 * (mismatch + rounding))
 
 
 def recovery_to_correction(res, dec: SubsystemDecomposition,
@@ -451,4 +402,4 @@ def _verify_on(kw: np.ndarray, dec: SubsystemDecomposition, correction: KrausCha
                tol: float):
     """:func:`verify_correction` on the stack E_a W ``kw``, wherever it was formed."""
     ops = np.asarray(correction.kraus)[:, None] @ kw[None]
-    return _certify_on_code(ops.reshape(-1, *ops.shape[2:]), dec, tol)
+    return _certify_on_code(ops.reshape(-1, *ops.shape[2:]), dec.d_a, dec, tol)

@@ -224,65 +224,69 @@ def _row_group(row_entries: int, cap: int) -> int:
     return max(1, max(cap, 1 << 16) // row_entries)
 
 
-def _product_form_bound(ops: np.ndarray, dec: SubsystemDecomposition):
-    """Upper bound on ``certify_code_map(ops, d_A, d_B, frame=W).residual``,
+def _product_form_bound(ops: np.ndarray, d_a: int, out: SubsystemDecomposition):
+    """Upper bound on ``certify_code_map(ops, d_A, d_B, frame=V).residual``,
     with the closed-form factors k_c.
 
-    ``ops`` is the C x d x d_A d_B stack N_c of a map on the code of ``dec``,
-    certified against W itself as the output frame.  The map equals
-    F (x) id_B exactly when every N_c = W (k_c (x) I_B); the closed-form
-    factor k_c = (1/d_B) sum_l W_l^dag N_c[:, (., l)], W_l the columns (e, l)
-    of W, gives the product form A_c = W (k_c (x) I_B) and the remainder
-    Δ_c = N_c - A_c.  With the column scales, over c,
-    δ = max_p (sum_c ||Δ_c e_p||^2)^(1/2), a = max_p (sum_c ||A_c e_p||^2)^(1/2)
-    and f = max_i sum_c ||k_c e_i||^2, and the closed form
-    F^(X) = sum_c k_c X k_c^dag: since A_c e_p = W_k k_c e_i for p = (i, k),
-    Cauchy-Schwarz over c bounds the mismatch on the matrix unit |p><q|,
-    q = (j, l), ||N(|p><q|) - W_k F^(|i><j|) W_l^dag||_F <= B = 2 δ a + δ^2.
-    The kernel reads F(|i><j|) = (1/d_B) sum_l' W_l'^dag N(|i><j| (x) I_B) W_l'
-    off the I_B slice; with γ = ``dec.defect`` = ||W^dag W - I||_F and
-    ||W||_2^2 <= 1 + γ, that slice map sends x y^dag (x, y of d_B columns) to
+    ``ops`` is the C x d x d_A d_B stack N_c of a map on a code of factors
+    (d_A, d_B); V = ``out.w`` is the output frame, of factors (d_C, d_B),
+    d_C = ``out.d_a``.  The map equals F (x) id_B exactly when every
+    N_c = V (k_c (x) I_B); the closed-form factor
+    k_c = (1/d_B) sum_l V_l^dag N_c[:, (., l)], V_l the columns (e, l) of V,
+    gives A_c = V (k_c (x) I_B) and the remainder Δ_c = N_c - A_c.  With
+    γ = ``out.defect`` = ||V^dag V - I||_F, so ||V||_2^2 <= 1 + γ, and over c
+    δ = max_p (sum_c ||Δ_c e_p||^2)^(1/2), f = max_i sum_c ||k_c e_i||^2 and
+    a = ((1 + γ) f)^(1/2), which bounds max_p (sum_c ||A_c e_p||^2)^(1/2) as
+    A_c e_p = V_k k_c e_i for p = (i, k), and the closed form
+    F^(X) = sum_c k_c X k_c^dag: Cauchy-Schwarz over c bounds the mismatch on
+    the matrix unit |p><q|, q = (j, l),
+    ||N(|p><q|) - V_k F^(|i><j|) V_l^dag||_F <= B = 2 δ a + δ^2.
+    The kernel reads F(|i><j|) = (1/d_B) sum_l' V_l'^dag N(|i><j| (x) I_B) V_l'
+    off the I_B slice; that slice map sends x y^dag (x, y of d_B columns) to
     norm at most (1 + γ) ||x||_F ||y||_F / d_B, and over c the d_B columns
     (i, k) of the Δ_c carry at most d_B δ^2, those of the A_c d_B a^2, so
-    the remainder terms reach F at most (1 + γ) B; the product part is Tr_B((I + E) (F^ (x) I_B) (I + E)) / d_B,
-    E = W^dag W - I, within (2 γ + γ^2) f of F^(|i><j|), as
-    ||F^(|i><j|)||_2 <= f.  So ||F - F^|| <= D = (1 + γ) B + (2 γ + γ^2) f on
-    every matrix unit, and the exact residual is at most B + (1 + γ) D.  The
-    returned bound adds ρ, a relative (d + d_A d_B + C) eps of the images'
-    scale (a + δ)^2 + (1 + γ) f, for the rounding of the exact kernel and of
-    the quantities read.  It is NaN when an input is.  The closed-form superop
-    is within D of the kernel's on every matrix unit.  Cost: two contractions
-    of C d d_A d_B d_A and the remainder's norms; no n x n or d x d product.
+    the remainder terms reach F at most (1 + γ) B; the product part is
+    Tr_B((I + E) (F^ (x) I_B) (I + E)) / d_B, E = V^dag V - I, within
+    (2 γ + γ^2) f of F^(|i><j|), as ||F^(|i><j|)||_2 <= f.  So
+    ||F - F^|| <= D = (1 + γ) B + (2 γ + γ^2) f on every matrix unit, and the
+    exact residual is at most B + (1 + γ) D.  The returned bound adds ρ, a
+    relative (d + max(d_A, d_C) d_B + C) eps of the images' scale
+    (a + δ)^2 + (1 + γ) f: one eps per term of the longest sums, the d rows
+    of the kernel's QR and of each k_c slice, and the at most
+    max(d_A, d_C) d_B terms of an A_c entry or C + d_C of the kernel's
+    K x K products, K = min(d, C + d_C).  It is NaN when an input is.  The
+    closed-form superop is within D of the kernel's on every matrix unit.
+    Cost: two products of C d d_C d_B d_A and the remainder's norms, in one
+    copy of ``ops``, which is left as it is.
 
-    Returns ``(bound, kraus)``, ``kraus`` the C x d_A x d_A stack of the k_c.
+    Returns ``(bound, kraus)``, ``kraus`` the C x d_C x d_A stack of the k_c.
     """
     count, d, _ = ops.shape
-    d_a, d_b = dec.d_a, dec.d_b
-    frame = dec.w.reshape(d, d_a, d_b)
-    stack = ops.reshape(count, d, d_a, d_b)
-    # k[e, c, i] = (1/d_B) sum_(x, l) conj(W[x, (e, l)]) N_c[x, (i, l)]
-    k = np.tensordot(frame.conj(), stack, axes=([0, 2], [1, 3])) / d_b
-    # A_c and Δ_c with the columns (i, l) laid out as [l, x, c, i]
-    a = (frame.transpose(2, 0, 1) @ k.reshape(d_a, -1)).reshape(d_b, d, count, d_a)
-    a_sq = _column_squares(a)
-    # -Δ_c in place of A_c: the norms are the same
-    a -= stack.transpose(3, 1, 0, 2)
-    delta_sq = _column_squares(a)
-    f = float(np.max(np.sum(np.square(k.real) + np.square(k.imag), axis=(0, 1))))
-    gamma = dec.defect
-    a_max, delta_max = np.sqrt(np.max(a_sq)), np.sqrt(np.max(delta_sq))
+    d_c, d_b = out.d_a, out.d_b
+    frame = out.w.reshape(d, d_c, d_b)
+    # a copy of N_c with rows (l, x) and columns (c, i), so that k[e, (c, i)] =
+    # (1/d_B) sum_(l, x) conj(V[x, (e, l)]) N_c[x, (i, l)] is one product
+    stack = ops.reshape(count, d, d_a, d_b).transpose(3, 1, 0, 2).copy().reshape(d_b * d, -1)
+    k = (frame.conj().transpose(1, 2, 0).reshape(d_c, -1) @ stack) / d_b
+    # Δ_c = N_c - A_c in place of the copy, each A_c column V_l k_c e_i, in
+    # groups of B indices l of at most one N_c's entries (or 2^16)
+    delta, frame_l = stack.reshape(d_b, d, -1), frame.transpose(2, 0, 1)
+    group = _row_group(d * count * d_a, d * d_a * d_b)
+    for start in range(0, d_b, group):
+        delta[start:start + group] -= frame_l[start:start + group] @ k
+    # squared column norms over c, per (l, i), as real and imaginary pairs
+    flat = delta.view(float).reshape(d_b, d, count, -1)
+    delta_sq = np.einsum("lxcr,lxcr->lr", flat, flat)
+    delta_max = np.sqrt(np.max(delta_sq[:, 0::2] + delta_sq[:, 1::2]))
+    kraus = k.reshape(d_c, count, d_a).transpose(1, 0, 2)
+    f = float(np.max(np.sum(np.square(kraus.real) + np.square(kraus.imag), axis=(0, 1))))
+    gamma = out.defect
+    a_max = np.sqrt((1.0 + gamma) * f)
     b = 2.0 * delta_max * a_max + delta_max ** 2
     drift = (1.0 + gamma) * b + (2.0 * gamma + gamma ** 2) * f
-    rounding = (d + d_a * d_b + count) * float(np.finfo(float).eps) * (
+    rounding = (d + max(d_a, d_c) * d_b + count) * float(np.finfo(float).eps) * (
         (a_max + delta_max) ** 2 + (1.0 + gamma) * f)
-    return float(b + (1.0 + gamma) * drift + rounding), k.transpose(1, 0, 2)
-
-
-def _column_squares(x: np.ndarray) -> np.ndarray:
-    # sum_c ||X_c e_p||^2 for the stack laid out as [l, x, c, i]: per (l, i)
-    flat = x.view(float).reshape(*x.shape[:3], -1)
-    sums = np.einsum("lxcr,lxcr->lr", flat, flat)
-    return sums.reshape(x.shape[0], -1, 2).sum(axis=-1)
+    return float(b + (1.0 + gamma) * drift + rounding), kraus
 
 
 def _kraus_superop(kraus: np.ndarray) -> np.ndarray:
@@ -292,17 +296,17 @@ def _kraus_superop(kraus: np.ndarray) -> np.ndarray:
     return np.einsum("bci,bej->ecji", kraus, kraus.conj()).reshape(d_c * d_c, d_a * d_a)
 
 
-def _certify_on_code(ops: np.ndarray, dec: SubsystemDecomposition, tol: float):
-    """``(residual, superop)`` of the map with the stack ``ops`` on the code of
-    ``dec``, against W as output frame: the product-form bound with the
-    closed-form superop when the bound is within ``strict_tol(tol)``, else
-    ``certify_code_map``'s exact residual and extracted superop, bit for bit
-    (a NaN bound included), so a verdict at any threshold down to
-    ``strict_tol(tol)`` is the exact one."""
-    bound, kraus = _product_form_bound(ops, dec)
+def _certify_on_code(ops: np.ndarray, d_a: int, out: SubsystemDecomposition, tol: float):
+    """``(residual, superop)`` of the map with the stack ``ops`` on a code of
+    factors (d_A, out.d_b), against the output frame ``out.w``: the
+    product-form bound with the closed-form superop when the bound is within
+    ``strict_tol(tol)``, else ``certify_code_map``'s exact residual and
+    extracted superop, bit for bit (a NaN bound included), so a verdict at any
+    threshold down to ``strict_tol(tol)`` is the exact one."""
+    bound, kraus = _product_form_bound(ops, d_a, out)
     if bound <= strict_tol(tol):
         return bound, _kraus_superop(kraus)
-    cm = certify_code_map(ops, dec.d_a, dec.d_b, frame=dec.w)
+    cm = certify_code_map(ops, d_a, out.d_b, frame=out.w)
     return cm.residual, cm.superop
 
 

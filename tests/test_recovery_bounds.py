@@ -6,11 +6,13 @@ off the certificate: F, its eigenbasis q and the pair residuals r_ab.  The
 exact grouped Gram gate runs only where that bound fails
 ``acceptance_tol(tol, lambda_max)``, or when the certificate was made from
 other, value-equal objects.  Step 3 reports the bound
-||q q^dag - I||_F max_k ||E(k)||_F^2 on every path.  Step 5 reports its
-bound on the recovery identity wherever it is within ``strict_tol(tol)``,
-and the exact ``certify_code_map`` residual elsewhere.  Each case here runs
-both ways, with the own certificate and with the certificate of an equal
-copy of the channel, and checks that
+||q q^dag - I||_F max_k ||E(k)||_F^2 on every path.  Step 5 judges the
+recovery identity on the composed operators U E_a W and the C frame by the
+product-form bound that ``verify_correction`` and ``check_noiseless`` share:
+the bound wherever it is within ``strict_tol(tol)``, and the exact
+``certify_code_map`` residual elsewhere.  Each case here runs both ways,
+with the own certificate and with the certificate of an equal copy of the
+channel, and checks that
 
 * the step 2 value is at least the exact gate's; where the bound fails,
   it is the exact one bit for bit, and where it passes, it is the bound
@@ -18,14 +20,15 @@ copy of the channel, and checks that
 * the step 3 value is the bound written out below, the same bits both
   ways, and not below the written-out definition wherever q is scaled off
   unitarity;
-* the step 5 value is at least the exact kernel's; where the bound passes,
-  it is the bound written out below and the superop is the closed form's,
-  within that value of the extracted one, and where it fails, residual and
+* the step 5 value is at least the exact kernel's; where the product-form
+  bound written out below passes, it is that bound and the superop is the
+  closed form's, within that value of the extracted one and of the closed
+  form of the builder's Kraus list, and where it fails, residual and
   superop are the kernel's bit for bit;
 * both runs raise the same error, or return the same operators bit for bit.
 
-The last part checks the product-form bound that ``verify_correction`` (and
-so ``find_ucc``) and ``check_noiseless`` report within ``strict_tol(tol)``:
+The last part checks the product-form bound that step 5, ``verify_correction``
+(and so ``find_ucc``) and ``check_noiseless`` report within ``strict_tol(tol)``:
 on every call the library makes, it is at least the exact kernel's residual
 and its closed-form superop is within it of the extracted one, and where it
 exceeds the gate, or is NaN, the kernel's residual and superop are reported
@@ -62,13 +65,7 @@ def _bounds(ch, dec, cert, tol):
     #           + (1 + ||q^dag q - I||_F) (||r|| + ρ d_B Σ|λ|),
     #           judged at acceptance_tol(λ_max),
     #   step 3: ||q q^dag - I||_F max_k ||E(k)||_F^2
-    # and, with V = U^dag of defect δ_V = ||V^dag V - I||_F, c = max_k ||E(k)||_F^2,
-    # η = ||q^dag q - I||_F, η' = ||q q^dag - I||_F, G(k) = E(k) q and ν the
-    # largest ||G(k)||_F over the columns (a, l) off the live set,
-    #   ε = (λ_max δ_V^2 + (1 + δ_V) ν^2)^(1/2),
-    #   step 5: 2 [(1 + δ_V) c η' (2 + η') + (1 + η) (2 sqrt(λ_max) ε + ε^2)
-    #              + ρ ((1 + δ_V) c + (1 + η) λ_max)],
-    #           judged at strict_tol(tol)
+    # (step 5 is the product-form bound, _product_form_mirror below)
     f = cert.f_matrix
     lam, q = recovery._diagonalize_f(f, tol)
     size = len(lam)
@@ -82,28 +79,6 @@ def _bounds(ch, dec, cert, tol):
     eta_out = np.linalg.norm(q @ dagger(q) - np.eye(size))
     step_3 = eta_out * c
     return step_2, step_3, acceptance_tol(tol, lam[0])
-
-
-def _step_5_bound(ch, dec, cert, res, tol):
-    lam, q = recovery._diagonalize_f(cert.f_matrix, tol)
-    lam = np.maximum(lam, 0.0)
-    size, eps = len(lam), np.finfo(float).eps
-    dead = lam <= strict_tol(tol, lam[0])
-    ew = (np.asarray(ch.kraus) @ dec.w).reshape(ch.m, ch.dim, dec.d_a, dec.d_b)
-    # G(k) as the builder forms it, from the blocks of U = q^dag
-    gw = np.tensordot(q.T.reshape(ch.m, dec.d_a, ch.m, dec.d_a), ew, axes=([2, 3], [0, 2]))
-    g_dead = gw.reshape(size, ch.dim, dec.d_b)[dead]
-    nu = max(np.linalg.norm(g_dead[..., k]) for k in range(dec.d_b)) if dead.any() else 0.0
-    c = max(np.linalg.norm(ew[..., k]) ** 2 for k in range(dec.d_b))
-    eta_in = np.linalg.norm(dagger(q) @ q - np.eye(size))
-    eta_out = np.linalg.norm(q @ dagger(q) - np.eye(size))
-    u = res.u_recovery
-    delta_v = np.linalg.norm(u @ dagger(u) - np.eye(ch.dim))
-    err = np.sqrt(lam[0] * delta_v ** 2 + (1 + delta_v) * nu ** 2)
-    rho = (ch.dim + size) * eps
-    return 2 * ((1 + delta_v) * c * eta_out * (2 + eta_out)
-                + (1 + eta_in) * (2 * np.sqrt(lam[0]) * err + err ** 2)
-                + rho * ((1 + delta_v) * c + (1 + eta_in) * lam[0]))
 
 
 def _exact_step_5(ch, dec, res):
@@ -149,12 +124,17 @@ def _assert_sound(ch, dec, tol=1e-9):
     assert own.residual == exact.residual
     cm = _exact_step_5(ch, dec, own)
     assert own.residual >= cm.residual
-    if _step_5_bound(ch, dec, cert, own, tol) <= strict_tol(tol):
-        assert own.residual == pytest.approx(_step_5_bound(ch, dec, cert, own, tol),
-                                             rel=1e-9, abs=1e-300)
-        assert np.allclose(own.f_ca_superop, _closed_form_superop(own.f_ca_kraus),
-                           rtol=1e-14, atol=1e-15)
-        assert np.max(np.linalg.norm(own.f_ca_superop - cm.superop, axis=0)) <= own.residual
+    ops = own.u_recovery @ (np.asarray(ch.kraus) @ dec.w)
+    bound, kraus, rounding = _product_form_mirror(ops, dec.d_a, own.c_subsystem)
+    if bound <= strict_tol(tol):
+        # on a planted code the remainders are rounding, whose last bits
+        # depend on the order of the sums, so the two agree to the rounding
+        # allowance they both carry
+        assert own.residual == pytest.approx(bound, rel=1e-9, abs=rounding)
+        assert np.allclose(own.f_ca_superop, _closed_form_superop(kraus),
+                           rtol=1e-13, atol=1e-15)
+        for other in (cm.superop, _closed_form_superop(own.f_ca_kraus)):
+            assert np.max(np.linalg.norm(own.f_ca_superop - other, axis=0)) <= own.residual
     else:
         assert own.residual == cm.residual
         assert own.f_ca_superop.tobytes() == cm.superop.tobytes()
@@ -298,28 +278,48 @@ def test_straddling_case_reports_the_exact_kernels():
 
 
 def test_step_5_straddle_reports_the_exact_kernel():
-    # q scaled by 1 + 1e-8: the step 2 bound passes its gate, but the step 5
-    # bound, about 4 ||q q^dag - I||_F max_k ||E(k)||_F^2, exceeds
-    # strict_tol(1e-9) = 1e-9, while the exact identity holds to rounding,
-    # since U, F and the C frame scale together: the kernel's residual and
-    # superop are reported, bit for bit
-    ch, dec = _orthogonal_ranges(0)
-    cert = check_correctable(ch, dec)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(recovery, "_diagonalize_f", _scaled_eigenvectors(1.0 + 1e-8))
-        step_2, _, gate = _bounds(ch, dec, cert, 1e-9)
-        res = _assert_sound(ch, dec)
-        step_5 = _step_5_bound(ch, dec, cert, res, 1e-9)
+    # the kicked code at kick 1e-9 and shrink 0.1: the product-form bound on
+    # U E_a W, about 4.1 times the exact residual, exceeds strict_tol(1e-9)
+    # while the exact identity holds within it, so the kernel's residual and
+    # superop are reported, bit for bit, and the verdict at strict_tol(1e-9)
+    # is the exact one
+    ch, dec = _large_off_code(0, 1e-9, 0.1)
+    res = _assert_sound(ch, dec)
+    ops = res.u_recovery @ (np.asarray(ch.kraus) @ dec.w)
+    bound = subsystem._product_form_bound(ops, dec.d_a, res.c_subsystem)[0]
     cm = _exact_step_5(ch, dec, res)
-    assert step_2 <= gate and cm.residual < 1e-14 < strict_tol(1e-9) < step_5
+    assert cm.residual <= strict_tol(1e-9) < bound
     assert res.residual == cm.residual
+    assert res.f_ca_superop.tobytes() == cm.superop.tobytes()
+
+
+def test_nan_step_5_input_reports_the_kernels_nan(monkeypatch):
+    # a NaN in the stack E_a W that step 5 composes makes the bound NaN, which
+    # fails the gate: the kernel runs, and its NaN residual and superop are
+    # reported
+    ch, dec = planted_channel(2, 2, 8, 3, seed=15)
+    build, stacks = recovery._build_recovery, []
+
+    def poisoned(*args):
+        built = build(*args)
+        kw = built.kw.copy()
+        kw[1, 3, 2] = np.nan
+        stacks.append(kw)
+        return built._replace(kw=kw)
+
+    monkeypatch.setattr(recovery, "_build_recovery", poisoned)
+    res = construct_recovery(ch, dec, check_correctable(ch, dec))
+    ops = res.u_recovery @ stacks[0]
+    assert np.isnan(subsystem._product_form_bound(ops, dec.d_a, res.c_subsystem)[0])
+    cm = certify_code_map(ops, dec.d_a, dec.d_b, frame=res.c_subsystem.w)
+    assert np.isnan(res.residual) and np.isnan(cm.residual)
     assert res.f_ca_superop.tobytes() == cm.superop.tobytes()
 
 
 def test_planted_corpus_never_runs_the_step_5_kernel(monkeypatch):
     # the certify instances, the planted codes, the binary-unitary code and the
-    # d = 256 complement block: every step 5 bound passes, so construct_recovery
-    # never calls certify_code_map
+    # d = 256 complement block: every step 5 bound passes, so the gate that
+    # construct_recovery calls never reaches certify_code_map
     cases = [planted_channel(4, 8, 40, 3, np.random.default_rng([1, 1, i])) for i in range(41)]
     cases += [planted_channel(d_a, 3, 4 * d_a + 6, m, seed=10 * d_a + m, unital=unital)
               for d_a in (1, 2, 3, 4) for unital in (False, True) for m in (1, 2, 5)]
@@ -328,52 +328,59 @@ def test_planted_corpus_never_runs_the_step_5_kernel(monkeypatch):
     ch, code = planted_channel(2, 4, 256, 8, seed=1, unital=True)
     cases.append((ch, SubsystemDecomposition(256, 1, 248, complete_isometry(code.w, 1e-9)[:, 8:])))
     certs = [check_correctable(ch, dec) for ch, dec in cases]
-    kernel, calls = recovery.certify_code_map, []
+    kernel, calls = subsystem.certify_code_map, []
 
     def counted(*args, **kwargs):
         calls.append(args[0].shape)
         return kernel(*args, **kwargs)
 
-    monkeypatch.setattr(recovery, "certify_code_map", counted)
+    # step 5 reaches the kernel only through the gate in subsystem
+    assert not hasattr(recovery, "certify_code_map")
+    monkeypatch.setattr(subsystem, "certify_code_map", counted)
     for (ch, dec), cert in zip(cases, certs):
         assert construct_recovery(ch, dec, cert).residual <= 1e-11
     assert calls == []
 
 
-# The product-form bound of verify_correction, find_ucc and check_noiseless.
-# Each reaches the code-space certificate through one gate: the bound on the
-# exact kernel's residual that the remainders N_c - W (k_c (x) I_B) give is
-# reported, with the closed-form superop, when it is within strict_tol(tol),
-# and the kernel's residual and superop otherwise.
+# The product-form bound of step 5, verify_correction, find_ucc and
+# check_noiseless.  Each reaches the code-space certificate through one gate:
+# the bound on the exact kernel's residual that the remainders
+# N_c - V (k_c (x) I_B) give, V the output frame, is reported, with the
+# closed-form superop, when it is within strict_tol(tol), and the kernel's
+# residual and superop otherwise.
 
-def _product_form_mirror(ops, dec):
-    # the bound written out per operator: k_c = (1/d_B) sum_l W_l^dag N_c[:, (., l)]
-    # with W_l, N_c[:, (., l)] the columns of B index l; A_c = W (k_c (x) I_B);
-    # δ, a the largest root sums over c of the squared columns of N_c - A_c
-    # and A_c, f = max_i sum_c ||k_c e_i||^2, γ = ||W^dag W - I||_F,
+def _product_form_mirror(ops, d_a, out):
+    # the bound written out per operator, for N_c on a code of factors
+    # (d_A, d_B) against the output frame V = out.w of factors (d_C, d_B):
+    # k_c = (1/d_B) sum_l V_l^dag N_c[:, (., l)] with V_l, N_c[:, (., l)] the
+    # columns of B index l; A_c = V (k_c (x) I_B); δ the largest root sum over
+    # c of the squared columns of N_c - A_c, f = max_i sum_c ||k_c e_i||^2,
+    # γ = ||V^dag V - I||_F and a = ((1 + γ) f)^(1/2),
     #   B = 2 δ a + δ^2,  D = (1 + γ) B + (2 γ + γ^2) f,
-    #   bound = B + (1 + γ) D + (d + d_A d_B + C) eps ((a + δ)^2 + (1 + γ) f)
-    w, d_a, d_b = dec.w, dec.d_a, dec.d_b
-    ks = [sum(dagger(w[:, l::d_b]) @ n[:, l::d_b] for l in range(d_b)) / d_b for n in ops]
-    prod = [w @ np.kron(k, np.eye(d_b)) for k in ks]
+    #   bound = B + (1 + γ) D
+    #           + (d + max(d_A, d_C) d_B + C) eps ((a + δ)^2 + (1 + γ) f)
+    v, d_c, d_b = out.w, out.d_a, out.d_b
+    ks = [sum(dagger(v[:, l::d_b]) @ n[:, l::d_b] for l in range(d_b)) / d_b for n in ops]
+    prod = [v @ np.kron(k, np.eye(d_b)) for k in ks]
     delta = np.sqrt(np.max(sum(np.sum(np.abs(n - p) ** 2, axis=0) for n, p in zip(ops, prod))))
-    a = np.sqrt(np.max(sum(np.sum(np.abs(p) ** 2, axis=0) for p in prod)))
     f = np.max(sum(np.sum(np.abs(k) ** 2, axis=0) for k in ks))
-    gamma = np.linalg.norm(dagger(w) @ w - np.eye(d_a * d_b))
+    gamma = np.linalg.norm(dagger(v) @ v - np.eye(d_c * d_b))
+    a = np.sqrt((1 + gamma) * f)
     b = 2 * delta * a + delta ** 2
     drift = (1 + gamma) * b + (2 * gamma + gamma ** 2) * f
-    rho = (len(w) + d_a * d_b + len(ops)) * np.finfo(float).eps
-    return b + (1 + gamma) * drift + rho * ((a + delta) ** 2 + (1 + gamma) * f), ks
+    rounding = (len(v) + max(d_a, d_c) * d_b + len(ops)) * np.finfo(float).eps * (
+        (a + delta) ** 2 + (1 + gamma) * f)
+    return b + (1 + gamma) * drift + rounding, ks, rounding
 
 
-def _assert_gate_sound(ops, dec, tol, reported):
+def _assert_gate_sound(ops, d_a, out, tol, reported):
     """The reported (residual, superop) of the gate against the exact kernel."""
     residual, superop = reported
-    cm = certify_code_map(ops, dec.d_a, dec.d_b, frame=dec.w)
-    bound = subsystem._product_form_bound(ops, dec)[0]
+    cm = certify_code_map(ops, d_a, out.d_b, frame=out.w)
+    bound = subsystem._product_form_bound(ops, d_a, out)[0]
     if bound <= strict_tol(tol):
         assert residual == bound >= cm.residual
-        kraus = _product_form_mirror(ops, dec)[1]
+        kraus = _product_form_mirror(ops, d_a, out)[1]
         assert np.allclose(superop, _closed_form_superop(kraus), rtol=1e-13, atol=1e-15)
         assert np.max(np.linalg.norm(superop - cm.superop, axis=0)) <= residual
     else:
@@ -390,15 +397,28 @@ def gate_calls(monkeypatch):
 
     gate, calls = subsystem._certify_on_code, []
 
-    def checked(ops, dec, tol):
-        reported = gate(ops, dec, tol)
-        _assert_gate_sound(ops, dec, tol, reported)
+    def checked(ops, d_a, out, tol):
+        before = ops.copy()
+        reported = gate(ops, d_a, out, tol)
+        assert ops.tobytes() == before.tobytes()
+        _assert_gate_sound(ops, d_a, out, tol, reported)
         calls.append(reported[0])
         return reported
 
     for module in (recovery, correctability):
         monkeypatch.setattr(module, "_certify_on_code", checked)
     return calls
+
+
+def test_product_form_bound_leaves_its_input_as_it_is():
+    # one operator on a code with d_B = 1: the bound's copy of the stack in
+    # (l, x) x (c, i) layout would otherwise be a view of the input itself
+    ch, dec = planted_channel(2, 1, 6, 1, seed=3)
+    ops = np.asarray(ch.kraus) @ dec.w
+    before = ops.copy()
+    bound = subsystem._product_form_bound(ops, dec.d_a, dec)[0]
+    assert ops.tobytes() == before.tobytes()
+    assert bound >= certify_code_map(ops, dec.d_a, dec.d_b, frame=dec.w).residual > 0
 
 
 def _planted_corpus():
@@ -414,11 +434,13 @@ def _planted_corpus():
 
 
 def test_verify_correction_bound_on_the_planted_corpus(gate_calls):
+    # building the corpus runs step 5 once per code, through the same gate
     corpus = _planted_corpus()
+    assert len(gate_calls) == len(corpus)
     for ch, dec, correction in corpus:
         residual, _ = verify_correction(ch, dec, correction)
         assert residual <= 1e-12
-    assert len(gate_calls) == len(corpus)
+    assert len(gate_calls) == 2 * len(corpus)
     # the cooling correction: many Kraus operators, each composed one
     assert corpus[-1][2].m > 1
 
@@ -478,9 +500,9 @@ def test_kicked_corrections_report_a_sound_value(log_kick, seed, tol, shrink):
         return
     kw = np.asarray(ch.kraus) @ dec.w
     ops = (np.asarray(correction.kraus)[:, None] @ kw[None]).reshape(-1, *kw.shape[1:])
-    bound = subsystem._product_form_bound(ops, dec)[0]
-    assert bound == pytest.approx(_product_form_mirror(ops, dec)[0], rel=1e-6)
-    _assert_gate_sound(ops, dec, tol, verify_correction(ch, dec, correction, tol=tol))
+    bound = subsystem._product_form_bound(ops, dec.d_a, dec)[0]
+    assert bound == pytest.approx(_product_form_mirror(ops, dec.d_a, dec)[0], rel=1e-6)
+    _assert_gate_sound(ops, dec.d_a, dec, tol, verify_correction(ch, dec, correction, tol=tol))
 
 
 def _kicked_on_the_code(eps):
@@ -504,7 +526,7 @@ def test_straddling_correction_reports_the_exact_kernel():
     ch, dec, correction = _kicked_on_the_code(1e-10)
     kw = np.asarray(ch.kraus) @ dec.w
     ops = (np.asarray(correction.kraus)[:, None] @ kw[None]).reshape(-1, *kw.shape[1:])
-    bound = subsystem._product_form_bound(ops, dec)[0]
+    bound = subsystem._product_form_bound(ops, dec.d_a, dec)[0]
     cm = certify_code_map(ops, dec.d_a, dec.d_b, frame=dec.w)
     assert cm.residual <= strict_tol(1e-9) < bound
     residual, superop = verify_correction(ch, dec, correction)
@@ -523,7 +545,7 @@ def test_nan_correction_input_reports_the_kernels_nan():
     ch.kraus[1][3, 2] = np.nan
     kw = np.asarray(ch.kraus) @ dec.w
     ops = (np.asarray(correction.kraus)[:, None] @ kw[None]).reshape(-1, *kw.shape[1:])
-    assert np.isnan(subsystem._product_form_bound(ops, dec)[0])
+    assert np.isnan(subsystem._product_form_bound(ops, dec.d_a, dec)[0])
     cm = certify_code_map(ops, dec.d_a, dec.d_b, frame=dec.w)
     residual, superop = verify_correction(ch, dec, correction)
     assert np.isnan(residual) and np.isnan(cm.residual)
