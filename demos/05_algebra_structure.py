@@ -9,7 +9,7 @@ subsystems.
 
 import numpy as np
 
-from subrec import algebra_structure, commutant
+from subrec import algebra_structure
 from subrec.linalg import dagger
 from subrec.random_ops import haar_unitary
 
@@ -50,7 +50,12 @@ for x in hidden:
     worst = max(worst, np.linalg.norm(off_diag))
 print(f"worst inter-block leakage after the basis change: {worst:.2e}")
 
-# the commutant of a single generic unitary is abelian: classical only
+# the commutant of a single generic unitary is abelian: classical only.  u
+# generates span{I, u, u^2, u^3}, closed under adjoints since u^dag is a
+# polynomial in u; that algebra's blocks (m_k, n_k), swapped, are its
+# commutant's, of dimension the sum of n_k^2
 u = haar_unitary(4, seed=5)
-print(f"\ncommutant of one generic unitary on dim 4: "
-      f"{len(commutant([u]))} dimensions (diagonal algebra)")
+generated = algebra_structure([np.linalg.matrix_power(u, k) for k in range(4)], seed=0)
+swapped = [(n, m) for m, n in generated.blocks]
+print(f"\ncommutant of one generic unitary on dim 4: blocks {swapped}, "
+      f"{sum(size * size for size, _ in swapped)} dimensions (diagonal algebra)")

@@ -16,18 +16,15 @@ from .correctability import (CorrectabilityCertificate, NoiselessResult,
                              check_correctable, check_noiseless)
 from .demos import DemoSpec, demo_build, intersect_chords, planted_channel
 from .errors import (BadParams, CertificateMismatch, DimensionMismatch, FactorMismatch,
-                     LengthMismatch, MalformedInput, NotAnAlgebra, NotFinite,
-                     NotHermitian, NotPartialIsometry, NotTracePreserving, NotUnital,
-                     NumericalDegeneracy, PreconditionViolated, SubrecError,
-                     UnluckySeed)
+                     MalformedInput, NotAnAlgebra, NotFinite, NotHermitian,
+                     NotPartialIsometry, NotTracePreserving, NotUnital, NumericalDegeneracy,
+                     SubrecError, UnluckySeed)
 from .linalg import (DEFAULT_TOL, complete_to_unitary, dagger, frobenius, hermitian_eig,
-                     majorizes, numeric_rank, operator_basis, partial_trace_b,
-                     polar_isometry_on_support, unvec, vec)
+                     operator_basis, polar_isometry_on_support, vec)
 from .recovery import (RecoveryResult, construct_recovery, recovery_to_correction,
                        verify_correction)
 from .subsystem import (CodeMapCertificate, FactorResult, SubsystemDecomposition,
                         certify_code_map, embed_product, factor_on_range)
-from .ucc import (InternalContradiction, UccReport, UccSubsystem, find_ucc,
-                  rank_support_equivalence)
+from .ucc import InternalContradiction, UccReport, UccSubsystem, find_ucc
 
 __version__ = "0.1.0"

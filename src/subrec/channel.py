@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .errors import DimensionMismatch, NotFinite, NotTracePreserving
-from .linalg import DEFAULT_TOL, dagger, frobenius, strict_tol, unvec
+from .linalg import DEFAULT_TOL, dagger, frobenius, strict_tol
 from .subsystem import certify_code_map
 
 __all__ = [
@@ -150,7 +150,7 @@ def fixed_point_basis(s: np.ndarray, tol: float = DEFAULT_TOL) -> list[np.ndarra
     _, sv, vh = np.linalg.svd(delta)
     smax = float(sv[0]) if sv.size else 0.0
     rank = int(np.sum(sv > strict_tol(tol, smax)))
-    return [unvec(vh[i].conj(), d) for i in range(rank, d * d)]
+    return [vh[i].conj().reshape(d, d, order="F") for i in range(rank, d * d)]
 
 
 def channels_equal(f: KrausChannel, g: KrausChannel, tol: float = DEFAULT_TOL) -> bool:

@@ -15,10 +15,6 @@ class DimensionMismatch(SubrecError, ValueError):
     """Operands have incompatible shapes or dimensions."""
 
 
-class LengthMismatch(SubrecError, ValueError):
-    """Spectra of different lengths were compared."""
-
-
 class MalformedInput(SubrecError, ValueError):
     """Wire input has the wrong type, nesting or [re, im] pair length."""
 
@@ -61,10 +57,6 @@ class CertificateMismatch(SubrecError, ValueError):
 
 class NumericalDegeneracy(SubrecError, RuntimeError):
     """The recovery of a loosely accepted certificate fails beyond tolerance."""
-
-
-class PreconditionViolated(SubrecError, ValueError):
-    """A documented precondition of the operation does not hold."""
 
 
 class BadParams(SubrecError, ValueError):

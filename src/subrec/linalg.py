@@ -16,7 +16,6 @@ acceptance_tol(tol, s)       max(100 tol, 1e-7) max(1, s)     1e-7 max(1, s)    
 cluster_gap(tol)             min(1e-6, max(1e3 tol, 1e-9))    1e-6               [3]
 gram_schmidt_cutoff(tol, δ)  max(gap, sqrt δ)                 1e-6 (δ <= 1e-12)  [4]
 eigen-degeneracy             strict_tol(tol / 10, |w|_inf)    1e-10 max(1, |w|)  hermitian_eig
-numeric_rank(m, tol)         tol s_max                        1e-9 s_max         [5]
 ===========================  ===============================  =================  =============
 
 [1] inputs (Hermitian, projector, polar factor, TP, unital, W) and
@@ -29,10 +28,7 @@ bound exceeds it), the unitarity of every completion (s = d), algebra
 closure and the pattern fit of every check element or generator, the
 correction's TP defect (s = √d), the UCC correction;
 [3] ``algebra``: eigenvalue clusters, links gap ||g||, intertwiner defect
-gap max(1, c); [4] index-ordered Gram-Schmidt on a projector of defect δ;
-[5] ``rank_support_equivalence``: relative to the largest singular value
-s_max, with no floor at 1, so a rank does not change with the scale of
-E(P_AB).
+gap max(1, c); [4] index-ordered Gram-Schmidt on a projector of defect δ.
 Why these values: README, "Tolerance".
 """
 
@@ -45,7 +41,6 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     FactorMismatch,
-    LengthMismatch,
     NotHermitian,
     NotPartialIsometry,
 )
@@ -57,14 +52,10 @@ __all__ = [
     "dagger",
     "frobenius",
     "vec",
-    "unvec",
     "operator_basis",
     "hermitian_eig",
     "polar_isometry_on_support",
     "complete_to_unitary",
-    "partial_trace_b",
-    "majorizes",
-    "numeric_rank",
     "orthonormal_complement",
 ]
 
@@ -131,11 +122,6 @@ def frobenius(m: np.ndarray) -> float:
 def vec(x: np.ndarray) -> np.ndarray:
     """Column-stacking vectorization of a matrix."""
     return np.asarray(x).flatten(order="F")
-
-
-def unvec(v: np.ndarray, d: int) -> np.ndarray:
-    """Inverse of :func:`vec` for a d x d matrix."""
-    return np.asarray(v).reshape(d, d, order="F")
 
 
 def operator_basis(d: int) -> list[np.ndarray]:
@@ -341,44 +327,3 @@ def complete_to_unitary(v: np.ndarray, dim: int, tol: float = DEFAULT_TOL) -> np
     if not frobenius(dagger(u) @ u - np.eye(dim)) <= acceptance_tol(tol, dim):
         raise NotPartialIsometry("completion failed to produce a unitary")
     return u
-
-
-def partial_trace_b(m: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
-    """Trace out the B factor of an operator on H_A (x) H_B."""
-    m = np.asarray(m, dtype=complex)
-    if m.shape != (d_a * d_b, d_a * d_b):
-        raise DimensionMismatch(
-            f"expected shape {(d_a * d_b, d_a * d_b)}, got {m.shape}")
-    return np.einsum("ikjk->ij", m.reshape(d_a, d_b, d_a, d_b))
-
-
-def majorizes(q: np.ndarray, p: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    """True when the sorted spectrum p is majorized by the sorted spectrum q.
-
-    Both inputs must be real vectors sorted in nonincreasing order.
-    Checks every prefix sum ``sum(p[:k]) <= sum(q[:k]) + tol`` and equal
-    totals within tolerance.
-    """
-    q = np.asarray(q, dtype=float)
-    p = np.asarray(p, dtype=float)
-    if q.shape != p.shape or q.ndim != 1:
-        raise LengthMismatch(f"spectra have shapes {q.shape} and {p.shape}")
-    if q.size == 0:
-        return True
-    cq = np.cumsum(q)
-    cp = np.cumsum(p)
-    atol = strict_tol(tol, abs(cq[-1]))
-    if abs(cp[-1] - cq[-1]) > atol:
-        return False
-    return bool(np.all(cp <= cq + atol))
-
-
-def numeric_rank(m: np.ndarray, tol: float = DEFAULT_TOL) -> int:
-    """Number of singular values above ``tol`` times the largest one."""
-    m = np.asarray(m, dtype=complex)
-    if m.size == 0:
-        return 0
-    s = np.linalg.svd(m, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > tol * s[0]))

@@ -46,15 +46,13 @@ import numpy as np
 
 from .algebra import (AlgebraStructure, _draw_from_products, _fit_products, _noiseless_blocks,
                       _require_unital_tp)
-from .channel import KrausChannel, dual
-from .correctability import _verdict, check_correctable
-from .errors import NotUnital, PreconditionViolated
-from .linalg import DEFAULT_TOL, acceptance_tol, frobenius, numeric_rank, strict_tol
+from .channel import KrausChannel
+from .correctability import _verdict
+from .linalg import DEFAULT_TOL, acceptance_tol, strict_tol
 from .recovery import _build_recovery, _checked_correction, _verify_on
 from .subsystem import SubsystemDecomposition
 
-__all__ = ["UccSubsystem", "InternalContradiction", "UccReport",
-           "find_ucc", "rank_support_equivalence"]
+__all__ = ["UccSubsystem", "InternalContradiction", "UccReport", "find_ucc"]
 
 
 @dataclass
@@ -159,40 +157,3 @@ def find_ucc(ch: KrausChannel, seed: int = 0, tol: float = DEFAULT_TOL) -> UccRe
             continue
         report.subsystems.append(UccSubsystem(dec, correction.kraus[0], residual, f_a))
     return report
-
-
-def rank_support_equivalence(ch: KrausChannel, dec: SubsystemDecomposition,
-                             tol: float = DEFAULT_TOL) -> tuple[bool, bool, bool]:
-    """The three equivalent conditions for a correctable subsystem of unital noise.
-
-    Returns ``(support_containment, rank_equality, fixed_point)`` where
-
-    * support containment: supp(E^dag∘E(P_AB)) ⊆ supp(P_AB),
-    * rank equality: rank(E(P_AB)) = rank(P_AB),
-    * fixed point: E^dag∘E(P_AB) = P_AB.
-
-    Raises
-    ------
-    NotUnital
-        If the channel is not unital.
-    PreconditionViolated
-        If the decomposition fails the correctability check (the
-        equivalence assumes a correctable subsystem).
-    """
-    if not ch.is_unital:
-        raise NotUnital("the equivalence holds for unital channels")
-    cert = check_correctable(ch, dec, tol=tol)
-    if not cert.passed:
-        raise PreconditionViolated(
-            f"subsystem is not correctable (residual {cert.residual:.3e})")
-
-    p = dec.p_ab
-    x = dual(ch).apply(ch.apply(p))
-    p_perp = np.eye(ch.dim) - p
-    # numerically stable support-containment test for positive x
-    leak = frobenius(p_perp @ x @ p_perp) + frobenius(p_perp @ x @ p)
-    support_ok = leak <= strict_tol(tol, frobenius(x))
-
-    rank_ok = numeric_rank(ch.apply(p), tol) == numeric_rank(p, tol)
-    fixed_ok = frobenius(x - p) <= strict_tol(tol, frobenius(p))
-    return support_ok, rank_ok, fixed_ok

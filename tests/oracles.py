@@ -5,10 +5,17 @@ verify: the superoperator factorization test works on the full matrix
 by reshaping, the commutant dimension comes from an elementwise linear
 system, fixed points are counted from a dense eigendecomposition, and
 majorization inputs are produced by explicit Birkhoff mixtures of
-permutations.  Collective rotation noise is built from the total spin
-operators, and its block list is the Schur-Weyl decomposition, counted
-in closed form.
+permutations.  Ranks come from a plain singular value count, partial
+traces from strided slices, and the unital rank-support theorem is
+checked condition by condition on dense operators.  Collective rotation
+noise is built from the total spin operators, and its block list is the
+Schur-Weyl decomposition, counted in closed form; a channel with any
+prescribed interaction algebra is planted from Haar unitaries.
+
+Nothing here imports the library (``tests/test_oracles.py`` enforces it).
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -113,6 +120,46 @@ def prefix_majorizes(q, p, tol=1e-9):
     return abs(sp - sq) <= tol
 
 
+def relative_rank(m, tol=1e-9):
+    """Number of singular values above ``tol`` times the largest one."""
+    s = np.linalg.svd(np.asarray(m), compute_uv=False)
+    return int(np.sum(s > tol * s[0])) if s.size and s[0] > 0 else 0
+
+
+def partial_trace_b(m, d_a, d_b):
+    """Tr_B of an operator on H_A (x) H_B, index a * d_B + b: the sum of the
+    d_B strided d_A x d_A slices that keep b fixed."""
+    assert m.shape == (d_a * d_b, d_a * d_b)
+    return sum(m[k::d_b, k::d_b] for k in range(d_b))
+
+
+def unital_rank_support(kraus, w, tol=1e-9, *, d_a):
+    """The three conditions of the unital rank-support theorem for the code
+    of the isometry ``w`` (factors d_A, d_B = columns / d_A):
+    ``(support containment, rank equality, fixed point)``, that is
+    supp E^dag∘E(P) ⊆ supp P, rank E(P) = rank P and E^dag∘E(P) = P for
+    P = w w^dag.  For unital E and a correctable subsystem, each holds
+    exactly when the subsystem is unitarily correctable, so the three agree
+    (Kribs & Spekkens, PRA 74, 042329 (2006)).  Raises ValueError outside
+    those hypotheses: a channel that is not unital, or a code that fails
+    ``superop_tensor_factorizes``.
+    """
+    d = w.shape[0]
+    if np.linalg.norm(kraus_apply(kraus, np.eye(d)) - np.eye(d)) > tol * max(1.0, np.sqrt(d)):
+        raise ValueError("the theorem holds for unital channels")
+    code = SimpleNamespace(w=w, d_a=d_a, d_b=w.shape[1] // d_a)
+    if not superop_tensor_factorizes(SimpleNamespace(kraus=kraus), code, tol)[0]:
+        raise ValueError("the theorem assumes a correctable subsystem")
+    p = w @ dag(w)
+    out = kraus_apply(kraus, p)
+    x = kraus_apply([dag(k) for k in kraus], out)
+    p_perp = np.eye(d) - p
+    leak = np.linalg.norm(p_perp @ x @ p_perp) + np.linalg.norm(p_perp @ x @ p)
+    return (bool(leak <= tol * max(1.0, np.linalg.norm(x))),
+            relative_rank(out, tol) == relative_rank(p, tol),
+            bool(np.linalg.norm(x - p) <= tol * max(1.0, np.linalg.norm(p))))
+
+
 def extract_common_factor(outputs, d_c, d_b, basis_b):
     """Given outputs[j] =? omega (x) basis_b[j], find omega and the worst error.
 
@@ -179,3 +226,35 @@ def schur_weyl(n_qubits):
     for k in range(n_qubits // 2 + 1):  # k = N/2 - J
         out.append((n_qubits - 2 * k + 1, comb(n_qubits, k) - (comb(n_qubits, k - 1) if k else 0)))
     return out
+
+
+def haar_unitary(n, rng):
+    """Haar-random n x n unitary: QR of a complex Ginibre matrix, with the
+    phases of R's diagonal moved into Q (Mezzadri, Notices AMS 54 (2007) 592)."""
+    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    q, r = np.linalg.qr(z)
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def planted_algebra(blocks, m, seed):
+    """Kraus operators E_a = sqrt(p_a) V (⊕_k U_{a,k} (x) I_{ν_k}) V^dag of a
+    unital channel on d = Σ μ_k ν_k, for ``blocks`` = [(μ_k, ν_k), ...],
+    with Haar U_{a,k} and V and Dirichlet weights p.  For m >= 3 (m = 2
+    leaves U_1^dag U_2 alone, which generates a commutative algebra) the E_a,
+    and the products E_b^dag E_a, generate ⊕ M_μk (x) I_νk almost surely, so
+    the fixed points of E and of E^dag ∘ E are ⊕ I_μk (x) M_νk (Kribs, Proc.
+    Edinburgh Math. Soc. 46 (2003) 421): a (μ_k, ν_k) subsystem for ν_k > 1
+    and a classical sector for ν_k = 1."""
+    rng = np.random.default_rng(seed)
+    d = sum(mu * nu for mu, nu in blocks)
+    v = haar_unitary(d, rng)
+    weights = rng.dirichlet(np.ones(m))
+    kraus = []
+    for p in weights:
+        x = np.zeros((d, d), dtype=complex)
+        off = 0
+        for mu, nu in blocks:
+            x[off:off + mu * nu, off:off + mu * nu] = np.kron(haar_unitary(mu, rng), np.eye(nu))
+            off += mu * nu
+        kraus.append(np.sqrt(p) * v @ x @ dag(v))
+    return kraus

@@ -22,10 +22,7 @@ from subrec import (
     embed_product,
     enumerate_noiseless,
     find_ucc,
-    majorizes,
-    numeric_rank,
     planted_channel,
-    rank_support_equivalence,
     recovery_to_correction,
     verify_correction,
 )
@@ -40,7 +37,7 @@ from subrec.random_ops import (
     random_unital_channel,
 )
 
-from oracles import superop_tensor_factorizes
+from oracles import prefix_majorizes, relative_rank, superop_tensor_factorizes, unital_rank_support
 
 
 def announce(num, text):
@@ -183,12 +180,12 @@ def test_criterion_5_unital_lemma_suite():
         sigma = random_density(dim, rng_master)
         q = np.sort(np.linalg.eigvalsh(sigma))[::-1]
         p = np.sort(np.linalg.eigvalsh(ch.apply(sigma)))[::-1]
-        assert majorizes(q, p, tol=1e-8)
+        assert prefix_majorizes(q, p, tol=1e-8)
 
         rank = int(rng_master.integers(1, dim + 1))
         proj = random_projector(dim, rank, rng_master)
         out = ch.apply(proj)
-        out_rank = numeric_rank(out, 1e-9)
+        out_rank = relative_rank(out, 1e-9)
         assert out_rank >= rank
         if out_rank == rank:
             assert np.linalg.norm(out @ out - out) < 1e-8
@@ -197,7 +194,7 @@ def test_criterion_5_unital_lemma_suite():
         u = haar_unitary(dim, rng_master)
         uch = KrausChannel([u])
         uout = uch.apply(proj)
-        assert numeric_rank(uout, 1e-9) == rank
+        assert relative_rank(uout, 1e-9) == rank
         assert np.linalg.norm(uout @ uout - uout) < 1e-8
 
         # fixed-point duality on projectors both ways
@@ -211,11 +208,11 @@ def test_criterion_5_unital_lemma_suite():
     # triple equivalence agreement on correctable decompositions
     for seed in range(10):
         ch, dec = planted_channel(2, 2, 8, 3, seed=40_000 + seed, unital=True)
-        assert len(set(rank_support_equivalence(ch, dec))) == 1
+        assert len(set(unital_rank_support(ch.kraus, dec.w, d_a=dec.d_a))) == 1
         bch, bdec = demo_build(DemoSpec(name="binary-unitary", p=0.4, seed=seed))
-        assert len(set(rank_support_equivalence(bch, bdec))) == 1
+        assert len(set(unital_rank_support(bch.kraus, bdec.w, d_a=bdec.d_a))) == 1
         pch, pdec = demo_build(DemoSpec(name="phase-flip", p=0.2 + 0.05 * seed))
-        assert len(set(rank_support_equivalence(pch, pdec))) == 1
+        assert len(set(unital_rank_support(pch.kraus, pdec.w, d_a=pdec.d_a))) == 1
     announce(5, "100 unital channels: majorization, rank monotonicity, rank "
                 "saturation => projector, fixed-point duality; triple "
                 "equivalence agreed on 30 correctable pairs; 0 violations")

@@ -38,10 +38,11 @@ from subrec.linalg import (
     frobenius,
     gram_schmidt_cutoff,
     orthonormal_complement,
-    partial_trace_b,
     strict_tol,
 )
 from subrec.random_ops import haar_isometry, haar_unitary
+
+from oracles import partial_trace_b
 
 POLICY = {"strict_tol", "acceptance_tol", "cluster_gap", "gram_schmidt_cutoff"}
 

@@ -7,7 +7,6 @@ from subrec import (
     DemoSpec,
     KrausChannel,
     NotUnital,
-    PreconditionViolated,
     SubsystemDecomposition,
     check_correctable,
     check_noiseless,
@@ -17,16 +16,15 @@ from subrec import (
     dual,
     find_ucc,
     planted_channel,
-    rank_support_equivalence,
     recovery_to_correction,
     verify_correction,
 )
 from subrec.cli import main
 from subrec.io import canonical_dumps, channel_to_json, subsystem_to_json
-from subrec.linalg import acceptance_tol, dagger, numeric_rank, operator_basis
+from subrec.linalg import acceptance_tol, dagger, operator_basis
 from subrec.random_ops import haar_isometry, haar_unitary, random_channel, random_unital_channel
 from subrec.recovery import _verify_on
-from oracles import collective_rotation, schur_weyl
+from oracles import collective_rotation, relative_rank, schur_weyl, unital_rank_support
 
 
 def test_unitary_channel_whole_space_ucc():
@@ -195,21 +193,30 @@ def test_rank_diagnostics_present():
         assert rank_out == rank_in == 2
 
 
+# the unital rank-support theorem (Kribs & Spekkens, PRA 74, 042329 (2006)):
+# for unital noise and a correctable subsystem, support containment, rank
+# equality and the fixed point E^dag∘E(P_AB) = P_AB each hold exactly when the
+# subsystem is unitarily correctable; the oracle checks each on dense operators
+
+def _rank_support(ch, dec):
+    return unital_rank_support(ch.kraus, dec.w, d_a=dec.d_a)
+
+
 def test_rank_support_equivalence_unitary():
     u0 = haar_unitary(4, seed=5)
     ch = KrausChannel([u0])
     dec = SubsystemDecomposition.trivial(2, 2)
-    assert rank_support_equivalence(ch, dec) == (True, True, True)
+    assert _rank_support(ch, dec) == (True, True, True)
 
 
 def test_rank_support_equivalence_phase_flip_code():
     ch, dec = demo_build(DemoSpec(name="phase-flip", p=0.3))
-    assert rank_support_equivalence(ch, dec) == (True, True, True)
+    assert _rank_support(ch, dec) == (True, True, True)
 
 
 def test_rank_support_equivalence_binary_unitary_code():
     ch, dec = demo_build(DemoSpec(name="binary-unitary", p=0.45, seed=6))
-    triple = rank_support_equivalence(ch, dec)
+    triple = _rank_support(ch, dec)
     assert triple == (False, False, False)
     # oracle: rank of p P + (1-p) U P U^dag exceeds rank(P) = 2
     p_ab = dec.p_ab
@@ -223,10 +230,11 @@ def test_rank_support_equivalence_preconditions():
     from subrec.random_ops import random_unital_channel
     uch = random_unital_channel(4, 3, seed=8)
     dec = SubsystemDecomposition(4, 1, 2, haar_isometry(4, 2, seed=9))
-    with pytest.raises(NotUnital):
-        rank_support_equivalence(gch, dec)
-    with pytest.raises(PreconditionViolated):
-        rank_support_equivalence(uch, dec)
+    # the oracle refuses inputs outside the theorem's hypotheses
+    with pytest.raises(ValueError, match="unital"):
+        _rank_support(gch, dec)
+    with pytest.raises(ValueError, match="correctable"):
+        _rank_support(uch, dec)
 
 
 def test_mixed_quantum_and_classical_sectors():
@@ -262,10 +270,10 @@ def test_mixed_quantum_and_classical_sectors():
 def test_triple_agreement(seed):
     # all three booleans agree on every tested correctable pair
     ch, dec = planted_channel(2, 2, 8, 3, seed=seed, unital=True)
-    triple = rank_support_equivalence(ch, dec)
+    triple = _rank_support(ch, dec)
     assert len(set(triple)) == 1
     ch2, dec2 = demo_build(DemoSpec(name="binary-unitary", p=0.35, seed=seed))
-    triple2 = rank_support_equivalence(ch2, dec2)
+    triple2 = _rank_support(ch2, dec2)
     assert len(set(triple2)) == 1
 
 
@@ -279,7 +287,7 @@ def _public_chain(ch, seed=0, tol=1e-9):
                                                       algebra._fit_products, seed, tol)
     found, ranks, contradictions = [], [], []
     for dec, (kw, _, _) in zip(candidates, fitted):
-        ranks.append((numeric_rank(ch.apply(dec.p_ab), tol), numeric_rank(dec.p_ab, tol)))
+        ranks.append((relative_rank(ch.apply(dec.p_ab), tol), relative_rank(dec.p_ab, tol)))
         cert = check_correctable(ch, dec, tol=tol)
         if not cert.passed:
             contradictions.append(("check_correctable", cert.residual))
@@ -383,15 +391,24 @@ def _spy(monkeypatch, *functions):
 @pytest.mark.parametrize("name", ["planted-12", "collective-4", "near-ucc-8"])
 def test_find_ucc_forms_no_second_pass_over_the_pairs(monkeypatch, name):
     # the certificates come off the probe's fit, the rank off F and the
-    # correction off the probe's Q: no per-candidate check, rank SVD or completion
+    # correction off the probe's Q: no per-candidate check, SVD (of a rank or
+    # a range) or completion
     make, blocks, n_contradictions = CHAIN_CASES[name]
     ch = make()
-    calls = _spy(monkeypatch, check_correctable, numeric_rank, recovery_to_correction)
+    calls = _spy(monkeypatch, check_correctable, recovery_to_correction)
+    calls["svd"] = 0
+    svd = np.linalg.svd
+
+    def counted_svd(*args, **kwargs):
+        calls["svd"] += 1
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
     report = find_ucc(ch, seed=0)
     assert sorted((s.decomposition.d_a, s.decomposition.d_b) for s in report.subsystems) \
         == blocks
     assert len(report.contradictions) == n_contradictions
-    assert calls == {"check_correctable": 0, "numeric_rank": 0, "recovery_to_correction": 0}
+    assert calls == {"check_correctable": 0, "svd": 0, "recovery_to_correction": 0}
 
 
 @pytest.mark.parametrize("name", ["planted-12", "collective-4", "near-ucc-8"])
