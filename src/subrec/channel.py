@@ -32,10 +32,16 @@ __all__ = [
 class KrausChannel:
     """A completely positive map as a finite list of d x d Kraus operators.
 
+    ``kraus`` is one m x d x d complex array: a complex array of that shape
+    is kept as it is handed over, without a copy, and a list is stacked
+    once, so every later ``np.asarray(ch.kraus)`` is the channel's own
+    array.  Iterating, indexing and ``len`` read it as the list of the E_a.
+
     Parameters
     ----------
-    kraus : sequence of ndarray
-        Nonempty list of square matrices, all of one dimension.
+    kraus : array_like
+        Nonempty m x d x d stack, or list, of square matrices of one
+        dimension.
     require_tp : bool
         When True (default) construction fails with
         :class:`~subrec.errors.NotTracePreserving` unless
@@ -46,16 +52,18 @@ class KrausChannel:
     """
 
     def __init__(self, kraus, require_tp: bool = True, tol: float = DEFAULT_TOL):
-        ops = [np.asarray(k, dtype=complex) for k in kraus]
-        if not ops:
+        try:
+            ops = np.asarray(kraus, dtype=complex)
+        except ValueError:  # ragged: operators of unequal shapes
+            raise DimensionMismatch("Kraus operators must share one square shape") from None
+        if not ops.shape or not ops.shape[0]:
             raise DimensionMismatch("a channel needs at least one Kraus operator")
-        d = ops[0].shape[0]
-        for k in ops:
-            if k.shape != (d, d):
-                raise DimensionMismatch("Kraus operators must share one square shape")
-            if not np.all(np.isfinite(k)):
-                raise NotFinite("Kraus operators must have finite entries")
-        self.kraus = self._built = tuple(ops)
+        if ops.ndim != 3 or ops.shape[1] != ops.shape[2]:
+            raise DimensionMismatch("Kraus operators must share one square shape")
+        if not np.isfinite(ops).all():
+            raise NotFinite("Kraus operators must have finite entries")
+        d = ops.shape[1]
+        self.kraus = self._built = ops
         self.dim = d
         self.tol = tol
         self.tp_defect = frobenius(sum(dagger(k) @ k for k in ops) - np.eye(d))
@@ -108,14 +116,16 @@ def dual(ch: KrausChannel) -> KrausChannel:
     Satisfies Tr(dual(ch)(sigma) tau) = Tr(sigma ch(tau)).  The result is
     trace preserving iff ``ch`` is unital, so no TP check is applied.
     """
-    return KrausChannel([dagger(k) for k in ch.kraus], require_tp=False, tol=ch.tol)
+    adjoints = np.conjugate(ch.kraus.transpose(0, 2, 1), order="C")
+    return KrausChannel(adjoints, require_tp=False, tol=ch.tol)
 
 
 def compose(f: KrausChannel, g: KrausChannel) -> KrausChannel:
     """The composition f∘g, i.e. ``sigma -> f(g(sigma))``."""
     if f.dim != g.dim:
         raise DimensionMismatch(f"dims differ: {f.dim} vs {g.dim}")
-    kraus = [fa @ gb for fa in f.kraus for gb in g.kraus]
+    # the products f_a g_b in (a, b) order, one stack
+    kraus = (f.kraus[:, None] @ g.kraus[None]).reshape(-1, f.dim, f.dim)
     return KrausChannel(kraus, require_tp=False, tol=max(f.tol, g.tol))
 
 

@@ -107,12 +107,18 @@ def check_correctable(ch: KrausChannel, dec: SubsystemDecomposition,
     Runs the tensor factorization on every compressed Kraus pair
     C_ab = W^dag E_a^dag E_b W = F_ab (x) I_B + Δ_ab, assembles the block
     matrix F and, when all pairs factor (each ||Δ_ab||_F within
-    ``strict_tol(tol, ||E_a^dag E_b||_F)``; the m Gram products at d that
-    give those norms run only when some ||Δ_ab||_F exceeds tol, since no
-    threshold is below tol) and F is positive semidefinite, builds the
-    positive superoperator G_A with Kraus operators {F_ab} and verifies
-    P_AB ∘ E^dag ∘ E ∘ P_AB = G_A (x) id_B on the matrix units of the code
-    at ``strict_tol(tol, d_A d_B)``.
+    ``strict_tol(tol, ||E_a^dag E_b||_F)``) and F is positive semidefinite,
+    builds the positive superoperator G_A with Kraus operators {F_ab} and
+    verifies P_AB ∘ E^dag ∘ E ∘ P_AB = G_A (x) id_B on the matrix units of
+    the code at ``strict_tol(tol, d_A d_B)``.
+
+    The m Gram products at d that give the pair norms run only when they
+    can decide: a pair within tol passes at any norm, as no threshold is
+    below tol, and one above ``strict_tol(tol, ||E_a||_F ||E_b||_F)`` fails
+    at any, as ||E_a^dag E_b||_F <= ||E_a||_F ||E_b||_F; so they run only
+    when some ||Δ_ab||_F exceeds tol and none exceeds that bound (a NaN
+    exceeds neither).  ``passed``, ``residual`` and every other field are
+    those of the exact norms.
 
     That identity is first judged by the bound
     Σ_ab ||Δ_ab||_F (2 ||F_ab||_F + ||Δ_ab||_F) on its worst mismatch,
@@ -161,15 +167,18 @@ def _verdict(ch: KrausChannel, dec: SubsystemDecomposition, kw: np.ndarray,
     """The verdict of :func:`check_correctable` on its pair data: the stack
     E_a W, the m x m x d_A x d_A array of the F_ab and the m x m remainder
     norms r_ab = ||Δ_ab||_F of the compressed pairs, wherever they were
-    formed.  Returns the certificate and F's eigenvalues, ascending (one
-    NaN for a non-finite F)."""
+    formed.  The pair norms ||E_a^dag E_b||_F are formed only where the
+    norm products ||E_a||_F ||E_b||_F cannot decide the pairs (see
+    :func:`check_correctable`).  Returns the certificate and F's
+    eigenvalues, ascending (one NaN for a non-finite F)."""
     m, d_a, d_b, n = ch.m, dec.d_a, dec.d_b, dec.d_a * dec.d_b
-    # a pair within tol passes at any ||E_a^dag E_b||_F, since the threshold
-    # is tol max(1, ||E_a^dag E_b||_F): the norms run only when some pair (or
-    # a NaN) is not within tol
+    # the threshold tol max(1, ||E_a^dag E_b||_F) lies between tol and
+    # tol max(1, ||E_a||_F ||E_b||_F): the exact norms run only for residuals
+    # between the two, or a NaN (docstring)
+    kraus = np.asarray(ch.kraus)
     all_ok = bool(np.all(residuals <= tol))
-    if not all_ok:
-        all_ok = bool(np.all(residuals <= strict_tol(tol, _pair_norms(np.asarray(ch.kraus)))))
+    if not all_ok and not np.any(residuals > strict_tol(tol, _norm_products(kraus))):
+        all_ok = bool(np.all(residuals <= strict_tol(tol, _pair_norms(kraus))))
 
     cert = CorrectabilityCertificate(
         passed=all_ok, f_blocks=f_blocks, residual=float(np.max(residuals)),
@@ -212,6 +221,15 @@ def _verdict(ch: KrausChannel, dec: SubsystemDecomposition, kw: np.ndarray,
     if not worst <= threshold:
         cert.passed = False
     return cert, eigs
+
+
+def _norm_products(kraus: np.ndarray) -> np.ndarray:
+    # ||E_a||_F ||E_b||_F >= ||E_a^dag E_b||_F, raised by a relative
+    # 4 d (d + 2) eps, above the rounding of the d- and d^2-term sums of
+    # _pair_norms, so it bounds the computed norms too; NaN for a NaN entry
+    d = kraus.shape[1]
+    norms = np.array([frobenius(k) for k in kraus])
+    return np.outer(norms, norms) * (1.0 + 4 * d * (d + 2) * float(np.finfo(float).eps))
 
 
 def _pair_norms(kraus: np.ndarray) -> np.ndarray:

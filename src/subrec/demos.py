@@ -133,8 +133,10 @@ def planted_channel(d_a: int, d_b: int, dim: int, n_kraus: int, seed=None,
     c = rng.normal(size=n_kraus) + 1j * rng.normal(size=n_kraus)
     c /= np.linalg.norm(c)
     p_perp = np.eye(dim) - w @ w.conj().T
-    kraus = [u0 @ (w @ np.kron(k, np.eye(d_b)) @ w.conj().T + ca * p_perp)
-             for k, ca in zip(inner.kraus, c)]
+    # each E_a is written into one stack, which the channel keeps
+    kraus = np.empty((n_kraus, dim, dim), dtype=complex)
+    for e_a, k, ca in zip(kraus, inner.kraus, c):
+        np.matmul(u0, w @ np.kron(k, np.eye(d_b)) @ w.conj().T + ca * p_perp, out=e_a)
     return KrausChannel(kraus), SubsystemDecomposition(dim, d_a, d_b, w)
 
 

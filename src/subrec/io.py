@@ -122,7 +122,7 @@ def channel_from_json(obj, require_tp: bool = True,
                       tol: float = DEFAULT_TOL) -> KrausChannel:
     _require_fields(obj, "channel", ("dim", "kraus"))
     dim = _positive_int(obj, "dim")
-    ch = KrausChannel(list(_pairs(obj["kraus"], "kraus", 3)), require_tp=require_tp, tol=tol)
+    ch = KrausChannel(_pairs(obj["kraus"], "kraus", 3), require_tp=require_tp, tol=tol)
     if ch.dim != dim:
         raise DimensionMismatch(
             f"declared dim {dim} does not match Kraus shape {ch.dim}")

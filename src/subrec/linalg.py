@@ -19,7 +19,9 @@ eigen-degeneracy             strict_tol(tol / 10, |w|_inf)    1e-10 max(1, |w|) 
 ===========================  ===============================  =================  =============
 
 [1] inputs (Hermitian, projector, polar factor, TP, unital, W) and
-certificates (factorization, F >= 0, G_A identity, noiseless, spans,
+certificates (factorization, s = ||E_a^dag E_b||_F, formed only where
+its bound ||E_a||_F ||E_b||_F cannot decide the pair; F >= 0, G_A
+identity, noiseless, spans,
 ``channels_equal``), and the live eigenvalues of F (s = lambda_max)
 that set dim C and ``find_ucc``'s rank diagnostics; [2] assembled
 results: the G_a orthogonality gate (s = lambda_max of F, judged on its

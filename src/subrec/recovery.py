@@ -66,9 +66,10 @@ E_a W, which the builder holds for either certificate, so it is the same
 for both; every reported operator is the same either way.
 
 The C (x) B frame the builder emits is the first n_cb = dim C d_B
-standard basis vectors, in (a, l, k) order, whose Householder completion
-is I exactly: ``recovery_to_correction`` pairs it onto W without
-completing it, and completes only a general frame.
+standard basis vectors, in (a, l, k) order, a coordinate frame made with
+defect 0.0 and no Gram product, whose Householder completion is I
+exactly: ``recovery_to_correction`` pairs it onto W without completing
+it, and completes only a general frame.
 
 Step 5 is the code-map identity of ``verify_correction`` and
 ``check_noiseless`` with the C (x) B frame, a coordinate frame of defect 0,
@@ -191,6 +192,8 @@ def _build_recovery(ch: KrausChannel, dec: SubsystemDecomposition,
 
     Raises as :func:`construct_recovery` does; the step 2 orthogonality
     gate still runs, since step 4's closed-form polar factor rests on it.
+    The C frame is the coordinate frame of the first dim C d_B standard
+    basis vectors, an isometry exactly: its defect is 0.0, not measured.
     """
     if not cert.matches(ch, dec, tol=tol):
         raise CertificateMismatch("certificate was not produced from this channel/decomposition")
@@ -214,9 +217,8 @@ def _build_recovery(ch: KrausChannel, dec: SubsystemDecomposition,
     # ||E W||_F^2 = d_B tr F, before the clamp
     f_trace = float(np.sum(np.abs(lam)))
     lam = np.maximum(lam, 0.0)
-    # U = q^dag gives U F U^dag = diag(lam); u4[a, i, b, j] = (U_ab)_ij
+    # U = q^dag gives U F U^dag = diag(lam); U_ab is its (a, b) block of d_A x d_A
     u = dagger(q)
-    u4 = u.reshape(m, d_a, m, d_a)
     kw = cert.code_kraus if own else np.asarray(ch.kraus) @ dec.w
     ew = kw.reshape(m, d, d_a, d_b)
     gate = acceptance_tol(tol, scale)
@@ -237,7 +239,9 @@ def _build_recovery(ch: KrausChannel, dec: SubsystemDecomposition,
         mixed[np.diag_indices(m * d_a)] -= lam
         ortho_resid = float(np.sqrt(d_b) * frobenius(mixed) + (
             1.0 + frobenius(u @ q - np.eye(m * d_a))) * (delta_norm + rounding * d_b * f_trace))
-    gw_ab = np.tensordot(u4.conj(), ew, axes=([2, 3], [0, 2]))
+    # G_a W[:, (i, k)] = sum_(b, j) conj(U_ab)_ij E_b W[:, (j, k)]: one product of
+    # conj(U), rows (a, i), and E_b W with rows (b, j) and columns (x, k)
+    gw_ab = (u.conj() @ ew.transpose(0, 2, 1, 3).reshape(m * d_a, -1)).reshape(m, d_a, d, d_b)
     if not ortho_resid <= gate:
         ortho_resid = _orthogonality_residual(
             gw_ab.transpose(0, 2, 1, 3).reshape(m, d, d_a * d_b), lam, d_b)
@@ -270,10 +274,9 @@ def _build_recovery(ch: KrausChannel, dec: SubsystemDecomposition,
                                   "certificate tolerance too loose") from exc
 
     # C (x) B embedding: the injection uses the first rank_c * d_B
-    # standard basis vectors in (a, l, k) lexicographic order.
+    # standard basis vectors in (a, l, k) lexicographic order, of defect 0.0
     u_recovery = dagger(v)
-    w_c = np.eye(d, dtype=complex)[:, :n_cb]
-    c_dec = SubsystemDecomposition(d, rank_c, d_b, w_c, tol=tol)
+    c_dec = SubsystemDecomposition._coordinate(d, rank_c, d_b)
 
     # closed-form F_{C|A}: E_b W = sum_a G_a W (U_ab (x) I_B), so its Kraus
     # operator for the original index b is K_b = Λ_live^{1/2} U[live, b-th
@@ -365,11 +368,14 @@ def recovery_to_correction(res, dec: SubsystemDecomposition,
         kraus = [w[:, :block.shape[1]] @ dagger(block)
                  for block in (w_c[:, s:s + n] for s in range(0, n_cb, n))]
         kraus += [np.outer(w[:, 0], q) for q in u_c_dag[n_cb:]]
-    return _checked_correction([k @ res.u_recovery for k in kraus], tol)
+    ops = np.empty((len(kraus), d, d), dtype=complex)
+    for op, k in zip(ops, kraus):
+        np.matmul(k, res.u_recovery, out=op)
+    return _checked_correction(ops, tol)
 
 
-def _checked_correction(kraus, tol: float) -> KrausChannel:
-    """The correction channel with Kraus operators ``kraus``, judged, and
+def _checked_correction(kraus: np.ndarray, tol: float) -> KrausChannel:
+    """The correction channel with the m x d x d stack ``kraus``, judged, and
     returned, at the acceptance tolerance, so the channel's own
     ``is_trace_preserving`` agrees with this check; NotTracePreserving if
     it fails."""

@@ -52,8 +52,21 @@ class SubsystemDecomposition:
 
     @classmethod
     def trivial(cls, d_a: int, d_b: int, tol: float = DEFAULT_TOL):
-        """The factor-space decomposition W = I on H = H_A (x) H_B."""
-        return cls(d_a * d_b, d_a, d_b, np.eye(d_a * d_b), tol=tol)
+        """The factor-space decomposition W = I on H = H_A (x) H_B (an
+        isometry exactly, so ``tol`` judges nothing)."""
+        return cls._coordinate(d_a * d_b, d_a, d_b)
+
+    @classmethod
+    def _coordinate(cls, dim: int, d_a: int, d_b: int):
+        """W = the first d_A d_B standard basis vectors of H: an isometry
+        exactly, so its defect is 0.0 and no Gram product measures it."""
+        if d_a * d_b > dim:
+            raise DimensionMismatch(f"d_A * d_B = {d_a * d_b} exceeds dim = {dim}")
+        dec = cls.__new__(cls)
+        dec.dim, dec.d_a, dec.d_b = dim, d_a, d_b
+        dec.w = np.eye(dim, d_a * d_b, dtype=complex)
+        dec.defect = 0.0
+        return dec
 
     @classmethod
     def from_subspace(cls, dim: int, vectors, tol: float = DEFAULT_TOL):

@@ -149,7 +149,7 @@ def find_ucc(ch: KrausChannel, seed: int = 0, tol: float = DEFAULT_TOL) -> UccRe
         # of Q] pairs it back onto W with no completion
         n = dec.d_a * dec.d_b
         u_w = np.hstack([dec.w, structure.q[:, :off], structure.q[:, off + n:]])
-        correction = _checked_correction([u_w @ built.u_recovery], tol)
+        correction = _checked_correction((u_w @ built.u_recovery)[None], tol)
         residual, f_a = _verify_on(cert.code_kraus, dec, correction, tol)
         if not residual <= acceptance_tol(tol):
             report.contradictions.append(InternalContradiction(

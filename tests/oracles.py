@@ -258,3 +258,25 @@ def planted_algebra(blocks, m, seed):
             off += mu * nu
         kraus.append(np.sqrt(p) * v @ x @ dag(v))
     return kraus
+
+
+def planted_kraus(d_a, d_b, dim, n_kraus, rng, unital=False):
+    """The planted demo's Kraus list
+    E_a = U_0 (W (K_a (x) I_B) W^dag + c_a (I - W W^dag)), written out as a
+    list with the demo's draws in its order from ``rng``: the isometry W, the
+    inner channel {K_a} (Dirichlet-weighted Haar unitaries when ``unital``,
+    else the row blocks of a Haar isometry), the Haar U_0 and the unit
+    vector c."""
+    w = haar_unitary(dim, rng)[:, :d_a * d_b]
+    if unital:
+        weights = rng.dirichlet(np.ones(n_kraus))
+        inner = [np.sqrt(p) * haar_unitary(d_a, rng) for p in weights]
+    else:
+        v = haar_unitary(d_a * n_kraus, rng)[:, :d_a]
+        inner = [v[a * d_a:(a + 1) * d_a, :] for a in range(n_kraus)]
+    u0 = haar_unitary(dim, rng)
+    c = rng.normal(size=n_kraus) + 1j * rng.normal(size=n_kraus)
+    c /= np.linalg.norm(c)
+    p_perp = np.eye(dim) - w @ w.conj().T
+    return [u0 @ (w @ np.kron(k, np.eye(d_b)) @ w.conj().T + ca * p_perp)
+            for k, ca in zip(inner, c)]

@@ -1,3 +1,6 @@
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,7 @@ from subrec import (
     DemoSpec,
     DimensionMismatch,
     KrausChannel,
+    NotFinite,
     NotTracePreserving,
     NotUnital,
     channels_equal,
@@ -22,6 +26,7 @@ from subrec import (
     verify_correction,
 )
 from subrec.demos import DEMO_NAMES
+from subrec.io import canonical_dumps, channel_from_json, channel_to_json
 from subrec.linalg import dagger, frobenius, operator_basis, vec
 from subrec.random_ops import (
     haar_unitary,
@@ -341,3 +346,51 @@ def test_check_and_recover_never_read_the_unital_defect():
     assert cert.passed and residual < 1e-9
     assert "unital_defect" not in vars(ch) and "unital_defect" not in vars(correction)
     assert not ch.is_unital
+
+
+def test_a_complex_stack_is_kept_and_a_list_is_stacked_once():
+    stack = np.stack([haar_unitary(32, seed) / 4.0 for seed in range(16)])
+    ch = KrausChannel(stack)
+    assert ch.kraus is stack and np.shares_memory(ch.kraus, stack)
+    assert ch.m == len(ch.kraus) == 16 and ch.dim == 32
+    assert all(k.shape == (32, 32) for k in ch.kraus)
+    assert np.array_equal(ch.kraus[2], stack[2])
+    ops = [np.array(k) for k in stack]
+    tracemalloc.start()
+    try:
+        listed = KrausChannel(ops)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one copy of the operators, and no second: the stack, plus the
+    # finiteness mask and the d x d temporaries of the TP defect
+    assert peak < stack.nbytes + 6 * ops[0].nbytes < 2 * stack.nbytes
+    assert listed.kraus.shape == (16, 32, 32) and listed.kraus.dtype == complex
+    assert not any(np.shares_memory(listed.kraus, k) for k in ops)
+    assert listed.kraus.tobytes() == stack.tobytes()
+
+
+@pytest.mark.parametrize("kraus", [[np.eye(2), np.eye(3)], [np.ones((2, 3))],
+                                   np.ones((2, 3, 4)), np.eye(3), []])
+def test_ragged_non_square_or_empty_kraus_input_is_refused(kraus):
+    with pytest.raises(DimensionMismatch):
+        KrausChannel(kraus, require_tp=False)
+
+
+def test_a_nan_kraus_entry_is_refused():
+    stack = np.stack([np.eye(3), np.eye(3)]) / np.sqrt(2)
+    stack[1, 0, 2] = np.nan
+    with pytest.raises(NotFinite):
+        KrausChannel(stack)
+    with pytest.raises(NotFinite):
+        KrausChannel(list(stack))
+
+
+def test_every_channel_source_holds_its_own_stack():
+    planted, _ = planted_channel(2, 2, 12, 3, seed=4)
+    wire = channel_from_json(json.loads(canonical_dumps(channel_to_json(planted))))
+    listed = KrausChannel([np.eye(3) / np.sqrt(2), np.eye(3) / np.sqrt(2)])
+    for ch in (planted, wire, listed):
+        assert np.asarray(ch.kraus) is ch.kraus
+        assert ch.kraus.dtype == complex and ch.kraus.shape == (ch.m, ch.dim, ch.dim)
+    assert wire.kraus.tobytes() == planted.kraus.tobytes()

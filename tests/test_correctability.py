@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -17,6 +18,7 @@ from subrec import (
     planted_channel,
 )
 from subrec.demos import intersect_chords
+from subrec.io import canonical_dumps, channel_from_json, channel_to_json
 from subrec.linalg import complete_isometry, dagger
 from subrec.random_ops import haar_isometry, haar_unitary, random_channel
 
@@ -339,7 +341,9 @@ def test_nan_pair_residual_fails_whatever_the_pair_norms(monkeypatch):
 
 def test_pair_norms_are_not_formed_when_every_pair_is_within_tol(monkeypatch):
     # the m Gram products at d decide nothing when every r_ab <= tol, since the
-    # threshold tol max(1, ||E_a^dag E_b||_F) is at least tol
+    # threshold tol max(1, ||E_a^dag E_b||_F) is at least tol, nor when some
+    # r_ab exceeds tol ||E_a||_F ||E_b||_F, which bounds that threshold: the
+    # Haar negative fails on the bound alone
     calls = _count_pair_norms(monkeypatch)
     ch, dec = planted_channel(4, 8, 40, 3, seed=61)
     cert = check_correctable(ch, dec)
@@ -347,4 +351,78 @@ def test_pair_norms_are_not_formed_when_every_pair_is_within_tol(monkeypatch):
     assert calls == []
     bad = SubsystemDecomposition(40, 4, 8, haar_isometry(40, 32, seed=62))
     assert not check_correctable(ch, bad).passed
-    assert calls == [(3, 40, 40)]
+    assert calls == []
+
+
+def test_pair_residual_between_the_pair_norm_and_the_norm_product_runs_the_norms_once(
+        monkeypatch):
+    # a kick of 0.05 puts the largest r_ab between tol ||E_a^dag E_b||_F, about
+    # half of it, and tol ||E_a||_F ||E_b||_F, above it: the bound cannot fail
+    # the pair, so the exact norms run once, and they fail it
+    calls = _count_pair_norms(monkeypatch)
+    ch, dec = _large_off_code(0.05)
+    cert = check_correctable(ch, dec)
+    exact = np.array([[np.linalg.norm(a.conj().T @ b) for b in ch.kraus] for a in ch.kraus])
+    norms = np.linalg.norm(ch.kraus, axis=(1, 2))
+    assert np.any(cert.pair_residuals > 1e-9 * exact)
+    assert np.all(cert.pair_residuals <= 1e-9 * np.outer(norms, norms))
+    assert not cert.passed
+    assert calls == [(3, 10, 10)]
+
+
+def _check_with_exact_pair_norms(monkeypatch, ch, dec):
+    # check_correctable with the norm-product bound set to inf, so that the
+    # exact pair norms decide every pair above tol
+    import subrec.correctability as correctability
+
+    with monkeypatch.context() as patch:
+        patch.setattr(correctability, "_norm_products",
+                      lambda kraus: np.full((len(kraus), len(kraus)), np.inf))
+        return check_correctable(ch, dec)
+
+
+def _verdict_family():
+    # the certify workload's 41 seed-1 instances, planted (4, 8) codes at
+    # d = 40 with m = 3 drawn from default_rng([1, 1, i]), with the Haar
+    # negative drawn next from the same generator, and the kicked codes
+    for index in range(41):
+        rng = np.random.default_rng([1, 1, index])
+        ch, dec = planted_channel(4, 8, 40, 3, rng)
+        yield ch, dec
+        yield ch, SubsystemDecomposition(40, 4, 8, haar_isometry(40, 32, rng))
+    for seed in (60, 61):
+        for kick in np.geomspace(1e-4, 0.3, 12):
+            yield _large_off_code(kick, seed)
+
+
+def test_verdicts_match_an_oracle_that_forms_every_pair_norm(monkeypatch):
+    verdicts = set()
+    for ch, dec in _verdict_family():
+        cert = check_correctable(ch, dec)
+        exact = _check_with_exact_pair_norms(monkeypatch, ch, dec)
+        assert cert.passed == exact.passed
+        assert cert.residual == exact.residual
+        assert cert.pair_residuals.tobytes() == exact.pair_residuals.tobytes()
+        assert cert.g_a_residual == exact.g_a_residual
+        verdicts.add(cert.passed)
+    assert verdicts == {True, False}
+
+
+def test_checks_allocate_less_than_one_kraus_stack():
+    # a d = 128, m = 8 channel read from its wire form: the checks use the
+    # channel's own stack, and a negative fails on the norm products without
+    # the m Gram products at d, so none of them allocates a stack of that size
+    ch, dec = planted_channel(2, 4, 128, 8, seed=1)
+    ch = channel_from_json(json.loads(canonical_dumps(channel_to_json(ch))))
+    bad = SubsystemDecomposition(128, 2, 4, haar_isometry(128, 8, seed=2))
+    for check, code, verdict in ((check_correctable, dec, True),
+                                 (check_correctable, bad, False),
+                                 (check_noiseless, dec, None)):
+        tracemalloc.start()
+        try:
+            result = check(ch, code)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert verdict is None or result.passed is verdict
+        assert peak < ch.kraus.nbytes

@@ -5,6 +5,8 @@ from subrec import BadParams, DemoSpec, demo_build, planted_channel
 from subrec.demos import intersect_chords
 from subrec.linalg import dagger
 
+from oracles import planted_kraus
+
 
 def test_phase_flip_kraus_values():
     ch, dec = demo_build(DemoSpec(name="phase-flip", p=0.3))
@@ -104,3 +106,15 @@ def test_planted_rejects_empty_factors_before_drawing(d_a, d_b, n_kraus):
     fresh, fresh_dec = planted_channel(2, 2, 8, 3, np.random.default_rng(7))
     assert np.array_equal(dec.w, fresh_dec.w)
     assert all(np.array_equal(a, b) for a, b in zip(ch.kraus, fresh.kraus))
+
+
+@pytest.mark.parametrize("shape", [(4, 8, 40, 3, False), (2, 2, 256, 3, False),
+                                   (2, 2, 12, 3, True)])
+def test_planted_operators_equal_the_list_formula_bit_for_bit(shape):
+    # the certify, wide and discover workload shapes: the operators written
+    # into the one stack are those of the list formula, bit for bit
+    d_a, d_b, dim, m, unital = shape
+    for seed in (1, 2, 3):
+        ch, _ = planted_channel(d_a, d_b, dim, m, np.random.default_rng(seed), unital)
+        expected = planted_kraus(d_a, d_b, dim, m, np.random.default_rng(seed), unital)
+        assert ch.kraus.tobytes() == np.stack(expected).tobytes()
