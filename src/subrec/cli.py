@@ -28,6 +28,7 @@ from .correctability import check_correctable
 from .demos import DEMO_NAMES, DemoSpec, demo_build
 from .errors import SubrecError
 from .io import (
+    canonical_bytes,
     canonical_dumps,
     channel_from_json,
     channel_to_json,
@@ -146,14 +147,20 @@ def _load_channel(args, tol):
     return channel_from_json(obj, require_tp=require_tp, tol=tol)
 
 
+def _write(path: str, data: bytearray) -> None:
+    # the canonical ASCII bytes and a newline, written as they are: the
+    # caller builds them in full first, so an error leaves no partial file
+    with open(path, "wb") as fh:
+        fh.write(data)
+        fh.write(b"\n")
+
+
 def _emit(report: dict, args, text_lines) -> None:
-    text = canonical_dumps(report) if args.out or args.format == "json" else None
+    data = canonical_bytes(report) if args.out or args.format == "json" else None
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            fh.write("\n")
+        _write(args.out, data)
     if args.format == "json":
-        print(text)
+        print(data.decode("ascii"))
     else:
         for line in text_lines:
             print(line)
@@ -283,17 +290,12 @@ def _run_demo(args) -> int:
                     d_a=args.da, d_b=args.db, dim=args.dim, n_kraus=args.kraus,
                     unital=args.unital)
     ch, dec = demo_build(spec)
-    payload = canonical_dumps(channel_to_json(ch))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-            fh.write("\n")
+        _write(args.out, canonical_bytes(channel_to_json(ch)))
     else:
-        print(payload)
+        print(canonical_dumps(channel_to_json(ch)))
     if args.out_subsystem:
-        with open(args.out_subsystem, "w", encoding="utf-8") as fh:
-            fh.write(canonical_dumps(subsystem_to_json(dec)))
-            fh.write("\n")
+        _write(args.out_subsystem, canonical_bytes(subsystem_to_json(dec)))
     return EXIT_OK
 
 

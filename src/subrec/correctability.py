@@ -233,10 +233,16 @@ def _norm_products(kraus: np.ndarray) -> np.ndarray:
 
 
 def _pair_norms(kraus: np.ndarray) -> np.ndarray:
-    # ||E_a^dag E_b||_F^2 = <E_a E_a^dag, E_b E_b^dag>: m Gram products at d, stacked
-    m = len(kraus)
-    grams = (kraus @ kraus.conj().transpose(0, 2, 1)).reshape(m, -1)
-    return np.sqrt(np.abs(grams.conj() @ grams.T))
+    # ||E_a^dag E_b||_F^2 = <E_a E_a^dag, E_b E_b^dag>: m Gram products at d,
+    # each formed into one stack, with no conjugate copy of the Kraus stack.
+    # The inner product of two positive semidefinite Grams is real and
+    # >= 0, so it is one real product of their float views
+    m, d = kraus.shape[:2]
+    grams = np.empty((m, d, d), dtype=complex)
+    for k, gram in zip(kraus, grams):
+        np.matmul(k, k.conj().T, out=gram)
+    flat = grams.reshape(m, -1).view(float)
+    return np.sqrt(np.abs(flat @ flat.T))
 
 
 def check_noiseless(ch: KrausChannel, dec: SubsystemDecomposition,

@@ -13,7 +13,12 @@ Wire text is UTF-8 JSON (RFC 8259), read and written the same under any
 locale.  Matrices move between ndarrays and wire text without a Python
 list per entry.  :func:`canonical_dumps` writes an ndarray wherever a
 matrix goes, row by row, and hands every subtree without an array to
-``json.dumps`` whole.  :func:`read_json` walks the top-level object as
+``json.dumps`` whole.  The text is ASCII (``json``'s ``ensure_ascii``
+output and float reprs), built one row at a time into a single growing
+``bytearray`` and decoded once, so no list of row strings sits beside
+the document; :func:`canonical_bytes` returns that buffer itself, for a
+writer to put in a binary file without a decoded copy or its UTF-8
+re-encoding.  :func:`read_json` walks the top-level object as
 UTF-8 bytes (a text handle's document is encoded first) and turns each
 element of an array value (one Kraus operator, one W column) into an
 ndarray before it reads the next: it decodes each element from its own
@@ -55,6 +60,7 @@ __all__ = [
     "channel_from_json",
     "subsystem_to_json",
     "subsystem_from_json",
+    "canonical_bytes",
     "canonical_dumps",
     "read_json",
 ]
@@ -157,44 +163,52 @@ def _holds_array(obj) -> bool:
     return any(map(_holds_array, obj))
 
 
-def _put_rows(a: np.ndarray, row: str, out: list) -> None:
-    # ``row`` formats one row's floats with float.__repr__, the bytes
-    # json.dumps writes for a finite float
+def _put_rows(a: np.ndarray, row: bytes, out: bytearray) -> None:
+    # ``row`` formats one row's floats with %a, which is float.__repr__ for
+    # a float: the bytes json.dumps writes for a finite float
     if a.ndim == 1:
-        out.append(row.format(*np.ascontiguousarray(a).view(float).tolist()))
+        out += row % tuple(np.ascontiguousarray(a).view(float).tolist())
         return
-    sep = "["
+    sep = b"["
     for sub in a:
-        out.append(sep)
+        out += sep
         _put_rows(sub, row, out)
-        sep = ","
-    out.append("]" if len(a) else "[]")
+        sep = b","
+    out += b"]" if len(a) else b"[]"
 
 
-def _put(obj, out: list) -> None:
-    """Append the canonical text of ``obj`` to ``out``."""
+def _put(obj, out: bytearray) -> None:
+    """Append the canonical text of ``obj`` to ``out``, as ASCII bytes."""
     if isinstance(obj, np.ndarray):
         m = np.asarray(obj, dtype=complex)
         if not np.isfinite(m).all():
             raise ValueError("Out of range float values are not JSON compliant")
-        _put_rows(m, "[" + ",".join(["[{!r},{!r}]"] * m.shape[-1]) + "]", out)
+        _put_rows(m, b"[" + b",".join([b"[%a,%a]"] * m.shape[-1]) + b"]", out)
     elif not _holds_array(obj):
-        out.append(_dumps(obj))
+        out += _dumps(obj).encode("ascii")
     elif isinstance(obj, dict):
-        sep = "{"
+        sep = b"{"
         for key, value in obj.items():
             # json.dumps of a one-entry dict spells the key as json does
-            out.append(sep + _dumps({key: 0})[1:-2])
+            out += sep + _dumps({key: 0})[1:-2].encode("ascii")
             _put(value, out)
-            sep = ","
-        out.append("}")
+            sep = b","
+        out += b"}"
     else:
-        sep = "["
+        sep = b"["
         for value in obj:
-            out.append(sep)
+            out += sep
             _put(value, out)
-            sep = ","
-        out.append("]")
+            sep = b","
+        out += b"]"
+
+
+def canonical_bytes(obj) -> bytearray:
+    """The text of :func:`canonical_dumps` as ASCII bytes, built in one
+    growing buffer; write it to a binary file without decoding it."""
+    out = bytearray()
+    _put(obj, out)
+    return out
 
 
 def canonical_dumps(obj) -> str:
@@ -205,9 +219,7 @@ def canonical_dumps(obj) -> str:
     :func:`matrix_to_json` lists.  A NaN or infinite entry raises
     ``ValueError``, anywhere in ``obj``.
     """
-    out: list = []
-    _put(obj, out)
-    return "".join(out)
+    return canonical_bytes(obj).decode("ascii")
 
 
 # -- decoding ---------------------------------------------------------------

@@ -1,5 +1,6 @@
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from subrec import (DemoSpec, SubsystemDecomposition, check_correctable, compose
                     dual)
 from subrec.cli import main
 from subrec.io import (
+    canonical_bytes,
     canonical_dumps,
     channel_from_json,
     channel_to_json,
@@ -166,6 +168,10 @@ def test_demo_writes_files(tmp_path, capsys):
     assert ch.dim == 4 and ch.m == 2
     dec = subsystem_from_json(json.loads(dec_file.read_text()))
     assert dec.d_b == 2
+    # each file holds the bytes of canonical_dumps and a newline
+    ch, dec = demo_build(DemoSpec(name="binary-unitary", p=0.4, seed=3))
+    assert ch_file.read_bytes() == canonical_dumps(channel_to_json(ch)).encode() + b"\n"
+    assert dec_file.read_bytes() == canonical_dumps(subsystem_to_json(dec)).encode() + b"\n"
 
 
 def test_recover_negative_exit_2(tmp_path, capsys):
@@ -379,16 +385,21 @@ def test_demo_thetas_reach_the_demo_as_numbers(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_report_is_encoded_once_for_out_and_format_json(tmp_path, capsys, monkeypatch):
+def _recording_builds(monkeypatch):
     import subrec.cli as cli
 
-    calls = []
+    built = []
 
-    def counting(obj):
-        calls.append(obj)
-        return canonical_dumps(obj)
+    def recording(obj):
+        built.append(obj)
+        return canonical_bytes(obj)
 
-    monkeypatch.setattr(cli, "canonical_dumps", counting)
+    monkeypatch.setattr(cli, "canonical_bytes", recording)
+    return built
+
+
+def test_report_is_encoded_once_for_out_and_format_json(tmp_path, capsys, monkeypatch):
+    calls = _recording_builds(monkeypatch)
     ch_file, dec_file = write_demo(tmp_path, "binary-unitary", p=0.4, seed=8)
     out_file = tmp_path / "report.json"
     code, out = run(["recover", "--channel", str(ch_file), "--subsystem", str(dec_file),
@@ -456,3 +467,86 @@ def test_stdin_bytes_give_the_report_of_the_file(command, tmp_path, capsys, monk
     code, from_stdin = run(argv, capsys=capsys)
     assert code == 0
     assert from_stdin.out == from_file.out
+
+
+@pytest.mark.parametrize("command, demo, kw", [
+    ("check", "binary-unitary", {"p": 0.4, "seed": 8}),
+    ("recover", "binary-unitary", {"p": 0.4, "seed": 8}),
+    ("recover", "random", {}),
+    ("ns", "swap", {}),
+    ("ucc", "phase-flip", {"p": 0.3}),
+])
+def test_report_files_are_the_canonical_text_and_a_newline(command, demo, kw, tmp_path,
+                                                            capsys, monkeypatch):
+    # every report kind, the failing recovery's included: the file holds the
+    # bytes of canonical_dumps of the report the CLI built, and a newline
+    if demo == "random":
+        from subrec.random_ops import haar_isometry, random_channel
+        ch_file, dec_file = tmp_path / "ch.json", tmp_path / "dec.json"
+        ch_file.write_text(canonical_dumps(channel_to_json(random_channel(4, 3, seed=11))))
+        dec = SubsystemDecomposition(4, 1, 2, haar_isometry(4, 2, seed=12))
+        dec_file.write_text(canonical_dumps(subsystem_to_json(dec)))
+    else:
+        ch_file, dec_file = write_demo(tmp_path, demo, **kw)
+    built = _recording_builds(monkeypatch)
+    out_file = tmp_path / "report.json"
+    argv = [command, "--channel", str(ch_file), "--out", str(out_file)]
+    if command in ("check", "recover"):
+        argv += ["--subsystem", str(dec_file)]
+    code, _ = run(argv, capsys=capsys)
+    assert code in (0, 2)
+    assert len(built) == 1 and built[0]["command"] == command
+    assert out_file.read_bytes() == canonical_dumps(built[0]).encode() + b"\n"
+
+
+def test_demo_out_peaks_below_its_file_and_the_kraus_stack(tmp_path, capsys):
+    # the channel's text is built in one byte buffer and written from it: a
+    # list of row strings, the joined text and its UTF-8 encoding peaked at
+    # 1.9 times the file and the stack
+    out_file = tmp_path / "channel.json"
+    tracemalloc.start()
+    try:
+        code = main(["demo", "planted", "--unital", "--dim", "128", "--da", "2", "--db", "4",
+                     "--kraus", "8", "--seed", "1", "--out", str(out_file)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    stack = 8 * 128 * 128 * 16
+    assert peak < 1.25 * (out_file.stat().st_size + stack)
+
+
+def test_recover_out_writes_its_report_within_a_quarter_of_its_size(tmp_path, capsys,
+                                                                    monkeypatch):
+    # reading the channel sets the command's peak, so the guard is on what the
+    # write of the report adds to the memory live when it starts: a list of
+    # row strings, the joined text and its UTF-8 encoding added 2.0 reports
+    import subrec.cli as cli
+
+    ch, dec = demo_build(DemoSpec(name="planted", d_a=2, d_b=4, dim=128, n_kraus=8,
+                                  seed=1))
+    ch_file, dec_file = tmp_path / "ch.json", tmp_path / "dec.json"
+    ch_file.write_text(canonical_dumps(channel_to_json(ch)))
+    dec_file.write_text(canonical_dumps(subsystem_to_json(dec)))
+    stack = np.asarray(ch.kraus).nbytes
+    del ch, dec
+    emit, added = cli._emit, []
+
+    def measured(report, args, text_lines):
+        live = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        emit(report, args, text_lines)
+        added.append(tracemalloc.get_traced_memory()[1] - live)
+
+    monkeypatch.setattr(cli, "_emit", measured)
+    out_file = tmp_path / "report.json"
+    tracemalloc.start()
+    try:
+        code, _ = run(["recover", "--channel", str(ch_file), "--subsystem", str(dec_file),
+                       "--out", str(out_file)], capsys=capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert len(added) == 1 and added[0] < 1.25 * out_file.stat().st_size
+    assert peak < 1.25 * (ch_file.stat().st_size + stack)

@@ -426,3 +426,21 @@ def test_checks_allocate_less_than_one_kraus_stack():
             tracemalloc.stop()
         assert verdict is None or result.passed is verdict
         assert peak < ch.kraus.nbytes
+
+
+def test_pair_norms_hold_one_gram_stack():
+    # the Grams E_a E_a^dag are formed one at a time into one stack, with no
+    # conjugate copy of the Kraus stack, and paired by one real product: the
+    # stacked products, the copy and the conjugate Grams peaked at two stacks
+    import subrec.correctability as correctability
+
+    ch, _ = planted_channel(2, 4, 128, 8, seed=1)
+    tracemalloc.start()
+    try:
+        norms = correctability._pair_norms(ch.kraus)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * ch.kraus.nbytes  # the Grams' stack has the Kraus stack's size
+    exact = np.array([[np.linalg.norm(a.conj().T @ b) for b in ch.kraus] for a in ch.kraus])
+    np.testing.assert_allclose(norms, exact, rtol=1e-12)
